@@ -31,6 +31,7 @@ from .gates import (
     PulseStep,
     apply_sequence,
     flatten_params,
+    propagate,
     rotation_unitary,
     squeeze_x_unitary,
     squeeze_y_unitary,

@@ -23,7 +23,6 @@ from .core import (
     NormDriftError,
     NotHermitianError,
     QuantumState,
-    apply,
     build_sx,
     build_sy,
     fidelity,
@@ -33,7 +32,7 @@ from .gates import (
     PulseSequence,
     apply_sequence,
     flatten_params,
-    sequence_unitaries,
+    propagate,
     unflatten_params,
 )
 from .optimizer import OptimizerConfig, grown_search, random_restart_search
@@ -304,14 +303,11 @@ def cmd_wigner(args) -> int:
         inputs.update(sequence=args.sequence, n_emitters=seq.space.n_emitters,
                       conventions=_conventions_dict(convention, conv),
                       per_step=bool(args.per_step))
-        states = []
-        state = QuantumState.ground(seq.space)
-        if args.per_step:
-            for u in sequence_unitaries(seq, conv):
-                state = apply(u, state)
-                states.append(state)
-        else:
-            states.append(apply_sequence(seq, state, conv))
+        vecs = propagate(seq.space, flatten_params(seq), conv,
+                         QuantumState.ground(seq.space).amplitudes, per_step=True)
+        if not args.per_step:
+            vecs = vecs[-1:]
+        states = [QuantumState(seq.space, amplitudes=v) for v in vecs]
     else:
         spec = _target_spec_from_args(args)
         space = DickeSpace(args.n, Convention(args.convention or "spin-j"))

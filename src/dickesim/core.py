@@ -322,13 +322,19 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
     """
     _check_same_space(a.space, b.space)
-    if a.is_pure and b.is_pure:
-        val = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    elif a.is_pure != b.is_pure:
-        pure, mixed = (a, b) if a.is_pure else (b, a)
-        val = np.vdot(pure.amplitudes, mixed.density @ pure.amplitudes).real
+    if a.is_pure or b.is_pure:
+        pure, other = (a, b) if a.is_pure else (b, a)
+        return _fidelity_with_vector(pure.amplitudes, other)
+    root = _psd_sqrt(a.density)
+    inner = _psd_sqrt(root @ b.density @ root)
+    return float(min(max(np.trace(inner).real ** 2, 0.0), 1.0))
+
+
+def _fidelity_with_vector(vec: np.ndarray, s: QuantumState) -> float:
+    """Fidelity of the unit amplitude vector ``vec`` with ``s`` (same space):
+    |<s|vec>|^2 for a pure s, <vec|rho|vec> for a density."""
+    if s.is_pure:
+        val = abs(np.vdot(s.amplitudes, vec)) ** 2
     else:
-        root = _psd_sqrt(a.density)
-        inner = _psd_sqrt(root @ b.density @ root)
-        val = np.trace(inner).real ** 2
+        val = np.vdot(vec, s.density @ vec).real
     return float(min(max(val, 0.0), 1.0))

@@ -4,8 +4,9 @@ The search draws random starting points inside the box constraints, then for
 each start runs a configurable number of Nelder-Mead rounds in which a random
 subset of coordinates is frozen (locked at their current values) so that only
 ``free_param_budget`` coordinates move at a time.  Everything is driven by
-per-restart RNG streams derived as seed XOR restart-index, so results do not
-depend on execution order.
+per-restart RNG streams seeded with the pair (seed, restart index), so
+results do not depend on execution order and different seeds give
+independent streams.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import DickeSpace, QuantumState, fidelity
+from .core import DickeSpace, QuantumState, _check_same_space, _fidelity_with_vector
 from .gates import (
     DEFAULT_CONVENTIONS,
     GateConventions,
     PulseSequence,
-    apply_sequence,
+    propagate,
     unflatten_params,
 )
 
@@ -67,23 +68,24 @@ class OptimizationRun:
 def objective(params, space: DickeSpace, target: QuantumState,
               conventions: GateConventions = DEFAULT_CONVENTIONS) -> float:
     """1 - fidelity(sequence(params) applied to |0>, target)."""
-    params = np.asarray(params, dtype=float)
+    params = np.asarray(params, dtype=float).reshape(-1)
     if (params.size - 3) % 5:
         raise ValueError(f"parameter vector length {params.size} is not 5M + 3")
-    n_steps = (params.size - 3) // 5
-    seq = unflatten_params(space, n_steps, params)
-    final = apply_sequence(seq, QuantumState.ground(space), conventions)
-    return 1.0 - fidelity(final, target)
+    return make_objective(space, target, (params.size - 3) // 5, conventions)(params)
 
 
 def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
                    conventions: GateConventions = DEFAULT_CONVENTIONS) -> Callable:
-    """Closure over a fixed target for repeated evaluations."""
-    ground = QuantumState.ground(space)
+    """Closure over a fixed target for repeated evaluations of a flat
+    parameter vector of length 5 * n_steps + 3."""
+    _check_same_space(space, target.space)
+    ground = QuantumState.ground(space).amplitudes
+    expected = 5 * n_steps + 3
 
     def f(params: np.ndarray) -> float:
-        seq = unflatten_params(space, n_steps, params)
-        return 1.0 - fidelity(apply_sequence(seq, ground, conventions), target)
+        if len(params) != expected:
+            raise ValueError(f"parameter vector length {len(params)}, expected {expected}")
+        return 1.0 - _fidelity_with_vector(propagate(space, params, conventions, ground), target)
 
     return f
 
@@ -156,7 +158,8 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
 
 
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed) ^ int(restart)) & 0xFFFFFFFFFFFFFFFF)
+    """Independent stream per (seed, restart); negative seeds wrap to 64 bits."""
+    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, int(restart)])
 
 
 def random_restart_search(space: DickeSpace, target: QuantumState,
@@ -204,7 +207,7 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
     return OptimizationRun(config=config, space=space, n_steps=n_steps,
                            best_params=best_params,
                            best_fidelity=1.0 - best_value, history=history,
-                           rng_trace=f"default_rng(seed XOR restart), seed={config.seed}, "
+                           rng_trace=f"default_rng([seed, restart]), seed={config.seed}, "
                                      f"restarts=0..{config.restarts - 1}")
 
 

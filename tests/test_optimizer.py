@@ -12,7 +12,7 @@ from dickesim import (
     random_restart_search,
     unflatten_params,
 )
-from dickesim.optimizer import grown_search, make_objective
+from dickesim.optimizer import _restart_rng, grown_search, make_objective
 
 
 def random_target(space, seed):
@@ -167,3 +167,13 @@ def test_make_objective_matches_objective():
     rng = np.random.default_rng(1)
     params = rng.uniform(-1, 1, 13)
     assert f(params) == pytest.approx(objective(params, space, target), abs=1e-15)
+
+
+def test_seeds_draw_independent_restart_starts():
+    lower, upper = OptimizerConfig().bounds(3)
+
+    def starts(seed):
+        return {tuple(_restart_rng(seed, r).uniform(lower, upper)) for r in range(50)}
+
+    assert len(starts(0)) == 50
+    assert not starts(0) & starts(1)
