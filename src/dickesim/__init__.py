@@ -32,9 +32,6 @@ from .gates import (
     apply_sequence,
     flatten_params,
     propagate,
-    rotation_unitary,
-    squeeze_x_unitary,
-    squeeze_y_unitary,
     step_unitary,
     unflatten_params,
 )
@@ -73,7 +70,6 @@ from .optimizer import (
     OptimizerConfig,
     grow_sequence,
     nelder_mead,
-    objective,
     random_restart_search,
 )
 

@@ -294,12 +294,14 @@ def ladder_norm_constant(n_emitters: int, n: int) -> float:
 
 def synthesis_by_powers(space: DickeSpace, target: QuantumState,
                         alpha_scale: float) -> Tuple[QuantumState, float]:
-    """Build the target from |0> with repeated e^(alpha_n S_+^n - conj(alpha_n) S_-^n).
+    """Build the target from |0> with one e^(r_n S_+^n - conj(r_n) S_-^n) per rung.
 
-    Choosing alpha_n M_n = a_n / (a_0 c_n) with M_n = round(1/alpha_scale)
-    applications reproduces each ladder coefficient to first order; the
-    construction converges as alpha_scale -> 0.  Requires a_0 != 0 (the
-    scheme divides by it) and returns (state, infidelity vs target).
+    r_n = a_n / (a_0 c_n) reproduces each ladder coefficient to first order.
+    The scheme as stated splits each rung into M = round(1/alpha_scale)
+    factors e^(G/M), but (e^(G/M))^M = e^G, so ``alpha_scale`` is only
+    checked to lie in (0, 0.1] and does not enter the result.  Requires
+    a_0 != 0 (the scheme divides by it) and returns (state, infidelity vs
+    target).
     """
     if not target.is_pure:
         raise ValueError("synthesis needs a pure target")
@@ -310,7 +312,6 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
     if abs(a0) < 1e-12:
         raise ValueError("target has a_0 = 0; the ladder construction divides by a_0")
     n_emitters = space.n_emitters
-    m_reps = max(1, round(1.0 / alpha_scale))
     splus = build_splus(space).matrix
     power = np.eye(space.dim, dtype=complex)
     vec = QuantumState.ground(space).amplitudes.copy()
@@ -319,10 +320,8 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
         ratio = amps[n] / (a0 * ladder_norm_constant(n_emitters, n))
         if ratio == 0:
             continue
-        alpha_n = ratio / m_reps
-        gen = alpha_n * power - np.conj(alpha_n) * power.conj().T
+        gen = ratio * power - np.conj(ratio) * power.conj().T
         h = SymmetricOperator(space, -1j * gen, hermitian=True)
-        u = np.linalg.matrix_power(hermitian_exp(h, 1j).matrix, m_reps)
-        vec = u @ vec
+        vec = hermitian_exp(h, 1j).matrix @ vec
     state = QuantumState.from_amplitudes(space, vec, normalize=True)
     return state, 1.0 - fidelity(state, target)

@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 
@@ -23,14 +22,13 @@ from .core import (
     NormDriftError,
     NotHermitianError,
     QuantumState,
+    _fidelity_with_vector,
     build_sx,
     build_sy,
-    fidelity,
 )
 from .gates import (
+    DEFAULT_CONVENTIONS,
     GateConventions,
-    PulseSequence,
-    apply_sequence,
     flatten_params,
     propagate,
     unflatten_params,
@@ -76,7 +74,23 @@ def _resolve_sequence_path(name_or_path: str) -> str:
     return name_or_path
 
 
-def _target_spec_from_args(args, metadata_target: Optional[dict] = None) -> TargetSpec:
+def _custom_amplitudes(raw) -> tuple:
+    """Amplitudes from JSON: a list whose entries are each a real number or an
+    [re, im] pair of real numbers."""
+    if not isinstance(raw, list):
+        raise ValueError("--custom-amplitudes must hold a JSON list")
+    is_real = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    out = []
+    for idx, v in enumerate(raw):
+        parts = v if isinstance(v, list) else [v, 0.0]
+        if len(parts) != 2 or not all(map(is_real, parts)):
+            raise ValueError(f"custom amplitude {idx} is {v!r}; expected a real number "
+                             "or an [re, im] pair")
+        out.append(complex(parts[0], parts[1]))
+    return tuple(out)
+
+
+def _target_spec_from_args(args, metadata_target: dict | None = None) -> TargetSpec:
     if args.target is None:
         if not metadata_target:
             raise SequenceFileError(
@@ -97,9 +111,7 @@ def _target_spec_from_args(args, metadata_target: Optional[dict] = None) -> Targ
         if not getattr(args, "custom_amplitudes", None):
             raise ValueError("--target custom requires --custom-amplitudes FILE")
         with open(args.custom_amplitudes, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        custom = tuple(complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                       for v in raw)
+            custom = _custom_amplitudes(json.load(fh))
     return TargetSpec(
         kind=kind,
         gamma=complex(args.gamma),
@@ -146,17 +158,12 @@ def _override_conventions(args, base_convention: Convention,
     return convention, conv
 
 
-def _rebuild_on(seq: PulseSequence, convention: Convention,
-                n: Optional[int] = None) -> PulseSequence:
-    space = DickeSpace(n if n is not None else seq.space.n_emitters, convention)
-    return PulseSequence(space, seq.steps, seq.final_axis, seq.final_theta)
-
-
-def _replay_fidelity(seq: PulseSequence, spec: TargetSpec,
-                     conv: GateConventions) -> float:
-    target = make_target(spec, seq.space)
-    final = apply_sequence(seq, QuantumState.ground(seq.space), conv)
-    return fidelity(final, target)
+def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
+                     target: QuantumState) -> float:
+    """Fidelity of the flat-parameter sequence applied to |0> with ``target``,
+    which depends only on N and so serves every convention."""
+    final = propagate(space, params, conv, QuantumState.ground(space).amplitudes)
+    return _fidelity_with_vector(final, target)
 
 
 def _sweep_combos():
@@ -187,10 +194,11 @@ def cmd_replay(args) -> int:
     seq, file_conv, metadata = load_sequence_file(path, args.n)
     spec = _target_spec_from_args(args, metadata.get("target"))
     convention, conv = _override_conventions(args, seq.space.convention, file_conv)
-    seq = _rebuild_on(seq, convention)
+    space = DickeSpace(seq.space.n_emitters, convention)
+    params, target = flatten_params(seq), make_target(spec, space)
     inputs = {
         "sequence": args.sequence,
-        "n_emitters": seq.space.n_emitters,
+        "n_emitters": space.n_emitters,
         "target": _target_spec_inputs(spec),
         "conventions": _conventions_dict(convention, conv),
         "sweep": bool(args.sweep_conventions),
@@ -199,7 +207,7 @@ def cmd_replay(args) -> int:
     if args.sweep_conventions:
         rows = []
         for cvn, c in _sweep_combos():
-            fid = _replay_fidelity(_rebuild_on(seq, cvn), spec, c)
+            fid = _replay_fidelity(params, DickeSpace(space.n_emitters, cvn), c, target)
             rows.append({**_conventions_dict(cvn, c), "fidelity": fid})
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows
@@ -207,7 +215,7 @@ def cmd_replay(args) -> int:
         outputs["best_conventions"] = {k: rows[0][k] for k in rows[0] if k != "fidelity"}
         print(f"best fidelity {rows[0]['fidelity']:.6f} under {outputs['best_conventions']}")
     else:
-        fid = _replay_fidelity(seq, spec, conv)
+        fid = _replay_fidelity(params, space, conv, target)
         outputs["fidelity"] = fid
         outputs["conventions"] = _conventions_dict(convention, conv)
         print(f"fidelity {fid:.6f} under {outputs['conventions']}")
@@ -219,13 +227,11 @@ def cmd_replay(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    space = DickeSpace(args.n, Convention(args.convention or "spin-j"))
-    conv = GateConventions(
-        squeeze_order=args.squeeze_order or "xy",
-        squeeze_composition=args.squeeze_composition or "product",
-        rotation_composition=args.rotation_composition or "combined",
-        exponent_sign=args.exponent_sign or 1,
-    )
+    if args.start_steps and not args.resume and args.start_steps > args.steps:
+        raise ValueError(f"--start-steps {args.start_steps} exceeds --steps {args.steps}, "
+                         "the maximum sequence length")
+    convention, conv = _override_conventions(args, Convention.SPIN_J, DEFAULT_CONVENTIONS)
+    space = DickeSpace(args.n, convention)
     spec = _target_spec_from_args(args)
     target = make_target(spec, space)
     config = OptimizerConfig(
@@ -299,15 +305,15 @@ def cmd_wigner(args) -> int:
         path = _resolve_sequence_path(args.sequence)
         seq, file_conv, metadata = load_sequence_file(path, args.n)
         convention, conv = _override_conventions(args, seq.space.convention, file_conv)
-        seq = _rebuild_on(seq, convention)
-        inputs.update(sequence=args.sequence, n_emitters=seq.space.n_emitters,
+        space = DickeSpace(seq.space.n_emitters, convention)
+        inputs.update(sequence=args.sequence, n_emitters=space.n_emitters,
                       conventions=_conventions_dict(convention, conv),
                       per_step=bool(args.per_step))
-        vecs = propagate(seq.space, flatten_params(seq), conv,
-                         QuantumState.ground(seq.space).amplitudes, per_step=True)
+        vecs = propagate(space, flatten_params(seq), conv,
+                         QuantumState.ground(space).amplitudes, per_step=True)
         if not args.per_step:
             vecs = vecs[-1:]
-        states = [QuantumState(seq.space, amplitudes=v) for v in vecs]
+        states = [QuantumState(space, amplitudes=v) for v in vecs]
     else:
         spec = _target_spec_from_args(args)
         space = DickeSpace(args.n, Convention(args.convention or "spin-j"))
@@ -377,6 +383,8 @@ def cmd_trotter_check(args) -> int:
     sx, sy = build_sx(space), build_sy(space)
     a, b = sx @ sx, sy
     ks = [int(k) for k in args.k_list.split(",")]
+    if len(set(ks)) < 2:
+        raise ValueError("--k-list needs at least two distinct k to fit a slope")
     sum_errors = [trotter_sum_error(a, b, args.t, k) for k in ks]
     comm_errors = [trotter_commutator_error(a, b, args.t, k) for k in ks]
 
@@ -405,11 +413,12 @@ def cmd_size_sweep(args) -> int:
     spec = _target_spec_from_args(args, metadata.get("target"))
     convention, conv = _override_conventions(args, seq.space.convention, file_conv)
     ns = [int(v) for v in args.n_list.split(",")]
+    params = flatten_params(seq)
     rows = []
     for n in ns:
         try:
-            seq_n = _rebuild_on(seq, convention, n)
-            fid = _replay_fidelity(seq_n, spec, conv)
+            space = DickeSpace(n, convention)
+            fid = _replay_fidelity(params, space, conv, make_target(spec, space))
             rows.append({"n_emitters": n, "fidelity": fid})
             print(f"N={n}: fidelity {fid:.6f}")
         except (TruncationError, ValueError) as exc:

@@ -146,24 +146,6 @@ def _spin_triple(space: DickeSpace):
     return build_sx(space), build_sy(space), build_sz(space)
 
 
-@functools.lru_cache(maxsize=None)
-def _squeeze_eigs(space: DickeSpace):
-    """Eigendecompositions of S_x^2 and S_y^2, reused for every squeeze."""
-    sx, sy, _ = _spin_triple(space)
-    out = []
-    for s in (sx, sy):
-        w, v = np.linalg.eigh(s.matrix @ s.matrix)
-        out.append((w, v))
-    return tuple(out)
-
-
-def rotation_unitary(space: DickeSpace, axis, theta: float,
-                     conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """R(theta, n) about the (normalized) axis n."""
-    vec = _normalized_axis(axis)
-    return rotation_from_turns(space, theta * vec, conventions)
-
-
 def rotation_from_turns(space: DickeSpace, turns,
                         conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
     """Rotation given per-axis angles (theta_x, theta_y, theta_z)."""
@@ -181,43 +163,27 @@ def rotation_from_turns(space: DickeSpace, turns,
     return rz @ ry @ rx  # x rotation acts first
 
 
-def _single_squeeze(space: DickeSpace, which: int, strength: float, sign: int) -> np.ndarray:
-    w, v = _squeeze_eigs(space)[which]
-    return (v * np.exp(sign * 1j * strength * w)) @ v.conj().T
-
-
-def squeeze_x_unitary(space: DickeSpace, alpha: float,
-                      conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """exp(sign * i * alpha * S_x^2)."""
-    return SymmetricOperator(space, _single_squeeze(space, 0, alpha, conventions.exponent_sign))
-
-
-def squeeze_y_unitary(space: DickeSpace, beta: float,
-                      conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """exp(sign * i * beta * S_y^2)."""
-    return SymmetricOperator(space, _single_squeeze(space, 1, beta, conventions.exponent_sign))
-
-
 def squeeze_pair_unitary(space: DickeSpace, alpha: float, beta: float,
                          conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """The full squeezing part of one step, composition per conventions."""
+    """The full squeezing part of one step, composition per conventions:
+    exp(s*i*alpha S_x^2) and exp(s*i*beta S_y^2) multiplied, or the single
+    exp(s*i*(alpha S_x^2 + beta S_y^2))."""
     s = conventions.exponent_sign
+    sx, sy, _ = _spin_triple(space)
     if conventions.squeeze_composition == "combined":
-        sx, sy, _ = _spin_triple(space)
         gen = SymmetricOperator(
             space, alpha * (sx.matrix @ sx.matrix) + beta * (sy.matrix @ sy.matrix),
             hermitian=True)
         return hermitian_exp(gen, s * 1j)
-    ux = _single_squeeze(space, 0, alpha, s)
-    uy = _single_squeeze(space, 1, beta, s)
-    mat = uy @ ux if conventions.squeeze_order == "xy" else ux @ uy
-    return SymmetricOperator(space, mat)
+    ux = hermitian_exp(sx @ sx, s * 1j * alpha)
+    uy = hermitian_exp(sy @ sy, s * 1j * beta)
+    return uy @ ux if conventions.squeeze_order == "xy" else ux @ uy
 
 
 def step_unitary(step: PulseStep, space: DickeSpace,
                  conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
     """Rotation first, then squeezing: U = U_squeeze @ U_rot."""
-    rot = rotation_unitary(space, step.axis, step.theta, conventions)
+    rot = rotation_from_turns(space, step.turns, conventions)
     sq = squeeze_pair_unitary(space, step.alpha, step.beta, conventions)
     return sq @ rot
 
@@ -226,7 +192,8 @@ def sequence_unitaries(seq: PulseSequence,
                        conventions: GateConventions = DEFAULT_CONVENTIONS) -> list:
     """Per-step unitaries followed by the final rotation, in application order."""
     out = [step_unitary(st, seq.space, conventions) for st in seq.steps]
-    out.append(rotation_unitary(seq.space, seq.final_axis, seq.final_theta, conventions))
+    out.append(rotation_from_turns(seq.space, np.asarray(seq.final_axis) * seq.final_theta,
+                                   conventions))
     return out
 
 

@@ -65,19 +65,10 @@ class OptimizationRun:
         return unflatten_params(self.space, self.n_steps, self.best_params)
 
 
-def objective(params, space: DickeSpace, target: QuantumState,
-              conventions: GateConventions = DEFAULT_CONVENTIONS) -> float:
-    """1 - fidelity(sequence(params) applied to |0>, target)."""
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if (params.size - 3) % 5:
-        raise ValueError(f"parameter vector length {params.size} is not 5M + 3")
-    return make_objective(space, target, (params.size - 3) // 5, conventions)(params)
-
-
 def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
                    conventions: GateConventions = DEFAULT_CONVENTIONS) -> Callable:
-    """Closure over a fixed target for repeated evaluations of a flat
-    parameter vector of length 5 * n_steps + 3."""
+    """Closure over a fixed target: 1 - fidelity(sequence(params) applied to
+    |0>, target) for a flat parameter vector of length 5 * n_steps + 3."""
     _check_same_space(space, target.space)
     ground = QuantumState.ground(space).amplitudes
     expected = 5 * n_steps + 3

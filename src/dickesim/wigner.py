@@ -171,23 +171,31 @@ def multipole_coefficients(state: QuantumState) -> dict:
     return out
 
 
-def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
-    """W evaluated at arbitrary (theta, phi) points (broadcast together)."""
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    coeffs = multipole_coefficients(state)
+def _wigner(state: QuantumState, thetas: np.ndarray, phis: np.ndarray,
+            grid: bool) -> np.ndarray:
+    """W from the separable form Y_kq(theta, phi) = Y_kq(theta, 0) e^(iq phi):
+    S_q(theta) = sum_k rho_kq Y_kq(theta, 0), then W = sum_q S_q e^(iq phi),
+    on the grid thetas x phis or at the points (thetas[i], phis[i])."""
     j2 = state.space.n_emitters
-    acc = np.zeros(np.broadcast(thetas, phis).shape, dtype=complex)
-    for (k, q), rho_kq in coeffs.items():
+    s_q = np.zeros((2 * j2 + 1, thetas.size), dtype=complex)
+    for (k, q), rho_kq in multipole_coefficients(state).items():
         if abs(rho_kq) < 1e-300:
             continue
-        acc = acc + rho_kq * _sph_harm(k, q, thetas, phis)
-    scale = np.sqrt((j2 + 1) / (4 * np.pi))
-    vals = scale * acc
+        s_q[q + j2] += rho_kq * _sph_harm(k, q, thetas, 0.0)
+    phase = np.exp(1j * np.outer(np.arange(-j2, j2 + 1), phis))
+    acc = s_q.T @ phase if grid else np.sum(s_q * phase, axis=0)
+    vals = np.sqrt((j2 + 1) / (4 * np.pi)) * acc
     imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     if imag > 1e-8:
         raise AssertionError(f"spherical Wigner came out non-real ({imag:.3e})")
     return vals.real
+
+
+def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
+    """W evaluated at arbitrary (theta, phi) points (broadcast together)."""
+    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                       np.asarray(phis, dtype=float))
+    return _wigner(state, thetas.ravel(), phis.ravel(), grid=False).reshape(thetas.shape)
 
 
 @dataclass(frozen=True)
@@ -229,11 +237,8 @@ def _theta_weights(n_theta: int) -> np.ndarray:
 
 
 def spherical_wigner(state: QuantumState, n_theta: int = 0, n_phi: int = 0) -> SphereGrid:
-    """Sample W on the default (or requested) sphere grid.
-
-    Exploits the separable structure Y_kq(theta, phi) = Y_kq(theta, 0) e^(iq phi)
-    so the harmonics are only evaluated along the theta axis.
-    """
+    """Sample W on the default (or requested) sphere grid; the harmonics are
+    only evaluated along the theta axis (see :func:`_wigner`)."""
     n = state.space.n_emitters
     if n_theta <= 0:
         n_theta = max(60, n + 2)
@@ -241,21 +246,8 @@ def spherical_wigner(state: QuantumState, n_theta: int = 0, n_phi: int = 0) -> S
         n_phi = max(120, 2 * n + 2)
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = np.arange(n_phi) * 2 * np.pi / n_phi
-    coeffs = multipole_coefficients(state)
-    j2 = state.space.n_emitters
-    # S_q(theta) = sum_k rho_kq Y_kq(theta, 0), then W = sum_q S_q e^(iq phi)
-    s_q = np.zeros((2 * j2 + 1, n_theta), dtype=complex)
-    for (k, q), rho_kq in coeffs.items():
-        if abs(rho_kq) < 1e-300:
-            continue
-        s_q[q + j2] += rho_kq * _sph_harm(k, q, thetas, 0.0)
-    phase = np.exp(1j * np.outer(np.arange(-j2, j2 + 1), phis))
-    vals = np.sqrt((j2 + 1) / (4 * np.pi)) * (s_q.T @ phase)
-    imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if imag > 1e-8:
-        raise AssertionError(f"spherical Wigner came out non-real ({imag:.3e})")
     weights = _theta_weights(n_theta) * (2 * np.pi / n_phi)
-    return SphereGrid(thetas, phis, vals.real, weights)
+    return SphereGrid(thetas, phis, _wigner(state, thetas, phis, grid=True), weights)
 
 
 @dataclass(frozen=True)
@@ -314,6 +306,8 @@ def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
     """
     if not state.is_pure:
         raise ValueError("planar_wigner expects a pure state")
+    if resolution < 2:
+        raise ValueError(f"planar grid resolution must be at least 2, got {resolution}")
     n = state.space.n_emitters
     if x_max <= 0:
         x_max = np.sqrt(2.0 * n) + 3.0

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dickesim import cli, targets
 from dickesim.cli import main
 
 
@@ -224,3 +225,53 @@ def test_size_sweep_reports_per_n_errors(tmp_path):
     rec = json.loads(out.read_text())
     assert "error" in rec["outputs"]["table"][0]
     assert "fidelity" in rec["outputs"]["table"][1]
+
+
+def test_malformed_custom_amplitudes_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for raw in ([1, [0.5]], [1, "0.5"], [[1, 0, 0]], [True], {"a": 1}):
+        path.write_text(json.dumps(raw))
+        assert run_cli(["replay", "--sequence", "cat2", "--n", "4", "--target", "custom",
+                        "--custom-amplitudes", str(path)]) == 2
+    assert "custom amplitude 1" in capsys.readouterr().err.splitlines()[0]
+
+
+def test_plane_resolution_below_two_exits_2(tmp_path):
+    assert run_cli(["wigner", "--target", "cat2", "--gamma", "1", "--n", "10",
+                    "--surface", "plane", "--resolution", "1",
+                    "--out", str(tmp_path / "p.csv")]) == 2
+
+
+@pytest.mark.parametrize("k_list", ["8", "8,8"])
+def test_trotter_check_needs_two_distinct_k(tmp_path, k_list):
+    assert run_cli(["trotter-check", "--n", "4", "--k-list", k_list,
+                    "--out", str(tmp_path / "rec.json")]) == 2
+    assert not (tmp_path / "rec.json").exists()
+
+
+def test_optimize_rejects_start_steps_above_steps(tmp_path):
+    assert run_cli(["optimize", "--n", "3", "--target", "custom",
+                    "--custom-amplitudes", str(_custom_top(tmp_path, 4)),
+                    "--steps", "2", "--start-steps", "5", "--restarts", "0",
+                    "--out", str(tmp_path / "rec.json")]) == 2
+    assert not (tmp_path / "rec.json").exists()
+
+
+def _count_target_builds(monkeypatch, argv):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return targets.make_target(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_target", counted)
+    assert run_cli(argv) == 0
+    return len(calls)
+
+
+def test_target_built_once_per_emitter_count(tmp_path, monkeypatch):
+    out = str(tmp_path / "rec.json")
+    assert _count_target_builds(monkeypatch, ["replay", "--sequence", "cat2",
+                                              "--sweep-conventions", "--out", out]) == 1
+    assert _count_target_builds(monkeypatch, ["size-sweep", "--sequence", "cat2",
+                                              "--n-list", "38,40,42", "--out", out]) == 3

@@ -12,9 +12,6 @@ from dickesim import (
     build_sy,
     build_sz,
     flatten_params,
-    rotation_unitary,
-    squeeze_x_unitary,
-    squeeze_y_unitary,
     step_unitary,
     unflatten_params,
 )
@@ -27,13 +24,13 @@ def unitarity_defect(u):
 
 
 def test_rotation_zero_angle_is_identity():
-    u = rotation_unitary(DickeSpace(5), (0, 0, 1), 0.0)
+    u = rotation_from_turns(DickeSpace(5), (0, 0, 0.0))
     assert np.allclose(u.matrix, np.eye(6), atol=1e-14)
 
 
 def test_rotation_z_axis_diagonal():
     theta = 0.83
-    u = rotation_unitary(DickeSpace(2), (0, 0, 1), theta)
+    u = rotation_from_turns(DickeSpace(2), (0, 0, theta))
     expected = np.diag([np.exp(-1j * theta), 1.0, np.exp(1j * theta)])
     assert np.allclose(u.matrix, expected, atol=1e-12)
 
@@ -46,30 +43,29 @@ def test_rotation_pi_about_y_flips_ground():
     for k in range(1, 60):
         term = term @ gen / k
         series = series + term
-    u = rotation_unitary(space, (0, 1, 0), np.pi)
+    u = rotation_from_turns(space, (0, np.pi, 0))
     assert np.allclose(u.matrix, series, atol=1e-12)
     for n in (3, 17):
         space = DickeSpace(n)
-        u = rotation_unitary(space, (0, 1, 0), np.pi)
+        u = rotation_from_turns(space, (0, np.pi, 0))
         final = u.matrix @ QuantumState.ground(space).amplitudes
         assert abs(final[n]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rotation_rejects_zero_axis():
     with pytest.raises(ValueError):
-        rotation_unitary(DickeSpace(3), (0, 0, 0), 1.0)
+        PulseStep((0, 0, 0), 1.0, 0.0, 0.0)
 
 
 def test_squeeze_zero_strength_is_identity():
     space = DickeSpace(7)
-    assert np.allclose(squeeze_x_unitary(space, 0.0).matrix, np.eye(8), atol=1e-14)
-    assert np.allclose(squeeze_y_unitary(space, 0.0).matrix, np.eye(8), atol=1e-14)
+    assert np.allclose(squeeze_pair_unitary(space, 0.0, 0.0).matrix, np.eye(8), atol=1e-14)
 
 
 def test_single_qubit_squeeze_is_global_phase():
     space = DickeSpace(1)
     alpha = 0.9
-    u = squeeze_x_unitary(space, alpha)
+    u = squeeze_pair_unitary(space, alpha, 0.0)
     assert np.allclose(u.matrix, np.exp(1j * alpha / 4) * np.eye(2), atol=1e-12)
 
 
@@ -77,10 +73,10 @@ def test_squeeze_commutation_by_direct_computation():
     # direct small-matrix oracle: at N=2 (spin 1) the two squeezes happen to
     # commute exactly; genuine non-commutation starts at N=3
     space = DickeSpace(2)
-    ux, uy = squeeze_x_unitary(space, 0.5), squeeze_y_unitary(space, 0.5)
+    ux, uy = squeeze_pair_unitary(space, 0.5, 0.0), squeeze_pair_unitary(space, 0.0, 0.5)
     assert np.max(np.abs((ux @ uy).matrix - (uy @ ux).matrix)) < 1e-14
     space = DickeSpace(3)
-    ux, uy = squeeze_x_unitary(space, 0.5), squeeze_y_unitary(space, 0.5)
+    ux, uy = squeeze_pair_unitary(space, 0.5, 0.0), squeeze_pair_unitary(space, 0.0, 0.5)
     assert np.max(np.abs((ux @ uy).matrix - (uy @ ux).matrix)) > 1e-3
 
 
@@ -94,7 +90,7 @@ def test_step_reduces_to_rotation_without_squeeze():
     space = DickeSpace(5)
     step = PulseStep((0.3, -0.5, 0.8), 1.2, 0.0, 0.0)
     u = step_unitary(step, space)
-    r = rotation_unitary(space, step.axis, step.theta)
+    r = rotation_from_turns(space, step.turns)
     assert np.allclose(u.matrix, r.matrix, atol=1e-13)
 
 
@@ -102,7 +98,7 @@ def test_step_reduces_to_squeezes_without_rotation():
     space = DickeSpace(5)
     step = PulseStep((0, 0, 1), 0.0, 0.4, -0.7)
     u = step_unitary(step, space)
-    expected = squeeze_y_unitary(space, -0.7) @ squeeze_x_unitary(space, 0.4)
+    expected = squeeze_pair_unitary(space, 0.0, -0.7) @ squeeze_pair_unitary(space, 0.4, 0.0)
     assert np.allclose(u.matrix, expected.matrix, atol=1e-13)
 
 
@@ -110,7 +106,7 @@ def test_squeeze_order_flag():
     space = DickeSpace(4)
     xy = squeeze_pair_unitary(space, 0.5, 0.8, GateConventions(squeeze_order="xy"))
     yx = squeeze_pair_unitary(space, 0.5, 0.8, GateConventions(squeeze_order="yx"))
-    ux, uy = squeeze_x_unitary(space, 0.5), squeeze_y_unitary(space, 0.8)
+    ux, uy = squeeze_pair_unitary(space, 0.5, 0.0), squeeze_pair_unitary(space, 0.0, 0.8)
     assert np.allclose(xy.matrix, (uy @ ux).matrix, atol=1e-13)
     assert np.allclose(yx.matrix, (ux @ uy).matrix, atol=1e-13)
     assert np.max(np.abs(xy.matrix - yx.matrix)) > 1e-4
@@ -128,11 +124,12 @@ def test_combined_squeeze_composition():
 
 def test_exponent_sign_flag_conjugates_each_factor():
     space = DickeSpace(4)
-    rot_p = rotation_unitary(space, (0.6, 0.0, 0.8), 0.9, GateConventions(exponent_sign=1))
-    rot_m = rotation_unitary(space, (0.6, 0.0, 0.8), 0.9, GateConventions(exponent_sign=-1))
+    turns = 0.9 * np.array([0.6, 0.0, 0.8])
+    rot_p = rotation_from_turns(space, turns, GateConventions(exponent_sign=1))
+    rot_m = rotation_from_turns(space, turns, GateConventions(exponent_sign=-1))
     assert np.allclose(rot_m.matrix, rot_p.matrix.conj().T, atol=1e-12)
-    sq_p = squeeze_x_unitary(space, 0.7, GateConventions(exponent_sign=1))
-    sq_m = squeeze_x_unitary(space, 0.7, GateConventions(exponent_sign=-1))
+    sq_p = squeeze_pair_unitary(space, 0.7, 0.0, GateConventions(exponent_sign=1))
+    sq_m = squeeze_pair_unitary(space, 0.7, 0.0, GateConventions(exponent_sign=-1))
     assert np.allclose(sq_m.matrix, sq_p.matrix.conj().T, atol=1e-12)
 
 
@@ -206,8 +203,8 @@ def test_flatten_length_and_roundtrip():
         u1 = step_unitary(st1, space)
         u2 = step_unitary(st2, space)
         assert np.max(np.abs(u1.matrix - u2.matrix)) < 1e-12
-    f1 = rotation_unitary(space, seq.final_axis, seq.final_theta)
-    f2 = rotation_unitary(space, seq2.final_axis, seq2.final_theta)
+    f1 = rotation_from_turns(space, np.asarray(seq.final_axis) * seq.final_theta)
+    f2 = rotation_from_turns(space, np.asarray(seq2.final_axis) * seq2.final_theta)
     assert np.max(np.abs(f1.matrix - f2.matrix)) < 1e-12
 
 

@@ -8,7 +8,6 @@ from dickesim import (
     apply_sequence,
     grow_sequence,
     nelder_mead,
-    objective,
     random_restart_search,
     unflatten_params,
 )
@@ -23,24 +22,25 @@ def random_target(space, seed):
 
 def test_objective_zero_params_ground_target():
     space = DickeSpace(4)
-    assert objective(np.zeros(18), space, QuantumState.ground(space)) == pytest.approx(0.0)
+    assert make_objective(space, QuantumState.ground(space), 3)(np.zeros(18)) == pytest.approx(0.0)
 
 
 def test_objective_zero_params_orthogonal_target():
     space = DickeSpace(4)
     top = QuantumState.basis_state(space, 4)
-    assert objective(np.zeros(18), space, top) == pytest.approx(1.0)
+    assert make_objective(space, top, 3)(np.zeros(18)) == pytest.approx(1.0)
 
 
 def test_objective_range_and_length_check():
     space = DickeSpace(3)
     rng = np.random.default_rng(0)
     target = random_target(space, 100)
+    f = make_objective(space, target, 2)
     for _ in range(10):
-        val = objective(rng.uniform(-np.pi, np.pi, 13), space, target)
+        val = f(rng.uniform(-np.pi, np.pi, 13))
         assert 0.0 <= val <= 1.0
     with pytest.raises(ValueError):
-        objective(np.zeros(12), space, target)
+        f(np.zeros(12))
 
 
 def test_nelder_mead_quadratic_bowl():
@@ -130,11 +130,11 @@ def test_grow_sequence_identity_insertion():
     target = random_target(space, 100)
     config = OptimizerConfig(restarts=2, freeze_rounds=1, nm_max_iters=150, seed=11)
     run = random_restart_search(space, target, config, n_steps=2)
-    before = objective(run.best_params, space, target)
+    before = make_objective(space, target, 2)(run.best_params)
     for pos in (0, 1, 2):
         grown = grow_sequence(run, pos)
         assert grown.n_steps == 3
-        after = objective(grown.best_params, space, target)
+        after = make_objective(space, target, 3)(grown.best_params)
         assert after == pytest.approx(before, abs=1e-12)
         assert grown.best_fidelity == run.best_fidelity
 
@@ -158,15 +158,6 @@ def test_grown_search_reaches_reachable_target():
                              nm_tolerance=1e-9, seed=5, target_infidelity=1e-4)
     run = grown_search(space, target, config, start_steps=2, max_steps=3)
     assert run.best_fidelity >= 0.99
-
-
-def test_make_objective_matches_objective():
-    space = DickeSpace(4)
-    target = random_target(space, 101)
-    f = make_objective(space, target, 2)
-    rng = np.random.default_rng(1)
-    params = rng.uniform(-1, 1, 13)
-    assert f(params) == pytest.approx(objective(params, space, target), abs=1e-15)
 
 
 def test_seeds_draw_independent_restart_starts():

@@ -18,8 +18,10 @@ from dickesim.wigner import (
     SphereGrid,
     WindowWarning,
     load_grid_csv,
+    multipole_coefficients,
     spherical_tensor,
     spherical_wigner_values,
+    _sph_harm,
     _theta_weights,
 )
 
@@ -193,6 +195,17 @@ def test_spherical_wigner_real():
     st = QuantumState.from_amplitudes(space, vec, normalize=True)
     vals = spherical_wigner_values(st, np.array([0.3, 1.2]), np.array([0.1, 4.0]))
     assert vals.dtype == np.float64
+    # reference: sum_kq rho_kq Y_kq(theta, phi) with the full harmonics, not
+    # the separated Y_kq(theta, 0) e^(iq phi); the broadcast shape is kept
+    thetas = rng.uniform(0, np.pi, (4, 1))
+    phis = rng.uniform(0, 2 * np.pi, 5)
+    ref = np.sqrt(8 / (4 * np.pi)) * sum(
+        rho * _sph_harm(k, q, thetas, phis)
+        for (k, q), rho in multipole_coefficients(st).items())
+    vals = spherical_wigner_values(st, thetas, phis)
+    assert vals.shape == (4, 5)
+    assert np.max(np.abs(vals - ref.real)) < 1e-12
+    assert np.max(np.abs(ref.imag)) < 1e-12
 
 
 def test_theta_weights_integrate_band_limited_functions():
@@ -268,6 +281,12 @@ def test_planar_wigner_rejects_density():
     mixed = QuantumState(space, density=np.eye(4) / 4)
     with pytest.raises(ValueError):
         planar_wigner(mixed)
+
+
+@pytest.mark.parametrize("resolution", [1, 0])
+def test_planar_wigner_rejects_resolution_below_two(resolution):
+    with pytest.raises(ValueError):
+        planar_wigner(QuantumState.ground(DickeSpace(3)), resolution=resolution)
 
 
 # --- CSV export -------------------------------------------------------------
