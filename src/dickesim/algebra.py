@@ -113,8 +113,7 @@ def _masked(mat: np.ndarray, width: int) -> np.ndarray:
 
 def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
                 rank_tol: float = DEFAULT_RANK_TOL,
-                artifact_mask: int = 0,
-                max_dimension: int = 0) -> ClosureReport:
+                artifact_mask: int = 0) -> ClosureReport:
     """Close the real span of Hermitian generators under i[., .].
 
     New directions are admitted when their component orthogonal to the
@@ -126,19 +125,20 @@ def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
     mats = _as_matrices(generators)
     d = mats[0].shape[0]
     scale = max(np.linalg.norm(m) for m in mats)
-    span = _HermitianSpan(d, scale)        # full matrices; drives the bracket queue
     rank_span = _HermitianSpan(d, scale)   # masked copies; drives rank decisions
+    # full matrices, kept only to tell artifacts from known directions
+    span = _HermitianSpan(d, scale) if artifact_mask else None
     basis: List[np.ndarray] = []
     artifact_count = 0
 
     def admit(mat: np.ndarray) -> bool:
         nonlocal artifact_count
-        masked = _masked(mat, artifact_mask)
-        if rank_span.try_add(masked, rank_tol):
-            span.try_add(mat, rank_tol)
+        if rank_span.try_add(_masked(mat, artifact_mask), rank_tol):
+            if span is not None:
+                span.try_add(mat, rank_tol)
             basis.append(mat)
             return True
-        if artifact_mask and span.residual_norm(mat) > rank_tol * scale:
+        if span is not None and span.residual_norm(mat) > rank_tol * scale:
             artifact_count += 1
         return False
 
@@ -146,7 +146,7 @@ def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
         admit(m)
 
     iterations = 0
-    limit = max_dimension if max_dimension > 0 else d * d + 1
+    limit = d * d + 1
     frontier = list(range(len(basis)))
     while frontier and len(basis) < limit:
         iterations += 1

@@ -44,6 +44,7 @@ from .targets import (
     TargetKind,
     TargetSpec,
     TruncationError,
+    amplitudes_from_json,
     make_target,
 )
 from .algebra import (
@@ -74,44 +75,22 @@ def _resolve_sequence_path(name_or_path: str) -> str:
     return name_or_path
 
 
-def _custom_amplitudes(raw) -> tuple:
-    """Amplitudes from JSON: a list whose entries are each a real number or an
-    [re, im] pair of real numbers."""
-    if not isinstance(raw, list):
-        raise ValueError("--custom-amplitudes must hold a JSON list")
-    is_real = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    out = []
-    for idx, v in enumerate(raw):
-        parts = v if isinstance(v, list) else [v, 0.0]
-        if len(parts) != 2 or not all(map(is_real, parts)):
-            raise ValueError(f"custom amplitude {idx} is {v!r}; expected a real number "
-                             "or an [re, im] pair")
-        out.append(complex(parts[0], parts[1]))
-    return tuple(out)
-
-
 def _target_spec_from_args(args, metadata_target: dict | None = None) -> TargetSpec:
     if args.target is None:
         if not metadata_target:
             raise SequenceFileError(
                 "no --target given and the sequence file carries no target metadata")
-        kind = TargetKind(metadata_target["kind"])
-        gamma = metadata_target.get("gamma", [3.0, 0.0])
-        return TargetSpec(
-            kind=kind,
-            gamma=complex(gamma[0], gamma[1]) if isinstance(gamma, list) else complex(gamma),
-            phi=float(metadata_target.get("phi", np.pi / 4)),
-            squeezing_db=float(metadata_target.get("squeezing_db", 10.0)),
-            gkp_codeword=metadata_target.get("gkp_codeword", "sensor"),
-            allow_truncation=bool(metadata_target.get("allow_truncation", False)),
-        )
+        try:
+            return TargetSpec.from_dict(metadata_target)
+        except (TypeError, ValueError) as exc:
+            raise SequenceFileError(f"metadata.target: {exc}") from exc
     kind = TargetKind(args.target)
     custom = None
     if kind is TargetKind.CUSTOM:
         if not getattr(args, "custom_amplitudes", None):
             raise ValueError("--target custom requires --custom-amplitudes FILE")
         with open(args.custom_amplitudes, "r", encoding="utf-8") as fh:
-            custom = _custom_amplitudes(json.load(fh))
+            custom = amplitudes_from_json(json.load(fh))
     return TargetSpec(
         kind=kind,
         gamma=complex(args.gamma),
@@ -121,19 +100,6 @@ def _target_spec_from_args(args, metadata_target: dict | None = None) -> TargetS
         allow_truncation=bool(getattr(args, "allow_truncation", False)),
         custom_amplitudes=custom,
     )
-
-
-def _target_spec_inputs(spec: TargetSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "gamma": [spec.gamma.real, spec.gamma.imag],
-        "phi": spec.phi,
-        "squeezing_db": spec.squeezing_db,
-        "gkp_codeword": spec.gkp_codeword,
-        "allow_truncation": spec.allow_truncation,
-        "custom": list(map(lambda c: [c.real, c.imag], spec.custom_amplitudes))
-        if spec.custom_amplitudes else None,
-    }
 
 
 def _conventions_dict(convention: Convention, conv: GateConventions) -> dict:
@@ -199,7 +165,7 @@ def cmd_replay(args) -> int:
     inputs = {
         "sequence": args.sequence,
         "n_emitters": space.n_emitters,
-        "target": _target_spec_inputs(spec),
+        "target": spec.to_dict(),
         "conventions": _conventions_dict(convention, conv),
         "sweep": bool(args.sweep_conventions),
     }
@@ -227,7 +193,10 @@ def cmd_replay(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    if args.start_steps and not args.resume and args.start_steps > args.steps:
+    for flag, value in (("--steps", args.steps), ("--start-steps", args.start_steps)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
+    if args.start_steps is not None and not args.resume and args.start_steps > args.steps:
         raise ValueError(f"--start-steps {args.start_steps} exceeds --steps {args.steps}, "
                          "the maximum sequence length")
     convention, conv = _override_conventions(args, Convention.SPIN_J, DEFAULT_CONVENTIONS)
@@ -245,7 +214,7 @@ def cmd_optimize(args) -> int:
         target_infidelity=1.0 - args.stop_fidelity if args.stop_fidelity else 0.0,
         conventions=conv,
     )
-    start_steps = args.start_steps if args.start_steps else min(2, args.steps)
+    start_steps = args.start_steps if args.start_steps is not None else min(2, args.steps)
     initial = None
     if args.resume:
         prev_seq, _, prev_meta = load_sequence_file(args.resume)
@@ -261,7 +230,7 @@ def cmd_optimize(args) -> int:
         seq = unflatten_params(space, n_steps, params)
         save_sequence_file(args.seq_out, seq, conv, {
             "name": "optimized",
-            "target": _target_spec_inputs(spec),
+            "target": spec.to_dict(),
             "best_fidelity": fid,
             "seed": args.seed,
         })
@@ -274,7 +243,7 @@ def cmd_optimize(args) -> int:
                            on_improvement=checkpoint)
     inputs = {
         "n_emitters": args.n,
-        "target": _target_spec_inputs(spec),
+        "target": spec.to_dict(),
         "conventions": _conventions_dict(space.convention, conv),
         "steps": args.steps,
         "start_steps": start_steps,
@@ -317,7 +286,7 @@ def cmd_wigner(args) -> int:
     else:
         spec = _target_spec_from_args(args)
         space = DickeSpace(args.n, Convention(args.convention or "spin-j"))
-        inputs.update(target=_target_spec_inputs(spec), n_emitters=args.n)
+        inputs.update(target=spec.to_dict(), n_emitters=args.n)
         states = [make_target(spec, space)]
 
     out = args.out or "wigner.csv"
@@ -430,7 +399,7 @@ def cmd_size_sweep(args) -> int:
         outputs["fidelity_std"] = float(np.std(fids))
         print(f"fidelity std over N: {outputs['fidelity_std']:.6f}")
     inputs = {"sequence": args.sequence, "n_list": ns,
-              "target": _target_spec_inputs(spec),
+              "target": spec.to_dict(),
               "conventions": _conventions_dict(convention, conv)}
     _emit(args.out, ResultRecord("size-sweep", inputs, outputs), started)
     return 0

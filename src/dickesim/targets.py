@@ -70,16 +70,62 @@ class TargetSpec:
         if self.gkp_codeword not in GKP_CODEWORDS:
             raise ValueError(f"gkp_codeword must be one of {GKP_CODEWORDS}")
 
+    def to_dict(self) -> dict:
+        """JSON form, as stored in result records and sequence-file metadata."""
+        return {
+            "kind": self.kind.value,
+            "gamma": [self.gamma.real, self.gamma.imag],
+            "phi": self.phi,
+            "squeezing_db": self.squeezing_db,
+            "gkp_codeword": self.gkp_codeword,
+            "allow_truncation": self.allow_truncation,
+            "custom": [[c.real, c.imag] for c in self.custom_amplitudes]
+            if self.custom_amplitudes else None,
+        }
 
-def coherent_amplitudes(n_max: int, gamma: complex) -> np.ndarray:
-    """Exact coherent amplitudes e^(-|g|^2/2) g^n / sqrt(n!) for n = 0..n_max."""
+    @classmethod
+    def from_dict(cls, doc) -> "TargetSpec":
+        """Inverse of :meth:`to_dict`.  Only ``kind`` is required; ``gamma``
+        may also be a bare number.  Malformed input raises ValueError or
+        TypeError."""
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise ValueError("expected an object with a 'kind' key")
+        gamma, custom = doc.get("gamma", [3.0, 0.0]), doc.get("custom")
+        if isinstance(gamma, list) and len(gamma) != 2:
+            raise ValueError(f"gamma is {gamma!r}; expected a number or an [re, im] pair")
+        return cls(kind=TargetKind(doc["kind"]),
+                   gamma=complex(*gamma) if isinstance(gamma, list) else complex(gamma),
+                   phi=float(doc.get("phi", np.pi / 4)),
+                   squeezing_db=float(doc.get("squeezing_db", 10.0)),
+                   gkp_codeword=doc.get("gkp_codeword", "sensor"),
+                   allow_truncation=bool(doc.get("allow_truncation", False)),
+                   custom_amplitudes=None if custom is None else amplitudes_from_json(custom))
+
+
+def amplitudes_from_json(raw) -> Tuple[complex, ...]:
+    """Amplitudes from JSON: a list whose entries are each a real number or an
+    [re, im] pair of real numbers."""
+    if not isinstance(raw, list):
+        raise ValueError("custom amplitudes must be a JSON list")
+    is_real = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    out = []
+    for idx, v in enumerate(raw):
+        parts = v if isinstance(v, list) else [v, 0.0]
+        if len(parts) != 2 or not all(map(is_real, parts)):
+            raise ValueError(f"custom amplitude {idx} is {v!r}; expected a real number "
+                             "or an [re, im] pair")
+        out.append(complex(parts[0], parts[1]))
+    return tuple(out)
+
+
+def coherent_amplitudes(n_max: int, gamma) -> np.ndarray:
+    """Exact coherent amplitudes e^(-|g|^2/2) g^n / sqrt(n!) for n = 0..n_max,
+    along a last axis appended to the shape of ``gamma`` (scalar or array)."""
     n = np.arange(n_max + 1)
-    gamma = complex(gamma)
-    if gamma == 0:
-        out = np.zeros(n_max + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    logmag = n * np.log(abs(gamma)) - 0.5 * gammaln(n + 1) - 0.5 * abs(gamma) ** 2
+    gamma = np.asarray(gamma, dtype=complex)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at gamma = 0
+        logmag = n * np.log(np.abs(gamma)) - 0.5 * gammaln(n + 1) - 0.5 * np.abs(gamma) ** 2
+    logmag[..., 0] = -0.5 * np.abs(gamma[..., 0]) ** 2  # g^0 = 1, also at g = 0
     return np.exp(logmag) * np.exp(1j * n * np.angle(gamma))
 
 
@@ -165,36 +211,24 @@ def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:
     The state is sum over lattice displacements D(lambda) applied to vacuum,
     with the displacement-composition phases of the stabilizer group.
     """
-    n = np.arange(n_max + 1)
     cell_area = 2 * np.pi if codeword == "sensor" else 4 * np.pi
-    ell = np.sqrt(2 * cell_area / np.sqrt(3))
-    shift = np.array([ell / 2, 0.0]) if codeword == "one" else np.zeros(2)
-    a1 = ell * np.array([1.0, 0.0])
-    a2 = ell * np.array([0.5, np.sqrt(3) / 2])
-    pair_phase = np.imag((a1[0] + 1j * a1[1]) * np.conj(a2[0] + 1j * a2[1])) / 2  # Im(al1 * conj(al2))
-    shift_c = (shift[0] + 1j * shift[1]) / np.sqrt(2)
+    # lattice generators and codeword shift as displacements (x + ip)/sqrt(2)
+    g1 = np.sqrt(cell_area / np.sqrt(3))
+    g2 = g1 * (0.5 + 0.5j * np.sqrt(3))
+    shift = g1 / 2 if codeword == "one" else 0.0
     amp_cut = np.sqrt(n_max) + 5.0
-    x_cut = np.sqrt(2.0) * amp_cut  # phase-plane radius covering |alpha| <= amp_cut
-    t_max = int(np.ceil(x_cut / (ell * np.sqrt(3) / 2))) + 1
+    t_max = int(np.ceil(amp_cut / g2.imag)) + 1
     out = np.zeros(n_max + 1, dtype=complex)
-    for t in range(-t_max, t_max + 1):
-        s_box = int(np.ceil(x_cut / ell + abs(t) / 2)) + 1
-        for s in range(-s_box, s_box + 1):
-            xy = s * a1 + t * a2
-            lam = (xy[0] + 1j * xy[1]) / np.sqrt(2)
-            al = lam + shift_c
-            if abs(al) > amp_cut:
-                continue
-            # D(s a1)D(t a2) = e^{i s t Im(al1 conj(al2))} D(s a1 + t a2);
-            # composing with the codeword shift adds e^{i Im(lam conj(shift))}.
-            phase = s * t * pair_phase + np.imag(lam * np.conj(shift_c))
-            if al == 0:
-                coh = np.zeros(n_max + 1, dtype=complex)
-                coh[0] = 1.0
-            else:
-                coh = np.exp(n * np.log(abs(al)) - 0.5 * gammaln(n + 1)
-                             - 0.5 * abs(al) ** 2) * np.exp(1j * n * np.angle(al))
-            out += np.exp(1j * phase) * coh
+    for t in range(-t_max, t_max + 1):  # one lattice row at a time
+        s_box = int(np.ceil(amp_cut / g1 + abs(t) / 2)) + 1
+        s = np.arange(-s_box, s_box + 1)
+        lam = s * g1 + t * g2
+        keep = np.abs(lam + shift) <= amp_cut
+        s, lam = s[keep], lam[keep]
+        # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); composing
+        # with the codeword shift adds e^{i Im(lam conj(shift))}.
+        phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+        out += np.exp(1j * phase) @ coherent_amplitudes(n_max, lam + shift)
     return out
 
 

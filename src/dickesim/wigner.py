@@ -7,7 +7,9 @@ Spherical: the multipole expansion for a spin J = N/2,
 
 with irreducible tensor operators T_kq built from Clebsch-Gordan
 coefficients, normalized so that the integral over the sphere is 1 and the
-maximally mixed state is flat at 1/(4*pi).
+maximally mixed state is flat at 1/(4*pi).  It is evaluated as the
+expectation of one rotated kernel (:func:`spherical_wigner_values`); the
+T_kq table stays as its reference.
 
 Planar: the standard bosonic Wigner function of the state obtained by
 reading Dicke amplitudes as Fock amplitudes.  This identification ignores
@@ -26,18 +28,8 @@ from typing import Tuple
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-try:
-    from scipy.special import sph_harm_y as _sph_harm_y
-
-    def _sph_harm(k: int, q: int, theta, phi):
-        return _sph_harm_y(k, q, theta, phi)
-except ImportError:  # scipy < 1.15
-    from scipy.special import sph_harm as _sph_harm_legacy
-
-    def _sph_harm(k: int, q: int, theta, phi):
-        return _sph_harm_legacy(q, k, phi, theta)
-
-from .core import DickeSpace, QuantumState
+from .core import DickeSpace, QuantumState, _psd_sqrt
+from .gates import _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
 BOUNDARY_WARN_LEVEL = 1e-3
@@ -171,31 +163,35 @@ def multipole_coefficients(state: QuantumState) -> dict:
     return out
 
 
-def _wigner(state: QuantumState, thetas: np.ndarray, phis: np.ndarray,
-            grid: bool) -> np.ndarray:
-    """W from the separable form Y_kq(theta, phi) = Y_kq(theta, 0) e^(iq phi):
-    S_q(theta) = sum_k rho_kq Y_kq(theta, 0), then W = sum_q S_q e^(iq phi),
-    on the grid thetas x phis or at the points (thetas[i], phis[i])."""
-    j2 = state.space.n_emitters
-    s_q = np.zeros((2 * j2 + 1, thetas.size), dtype=complex)
-    for (k, q), rho_kq in multipole_coefficients(state).items():
-        if abs(rho_kq) < 1e-300:
-            continue
-        s_q[q + j2] += rho_kq * _sph_harm(k, q, thetas, 0.0)
-    phase = np.exp(1j * np.outer(np.arange(-j2, j2 + 1), phis))
-    acc = s_q.T @ phase if grid else np.sum(s_q * phase, axis=0)
-    vals = np.sqrt((j2 + 1) / (4 * np.pi)) * acc
-    imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if imag > 1e-8:
-        raise AssertionError(f"spherical Wigner came out non-real ({imag:.3e})")
-    return vals.real
+@functools.lru_cache(maxsize=None)
+def _kernel_diagonal(n: int) -> np.ndarray:
+    """Delta = sqrt(2J+1)/(4 pi) sum_k sqrt(2k+1) diag(T_k0), the Wigner kernel
+    at the north pole, from the q = 0 Clebsch-Gordan coefficients alone."""
+    t_k0 = [[(-1.0) ** (n - m) * clebsch_gordan(n / 2, m - n / 2, n / 2, n / 2 - m, k, 0)
+             for m in range(n + 1)] for k in range(n + 1)]
+    return math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ np.array(t_k0))
 
 
 def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
-    """W evaluated at arbitrary (theta, phi) points (broadcast together)."""
+    """W at arbitrary (theta, phi) points (broadcast together), one row of
+    the broadcast shape at a time: with rho = sum_c a_c a_c^dag,
+    W = sum_m Delta_m sum_c |<m| exp(i theta J_y) exp(i phi J_z) a_c>|^2, both
+    rotations applied to a (d, r * n) block, J_y through its cached eigenbasis."""
     thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
                                        np.asarray(phis, dtype=float))
-    return _wigner(state, thetas.ravel(), phis.ravel(), grid=False).reshape(thetas.shape)
+    rows = (math.prod(thetas.shape[:-1]), thetas.shape[-1]) if thetas.ndim else (1, 1)
+    bases = _propagation_bases(state.space)
+    delta = _kernel_diagonal(state.space.n_emitters)
+    cols = state.amplitudes[:, None] if state.is_pure else _psd_sqrt(state.density)
+    d, r = cols.shape
+    out = np.empty(rows)
+    for i, (theta, phi) in enumerate(zip(thetas.reshape(rows), phis.reshape(rows))):
+        block = np.exp(1j * np.multiply.outer(bases.jz, phi))[:, None, :] * cols[:, :, None]
+        block = (bases.vy_h @ block.reshape(d, -1)).reshape(d, r, -1)
+        block *= np.exp(1j * np.multiply.outer(bases.wx, theta))[:, None, :]
+        block = bases.vy @ block.reshape(d, -1)
+        out[i] = (delta @ (block.real ** 2 + block.imag ** 2)).reshape(r, -1).sum(axis=0)
+    return out.reshape(thetas.shape)
 
 
 @dataclass(frozen=True)
@@ -237,8 +233,7 @@ def _theta_weights(n_theta: int) -> np.ndarray:
 
 
 def spherical_wigner(state: QuantumState, n_theta: int = 0, n_phi: int = 0) -> SphereGrid:
-    """Sample W on the default (or requested) sphere grid; the harmonics are
-    only evaluated along the theta axis (see :func:`_wigner`)."""
+    """Sample W on the default (or requested) sphere grid."""
     n = state.space.n_emitters
     if n_theta <= 0:
         n_theta = max(60, n + 2)
@@ -247,7 +242,7 @@ def spherical_wigner(state: QuantumState, n_theta: int = 0, n_phi: int = 0) -> S
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = np.arange(n_phi) * 2 * np.pi / n_phi
     weights = _theta_weights(n_theta) * (2 * np.pi / n_phi)
-    return SphereGrid(thetas, phis, _wigner(state, thetas, phis, grid=True), weights)
+    return SphereGrid(thetas, phis, spherical_wigner_values(state, thetas[:, None], phis), weights)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from dickesim import cli, targets
 from dickesim.cli import main
+from dickesim.seqfile import SequenceFileError
 
 
 def run_cli(args):
@@ -275,3 +276,53 @@ def test_target_built_once_per_emitter_count(tmp_path, monkeypatch):
                                               "--sweep-conventions", "--out", out]) == 1
     assert _count_target_builds(monkeypatch, ["size-sweep", "--sequence", "cat2",
                                               "--n-list", "38,40,42", "--out", out]) == 3
+
+
+def test_replay_custom_target_checkpoint(tmp_path):
+    seq_out, rec_out = tmp_path / "best.json", tmp_path / "rec.json"
+    assert run_cli(["optimize", "--n", "3", "--target", "custom",
+                    "--custom-amplitudes", str(_custom_top(tmp_path, 4)),
+                    "--steps", "1", "--restarts", "2", "--nm-iters", "200", "--seed", "5",
+                    "--seq-out", str(seq_out), "--out", str(rec_out)]) == 0
+    replay_out = tmp_path / "replay.json"
+    assert run_cli(["replay", "--sequence", str(seq_out), "--out", str(replay_out)]) == 0
+    best = json.loads(rec_out.read_text())["outputs"]["best_fidelity"]
+    replay = json.loads(replay_out.read_text())
+    assert replay["inputs"]["target"]["custom"] == [[0.0, 0.0]] * 3 + [[1.0, 0.0]]
+    assert replay["outputs"]["fidelity"] == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [{"gamma": [3.0, 0.0]}, {"kind": "cat2", "gamma": [3.0]},
+                                    {"kind": "cat2", "phi": None}])
+def test_malformed_metadata_target_exits_2(tmp_path, capsys, target):
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps({
+        "format_version": 1, "n_emitters": 6, "steps": [],
+        "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.0},
+        "metadata": {"target": target},
+    }))
+    assert run_cli(["replay", "--sequence", str(seq_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: metadata.target: ")
+    with pytest.raises(SequenceFileError):
+        cli._target_spec_from_args(cli.build_parser().parse_args(
+            ["replay", "--sequence", str(seq_path)]), target)
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--start-steps"])
+def test_optimize_negative_step_count_names_flag(tmp_path, capsys, flag):
+    argv = ["optimize", "--n", "3", "--target", "coherent", "--gamma", "0.1",
+            "--steps", "2", "--restarts", "0", "--out", str(tmp_path / "rec.json")]
+    assert run_cli(argv + [flag, "-1"]) == 2
+    assert f"{flag} must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "rec.json").exists()
+
+
+def test_optimize_start_steps_zero_is_honoured(tmp_path):
+    out = tmp_path / "rec.json"
+    assert run_cli(["optimize", "--n", "3", "--target", "coherent", "--gamma", "0.1",
+                    "--steps", "1", "--start-steps", "0", "--restarts", "0",
+                    "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["inputs"]["start_steps"] == 0
+    # the history records the growth from M = 0 to M = 1
+    assert [h[:2] for h in rec["outputs"]["history_tail"]] == [[-1, -1], [-1, 1], [-1, -1]]

@@ -17,7 +17,7 @@ from dickesim import (
     gkp_state,
     make_target,
 )
-from dickesim.targets import coherent_tail_weight
+from dickesim.targets import _hex_lattice_amplitudes, coherent_amplitudes, coherent_tail_weight
 
 
 def coherent_overlap(gamma, delta):
@@ -222,6 +222,49 @@ def test_gkp_hex_half_turn_symmetry():
     quarter = QuantumState.from_amplitudes(
         DickeSpace(48), st.amplitudes * np.exp(-1j * (np.pi / 2) * n), normalize=True)
     assert fidelity(st, quarter) < 0.9
+
+
+@pytest.mark.parametrize("codeword", ["sensor", "zero", "one"])
+def test_hex_lattice_matches_per_point_coherent_sum(codeword):
+    # oracle: one coherent vector per lattice point lam + shift inside the
+    # amplitude cut, with the stabilizer phase s t Im(g1 conj(g2)) of
+    # D(s a1) D(t a2) and Im(lam conj(shift)) of the codeword shift
+    n_max = 200
+    ell = np.sqrt(2 * (2 if codeword == "sensor" else 4) * np.pi / np.sqrt(3))
+    g1, g2 = ell / np.sqrt(2), ell * np.exp(1j * np.pi / 3) / np.sqrt(2)
+    shift = ell / (2 * np.sqrt(2)) if codeword == "one" else 0.0
+    amp_cut = np.sqrt(n_max) + 5.0
+    r = int(3 * amp_cut / ell) + 2
+    ref = np.zeros(n_max + 1, dtype=complex)
+    for s in range(-r, r + 1):
+        for t in range(-r, r + 1):
+            lam = s * g1 + t * g2
+            if abs(lam + shift) <= amp_cut:
+                phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+                ref += np.exp(1j * phase) * coherent_amplitudes(n_max, lam + shift)
+    fast = _hex_lattice_amplitudes(n_max, codeword)
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_target_spec_dict_roundtrip():
+    specs = [TargetSpec(TargetKind.CAT4, gamma=2 - 1j, phi=0.3),
+             TargetSpec(TargetKind.GKP_HEX, squeezing_db=8.0, gkp_codeword="one",
+                        allow_truncation=True),
+             TargetSpec(TargetKind.CUSTOM, custom_amplitudes=(1.0, 0.5j, -0.25))]
+    for spec in specs:
+        doc = spec.to_dict()
+        assert list(doc) == ["kind", "gamma", "phi", "squeezing_db", "gkp_codeword",
+                             "allow_truncation", "custom"]
+        assert TargetSpec.from_dict(doc) == spec
+    assert TargetSpec.from_dict({"kind": "cat2", "gamma": 2}).gamma == 2.0
+
+
+@pytest.mark.parametrize("doc", [{"gamma": [3.0, 0.0]}, {"kind": "cat2", "gamma": [3.0]},
+                                 {"kind": "cat2", "phi": None}, {"kind": "squeezed"},
+                                 {"kind": "custom", "custom": [[1, 0, 0]]}, "cat2"])
+def test_target_spec_from_dict_rejects_malformed(doc):
+    with pytest.raises((TypeError, ValueError)):
+        TargetSpec.from_dict(doc)
 
 
 def test_gkp_truncation_error_names_minimum_n():

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+try:
+    from scipy.special import sph_harm_y as _sph_harm
+except ImportError:  # scipy < 1.15
+    from scipy.special import sph_harm as _sph_harm_legacy
+
+    def _sph_harm(k, q, theta, phi):
+        return _sph_harm_legacy(q, k, phi, theta)
+
 from dickesim import (
     DickeSpace,
     QuantumState,
@@ -17,11 +25,11 @@ from dickesim import (
 from dickesim.wigner import (
     SphereGrid,
     WindowWarning,
+    _multipole_bands,
     load_grid_csv,
     multipole_coefficients,
     spherical_tensor,
     spherical_wigner_values,
-    _sph_harm,
     _theta_weights,
 )
 
@@ -188,6 +196,25 @@ def test_spherical_wigner_rotation_covariance():
     assert np.max(np.abs(w_rotated - w_back)) < 1e-6
 
 
+def _harmonic_oracle(state, thetas, phis):
+    """sqrt((2J+1)/(4 pi)) sum_kq rho_kq Y_kq(theta, phi) with the full harmonics."""
+    ref = np.sqrt(state.space.dim / (4 * np.pi)) * sum(
+        rho * _sph_harm(k, q, thetas, phis)
+        for (k, q), rho in multipole_coefficients(state).items())
+    assert np.max(np.abs(ref.imag)) < 1e-12
+    return ref.real
+
+
+def _oracle_states(space, rng):
+    d = space.dim
+    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+    g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    rho = g @ g.conj().T
+    return [QuantumState.from_amplitudes(space, vec, normalize=True),
+            QuantumState(space, density=rho / np.trace(rho).real),
+            QuantumState(space, density=np.eye(d) / d)]
+
+
 def test_spherical_wigner_real():
     rng = np.random.default_rng(33)
     space = DickeSpace(7)
@@ -195,17 +222,37 @@ def test_spherical_wigner_real():
     st = QuantumState.from_amplitudes(space, vec, normalize=True)
     vals = spherical_wigner_values(st, np.array([0.3, 1.2]), np.array([0.1, 4.0]))
     assert vals.dtype == np.float64
-    # reference: sum_kq rho_kq Y_kq(theta, phi) with the full harmonics, not
-    # the separated Y_kq(theta, 0) e^(iq phi); the broadcast shape is kept
     thetas = rng.uniform(0, np.pi, (4, 1))
     phis = rng.uniform(0, 2 * np.pi, 5)
-    ref = np.sqrt(8 / (4 * np.pi)) * sum(
-        rho * _sph_harm(k, q, thetas, phis)
-        for (k, q), rho in multipole_coefficients(st).items())
     vals = spherical_wigner_values(st, thetas, phis)
     assert vals.shape == (4, 5)
-    assert np.max(np.abs(vals - ref.real)) < 1e-12
-    assert np.max(np.abs(ref.imag)) < 1e-12
+    assert np.max(np.abs(vals - _harmonic_oracle(st, thetas, phis))) < 1e-12
+
+
+@pytest.mark.parametrize("convention", ["spin-j", "pauli-sum"])
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_rotated_kernel_matches_harmonic_oracle(n, convention):
+    rng = np.random.default_rng(100 + n)
+    space = DickeSpace(n, convention)
+    thetas = rng.uniform(0, np.pi, (3, 1))
+    phis = rng.uniform(-np.pi, 3 * np.pi, 4)
+    for st in _oracle_states(space, rng):
+        vals = spherical_wigner_values(st, thetas, phis)
+        assert vals.shape == (3, 4)
+        assert np.max(np.abs(vals - _harmonic_oracle(st, thetas, phis))) < 1e-12
+        point = spherical_wigner_values(st, thetas[1, 0], phis[2])
+        assert point.shape == () and abs(point - vals[1, 2]) < 1e-12
+        grid = spherical_wigner(st, n_theta=5, n_phi=6)
+        ref = _harmonic_oracle(st, grid.thetas[:, None], grid.phis)
+        assert np.max(np.abs(grid.values - ref)) < 1e-12
+
+
+def test_sphere_grid_leaves_multipole_table_uncomputed():
+    _multipole_bands.cache_clear()
+    grid = spherical_wigner(QuantumState.ground(DickeSpace(9, "pauli-sum")),
+                            n_theta=16, n_phi=24)
+    assert grid.integral() == pytest.approx(1.0, abs=1e-10)
+    assert _multipole_bands.cache_info().currsize == 0
 
 
 def test_theta_weights_integrate_band_limited_functions():
