@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .core import DickeSpace, QuantumState, _psd_sqrt
 from .gates import _propagation_bases
@@ -37,10 +36,6 @@ BOUNDARY_WARN_LEVEL = 1e-3
 
 class WindowWarning(UserWarning):
     """The planar grid window clips non-negligible Wigner weight."""
-
-
-def _lgfac(n) -> float:
-    return math.lgamma(n + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +70,7 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
         return 0.0
 
     def f(tx: int) -> float:  # log((tx/2)!) for doubled integers
-        return _lgfac(tx // 2)
+        return math.lgamma(tx // 2 + 1)
 
     log_pref = 0.5 * (
         math.log(tJ + 1.0)
@@ -101,7 +96,7 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
     ]
     ks = range(k_min, k_max + 1)
     maxima = [max(a(k) for k in ks) for a in args]
-    log_scale = sum(_lgfac(m) for m in maxima)
+    log_scale = sum(math.lgamma(m + 1) for m in maxima)
     total = 0
     for k in ks:
         term = 1
@@ -166,32 +161,43 @@ def multipole_coefficients(state: QuantumState) -> dict:
 @functools.lru_cache(maxsize=None)
 def _kernel_diagonal(n: int) -> np.ndarray:
     """Delta = sqrt(2J+1)/(4 pi) sum_k sqrt(2k+1) diag(T_k0), the Wigner kernel
-    at the north pole, from the q = 0 Clebsch-Gordan coefficients alone."""
-    t_k0 = [[(-1.0) ** (n - m) * clebsch_gordan(n / 2, m - n / 2, n / 2, n / 2 - m, k, 0)
-             for m in range(n + 1)] for k in range(n + 1)]
-    return math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ np.array(t_k0))
+    at the north pole.  diag(T_k0) is the Gram polynomial of degree k in m on
+    0..N (orthonormal, positive leading coefficient), built by Lanczos on
+    diag(m - N/2) from the uniform vector, reorthogonalized twice per step."""
+    jz = np.arange(n + 1) - n / 2
+    t_k0 = np.full((n + 1, n + 1), 1 / math.sqrt(n + 1))
+    for k in range(n):
+        v = jz * t_k0[k]
+        for _ in range(2):
+            v -= (t_k0[:k + 1] @ v) @ t_k0[:k + 1]
+        t_k0[k + 1] = v / np.linalg.norm(v)
+    return math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ t_k0)
 
 
 def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
-    """W at arbitrary (theta, phi) points (broadcast together), one row of
-    the broadcast shape at a time: with rho = sum_c a_c a_c^dag,
-    W = sum_m Delta_m sum_c |<m| exp(i theta J_y) exp(i phi J_z) a_c>|^2, both
-    rotations applied to a (d, r * n) block, J_y through its cached eigenbasis."""
-    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
-                                       np.asarray(phis, dtype=float))
-    rows = (math.prod(thetas.shape[:-1]), thetas.shape[-1]) if thetas.ndim else (1, 1)
+    """W at arbitrary (theta, phi) points (broadcast together): with
+    rho = sum_c a_c a_c^dag, W = sum_m Delta_m sum_c |<m| exp(i theta J_y)
+    exp(i phi J_z) a_c>|^2, J_y through its cached eigenbasis.  The phi half and
+    the J_y eigenphases are computed once per distinct angle, so each row of
+    the broadcast shape costs one matrix product on a (d, r * n) block."""
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    theta_set, theta_at = np.unique(thetas, return_inverse=True)
+    phi_set, phi_at = np.unique(phis, return_inverse=True)
+    theta_at, phi_at = np.broadcast_arrays(theta_at.reshape(thetas.shape),
+                                           phi_at.reshape(phis.shape))
+    rows = (math.prod(theta_at.shape[:-1]), theta_at.shape[-1]) if theta_at.ndim else (1, 1)
     bases = _propagation_bases(state.space)
     delta = _kernel_diagonal(state.space.n_emitters)
     cols = state.amplitudes[:, None] if state.is_pure else _psd_sqrt(state.density)
     d, r = cols.shape
+    half = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
+    half = (bases.vy_h @ half.reshape(d, -1)).reshape(d, r, -1)
+    turn = np.exp(1j * np.multiply.outer(bases.wx, theta_set))[:, None, :]
     out = np.empty(rows)
-    for i, (theta, phi) in enumerate(zip(thetas.reshape(rows), phis.reshape(rows))):
-        block = np.exp(1j * np.multiply.outer(bases.jz, phi))[:, None, :] * cols[:, :, None]
-        block = (bases.vy_h @ block.reshape(d, -1)).reshape(d, r, -1)
-        block *= np.exp(1j * np.multiply.outer(bases.wx, theta))[:, None, :]
-        block = bases.vy @ block.reshape(d, -1)
-        out[i] = (delta @ (block.real ** 2 + block.imag ** 2)).reshape(r, -1).sum(axis=0)
-    return out.reshape(thetas.shape)
+    for i, (t, p) in enumerate(zip(theta_at.reshape(rows), phi_at.reshape(rows))):
+        block = bases.vy @ (half.take(p, axis=2) * turn.take(t, axis=2)).reshape(d, -1)
+        out[i] = (delta @ (block * block.conj()).real).reshape(r, -1).sum(axis=0)
+    return out.reshape(theta_at.shape)
 
 
 @dataclass(frozen=True)
@@ -209,14 +215,6 @@ class SphereGrid:
     phis: np.ndarray
     values: np.ndarray
     quadrature_weights: np.ndarray
-
-    @property
-    def n_theta(self) -> int:
-        return self.thetas.size
-
-    @property
-    def n_phi(self) -> int:
-        return self.phis.size
 
     def integral(self) -> float:
         return float(self.quadrature_weights @ self.values.sum(axis=1))
@@ -262,31 +260,37 @@ class PlaneGrid:
 
 
 def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """W(x,p) = sum_{m,n} c_m conj(c_n) K_mn(alpha), alpha = (x+ip)/sqrt(2)."""
+    """W(x,p) = sum_{m,n} c_m conj(c_n) K_mn(alpha), alpha = (x+ip)/sqrt(2), one
+    diagonal k = n - m at a time (Cahill and Glauber, Phys. Rev. 177, 1882
+    (1969)): K_{m,m+k} = (-1)^m l_m^k(4|alpha|^2) (2|alpha|)^k e^{i k arg alpha}
+    e^{-2|alpha|^2} / (pi sqrt(k!)), with l_m^k = sqrt(m! k!/(m+k)!) L_m^k
+    walked upwards in m by the normalized three-term recurrence (A&S 22.7.12)."""
     alpha = (X + 1j * P) / np.sqrt(2)
-    aa = np.abs(alpha) ** 2
-    envelope = np.exp(-2.0 * aa) / np.pi
-    four_aa = 4.0 * aa
-    dim = amps.size
-    w = np.zeros_like(aa)
-    # off-diagonal magnitude via logs to dodge overflow in (2|alpha|)^(n-m)
+    x = 4.0 * np.abs(alpha) ** 2
     with np.errstate(divide="ignore"):
-        log2a = np.log(2.0 * np.sqrt(aa))
+        log_x = np.log(x)  # -inf at alpha = 0, where every k >= 1 term vanishes
     phase = np.exp(1j * np.angle(alpha))
-    for m in range(dim):
-        cm = amps[m]
-        if cm == 0:
-            continue
-        w += (abs(cm) ** 2 * (-1.0) ** m) * envelope * eval_genlaguerre(m, 0, four_aa)
-        for n in range(m + 1, dim):
-            rho_mn = cm * np.conj(amps[n])
-            if rho_mn == 0:
-                continue
-            k = n - m
-            logmag = 0.5 * (gammaln(m + 1) - gammaln(n + 1)) + k * log2a - 2.0 * aa
-            mag = np.exp(logmag)  # 0 where alpha == 0 (logmag = -inf there)
-            kern = ((-1.0) ** m / np.pi) * mag * phase ** k * eval_genlaguerre(m, k, four_aa)
-            w += 2.0 * np.real(rho_mn * kern)
+    phase_k = np.ones_like(phase)
+    dim = amps.size
+    w = np.zeros_like(x)
+    for k in range(dim):
+        rho = amps[:dim - k] * np.conj(amps[k:]) * (-1.0) ** np.arange(dim - k)
+        nonzero = np.flatnonzero(rho)  # rho_m = (-1)^m c_m conj(c_{m+k})
+        if nonzero.size:
+            s_re, s_im = np.zeros_like(x), np.zeros_like(x)
+            l_prev, l_m = 0.0, np.ones_like(x)
+            for m in range(nonzero[-1] + 1):
+                if m:
+                    l_prev, l_m = l_m, (((2 * m - 1 + k) - x) * l_m - math.sqrt(
+                        (m - 1) * (m - 1 + k)) * l_prev) / math.sqrt(m * (m + k))
+                if rho[m].real:
+                    s_re += rho[m].real * l_m
+                if rho[m].imag:
+                    s_im += rho[m].imag * l_m
+            # (2|alpha|)^k e^{-2|alpha|^2} / sqrt(k!), through logs to dodge overflow
+            mag = np.exp(0.5 * (k * log_x - x - math.lgamma(k + 1))) if k else np.exp(-0.5 * x)
+            w += (2.0 if k else 1.0) / np.pi * mag * (phase_k.real * s_re - phase_k.imag * s_im)
+        phase_k *= phase
     return w
 
 
@@ -327,21 +331,17 @@ def export_grid(grid, path) -> None:
     """Write a grid as CSV: header ``theta,phi,w`` or ``x,p,w``, one row per
     sample, row-major order, shortest round-trip float formatting."""
     if isinstance(grid, SphereGrid):
-        header = "theta,phi,w"
-        rows = ((t, p, grid.values[i, k])
-                for i, t in enumerate(grid.thetas)
-                for k, p in enumerate(grid.phis))
+        header, outer, inner = "theta,phi,w", grid.thetas, grid.phis
     elif isinstance(grid, PlaneGrid):
-        header = "x,p,w"
-        rows = ((x, p, grid.values[i, k])
-                for i, x in enumerate(grid.xs)
-                for k, p in enumerate(grid.ps))
+        header, outer, inner = "x,p,w", grid.xs, grid.ps
     else:
         raise TypeError(f"cannot export {type(grid).__name__}")
+    inner = [f"{float(b)!r}," for b in inner]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for a, b, w in rows:
-            fh.write(f"{float(a)!r},{float(b)!r},{float(w)!r}\n")
+        for a, row in zip(outer, np.asarray(grid.values, dtype=float)):
+            head = f"{float(a)!r},"
+            fh.writelines(f"{head}{b}{w!r}\n" for b, w in zip(inner, row.tolist()))
 
 
 def load_grid_csv(path) -> Tuple[str, np.ndarray]:

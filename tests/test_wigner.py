@@ -1,5 +1,11 @@
+import ast
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 try:
     from scipy.special import sph_harm_y as _sph_harm
@@ -9,8 +15,10 @@ except ImportError:  # scipy < 1.15
     def _sph_harm(k, q, theta, phi):
         return _sph_harm_legacy(q, k, phi, theta)
 
+import dickesim.wigner
 from dickesim import (
     DickeSpace,
+    GkpLattice,
     QuantumState,
     build_sx,
     build_sy,
@@ -18,14 +26,18 @@ from dickesim import (
     cat2_state,
     clebsch_gordan,
     export_grid,
+    gkp_state,
     hermitian_exp,
     planar_wigner,
     spherical_wigner,
 )
 from dickesim.wigner import (
+    PlaneGrid,
     SphereGrid,
     WindowWarning,
+    _kernel_diagonal,
     _multipole_bands,
+    _planar_kernel_sum,
     load_grid_csv,
     multipole_coefficients,
     spherical_tensor,
@@ -255,6 +267,15 @@ def test_sphere_grid_leaves_multipole_table_uncomputed():
     assert _multipole_bands.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 40, 100])
+def test_kernel_diagonal_matches_clebsch_gordan(n):
+    # oracle: Delta from the q = 0 Clebsch-Gordan coefficients themselves
+    t_k0 = [[(-1.0) ** (n - m) * clebsch_gordan(n / 2, m - n / 2, n / 2, n / 2 - m, k, 0)
+             for m in range(n + 1)] for k in range(n + 1)]
+    ref = math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ np.array(t_k0))
+    assert np.max(np.abs(_kernel_diagonal(n) - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_theta_weights_integrate_band_limited_functions():
     w = _theta_weights(20)
     thetas = (np.arange(20) + 0.5) * np.pi / 20
@@ -316,6 +337,70 @@ def test_cat2_planar_wigner_matches_closed_form():
     assert grid.integral() == pytest.approx(1.0, abs=1e-4)
 
 
+def _planar_oracle(amps, X, P):
+    """W = sum_{m,n} c_m conj(c_n) K_mn(alpha), one generalized Laguerre
+    polynomial per (m, n) pair."""
+    alpha = (X + 1j * P) / np.sqrt(2)
+    aa = np.abs(alpha) ** 2
+    envelope = np.exp(-2.0 * aa) / np.pi
+    with np.errstate(divide="ignore"):
+        log2a = np.log(2.0 * np.sqrt(aa))
+    phase = np.exp(1j * np.angle(alpha))
+    w = np.zeros_like(aa)
+    for m, cm in enumerate(amps):
+        w += (abs(cm) ** 2 * (-1.0) ** m) * envelope * eval_genlaguerre(m, 0, 4.0 * aa)
+        for n in range(m + 1, amps.size):
+            k = n - m
+            mag = np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)) + k * log2a - 2.0 * aa)
+            kern = ((-1.0) ** m / np.pi) * mag * phase ** k * eval_genlaguerre(m, k, 4.0 * aa)
+            w += 2.0 * np.real(cm * np.conj(amps[n]) * kern)
+    return w
+
+
+def _plane_axes(n, resolution):
+    xs = np.linspace(-np.sqrt(2.0 * n) - 3.0, np.sqrt(2.0 * n) + 3.0, resolution)
+    return xs[:, None], xs[None, :]
+
+
+@pytest.mark.parametrize("n, resolution", [(4, 41), (40, 41), (100, 21)])
+def test_planar_kernel_matches_laguerre_oracle(n, resolution):
+    space = DickeSpace(n)
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the N = 4 GKP is truncated on purpose
+        states = [QuantumState.from_amplitudes(space, vec, normalize=True),
+                  cat2_state(space, 3.0 if n >= 40 else 0.5),
+                  gkp_state(space, GkpLattice.SQUARE, 10.0, allow_truncation=True)]
+    X, P = _plane_axes(n, resolution)
+    for st in states:
+        diff = _planar_kernel_sum(st.amplitudes, X, P) - _planar_oracle(st.amplitudes, X, P)
+        assert np.max(np.abs(diff)) < 1e-12
+
+
+def test_planar_kernel_zero_amplitudes_mid_ladder():
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=21) + 1j * rng.normal(size=21)
+    amps[[3, 4, 9, 10, 11, 17, 19, 20]] = 0
+    even = amps.copy()
+    even[1::2] = 0  # every odd diagonal k is empty
+    X, P = _plane_axes(20, 31)
+    for vec in (amps, even):
+        vec = vec / np.linalg.norm(vec)
+        diff = _planar_kernel_sum(vec, X, P) - _planar_oracle(vec, X, P)
+        assert np.max(np.abs(diff)) < 1e-12
+
+
+def test_planar_grid_raises_no_runtime_warning():
+    rng = np.random.default_rng(6)
+    vec = rng.normal(size=41) + 1j * rng.normal(size=41)
+    st = QuantumState.from_amplitudes(DickeSpace(40), vec, normalize=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = planar_wigner(st, resolution=41)  # odd: the origin is sampled
+    assert grid.xs[20] == 0.0 and np.all(np.isfinite(grid.values))
+
+
 def test_planar_window_warning():
     st = cat2_state(DickeSpace(40), 3.0)
     with pytest.warns(WindowWarning):
@@ -363,6 +448,38 @@ def test_plane_csv_header(tmp_path):
     path = tmp_path / "plane.csv"
     export_grid(grid, path)
     assert path.read_text().splitlines()[0] == "x,p,w"
+
+
+def _row_by_row_csv(header, outer, inner, values):
+    lines = [header + "\n"]
+    for i, a in enumerate(outer):
+        for k, b in enumerate(inner):
+            lines.append(f"{float(a)!r},{float(b)!r},{float(values[i, k])!r}\n")
+    return "".join(lines).encode()
+
+
+def test_export_bytes_match_row_by_row_formatting(tmp_path):
+    rng = np.random.default_rng(9)
+    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+    st = QuantumState.from_amplitudes(DickeSpace(5), vec, normalize=True)
+    sphere = spherical_wigner(st, n_theta=7, n_phi=9)
+    plane = planar_wigner(st, resolution=11)
+    tiny = PlaneGrid(np.array([-1e-300, 0.1, 2.0 / 3]), np.array([-0.0, 5e-324, 1e22]),
+                     np.array([[0.1, -2.5e-17, 1.0], [3.0, -0.0, 1e-5], [7e300, 0.5, 2.0]]))
+    cases = [(sphere, "theta,phi,w", sphere.thetas, sphere.phis),
+             (plane, "x,p,w", plane.xs, plane.ps), (tiny, "x,p,w", tiny.xs, tiny.ps)]
+    for i, (grid, header, outer, inner) in enumerate(cases):
+        path = tmp_path / f"grid{i}.csv"
+        export_grid(grid, path)
+        assert path.read_bytes() == _row_by_row_csv(header, outer, inner, grid.values)
+
+
+def test_wigner_module_does_not_import_scipy():
+    tree = ast.parse(Path(dickesim.wigner.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 def test_export_values_roundtrip_exactly(tmp_path):
