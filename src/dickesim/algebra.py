@@ -74,32 +74,23 @@ def _as_matrices(generators: Sequence[Union[SymmetricOperator, np.ndarray]]) -> 
     return mats
 
 
-class _HermitianSpan:
-    """Orthonormal real span of Hermitian matrices (Hilbert-Schmidt)."""
+def _orthogonal_part(span: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Flattened part of mat orthogonal to the orthonormal rows of span under
+    the real Hilbert-Schmidt product, projected twice (twice is enough)."""
+    vec = mat.reshape(-1)
+    for _ in range(2):
+        vec = vec - (span.conj() @ vec).real @ span
+    return vec
 
-    def __init__(self, dim: int, tol_scale: float):
-        self.dim = dim
-        self.tol_scale = tol_scale
-        self.vectors = np.zeros((0, dim * dim), dtype=complex)
 
-    def residual_norm(self, mat: np.ndarray) -> float:
-        vec = mat.reshape(-1)
-        if len(self.vectors):
-            coeffs = (self.vectors.conj() @ vec).real
-            vec = vec - coeffs @ self.vectors
-        return float(np.linalg.norm(vec))
-
-    def try_add(self, mat: np.ndarray, rank_tol: float) -> bool:
-        vec = mat.reshape(-1)
-        for _ in range(2):  # twice-is-enough re-orthogonalization
-            if len(self.vectors):
-                coeffs = (self.vectors.conj() @ vec).real
-                vec = vec - coeffs @ self.vectors
-        norm = np.linalg.norm(vec)
-        if norm <= rank_tol * self.tol_scale:
-            return False
-        self.vectors = np.vstack([self.vectors, vec / norm])
-        return True
+def _extend(span: np.ndarray, mat: np.ndarray, rank_tol: float) -> Tuple[np.ndarray, bool]:
+    """Append mat's unit direction outside span when that part exceeds
+    ``rank_tol``; mat has norm at most 1, so the test is relative."""
+    vec = _orthogonal_part(span, mat)
+    norm = np.linalg.norm(vec)
+    if norm <= rank_tol:
+        return span, False
+    return np.vstack([span, vec / norm]), True
 
 
 def _masked(mat: np.ndarray, width: int) -> np.ndarray:
@@ -116,57 +107,62 @@ def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
                 artifact_mask: int = 0) -> ClosureReport:
     """Close the real span of Hermitian generators under i[., .].
 
-    New directions are admitted when their component orthogonal to the
-    current span exceeds ``rank_tol`` (relative to the largest generator
-    norm).  With ``artifact_mask = w > 0`` the novelty test ignores the last
-    w rows/columns; candidates that are new only inside that boundary strip
-    are counted as truncation artifacts instead of directions.
+    Every direction is kept at unit Hilbert-Schmidt norm (generators are
+    normalized on entry, zero ones skipped), so the verdict does not depend
+    on how the generators are scaled.  A candidate is new when its part
+    orthogonal to the span exceeds ``rank_tol`` times its own norm, and the
+    search stops once the span holds d^2 directions, all of u(d).  With
+    ``artifact_mask = w > 0`` the novelty test ignores the last w
+    rows/columns, so the span is full at (d - w)^2; candidates that are new
+    only inside that boundary strip are counted as truncation artifacts
+    instead of directions.
     """
     mats = _as_matrices(generators)
     d = mats[0].shape[0]
-    scale = max(np.linalg.norm(m) for m in mats)
-    rank_span = _HermitianSpan(d, scale)   # masked copies; drives rank decisions
-    # full matrices, kept only to tell artifacts from known directions
-    span = _HermitianSpan(d, scale) if artifact_mask else None
+    full = (d - max(artifact_mask, 0)) ** 2
+    rank_span = np.zeros((0, d * d), dtype=complex)  # masked; decides rank
+    full_span = rank_span  # unmasked; tells artifacts from known directions
     basis: List[np.ndarray] = []
     artifact_count = 0
 
     def admit(mat: np.ndarray) -> bool:
-        nonlocal artifact_count
-        if rank_span.try_add(_masked(mat, artifact_mask), rank_tol):
-            if span is not None:
-                span.try_add(mat, rank_tol)
+        nonlocal rank_span, full_span, artifact_count
+        rank_span, new = _extend(rank_span, _masked(mat, artifact_mask), rank_tol)
+        if new:
             basis.append(mat)
-            return True
-        if span is not None and span.residual_norm(mat) > rank_tol * scale:
+            if artifact_mask:
+                full_span, _ = _extend(full_span, mat, rank_tol)
+        elif artifact_mask and np.linalg.norm(_orthogonal_part(full_span, mat)) > rank_tol:
             artifact_count += 1
-        return False
+        return new
+
+    def expand() -> int:
+        """Bracket each new direction with every direction, breadth first;
+        returns the number of rounds."""
+        rounds, frontier = 0, range(len(basis))
+        while frontier:
+            rounds += 1
+            start = len(basis)
+            for i in frontier:
+                for j in range(len(basis)):
+                    a, b = basis[i], basis[j]
+                    cand = 1j * (a @ b - b @ a)
+                    norm = np.linalg.norm(cand)
+                    if norm > rank_tol and admit(cand / norm) and len(basis) == full:
+                        return rounds
+            frontier = range(start, len(basis))
+        return rounds
 
     for m in mats:
-        admit(m)
-
-    iterations = 0
-    limit = d * d + 1
-    frontier = list(range(len(basis)))
-    while frontier and len(basis) < limit:
-        iterations += 1
-        new_frontier = []
-        for i in frontier:
-            for j in range(len(basis)):
-                if len(basis) >= limit:
-                    break
-                a, b = basis[i], basis[j]
-                cand = 1j * (a @ b - b @ a)
-                if np.max(np.abs(cand)) <= rank_tol * scale:
-                    continue
-                before = len(basis)
-                if admit(cand):
-                    new_frontier.append(before)
-        frontier = new_frontier
+        norm = np.linalg.norm(m)
+        if norm:
+            admit(m / norm)
+    iterations = expand()
 
     reached = len(basis)
     ident = np.eye(d, dtype=complex) / np.sqrt(d)
-    has_identity = rank_span.residual_norm(_masked(ident, artifact_mask)) < 0.5
+    has_identity = np.linalg.norm(
+        _orthogonal_part(rank_span, _masked(ident, artifact_mask))) < 0.5
     traceless = reached - (1 if has_identity else 0)
     target = d * d - 1
     return ClosureReport(
@@ -184,10 +180,10 @@ def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
 
 def closure_residual(report: ClosureReport, mat: np.ndarray) -> float:
     """Relative residual of mat against the closure basis (0 means contained)."""
-    span = _HermitianSpan(mat.shape[0], 1.0)
+    span = np.zeros((0, mat.size), dtype=complex)
     for b in report.basis:
-        span.try_add(b, 0.0)
-    return span.residual_norm(mat) / np.linalg.norm(mat)
+        span, _ = _extend(span, b, report.rank_tolerance)
+    return float(np.linalg.norm(_orthogonal_part(span, mat)) / np.linalg.norm(mat))
 
 
 def oscillator_generators(cutoff: int) -> Dict[str, np.ndarray]:

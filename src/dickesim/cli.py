@@ -48,6 +48,7 @@ from .targets import (
     make_target,
 )
 from .algebra import (
+    DEFAULT_RANK_TOL,
     lie_closure,
     oscillator_counterexample,
     trotter_commutator_error,
@@ -102,26 +103,13 @@ def _target_spec_from_args(args, metadata_target: dict | None = None) -> TargetS
     )
 
 
-def _conventions_dict(convention: Convention, conv: GateConventions) -> dict:
-    return {
-        "convention": convention.value,
-        "exponent_sign": conv.exponent_sign,
-        "squeeze_order": conv.squeeze_order,
-        "squeeze_composition": conv.squeeze_composition,
-        "rotation_composition": conv.rotation_composition,
-    }
-
-
 def _override_conventions(args, base_convention: Convention,
                           base: GateConventions) -> tuple:
-    convention = Convention(args.convention) if args.convention else base_convention
-    conv = GateConventions(
-        squeeze_order=args.squeeze_order or base.squeeze_order,
-        squeeze_composition=args.squeeze_composition or base.squeeze_composition,
-        rotation_composition=args.rotation_composition or base.rotation_composition,
-        exponent_sign=args.exponent_sign if args.exponent_sign else base.exponent_sign,
-    )
-    return convention, conv
+    """``base`` with each convention flag given on the command line applied;
+    the flags are named after the :meth:`GateConventions.to_dict` keys."""
+    doc = base.to_dict(base_convention)
+    doc.update({key: getattr(args, key) for key in doc if getattr(args, key) is not None})
+    return GateConventions.from_dict(doc)
 
 
 def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
@@ -166,7 +154,7 @@ def cmd_replay(args) -> int:
         "sequence": args.sequence,
         "n_emitters": space.n_emitters,
         "target": spec.to_dict(),
-        "conventions": _conventions_dict(convention, conv),
+        "conventions": conv.to_dict(convention),
         "sweep": bool(args.sweep_conventions),
     }
     outputs = {}
@@ -174,7 +162,7 @@ def cmd_replay(args) -> int:
         rows = []
         for cvn, c in _sweep_combos():
             fid = _replay_fidelity(params, DickeSpace(space.n_emitters, cvn), c, target)
-            rows.append({**_conventions_dict(cvn, c), "fidelity": fid})
+            rows.append({**c.to_dict(cvn), "fidelity": fid})
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows
         outputs["fidelity"] = rows[0]["fidelity"]
@@ -183,7 +171,7 @@ def cmd_replay(args) -> int:
     else:
         fid = _replay_fidelity(params, space, conv, target)
         outputs["fidelity"] = fid
-        outputs["conventions"] = _conventions_dict(convention, conv)
+        outputs["conventions"] = conv.to_dict(convention)
         print(f"fidelity {fid:.6f} under {outputs['conventions']}")
     if "reported_fidelity" in metadata:
         outputs["reported_fidelity"] = metadata["reported_fidelity"]
@@ -244,7 +232,7 @@ def cmd_optimize(args) -> int:
     inputs = {
         "n_emitters": args.n,
         "target": spec.to_dict(),
-        "conventions": _conventions_dict(space.convention, conv),
+        "conventions": conv.to_dict(space.convention),
         "steps": args.steps,
         "start_steps": start_steps,
         "restarts": args.restarts,
@@ -276,7 +264,7 @@ def cmd_wigner(args) -> int:
         convention, conv = _override_conventions(args, seq.space.convention, file_conv)
         space = DickeSpace(seq.space.n_emitters, convention)
         inputs.update(sequence=args.sequence, n_emitters=space.n_emitters,
-                      conventions=_conventions_dict(convention, conv),
+                      conventions=conv.to_dict(convention),
                       per_step=bool(args.per_step))
         vecs = propagate(space, flatten_params(seq), conv,
                          QuantumState.ground(space).amplitudes, per_step=True)
@@ -400,7 +388,7 @@ def cmd_size_sweep(args) -> int:
         print(f"fidelity std over N: {outputs['fidelity_std']:.6f}")
     inputs = {"sequence": args.sequence, "n_list": ns,
               "target": spec.to_dict(),
-              "conventions": _conventions_dict(convention, conv)}
+              "conventions": conv.to_dict(convention)}
     _emit(args.out, ResultRecord("size-sweep", inputs, outputs), started)
     return 0
 
@@ -487,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--cutoff", type=int, default=12)
-    p.add_argument("--rank-tol", type=float, default=1e-8)
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                   help="relative novelty tolerance of the closure search")
     p.add_argument("--convention", choices=["spin-j", "pauli-sum"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_closure)

@@ -43,6 +43,9 @@ AXIS_NORM_TOL = 1e-9
 SQUEEZE_ORDERS = ("xy", "yx")
 SQUEEZE_COMPOSITIONS = ("product", "combined")
 ROTATION_COMPOSITIONS = ("combined", "product")
+# serialized after "convention", in this order
+_CONVENTION_KEYS = ("exponent_sign", "squeeze_order", "squeeze_composition",
+                    "rotation_composition")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,22 @@ class GateConventions:
             raise ValueError(f"rotation_composition must be one of {ROTATION_COMPOSITIONS}")
         if self.exponent_sign not in (1, -1):
             raise ValueError("exponent_sign must be +1 or -1")
+
+    def to_dict(self, convention: Convention) -> dict:
+        """JSON form together with the operator convention, as stored in
+        sequence files and result records."""
+        return {"convention": convention.value,
+                **{key: getattr(self, key) for key in _CONVENTION_KEYS}}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> Tuple[Convention, "GateConventions"]:
+        """Inverse of :meth:`to_dict`; missing keys take the defaults.
+        Invalid values raise ValueError."""
+        try:
+            convention = Convention(doc.get("convention", Convention.SPIN_J.value))
+        except ValueError as exc:
+            raise ValueError(f"convention: {exc}") from exc
+        return convention, cls(**{key: doc[key] for key in _CONVENTION_KEYS if key in doc})
 
 
 DEFAULT_CONVENTIONS = GateConventions()

@@ -17,18 +17,14 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import DickeSpace, QuantumState, _check_same_space, _fidelity_with_vector
-from .gates import (
-    DEFAULT_CONVENTIONS,
-    GateConventions,
-    PulseSequence,
-    propagate,
-    unflatten_params,
-)
+from .gates import DEFAULT_CONVENTIONS, GateConventions, propagate
+
+PARAM_BOUND = np.pi  # every angle and squeeze strength lies in [-pi, pi]
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search hyperparameters; bounds are symmetric boxes per coordinate."""
+    """Search hyperparameters; every coordinate is boxed by +-PARAM_BOUND."""
 
     max_steps: int = 3
     restarts: int = 50
@@ -36,15 +32,12 @@ class OptimizerConfig:
     free_param_budget: int = 20
     nm_max_iters: int = 2000
     nm_tolerance: float = 1e-9
-    angle_bound: float = np.pi
-    squeeze_bound: float = np.pi
     seed: int = 0
     target_infidelity: float = 0.0  # stop a search early once reached
     conventions: GateConventions = DEFAULT_CONVENTIONS
 
     def bounds(self, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
-        per_step = [self.angle_bound] * 3 + [self.squeeze_bound] * 2
-        upper = np.array(per_step * n_steps + [self.angle_bound] * 3)
+        upper = np.full(5 * n_steps + 3, PARAM_BOUND)
         return -upper, upper
 
 
@@ -59,10 +52,6 @@ class OptimizationRun:
     best_fidelity: float
     history: List[Tuple[int, int, float]] = field(default_factory=list)
     rng_trace: str = ""
-
-    @property
-    def best_sequence(self) -> PulseSequence:
-        return unflatten_params(self.space, self.n_steps, self.best_params)
 
 
 def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
@@ -220,10 +209,9 @@ def grow_sequence(run: OptimizationRun, insert_position: int) -> OptimizationRun
 
 def grown_search(space: DickeSpace, target: QuantumState, config: OptimizerConfig,
                  start_steps: Optional[int] = None, max_steps: Optional[int] = None,
-                 insert_position: Optional[int] = None,
                  on_improvement: Optional[Callable] = None) -> OptimizationRun:
-    """Incremental schedule: search at M = start_steps, then grow one identity
-    step at a time (default: append at the end) and keep searching."""
+    """Incremental schedule: search at M = start_steps, then append one
+    identity step at a time and keep searching."""
     if max_steps is None:
         max_steps = config.max_steps
     if start_steps is None:
@@ -231,8 +219,7 @@ def grown_search(space: DickeSpace, target: QuantumState, config: OptimizerConfi
     run = random_restart_search(space, target, config, start_steps,
                                 on_improvement=on_improvement)
     while run.n_steps < max_steps and run.best_fidelity < 1.0 - config.target_infidelity:
-        pos = run.n_steps if insert_position is None else insert_position
-        run = grow_sequence(run, pos)
+        run = grow_sequence(run, run.n_steps)
         cont = random_restart_search(space, target, config, run.n_steps,
                                      initial_params=run.best_params,
                                      on_improvement=on_improvement)

@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .core import Convention, DickeSpace
+from .core import DickeSpace
 from .gates import GateConventions, PulseSequence, PulseStep
 
 FORMAT_VERSION = 1
@@ -37,11 +37,7 @@ def sequence_to_dict(seq: PulseSequence, conventions: GateConventions,
     return {
         "format_version": FORMAT_VERSION,
         "n_emitters": seq.space.n_emitters,
-        "convention": seq.space.convention.value,
-        "exponent_sign": conventions.exponent_sign,
-        "squeeze_order": conventions.squeeze_order,
-        "squeeze_composition": conventions.squeeze_composition,
-        "rotation_composition": conventions.rotation_composition,
+        **conventions.to_dict(seq.space.convention),
         "steps": [
             {
                 "axis": list(st.axis),
@@ -65,16 +61,7 @@ def sequence_from_dict(doc: dict, n_override: Optional[int] = None,
     _require(isinstance(n, int) and n >= 1, "n_emitters",
              f"expected positive integer, got {n!r}")
     try:
-        convention = Convention(doc.get("convention", "spin-j"))
-    except ValueError as exc:
-        raise SequenceFileError(f"convention: {exc}") from exc
-    try:
-        conv = GateConventions(
-            squeeze_order=doc.get("squeeze_order", "xy"),
-            squeeze_composition=doc.get("squeeze_composition", "product"),
-            rotation_composition=doc.get("rotation_composition", "combined"),
-            exponent_sign=doc.get("exponent_sign", 1),
-        )
+        convention, conv = GateConventions.from_dict(doc)
     except ValueError as exc:
         raise SequenceFileError(str(exc)) from exc
     space = DickeSpace(n, convention)

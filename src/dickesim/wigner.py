@@ -32,6 +32,11 @@ from .gates import _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
 BOUNDARY_WARN_LEVEL = 1e-3
+# plane recurrence: check |l_m| every 32 steps (growth in between stays under
+# 2^420 for x = 4|alpha|^2 up to 1e5) and scale points past 2^512 down by 2^512
+_RESCALE_EVERY = 32
+_RESCALE_BITS = 512
+_RESCALE_LIMIT = 2.0 ** _RESCALE_BITS
 
 
 class WindowWarning(UserWarning):
@@ -264,7 +269,10 @@ def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.nda
     diagonal k = n - m at a time (Cahill and Glauber, Phys. Rev. 177, 1882
     (1969)): K_{m,m+k} = (-1)^m l_m^k(4|alpha|^2) (2|alpha|)^k e^{i k arg alpha}
     e^{-2|alpha|^2} / (pi sqrt(k!)), with l_m^k = sqrt(m! k!/(m+k)!) L_m^k
-    walked upwards in m by the normalized three-term recurrence (A&S 22.7.12)."""
+    walked upwards in m by the normalized three-term recurrence (A&S 22.7.12).
+    l_m grows like x^m / m! where the envelope underflows, so every
+    ``_RESCALE_EVERY`` steps points past 2^_RESCALE_BITS are scaled down by that
+    power of two and the exponent is folded into the envelope's log."""
     alpha = (X + 1j * P) / np.sqrt(2)
     x = 4.0 * np.abs(alpha) ** 2
     with np.errstate(divide="ignore"):
@@ -279,16 +287,23 @@ def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.nda
         if nonzero.size:
             s_re, s_im = np.zeros_like(x), np.zeros_like(x)
             l_prev, l_m = 0.0, np.ones_like(x)
+            log2_scale = 0  # the sums hold 2^-log2_scale times their true value
             for m in range(nonzero[-1] + 1):
                 if m:
                     l_prev, l_m = l_m, (((2 * m - 1 + k) - x) * l_m - math.sqrt(
                         (m - 1) * (m - 1 + k)) * l_prev) / math.sqrt(m * (m + k))
+                if m % _RESCALE_EVERY == 0 and np.max(np.abs(l_m)) > _RESCALE_LIMIT:
+                    shift = np.where(np.abs(l_m) > _RESCALE_LIMIT, _RESCALE_BITS, 0)
+                    l_prev, l_m, s_re, s_im = (np.ldexp(a, -shift)
+                                               for a in (l_prev, l_m, s_re, s_im))
+                    log2_scale = log2_scale + shift
                 if rho[m].real:
                     s_re += rho[m].real * l_m
                 if rho[m].imag:
                     s_im += rho[m].imag * l_m
             # (2|alpha|)^k e^{-2|alpha|^2} / sqrt(k!), through logs to dodge overflow
-            mag = np.exp(0.5 * (k * log_x - x - math.lgamma(k + 1))) if k else np.exp(-0.5 * x)
+            log_mag = 0.5 * (k * log_x - x - math.lgamma(k + 1)) if k else -0.5 * x
+            mag = np.exp(log_mag + log2_scale * math.log(2.0))
             w += (2.0 if k else 1.0) / np.pi * mag * (phase_k.real * s_re - phase_k.imag * s_im)
         phase_k *= phase
     return w

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dickesim import (
     DickeSpace,
@@ -83,6 +84,76 @@ def test_closure_contains_quadratic_cross_terms():
         assert closure_residual(report, op) < 1e-8
 
 
+def _parity_bound(n):
+    """dim u(d_even) + u(d_odd): S_x^2 and S_y^2 couple m only to m +- 2."""
+    d_even = n // 2 + 1
+    return d_even ** 2 + (n + 1 - d_even) ** 2
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_closure_two_squeezes_respect_parity(n):
+    space = DickeSpace(n)
+    sx, sy = build_sx(space), build_sy(space)
+    report = lie_closure([sx @ sx, sy @ sy])
+    assert not report.universal
+    assert report.reached_dimension <= _parity_bound(n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closure_squeezing_rotations_fills_exactly_u_d(n):
+    _, gens = squeezing_rotation_generators(n)
+    report = lie_closure(gens)
+    assert report.reached_dimension == (n + 1) ** 2
+    assert report.traceless_dimension == (n + 1) ** 2 - 1
+
+
+def _oracle_dimension(mats, tol=1e-8):
+    """Rank of stacked, normalized nested commutators i[g, x]: each round
+    brackets every generator with an SVD basis of the span so far."""
+    d = mats[0].shape[0]
+    gens = [m / np.linalg.norm(m) for m in mats]
+    rows, rank = list(gens), 0
+    while True:
+        stack = np.array([r.reshape(-1) for r in rows])
+        real = np.hstack([stack.real, stack.imag])
+        new_rank = int(np.linalg.matrix_rank(real, tol=tol))
+        if new_rank == rank:
+            return rank
+        rank = new_rank
+        vt = np.linalg.svd(real, full_matrices=False)[2][:rank]
+        basis = [(v[:d * d] + 1j * v[d * d:]).reshape(d, d) for v in vt]
+        rows = basis + [c / np.linalg.norm(c) for g in gens for b in basis
+                        for c in [1j * (g @ b - b @ g)] if np.linalg.norm(c) > tol]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closure_matches_matrix_rank_oracle(n):
+    space = DickeSpace(n)
+    sx, sy = build_sx(space).matrix, build_sy(space).matrix
+    for mats in ([sx, sy, sx @ sx, sy @ sy], [sx @ sx, sy @ sy]):
+        assert lie_closure(mats).reached_dimension == _oracle_dimension(mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
+def test_closure_bounded_and_scale_invariant(d, count, seed, scales):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    mats = [h + h.conj().T for h in raw]
+    report = lie_closure(mats)
+    assert report.reached_dimension <= d * d
+    scaled = lie_closure([s * m for s, m in zip(scales, mats)])
+    assert scaled.reached_dimension == report.reached_dimension
+
+
+def test_closure_ignores_generator_scale_and_zero_generators():
+    space = DickeSpace(4)
+    sx, sy = build_sx(space).matrix, build_sy(space).matrix
+    report = lie_closure([1e-12 * sx, np.zeros_like(sx), 1e12 * sy])
+    assert report.reached_dimension == 3
+
+
 def test_closure_rejects_non_hermitian():
     space = DickeSpace(3)
     with pytest.raises(NotHermitianError):
@@ -118,6 +189,21 @@ def test_oscillator_closure_grows_with_cubic_generator():
         dims.append(report.reached_dimension)
         assert report.reached_dimension > 6
     assert dims[1] > dims[0]  # cutoff-dependent, unlike the Gaussian algebra
+
+
+@pytest.mark.parametrize("cutoff", [8, 12, 16, 32])
+def test_oscillator_closure_counts_are_pinned(cutoff):
+    report = oscillator_counterexample(cutoff)
+    assert (report.reached_dimension, report.artifact_count, report.iterations) == (6, 23, 2)
+
+
+@pytest.mark.parametrize("cutoff", [8, 12])
+def test_oscillator_cubic_closure_stays_inside_mask(cutoff):
+    # the rank test sees only the unmasked (cutoff - 2)-wide block
+    ops = oscillator_generators(cutoff)
+    x3 = ops["x"] @ ops["x"] @ ops["x"]
+    report = oscillator_counterexample(cutoff, extra_generators=[x3])
+    assert report.reached_dimension <= (cutoff - 2) ** 2
 
 
 # --- Trotter formulas -------------------------------------------------------

@@ -25,6 +25,7 @@ from dickesim import (
     build_sz,
     cat2_state,
     clebsch_gordan,
+    coherent_state,
     export_grid,
     gkp_state,
     hermitian_exp,
@@ -399,6 +400,22 @@ def test_planar_grid_raises_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         grid = planar_wigner(st, resolution=41)  # odd: the origin is sampled
     assert grid.xs[20] == 0.0 and np.all(np.isfinite(grid.values))
+
+
+def test_planar_grid_finite_at_large_n():
+    # corners reach x = 4|alpha|^2 ~ 3000, where l_m overflows without rescaling
+    space = DickeSpace(300)
+    rng = np.random.default_rng(300)
+    rand = QuantumState.from_amplitudes(space, rng.normal(size=301), normalize=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(planar_wigner(rand, resolution=21).values))
+        # at gamma = 12 the rescaled points carry the state's own weight
+        grid = planar_wigner(coherent_state(space, 12.0), resolution=61)
+    alpha = (grid.xs[:, None] + 1j * grid.ps[None, :]) / np.sqrt(2)
+    exact = np.exp(-2 * np.abs(alpha - 12.0) ** 2) / np.pi
+    assert np.max(np.abs(grid.values - exact)) < 1e-12
+    assert grid.integral() == pytest.approx(1.0, abs=1e-4)
 
 
 def test_planar_window_warning():
