@@ -112,6 +112,16 @@ def _override_conventions(args, base_convention: Convention,
     return GateConventions.from_dict(doc)
 
 
+def _load_sequence(args, n_override=None) -> tuple:
+    """The sequence file ``args.sequence`` (a path or bundled name) with the
+    convention flags applied: (flat params, space, conventions, metadata)."""
+    seq, file_conv, metadata = load_sequence_file(_resolve_sequence_path(args.sequence),
+                                                  n_override)
+    convention, conv = _override_conventions(args, seq.space.convention, file_conv)
+    return (flatten_params(seq), DickeSpace(seq.space.n_emitters, convention),
+            conv, metadata)
+
+
 def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
                      target: QuantumState) -> float:
     """Fidelity of the flat-parameter sequence applied to |0> with ``target``,
@@ -144,17 +154,14 @@ def _emit(out_path, record: ResultRecord, started: float) -> None:
 
 def cmd_replay(args) -> int:
     started = time.perf_counter()
-    path = _resolve_sequence_path(args.sequence)
-    seq, file_conv, metadata = load_sequence_file(path, args.n)
+    params, space, conv, metadata = _load_sequence(args, args.n)
     spec = _target_spec_from_args(args, metadata.get("target"))
-    convention, conv = _override_conventions(args, seq.space.convention, file_conv)
-    space = DickeSpace(seq.space.n_emitters, convention)
-    params, target = flatten_params(seq), make_target(spec, space)
+    target = make_target(spec, space)
     inputs = {
         "sequence": args.sequence,
         "n_emitters": space.n_emitters,
         "target": spec.to_dict(),
-        "conventions": conv.to_dict(convention),
+        "conventions": conv.to_dict(space.convention),
         "sweep": bool(args.sweep_conventions),
     }
     outputs = {}
@@ -171,7 +178,7 @@ def cmd_replay(args) -> int:
     else:
         fid = _replay_fidelity(params, space, conv, target)
         outputs["fidelity"] = fid
-        outputs["conventions"] = conv.to_dict(convention)
+        outputs["conventions"] = conv.to_dict(space.convention)
         print(f"fidelity {fid:.6f} under {outputs['conventions']}")
     if "reported_fidelity" in metadata:
         outputs["reported_fidelity"] = metadata["reported_fidelity"]
@@ -259,14 +266,11 @@ def cmd_wigner(args) -> int:
     outputs = {"files": []}
     inputs = {"surface": args.surface}
     if args.sequence:
-        path = _resolve_sequence_path(args.sequence)
-        seq, file_conv, metadata = load_sequence_file(path, args.n)
-        convention, conv = _override_conventions(args, seq.space.convention, file_conv)
-        space = DickeSpace(seq.space.n_emitters, convention)
+        params, space, conv, _ = _load_sequence(args, args.n)
         inputs.update(sequence=args.sequence, n_emitters=space.n_emitters,
-                      conventions=conv.to_dict(convention),
+                      conventions=conv.to_dict(space.convention),
                       per_step=bool(args.per_step))
-        vecs = propagate(space, flatten_params(seq), conv,
+        vecs = propagate(space, params, conv,
                          QuantumState.ground(space).amplitudes, per_step=True)
         if not args.per_step:
             vecs = vecs[-1:]
@@ -365,16 +369,13 @@ def cmd_trotter_check(args) -> int:
 
 def cmd_size_sweep(args) -> int:
     started = time.perf_counter()
-    path = _resolve_sequence_path(args.sequence)
-    seq, file_conv, metadata = load_sequence_file(path)
+    params, file_space, conv, metadata = _load_sequence(args)
     spec = _target_spec_from_args(args, metadata.get("target"))
-    convention, conv = _override_conventions(args, seq.space.convention, file_conv)
     ns = [int(v) for v in args.n_list.split(",")]
-    params = flatten_params(seq)
     rows = []
     for n in ns:
         try:
-            space = DickeSpace(n, convention)
+            space = DickeSpace(n, file_space.convention)
             fid = _replay_fidelity(params, space, conv, make_target(spec, space))
             rows.append({"n_emitters": n, "fidelity": fid})
             print(f"N={n}: fidelity {fid:.6f}")
@@ -388,7 +389,7 @@ def cmd_size_sweep(args) -> int:
         print(f"fidelity std over N: {outputs['fidelity_std']:.6f}")
     inputs = {"sequence": args.sequence, "n_list": ns,
               "target": spec.to_dict(),
-              "conventions": conv.to_dict(convention)}
+              "conventions": conv.to_dict(file_space.convention)}
     _emit(args.out, ResultRecord("size-sweep", inputs, outputs), started)
     return 0
 

@@ -98,19 +98,27 @@ class GateConventions:
 DEFAULT_CONVENTIONS = GateConventions()
 
 
-def _normalized_axis(axis) -> np.ndarray:
+def _checked_axis(axis) -> Tuple[float, float, float]:
+    """``axis`` as a float triple, values unchanged."""
     vec = np.asarray(axis, dtype=float).reshape(-1)
     if vec.shape != (3,):
         raise ValueError(f"rotation axis must be a 3-vector, got shape {vec.shape}")
-    norm = np.linalg.norm(vec)
-    if norm == 0:
+    if np.linalg.norm(vec) == 0:
         raise ValueError("rotation axis must be nonzero")
-    return vec / norm
+    return (float(vec[0]), float(vec[1]), float(vec[2]))
+
+
+def _unit(axis: Tuple[float, float, float]) -> np.ndarray:
+    vec = np.asarray(axis)
+    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)
 class PulseStep:
-    """One sequence step: rotation by theta about axis, then squeezing."""
+    """One sequence step: rotation by theta about axis, then squeezing.
+
+    The axis is kept exactly as given (so a loaded file saves back to the
+    same bytes) and normalized where the rotation angles are formed."""
 
     axis: Tuple[float, float, float]
     theta: float
@@ -118,16 +126,15 @@ class PulseStep:
     beta: float
 
     def __post_init__(self):
-        vec = _normalized_axis(self.axis)
-        object.__setattr__(self, "axis", (float(vec[0]), float(vec[1]), float(vec[2])))
+        object.__setattr__(self, "axis", _checked_axis(self.axis))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
 
     @property
     def turns(self) -> np.ndarray:
-        """Per-axis rotation angles (theta_x, theta_y, theta_z) = theta * axis."""
-        return self.theta * np.asarray(self.axis)
+        """Per-axis rotation angles (theta_x, theta_y, theta_z) = theta * axis / |axis|."""
+        return self.theta * _unit(self.axis)
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,13 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        vec = _normalized_axis(self.final_axis)
-        object.__setattr__(self, "final_axis", (float(vec[0]), float(vec[1]), float(vec[2])))
+        object.__setattr__(self, "final_axis", _checked_axis(self.final_axis))
         object.__setattr__(self, "final_theta", float(self.final_theta))
+
+    @property
+    def final_turns(self) -> np.ndarray:
+        """Per-axis angles of the final rotation, as :attr:`PulseStep.turns`."""
+        return self.final_theta * _unit(self.final_axis)
 
     @property
     def n_steps(self) -> int:
@@ -211,8 +222,7 @@ def sequence_unitaries(seq: PulseSequence,
                        conventions: GateConventions = DEFAULT_CONVENTIONS) -> list:
     """Per-step unitaries followed by the final rotation, in application order."""
     out = [step_unitary(st, seq.space, conventions) for st in seq.steps]
-    out.append(rotation_from_turns(seq.space, np.asarray(seq.final_axis) * seq.final_theta,
-                                   conventions))
+    out.append(rotation_from_turns(seq.space, seq.final_turns, conventions))
     return out
 
 
@@ -399,7 +409,7 @@ def flatten_params(seq: PulseSequence) -> np.ndarray:
     for st in seq.steps:
         chunks.append(st.turns)
         chunks.append([st.alpha, st.beta])
-    chunks.append(np.asarray(seq.final_axis) * seq.final_theta)
+    chunks.append(seq.final_turns)
     return np.concatenate(chunks) if chunks else np.zeros(3)
 
 

@@ -51,7 +51,6 @@ class OptimizationRun:
     best_params: np.ndarray
     best_fidelity: float
     history: List[Tuple[int, int, float]] = field(default_factory=list)
-    rng_trace: str = ""
 
 
 def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
@@ -186,9 +185,7 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
 
     return OptimizationRun(config=config, space=space, n_steps=n_steps,
                            best_params=best_params,
-                           best_fidelity=1.0 - best_value, history=history,
-                           rng_trace=f"default_rng([seed, restart]), seed={config.seed}, "
-                                     f"restarts=0..{config.restarts - 1}")
+                           best_fidelity=1.0 - best_value, history=history)
 
 
 def grow_sequence(run: OptimizationRun, insert_position: int) -> OptimizationRun:
@@ -203,8 +200,7 @@ def grow_sequence(run: OptimizationRun, insert_position: int) -> OptimizationRun
     history = list(run.history) + [(-1, run.n_steps + 1, run.best_fidelity)]
     return OptimizationRun(config=run.config, space=run.space,
                            n_steps=run.n_steps + 1, best_params=grown,
-                           best_fidelity=run.best_fidelity, history=history,
-                           rng_trace=run.rng_trace)
+                           best_fidelity=run.best_fidelity, history=history)
 
 
 def grown_search(space: DickeSpace, target: QuantumState, config: OptimizerConfig,

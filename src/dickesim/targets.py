@@ -10,12 +10,13 @@ raises (the space is too small for the requested state).
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .core import DickeSpace, QuantumState
 
@@ -118,23 +119,52 @@ def amplitudes_from_json(raw) -> Tuple[complex, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log(n!) for n = 0..n_max; read-only, since every caller shares it."""
+    table = np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def coherent_amplitudes(n_max: int, gamma) -> np.ndarray:
     """Exact coherent amplitudes e^(-|g|^2/2) g^n / sqrt(n!) for n = 0..n_max,
     along a last axis appended to the shape of ``gamma`` (scalar or array)."""
     n = np.arange(n_max + 1)
     gamma = np.asarray(gamma, dtype=complex)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at gamma = 0
-        logmag = n * np.log(np.abs(gamma)) - 0.5 * gammaln(n + 1) - 0.5 * np.abs(gamma) ** 2
+        logmag = (n * np.log(np.abs(gamma)) - 0.5 * _log_factorials(n_max)
+                  - 0.5 * np.abs(gamma) ** 2)
     logmag[..., 0] = -0.5 * np.abs(gamma[..., 0]) ** 2  # g^0 = 1, also at g = 0
     return np.exp(logmag) * np.exp(1j * n * np.angle(gamma))
 
 
 def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
-    """Probability weight of the coherent state beyond |N> (Poisson tail)."""
+    """Probability weight of the coherent state beyond |N>: the Poisson tail
+    sum_{n>N} e^(-lam) lam^n / n! with lam = |gamma|^2, which is the
+    regularized incomplete gamma P(N+1, lam) (Abramowitz and Stegun 6.5).
+
+    Each branch starts at its largest term, so the first term underflows only
+    when the whole sum is negligible: for lam <= N+1 the tail is summed
+    upward from n = N+1, otherwise 1 - head with the head summed downward
+    from n = N (for lam >> N the head underflows and the tail is 1).
+    """
     lam = abs(complex(gamma)) ** 2
     if lam == 0:
         return 0.0
-    return float(gammainc(n_emitters + 1, lam))
+    upward = lam <= n_emitters + 1
+    n = n_emitters + 1 if upward else n_emitters
+    term = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+    total = 0.0
+    while term > 1e-17 * total:
+        total += term
+        if upward:
+            n += 1
+            term *= lam / n
+        else:  # reaches 0 after the n = 0 term
+            term *= n / lam
+            n -= 1
+    return total if upward else 1.0 - total
 
 
 def _police_tail(tail: float, n_emitters: int, what: str,

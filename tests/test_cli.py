@@ -1,9 +1,14 @@
+import ast
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dickesim
 from dickesim import cli, targets
 from dickesim.cli import main
 from dickesim.seqfile import SequenceFileError
@@ -216,6 +221,24 @@ def test_size_sweep_single_n_matches_replay(tmp_path):
     replay = json.loads(replay_out.read_text())
     assert sweep["outputs"]["table"][0]["fidelity"] == replay["outputs"]["fidelity"]
 
+    # every command that loads a sequence honours --n and the convention flags
+    flags = ["--exponent-sign", "1", "--squeeze-composition", "product"]
+    wigner_out = tmp_path / "wigner.json"
+    assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "30",
+                    "--out", str(sweep_out), *flags]) == 0
+    assert run_cli(["replay", "--sequence", "cat2", "--n", "30",
+                    "--out", str(replay_out), *flags]) == 0
+    assert run_cli(["wigner", "--sequence", "cat2", "--n", "30", "--n-theta", "8",
+                    "--n-phi", "8", "--out", str(tmp_path / "w.csv"),
+                    "--record", str(wigner_out), *flags]) == 0
+    sweep, replay, wigner = (json.loads(p.read_text())
+                             for p in (sweep_out, replay_out, wigner_out))
+    assert sweep["outputs"]["table"][0]["fidelity"] == replay["outputs"]["fidelity"]
+    assert replay["inputs"]["n_emitters"] == wigner["inputs"]["n_emitters"] == 30
+    for rec in (sweep, replay, wigner):
+        assert rec["inputs"]["conventions"]["exponent_sign"] == 1
+        assert rec["inputs"]["conventions"]["squeeze_composition"] == "product"
+
 
 def test_size_sweep_reports_per_n_errors(tmp_path):
     out = tmp_path / "rec.json"
@@ -326,3 +349,49 @@ def test_optimize_start_steps_zero_is_honoured(tmp_path):
     assert rec["inputs"]["start_steps"] == 0
     # the history records the growth from M = 0 to M = 1
     assert [h[:2] for h in rec["outputs"]["history_tail"]] == [[-1, -1], [-1, 1], [-1, -1]]
+
+
+def test_no_package_module_imports_scipy():
+    package = Path(dickesim.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], path.name
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+from dickesim.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exit code != 0: {argv}")
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    commands = [
+        ["replay", "--sequence", "cat2"],
+        ["replay", "--sequence", "gkp-hexagonal"],
+        ["size-sweep", "--sequence", "cat2", "--n-list", "30,40"],
+        ["wigner", "--target", "cat2", "--gamma", "1.5", "--n", "12", "--surface", "plane",
+         "--resolution", "21", "--out", "plane.csv"],
+        ["closure", "--set", "squeezing-rotations", "--n", "4"],
+        ["optimize", "--n", "4", "--steps", "1", "--restarts", "1", "--nm-iters", "50",
+         "--target", "coherent", "--gamma", "0.5"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(dickesim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -203,8 +203,8 @@ def test_flatten_length_and_roundtrip():
         u1 = step_unitary(st1, space)
         u2 = step_unitary(st2, space)
         assert np.max(np.abs(u1.matrix - u2.matrix)) < 1e-12
-    f1 = rotation_from_turns(space, np.asarray(seq.final_axis) * seq.final_theta)
-    f2 = rotation_from_turns(space, np.asarray(seq2.final_axis) * seq2.final_theta)
+    f1 = rotation_from_turns(space, seq.final_turns)
+    f2 = rotation_from_turns(space, seq2.final_turns)
     assert np.max(np.abs(f1.matrix - f2.matrix)) < 1e-12
 
 
@@ -237,5 +237,9 @@ def test_unitarity_of_random_steps(squeeze_comp, rot_comp):
 
 def test_pulse_step_normalizes_axis():
     step = PulseStep((3.0, 0.0, 4.0), 1.0, 0.0, 0.0)
-    assert np.linalg.norm(step.axis) == pytest.approx(1.0, abs=1e-9)
-    assert step.axis[0] == pytest.approx(0.6)
+    assert step.axis == (3.0, 0.0, 4.0)
+    assert np.linalg.norm(step.turns) == pytest.approx(1.0, abs=1e-9)
+    assert step.turns[0] == pytest.approx(0.6)
+    seq = PulseSequence(DickeSpace(2), (step,), (0.0, 6.0, 8.0), 2.0)
+    assert seq.final_axis == (0.0, 6.0, 8.0)
+    assert np.allclose(seq.final_turns, [0.0, 1.2, 1.6], rtol=0, atol=1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dickesim import DickeSpace, GateConventions, PulseSequence, PulseStep
+from dickesim.cli import BUNDLED_SEQUENCES, _resolve_sequence_path
 from dickesim.seqfile import (
     ResultRecord,
     SequenceFileError,
@@ -33,6 +34,15 @@ def test_roundtrip_bytes_identical(tmp_path):
     assert path.read_bytes() == first
     assert conv2 == conv
     assert meta == {"name": "t"}
+    # the bundled files: load -> save -> load -> save gives the same bytes
+    for name in BUNDLED_SEQUENCES:
+        saves = []
+        src = _resolve_sequence_path(name)
+        for _ in range(2):
+            save_sequence_file(str(path), *load_sequence_file(src))
+            saves.append(path.read_bytes())
+            src = str(path)
+        assert saves[0] == saves[1], name
 
 
 def test_loaded_sequence_replays_identically(tmp_path):

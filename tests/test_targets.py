@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.special import eval_hermite, gammaln
+from hypothesis import given, settings, strategies as st
+from scipy.special import eval_hermite, gammainc, gammaln
 
 from dickesim import (
     DickeSpace,
@@ -44,6 +45,22 @@ def test_coherent_tail_against_brute_force_poisson():
         brute = terms[n + 1:].sum()
         assert coherent_tail_weight(n, 3.0) == pytest.approx(brute, rel=1e-8, abs=1e-18)
     assert coherent_tail_weight(40, 3.0) < 1e-12
+    # oracle: scipy's regularized incomplete gamma P(N+1, |gamma|^2), on both
+    # sides of the lam = N+1 branch point and far beyond it
+    for n in range(1, 201):
+        for lam in [*np.geomspace(1e-6, 2 * n, 40), 10 * n, 1e4]:
+            tail = coherent_tail_weight(n, np.sqrt(lam))
+            # scipy flushes subnormal results to zero
+            assert tail == pytest.approx(gammainc(n + 1, lam), rel=1e-12, abs=1e-300)
+    assert coherent_tail_weight(4, 40.0) == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 200), gamma=st.complex_numbers(max_magnitude=60, allow_nan=False))
+def test_coherent_tail_is_a_probability(n, gamma):
+    tail = coherent_tail_weight(n, gamma)
+    assert 0.0 <= tail <= 1.0
+    assert tail == pytest.approx(gammainc(n + 1, abs(gamma) ** 2), rel=1e-12, abs=1e-300)
 
 
 def test_coherent_overlap_identity():
@@ -62,8 +79,10 @@ def test_coherent_warns_when_space_too_small():
 
 
 def test_coherent_errors_when_space_far_too_small():
-    with pytest.raises(TruncationError):
-        coherent_state(DickeSpace(17), 3.0)
+    # gamma = 40 at N = 4 puts nearly all the weight beyond |4>
+    for n, gamma in ((17, 3.0), (4, 40.0)):
+        with pytest.raises(TruncationError):
+            coherent_state(DickeSpace(n), gamma)
 
 
 def test_cat2_gamma_zero_collapses_to_ground():

@@ -1,7 +1,5 @@
-import ast
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ except ImportError:  # scipy < 1.15
     def _sph_harm(k, q, theta, phi):
         return _sph_harm_legacy(q, k, phi, theta)
 
-import dickesim.wigner
 from dickesim import (
     DickeSpace,
     GkpLattice,
@@ -489,14 +486,6 @@ def test_export_bytes_match_row_by_row_formatting(tmp_path):
         path = tmp_path / f"grid{i}.csv"
         export_grid(grid, path)
         assert path.read_bytes() == _row_by_row_csv(header, outer, inner, grid.values)
-
-
-def test_wigner_module_does_not_import_scipy():
-    tree = ast.parse(Path(dickesim.wigner.__file__).read_text(encoding="utf-8"))
-    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names]
-    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 def test_export_values_roundtrip_exactly(tmp_path):
