@@ -68,7 +68,7 @@ from .algebra import (
 from .optimizer import (
     OptimizationRun,
     OptimizerConfig,
-    grow_sequence,
+    grown_search,
     nelder_mead,
     random_restart_search,
 )

@@ -28,12 +28,16 @@ from .core import (
 )
 from .gates import (
     DEFAULT_CONVENTIONS,
+    EXPONENT_SIGNS,
+    ROTATION_COMPOSITIONS,
+    SQUEEZE_COMPOSITIONS,
+    SQUEEZE_ORDERS,
     GateConventions,
     flatten_params,
     propagate,
     unflatten_params,
 )
-from .optimizer import OptimizerConfig, grown_search, random_restart_search
+from .optimizer import OptimizerConfig, grown_search
 from .seqfile import (
     ResultRecord,
     SequenceFileError,
@@ -60,6 +64,8 @@ from .wigner import (
     planar_wigner,
     spherical_wigner,
 )
+
+_CONVENTION_NAMES = tuple(c.value for c in Convention)
 
 BUNDLED_SEQUENCES = {
     "cat2": "cat2.json",
@@ -133,10 +139,11 @@ def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
 def _sweep_combos():
     """Every resolvable convention combination (squeeze order collapses for
     the combined composition)."""
-    for convention, sign, rot in itertools.product(
-            (Convention.SPIN_J, Convention.PAULI_SUM), (1, -1),
-            ("combined", "product")):
-        for comp, order in (("product", "xy"), ("product", "yx"), ("combined", "xy")):
+    for convention, sign, rot in itertools.product(Convention, EXPONENT_SIGNS,
+                                                   ROTATION_COMPOSITIONS):
+        for comp, order in itertools.product(SQUEEZE_COMPOSITIONS, SQUEEZE_ORDERS):
+            if comp == "combined" and order != SQUEEZE_ORDERS[0]:
+                continue
             yield convention, GateConventions(squeeze_order=order,
                                               squeeze_composition=comp,
                                               rotation_composition=rot,
@@ -230,12 +237,7 @@ def cmd_optimize(args) -> int:
             "seed": args.seed,
         })
 
-    if initial is not None:
-        run = random_restart_search(space, target, config, start_steps,
-                                    initial_params=initial, on_improvement=checkpoint)
-    else:
-        run = grown_search(space, target, config, start_steps, args.steps,
-                           on_improvement=checkpoint)
+    run = grown_search(space, target, config, start_steps, initial, checkpoint)
     inputs = {
         "n_emitters": args.n,
         "target": spec.to_dict(),
@@ -254,8 +256,7 @@ def cmd_optimize(args) -> int:
         "sequence_file": args.seq_out,
     }
     print(f"best fidelity {run.best_fidelity:.6f} with {run.n_steps} steps")
-    if args.seq_out:
-        checkpoint(run.best_params, run.best_fidelity)
+    if args.seq_out:  # the last improvement has already written the final checkpoint
         print(f"sequence written to {args.seq_out}")
     _emit(args.out, ResultRecord("optimize", inputs, outputs, seed=args.seed), started)
     return 0
@@ -277,8 +278,9 @@ def cmd_wigner(args) -> int:
         states = [QuantumState(space, amplitudes=v) for v in vecs]
     else:
         spec = _target_spec_from_args(args)
-        space = DickeSpace(args.n, Convention(args.convention or "spin-j"))
-        inputs.update(target=spec.to_dict(), n_emitters=args.n)
+        space = DickeSpace(40 if args.n is None else args.n,
+                           Convention(args.convention or "spin-j"))
+        inputs.update(target=spec.to_dict(), n_emitters=space.n_emitters)
         states = [make_target(spec, space)]
 
     out = args.out or "wigner.csv"
@@ -395,11 +397,11 @@ def cmd_size_sweep(args) -> int:
 
 
 def _add_convention_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--convention", choices=["spin-j", "pauli-sum"], default=None)
-    p.add_argument("--squeeze-order", choices=["xy", "yx"], default=None)
-    p.add_argument("--squeeze-composition", choices=["product", "combined"], default=None)
-    p.add_argument("--rotation-composition", choices=["combined", "product"], default=None)
-    p.add_argument("--exponent-sign", type=int, choices=[1, -1], default=None)
+    p.add_argument("--convention", choices=_CONVENTION_NAMES, default=None)
+    p.add_argument("--squeeze-order", choices=SQUEEZE_ORDERS, default=None)
+    p.add_argument("--squeeze-composition", choices=SQUEEZE_COMPOSITIONS, default=None)
+    p.add_argument("--rotation-composition", choices=ROTATION_COMPOSITIONS, default=None)
+    p.add_argument("--exponent-sign", type=int, choices=EXPONENT_SIGNS, default=None)
 
 
 def _add_target_flags(p: argparse.ArgumentParser) -> None:
@@ -457,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", default=None)
     p.add_argument("--per-step", action="store_true",
                    help="one sphere grid per step (sequence sources only)")
-    p.add_argument("--n", type=int, default=40)
+    p.add_argument("--n", type=int, default=None,
+                   help="emitter count (default: the sequence file's, else 40)")
     p.add_argument("--surface", choices=["sphere", "plane"], default="sphere")
     p.add_argument("--n-theta", type=int, default=0)
     p.add_argument("--n-phi", type=int, default=0)
@@ -478,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative novelty tolerance of the closure search")
-    p.add_argument("--convention", choices=["spin-j", "pauli-sum"], default=None)
+    p.add_argument("--convention", choices=_CONVENTION_NAMES, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_closure)
 
@@ -486,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--k-list", default="8,16,32,64")
-    p.add_argument("--convention", choices=["spin-j", "pauli-sum"], default=None)
+    p.add_argument("--convention", choices=_CONVENTION_NAMES, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trotter_check)
 

@@ -43,6 +43,7 @@ AXIS_NORM_TOL = 1e-9
 SQUEEZE_ORDERS = ("xy", "yx")
 SQUEEZE_COMPOSITIONS = ("product", "combined")
 ROTATION_COMPOSITIONS = ("combined", "product")
+EXPONENT_SIGNS = (1, -1)
 # serialized after "convention", in this order
 _CONVENTION_KEYS = ("exponent_sign", "squeeze_order", "squeeze_composition",
                     "rotation_composition")
@@ -75,7 +76,7 @@ class GateConventions:
             raise ValueError(f"squeeze_composition must be one of {SQUEEZE_COMPOSITIONS}")
         if self.rotation_composition not in ROTATION_COMPOSITIONS:
             raise ValueError(f"rotation_composition must be one of {ROTATION_COMPOSITIONS}")
-        if self.exponent_sign not in (1, -1):
+        if self.exponent_sign not in EXPONENT_SIGNS:
             raise ValueError("exponent_sign must be +1 or -1")
 
     def to_dict(self, convention: Convention) -> dict:

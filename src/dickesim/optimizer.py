@@ -45,8 +45,6 @@ class OptimizerConfig:
 class OptimizationRun:
     """Best-so-far record of a search; history rows are (restart, round, best_fidelity)."""
 
-    config: OptimizerConfig
-    space: DickeSpace
     n_steps: int
     best_params: np.ndarray
     best_fidelity: float
@@ -147,7 +145,7 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
                           on_improvement: Optional[Callable] = None) -> OptimizationRun:
     """Global search: random starts, frozen-subset Nelder-Mead rounds.
 
-    ``initial_params`` seeds the incumbent (used when growing a sequence);
+    ``initial_params`` seeds the incumbent (used when growing or resuming);
     restarts are numbered from 0 and tie-breaks go to the lower index by
     virtue of strict improvement tracking.  With restarts = 0 only the
     incumbent (default: all-zero identity sequence) is evaluated.
@@ -183,42 +181,25 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
         if best_value <= config.target_infidelity:
             break
 
-    return OptimizationRun(config=config, space=space, n_steps=n_steps,
-                           best_params=best_params,
+    return OptimizationRun(n_steps=n_steps, best_params=best_params,
                            best_fidelity=1.0 - best_value, history=history)
 
 
-def grow_sequence(run: OptimizationRun, insert_position: int) -> OptimizationRun:
-    """Insert a zero-initialized (identity) step, preserving the objective.
-
-    The returned run has M+1 steps and the same best fidelity; optimization
-    continues from the grown parameter vector via another search.
-    """
-    if not 0 <= insert_position <= run.n_steps:
-        raise ValueError(f"insert position {insert_position} outside 0..{run.n_steps}")
-    grown = np.insert(run.best_params, 5 * insert_position, np.zeros(5))
-    history = list(run.history) + [(-1, run.n_steps + 1, run.best_fidelity)]
-    return OptimizationRun(config=run.config, space=run.space,
-                           n_steps=run.n_steps + 1, best_params=grown,
-                           best_fidelity=run.best_fidelity, history=history)
-
-
 def grown_search(space: DickeSpace, target: QuantumState, config: OptimizerConfig,
-                 start_steps: Optional[int] = None, max_steps: Optional[int] = None,
+                 start_steps: int, initial_params: Optional[np.ndarray] = None,
                  on_improvement: Optional[Callable] = None) -> OptimizationRun:
-    """Incremental schedule: search at M = start_steps, then append one
-    identity step at a time and keep searching."""
-    if max_steps is None:
-        max_steps = config.max_steps
-    if start_steps is None:
-        start_steps = min(2, max_steps)
+    """The search schedule: search at M = start_steps from ``initial_params``
+    (default: the identity), then insert one identity step before the final
+    rotation and search again, until M = config.max_steps or the fidelity
+    reaches 1 - config.target_infidelity.  Each growth adds the history row
+    (-1, M + 1, fidelity); an identity step leaves the fidelity unchanged."""
     run = random_restart_search(space, target, config, start_steps,
+                                initial_params=initial_params,
                                 on_improvement=on_improvement)
-    while run.n_steps < max_steps and run.best_fidelity < 1.0 - config.target_infidelity:
-        run = grow_sequence(run, run.n_steps)
-        cont = random_restart_search(space, target, config, run.n_steps,
-                                     initial_params=run.best_params,
-                                     on_improvement=on_improvement)
-        cont.history = run.history + cont.history
-        run = cont
+    while run.n_steps < config.max_steps and run.best_fidelity < 1.0 - config.target_infidelity:
+        grown = np.insert(run.best_params, -3, np.zeros(5))
+        history = run.history + [(-1, run.n_steps + 1, run.best_fidelity)]
+        run = random_restart_search(space, target, config, run.n_steps + 1,
+                                    initial_params=grown, on_improvement=on_improvement)
+        run.history = history + run.history
     return run

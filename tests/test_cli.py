@@ -114,6 +114,23 @@ def _custom_top(tmp_path, dim):
     return path
 
 
+def test_resume_grows_to_steps(tmp_path):
+    checkpoint = tmp_path / "one.json"
+    grown = tmp_path / "two.json"
+    rec_out = tmp_path / "rec.json"
+    common = ["optimize", "--n", "3", "--target", "coherent", "--gamma", "0.1",
+              "--restarts", "0"]
+    assert run_cli(common + ["--steps", "1", "--start-steps", "1",
+                             "--seq-out", str(checkpoint)]) == 0
+    fid = json.loads(checkpoint.read_text())["metadata"]["best_fidelity"]
+    assert run_cli(common + ["--steps", "2", "--resume", str(checkpoint),
+                             "--seq-out", str(grown), "--out", str(rec_out)]) == 0
+    outputs = json.loads(rec_out.read_text())["outputs"]
+    assert outputs["n_steps"] == 2
+    assert [-1, 2, fid] in outputs["history_tail"]
+    assert len(json.loads(grown.read_text())["steps"]) == 2
+
+
 def test_optimize_zero_restarts_emits_identity_record(tmp_path):
     out = tmp_path / "rec.json"
     assert run_cli(["optimize", "--n", "3", "--target", "custom",
@@ -165,21 +182,43 @@ def test_wigner_plane_target_labeled(tmp_path):
     assert rec["outputs"]["files"][0]["approximation"] == "dicke-to-fock-identification"
 
 
-def test_wigner_empty_sequence_sphere_south_pole(tmp_path):
-    seq_path = tmp_path / "ident.json"
-    seq_path.write_text(json.dumps({
-        "format_version": 1, "n_emitters": 8, "convention": "spin-j",
+def _identity_sequence_file(tmp_path, n_emitters):
+    path = tmp_path / "ident.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "n_emitters": n_emitters, "convention": "spin-j",
         "exponent_sign": 1, "squeeze_order": "xy",
         "squeeze_composition": "product", "rotation_composition": "combined",
         "steps": [], "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.0},
         "metadata": {},
     }))
+    return path
+
+
+def test_wigner_empty_sequence_sphere_south_pole(tmp_path):
+    seq_path = _identity_sequence_file(tmp_path, 8)
     out = tmp_path / "g.csv"
     assert run_cli(["wigner", "--sequence", str(seq_path), "--surface", "sphere",
                     "--n-theta", "30", "--n-phi", "16", "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     peak = rows[np.argmax(rows[:, 2])]
     assert peak[0] > np.pi * 0.9  # south pole under the m - N/2 convention
+
+
+def test_wigner_sequence_keeps_file_emitter_count(tmp_path):
+    seq_path = _identity_sequence_file(tmp_path, 8)
+    counts = {}
+    for n_flag in ([], ["--n", "5"]):
+        rec = tmp_path / "rec.json"
+        assert run_cli(["wigner", "--sequence", str(seq_path), *n_flag,
+                        "--n-theta", "8", "--n-phi", "8", "--out", str(tmp_path / "g.csv"),
+                        "--record", str(rec)]) == 0
+        counts[tuple(n_flag)] = json.loads(rec.read_text())["inputs"]["n_emitters"]
+    assert counts == {(): 8, ("--n", "5"): 5}
+    rec = tmp_path / "target.json"
+    assert run_cli(["wigner", "--target", "coherent", "--gamma", "0.5",
+                    "--n-theta", "8", "--n-phi", "8", "--out", str(tmp_path / "t.csv"),
+                    "--record", str(rec)]) == 0
+    assert json.loads(rec.read_text())["inputs"]["n_emitters"] == 40
 
 
 def test_closure_command(tmp_path):

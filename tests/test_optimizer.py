@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,12 @@ from dickesim import (
     OptimizerConfig,
     QuantumState,
     apply_sequence,
-    grow_sequence,
+    grown_search,
     nelder_mead,
     random_restart_search,
     unflatten_params,
 )
-from dickesim.optimizer import _restart_rng, grown_search, make_objective
+from dickesim.optimizer import _restart_rng, make_objective
 
 
 def random_target(space, seed):
@@ -125,26 +127,19 @@ def test_freezing_respects_budget():
     assert run.best_fidelity >= 0  # smoke: budget < n_params works
 
 
-def test_grow_sequence_identity_insertion():
+def test_grown_search_identity_insertion():
     space = DickeSpace(4)
     target = random_target(space, 100)
     config = OptimizerConfig(restarts=2, freeze_rounds=1, nm_max_iters=150, seed=11)
     run = random_restart_search(space, target, config, n_steps=2)
-    before = make_objective(space, target, 2)(run.best_params)
-    for pos in (0, 1, 2):
-        grown = grow_sequence(run, pos)
-        assert grown.n_steps == 3
-        after = make_objective(space, target, 3)(grown.best_params)
-        assert after == pytest.approx(before, abs=1e-12)
-        assert grown.best_fidelity == run.best_fidelity
-
-
-def test_grow_sequence_validates_position():
-    space = DickeSpace(3)
-    config = OptimizerConfig(restarts=0, seed=0)
-    run = random_restart_search(space, QuantumState.ground(space), config, n_steps=1)
-    with pytest.raises(ValueError):
-        grow_sequence(run, 5)
+    grown = grown_search(space, target, replace(config, restarts=0, max_steps=3), 2,
+                         initial_params=run.best_params)
+    assert grown.n_steps == 3
+    # the identity step goes in before the final rotation
+    assert np.array_equal(grown.best_params, np.insert(run.best_params, 10, np.zeros(5)))
+    assert grown.best_fidelity == pytest.approx(run.best_fidelity, abs=1e-12)
+    assert [h[:2] for h in grown.history] == [(-1, -1), (-1, 3), (-1, -1)]
+    assert grown.history[1][2] == grown.history[0][2]
 
 
 def test_grown_search_reaches_reachable_target():
@@ -155,8 +150,9 @@ def test_grown_search_reaches_reachable_target():
     seq = unflatten_params(space, 2, true_params)
     target = apply_sequence(seq, QuantumState.ground(space))
     config = OptimizerConfig(restarts=12, freeze_rounds=2, nm_max_iters=1500,
-                             nm_tolerance=1e-9, seed=5, target_infidelity=1e-4)
-    run = grown_search(space, target, config, start_steps=2, max_steps=3)
+                             nm_tolerance=1e-9, seed=5, target_infidelity=1e-4,
+                             max_steps=3)
+    run = grown_search(space, target, config, start_steps=2)
     assert run.best_fidelity >= 0.99
 
 
