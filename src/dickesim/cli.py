@@ -219,7 +219,15 @@ def cmd_optimize(args) -> int:
     start_steps = args.start_steps if args.start_steps is not None else min(2, args.steps)
     initial = None
     if args.resume:
-        prev_seq, _, prev_meta = load_sequence_file(args.resume)
+        prev_seq, prev_conv, prev_meta = load_sequence_file(args.resume)
+        found = {"n_emitters": prev_seq.space.n_emitters,
+                 **prev_conv.to_dict(prev_seq.space.convention)}
+        wanted = {"n_emitters": space.n_emitters, **conv.to_dict(convention)}
+        mismatch = [f"{key} {found[key]} in the checkpoint, {wanted[key]} requested"
+                    for key in wanted if found[key] != wanted[key]]
+        if mismatch:
+            raise ValueError(f"--resume {args.resume} does not match this run: "
+                             + "; ".join(mismatch))
         start_steps = prev_seq.n_steps
         initial = flatten_params(prev_seq)
         print(f"resuming from {args.resume} at {start_steps} steps "
@@ -253,6 +261,7 @@ def cmd_optimize(args) -> int:
         "n_steps": run.n_steps,
         "best_params": list(run.best_params),
         "history_tail": [list(h) for h in run.history[-10:]],
+        "objective_evaluations": run.objective_evaluations,
         "sequence_file": args.seq_out,
     }
     print(f"best fidelity {run.best_fidelity:.6f} with {run.n_steps} steps")

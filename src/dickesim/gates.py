@@ -234,9 +234,13 @@ class _Bases(NamedTuple):
     jz: np.ndarray          # J_z diagonal, m - N/2
     wx: np.ndarray          # J_x eigenvalues
     vx: np.ndarray          # J_x eigenvectors (real, stored complex) ...
-    vx_h: np.ndarray        # ... and their adjoint
+    vx_h: np.ndarray        # ... and their adjoint, a transposed view
     vy: np.ndarray          # J_y eigenvectors, exp(-i pi/2 J_z) vx ...
     vy_h: np.ndarray        # ... and their adjoint
+    x_to_y: np.ndarray      # vy_h @ vx: J_x-basis to J_y-basis coordinates ...
+    y_to_x: np.ndarray      # ... and back
+    merged_rows: np.ndarray  # phase rows of the product-squeeze path, (5, 4 d)
+    zxz_rows: np.ndarray    # phase rows of the combined-squeeze path, (5, 3 d)
     sq_diag: np.ndarray     # diagonals of S_x^2 and S_y^2, shape (2, d)
     sq_off: np.ndarray      # their m, m+2 entries, shape (2, d - 2)
 
@@ -248,6 +252,14 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     J_x is real symmetric with a simple spectrum, so its eigenbasis is real
     orthogonal and also diagonalizes S_x^2.  J_y = P J_x P^dag with the
     diagonal P = exp(-i pi/2 J_z), so P times that basis serves J_y and S_y^2.
+
+    The phase rows turn the coefficients (a, b, c, s1, s2) of one rotation
+    (see :func:`propagate`) into its phase slots: row i holds, in each slot
+    that coefficient i enters, the eigenvalues it multiplies.  The product
+    squeeze's slots are c and s2 in the second squeeze's eigenbasis, b in
+    the standard basis, a and s1 in the first squeeze's eigenbasis, and s2
+    alone (for ``per_step``); the combined squeeze's are c, b and a of
+    Z(a) X(b) Z(c).
     """
     scale = 2.0 if space.convention is Convention.PAULI_SUM else 1.0
     sx, sy, _ = _spin_triple(space)
@@ -255,55 +267,115 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     jz = np.arange(space.dim) - space.n_emitters / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
     sq = [(s.matrix @ s.matrix).real for s in (sx, sy)]
+    merged = np.zeros((5, 4, space.dim))
+    merged[0, 2] = merged[2, 0] = wx
+    merged[1, 1] = jz
+    # S_x^2 in the J_x basis and S_y^2 in the J_y basis
+    merged[3, 2] = merged[4, 0] = merged[4, 3] = (scale * wx) ** 2
+    zxz = np.zeros((5, 3, space.dim))
+    zxz[0, 2] = zxz[2, 0] = jz
+    zxz[1, 1] = wx
     vx = vx.astype(complex)
-    return _Bases(scale, jz, wx, vx, np.ascontiguousarray(vx.T), vy,
-                  np.ascontiguousarray(vy.conj().T),
+    vy_h = np.ascontiguousarray(vy.conj().T)
+    x_to_y = vy_h @ vx
+    return _Bases(scale, jz, wx, vx, vx.T, vy, vy_h,
+                  x_to_y, np.ascontiguousarray(x_to_y.conj().T),
+                  merged.reshape(5, -1), zxz.reshape(5, -1),
                   np.array([np.diag(q) for q in sq]),
                   np.array([np.diag(q, 2) for q in sq]))
 
 
-# Spin-1/2 J_x, J_y, J_z in the Dicke ordering (|0> has J_z = -1/2), the
-# matrices build_sx/build_sy/build_sz give at N = 1, one flattened per row.
-_HALF_SPIN = np.array([[0, 0.5, 0.5, 0],
-                       [0, 0.5j, -0.5j, 0],
-                       [-0.5, 0, 0, 0.5]])
+# A rotation exp(i t . J) is read from its SU(2) quaternion (w, x, y, z) =
+# (cos(|t|/2), sin(|t|/2) t / |t|).  In the Dicke ordering (|0> has J_z =
+# -1/2) its spin-1/2 matrix has the first column (w - i z, y + i x), and the
+# operator product A B has the quaternion q_B (x) q_A (Hamilton product).
+
+def _hamilton(p, q) -> np.ndarray:
+    """Hamilton product p (x) q of two quaternions (w, x, y, z)."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return np.array([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2])
 
 
-def _su2(turns: np.ndarray) -> np.ndarray:
-    """exp(i t . J) at spin 1/2 for each row t of ``turns``, shape (k, 2, 2).
+_UNIT = np.eye(4)
+# The quaternion q_X (x) q_Y (x) q_Z of Rz Ry Rx is trilinear in the
+# (cos, sin) halves of the three axis angles: row 4i + 2j + k of this table
+# is the product of half i of x, half j of y and half k of z.
+_PRODUCT_ROTATION = np.array([_hamilton(_hamilton(qx, qy), qz)
+                              for qx in _UNIT[[0, 1]]
+                              for qy in _UNIT[[0, 2]]
+                              for qz in _UNIT[[0, 3]]])
+# P = exp(-i pi/2 J_z) carries J_x to J_y, so Y(c) = P X(c) P^dag.
+_P = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+# (w, x, y, z) -> (w, z, -y, x), a rotation taking x to z and z to x: the
+# Z-X-Z angles of the result are the X-Z-X angles of the input.
+_XZX = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]])
+# Per squeeze order, q_R -> the relabelled quaternion of R P (xy) or P^dag R
+# (yx), and what to add to its middle angle: X(a) Z(b) Y(c) = X(a)
+# Z(b - pi/2) X(c) P^dag and Y(a) Z(b) X(c) = P X(a) Z(b + pi/2) X(c).
+_MERGED_EULER = {
+    "xy": (np.array([_hamilton(_P, e) for e in _UNIT]) @ _XZX, 0.5 * np.pi),
+    "yx": (np.array([_hamilton(e, _P * [1, -1, -1, -1]) for e in _UNIT]) @ _XZX,
+           -0.5 * np.pi),
+}
+# Z(a) X(b) Z(c) at spin 1/2 has the first column (u, v) = (w - i z, y + i x)
+# = (cos(b/2) e^{-i(a+c)/2}, i sin(b/2) e^{i(a-c)/2}).  _ARG_COLUMNS takes
+# (w, x, y, z) to (x, -z, y, w), so that atan2 of the first two columns over
+# the last two gives arg v and arg u, and their hypot |v| and |u|; then
+# (a, b, c) = (arg v, arg u, atan2(|v|, |u|)) @ _ZXZ_FROM_ARGS + (-pi/2, 0, pi/2).
+_ARG_COLUMNS = np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]])
+_ZXZ_FROM_ARGS = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
+_TINY = np.finfo(float).tiny
 
-    (t . J)^2 = |t|^2 / 4, so the exponential is cos(|t|/2) + i sinc(|t|/2) t . J.
-    """
-    half = 0.5 * np.sqrt(np.einsum("ij,ij->i", turns, turns))
-    g = (1j * np.sinc(half / np.pi))[:, None] * (turns @ _HALF_SPIN)
-    g[:, ::3] += np.cos(half)[:, None]
-    return g.reshape(-1, 2, 2)
 
-
-def _rotation_euler(turns: np.ndarray, composition: str):
-    """Angles (a, b, c) with exp(i a J_z) exp(i b J_x) exp(i c J_z) equal to
-    the rotation by each row of J-normalized ``turns``, exactly in SU(2).
-
-    At spin 1/2 that product is [[C e^{-i(a+c)/2}, iS e^{-i(a-c)/2}],
-    [iS e^{i(a-c)/2}, C e^{i(a+c)/2}]] with C, S = cos, sin(b/2); reading the
-    angles off the first column fixes the element of SU(2), not just of SO(3),
-    so the same angles hold in every spin-J representation, odd N included.
-    At b = 0 (or pi) only a + c (or a - c) is determined, and only it matters.
-    """
-    if composition == "combined":
-        g = _su2(turns)
+@functools.lru_cache(maxsize=None)
+def _euler_map(conventions: GateConventions) -> Tuple[np.ndarray, np.ndarray]:
+    """(matrix, offset) of :func:`_euler_angles`: the matrix takes a call's
+    quaternions (or, for the product rotation, the eight half-angle products
+    per rotation) to the columns its Z-X-Z angles are read from, and the
+    offset is added to the angles."""
+    if conventions.squeeze_composition == "combined":
+        matrix, middle = _UNIT, 0.0
     else:
-        g = _su2(turns * [0, 0, 1]) @ _su2(turns * [0, 1, 0]) @ _su2(turns * [1, 0, 0])
-    u, v = g[:, 0, 0], g[:, 1, 0]
-    arg_u, arg_v = np.angle(u), np.angle(v)
-    b = 2.0 * np.arctan2(np.abs(v), np.abs(u))
-    return arg_v - arg_u - 0.5 * np.pi, b, 0.5 * np.pi - arg_u - arg_v
+        matrix, middle = _MERGED_EULER[conventions.squeeze_order]
+    if conventions.rotation_composition == "product":
+        matrix = _PRODUCT_ROTATION @ matrix
+    return matrix @ _ARG_COLUMNS, np.array([-0.5 * np.pi, middle, 0.5 * np.pi])
 
 
-def _in_basis(v: np.ndarray, v_h: np.ndarray, phases: np.ndarray,
-              psi: np.ndarray) -> np.ndarray:
-    """v diag(phases) v^dag psi."""
-    return v @ (phases * (v_h @ psi))
+def _euler_angles(turns: np.ndarray, conventions: GateConventions) -> np.ndarray:
+    """Euler angles (a, b, c), one row per row of J-normalized ``turns``.
+
+    With the combined squeeze they are Z-X-Z angles, Z(a) X(b) Z(c) with
+    Z(a) = exp(i a J_z).  With the product squeeze they are X-Z-Y angles,
+    X(a) Z(b) Y(c), for order xy and Y-Z-X angles for yx, so that the outer
+    factors share an eigenbasis with the neighbouring squeezes.  Reading the
+    angles off the quaternion fixes the element of SU(2), not just of SO(3),
+    so they hold in every spin-J representation, odd N included.  At a
+    middle angle of 0 (or pi) only a + c (or a - c) is determined, and only
+    it matters.
+    """
+    matrix, offset = _euler_map(conventions)
+    if conventions.rotation_composition == "combined":
+        norm = np.sqrt(np.einsum("ij,ij->i", turns, turns))
+        half = np.exp(0.5j * norm)
+        quat = np.empty((len(turns), 4))
+        quat[:, 0] = half.real
+        # the floor only acts at norm 0, where sin(0) = 0
+        quat[:, 1:] = turns * (half.imag / np.maximum(norm, _TINY))[:, None]
+    else:
+        halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
+        quat = (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
+                * halves[:, 2, None, None, :]).reshape(-1, 8)
+    cols = quat @ matrix
+    args = np.empty((len(turns), 3))
+    args[:, :2] = np.arctan2(cols[:, :2], cols[:, 2:])
+    hyp = np.hypot(cols[:, :2], cols[:, 2:])
+    args[:, 2] = np.arctan2(hyp[:, 0], hyp[:, 1])
+    return args @ _ZXZ_FROM_ARGS + offset
 
 
 def _combined_squeeze(bases: _Bases, alpha: float, beta: float,
@@ -338,11 +410,20 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     (M+1, d) array of the states after each step and after the final
     rotation.
 
-    Every factor acts on the vector in O(d^2) through bases computed once
-    per space: a rotation is read as ZXZ Euler angles of its exact SU(2)
-    element (J_z phases around a phase in the J_x eigenbasis), a product
-    squeeze is a phase in the J_x or J_y eigenbasis, and a combined squeeze
-    diagonalizes its two half-size parity blocks.  No unitary is formed.
+    Every factor is a phase in a basis computed once per space, and no
+    unitary is formed.  Rotation k has Euler angles (a, b, c) (see
+    :func:`_euler_angles`); with the squeeze strengths s1 (first applied)
+    and s2, row k of ``coef`` is (a_k, b_k, c_k, s1_k, s2_{k-1}), and every
+    phase of the call is one ``exp(i coef @ rows)``.
+
+    - Product squeeze, order xy: the state stays in the J_y eigenbasis
+      between steps.  One step is Y(c_k) merged with the previous S_y^2
+      phase, Z(b_k) in the standard basis, X(a_k) merged with this step's
+      S_x^2 phase in the J_x basis, and the fixed change back to the J_y
+      basis: three basis changes.  Order yx swaps the roles of x and y.
+    - Combined squeeze: Z-X-Z angles around a phase in the J_x basis, then
+      the squeeze's two half-size parity blocks, diagonalized per step.
+
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
     or a non-finite norm, raises NormDriftError.
     """
@@ -356,32 +437,44 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     bases = _propagation_bases(space)
     sign = conventions.exponent_sign
     n_steps = (params.size - 3) // 5
-    steps = params[:-3].reshape(n_steps, 5)
-    turns = np.vstack([steps[:, :3], params[-3:]]) * (sign * bases.scale)
-    a, b, c = _rotation_euler(turns, conventions.rotation_composition)
-    phase_a = np.exp(1j * np.multiply.outer(a, bases.jz))
-    phase_b = np.exp(1j * np.multiply.outer(b, bases.wx))
-    phase_c = np.exp(1j * np.multiply.outer(c, bases.jz))
-    strengths = sign * steps[:, 3:]
+    # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
+    # final rotation's strengths 0
+    table = np.zeros(params.size + 2)
+    table[:-2] = params
+    table = table.reshape(n_steps + 1, 5)
+    strengths = sign * table[:, 3:]
     combined = conventions.squeeze_composition == "combined"
-    # Product squeezes: exp(i alpha S_x^2) is a phase in the J_x eigenbasis,
-    # exp(i beta S_y^2) the same phase in the J_y eigenbasis.
-    squeeze_phase = np.exp(1j * strengths[:, :, None] * (bases.scale * bases.wx) ** 2)
-    order = ((bases.vx, bases.vx_h, 0), (bases.vy, bases.vy_h, 1))
-    if conventions.squeeze_order == "yx":
-        order = order[::-1]
+    yx = int(conventions.squeeze_order == "yx")
+    coef = np.zeros_like(table)
+    coef[:, :3] = _euler_angles(table[:, :3] * (sign * bases.scale), conventions)
+    coef[:, 3] = strengths[:, yx]
+    coef[1:, 4] = strengths[:-1, 1 - yx]
+    rows = bases.zxz_rows if combined else bases.merged_rows
+    phases = np.exp(1j * (coef @ rows)).reshape(n_steps + 1, -1, space.dim)
+    if combined:
+        first, second = bases.vx_h, bases.vx
+    else:
+        # v1: the eigenbasis of the squeeze applied first; v2: the second.
+        v1, v1_h, v2, v2_h, hop = (
+            (bases.vy, bases.vy_h, bases.vx, bases.vx_h, bases.y_to_x) if yx
+            else (bases.vx, bases.vx_h, bases.vy, bases.vy_h, bases.x_to_y))
+        first, second = v2, v1_h
+        psi = v2_h @ psi
     states = []
     for k in range(n_steps + 1):
-        psi = phase_a[k] * _in_basis(bases.vx, bases.vx_h, phase_b[k], phase_c[k] * psi)
+        psi = phases[k, 2] * (second @ (phases[k, 1] * (first @ (phases[k, 0] * psi))))
         if k == n_steps:
             break
         if combined:
             psi = _combined_squeeze(bases, strengths[k, 0], strengths[k, 1], psi)
+            if per_step:
+                states.append(_checked(psi))
         else:
-            for v, v_h, which in order:
-                psi = _in_basis(v, v_h, squeeze_phase[k, which], psi)
-        if per_step:
-            states.append(_checked(psi))
+            psi = hop @ psi
+            if per_step:  # the second squeeze's phase is still to come
+                states.append(_checked(v2 @ (phases[k + 1, 3] * psi)))
+    if not combined:
+        psi = v1 @ psi
     states.append(_checked(psi))
     return np.array(states) if per_step else states[-1]
 

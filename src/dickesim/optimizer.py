@@ -43,12 +43,15 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationRun:
-    """Best-so-far record of a search; history rows are (restart, round, best_fidelity)."""
+    """Best-so-far record of a search; history rows are (restart, round,
+    best_fidelity).  ``objective_evaluations`` counts every objective call
+    the search made, summed over growth."""
 
     n_steps: int
     best_params: np.ndarray
     best_fidelity: float
     history: List[Tuple[int, int, float]] = field(default_factory=list)
+    objective_evaluations: int = 0
 
 
 def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
@@ -85,10 +88,12 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
     if np.any(x0 < lower - 1e-12) or np.any(x0 > upper + 1e-12):
         raise ValueError("x0 violates the box constraints")
     free = np.flatnonzero(~frozen)
+    lo, hi = lower[free], upper[free]
+    clamp = lambda z: np.clip(z, lo, hi)
 
     def embed(z: np.ndarray) -> np.ndarray:
         x = x0.copy()
-        x[free] = np.clip(z, lower[free], upper[free])
+        x[free] = clamp(z)
         return x
 
     fz = lambda z: f(embed(z))
@@ -96,9 +101,9 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
     n = z0.size
     simplex = [z0]
     for idx in range(n):
-        step = 0.1 * (upper[free][idx] - lower[free][idx])
+        step = 0.1 * (hi[idx] - lo[idx])
         vert = z0.copy()
-        vert[idx] = vert[idx] + step if vert[idx] + step <= upper[free][idx] else vert[idx] - step
+        vert[idx] = vert[idx] + step if vert[idx] + step <= hi[idx] else vert[idx] - step
         simplex.append(vert)
     simplex = np.asarray(simplex)
     values = np.asarray([fz(v) for v in simplex])
@@ -109,7 +114,6 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
         if np.max(np.abs(simplex[1:] - simplex[0])) < tolerance:
             break
         centroid = simplex[:-1].mean(axis=0)
-        clamp = lambda z: np.clip(z, lower[free], upper[free])
         reflected = clamp(centroid + (centroid - simplex[-1]))
         f_r = fz(reflected)
         if f_r < values[0]:
@@ -152,7 +156,13 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
     """
     n_params = 5 * n_steps + 3
     lower, upper = config.bounds(n_steps)
-    f = make_objective(space, target, n_steps, config.conventions)
+    objective = make_objective(space, target, n_steps, config.conventions)
+    evaluations = 0
+
+    def f(params: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return objective(params)
 
     incumbent = np.zeros(n_params) if initial_params is None else np.asarray(
         initial_params, dtype=float).copy()
@@ -182,7 +192,8 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
             break
 
     return OptimizationRun(n_steps=n_steps, best_params=best_params,
-                           best_fidelity=1.0 - best_value, history=history)
+                           best_fidelity=1.0 - best_value, history=history,
+                           objective_evaluations=evaluations)
 
 
 def grown_search(space: DickeSpace, target: QuantumState, config: OptimizerConfig,
@@ -199,7 +210,9 @@ def grown_search(space: DickeSpace, target: QuantumState, config: OptimizerConfi
     while run.n_steps < config.max_steps and run.best_fidelity < 1.0 - config.target_infidelity:
         grown = np.insert(run.best_params, -3, np.zeros(5))
         history = run.history + [(-1, run.n_steps + 1, run.best_fidelity)]
+        evaluations = run.objective_evaluations
         run = random_restart_search(space, target, config, run.n_steps + 1,
                                     initial_params=grown, on_improvement=on_improvement)
         run.history = history + run.history
+        run.objective_evaluations += evaluations
     return run

@@ -106,6 +106,8 @@ def test_optimize_small_run_and_resume(tmp_path):
     assert code == 0
     rec2 = json.loads(rec2_out.read_text())
     assert rec2["outputs"]["best_fidelity"] >= rec["outputs"]["best_fidelity"] - 1e-9
+    assert rec["outputs"]["objective_evaluations"] > 4
+    assert rec2["outputs"]["objective_evaluations"] == 1  # the incumbent alone
 
 
 def _custom_top(tmp_path, dim):
@@ -129,6 +131,25 @@ def test_resume_grows_to_steps(tmp_path):
     assert outputs["n_steps"] == 2
     assert [-1, 2, fid] in outputs["history_tail"]
     assert len(json.loads(grown.read_text())["steps"]) == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--n", "6"], "n_emitters 3 in the checkpoint, 6 requested"),
+    (["--n", "3", "--exponent-sign", "-1"], "exponent_sign 1 in the checkpoint, -1 requested"),
+    (["--n", "3", "--convention", "pauli-sum"],
+     "convention spin-j in the checkpoint, pauli-sum requested"),
+    (["--n", "3", "--squeeze-order", "yx"], "squeeze_order xy in the checkpoint, yx requested"),
+])
+def test_resume_rejects_another_space_or_convention(tmp_path, capsys, flags, named):
+    checkpoint = tmp_path / "n3.json"
+    common = ["optimize", "--target", "coherent", "--gamma", "0.1", "--restarts", "0",
+              "--steps", "1", "--start-steps", "1"]
+    assert run_cli(common + ["--n", "3", "--seq-out", str(checkpoint)]) == 0
+    capsys.readouterr()
+    rec_out = tmp_path / "rec.json"
+    assert run_cli(common + flags + ["--resume", str(checkpoint), "--out", str(rec_out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not rec_out.exists()
 
 
 def test_optimize_zero_restarts_emits_identity_record(tmp_path):
@@ -426,6 +447,8 @@ def test_cli_runs_without_scipy(tmp_path):
         ["size-sweep", "--sequence", "cat2", "--n-list", "30,40"],
         ["wigner", "--target", "cat2", "--gamma", "1.5", "--n", "12", "--surface", "plane",
          "--resolution", "21", "--out", "plane.csv"],
+        ["wigner", "--sequence", "cat2", "--per-step", "--squeeze-composition", "product",
+         "--n-theta", "12", "--n-phi", "12", "--out", "grids"],
         ["closure", "--set", "squeezing-rotations", "--n", "4"],
         ["optimize", "--n", "4", "--steps", "1", "--restarts", "1", "--nm-iters", "50",
          "--target", "coherent", "--gamma", "0.5"],

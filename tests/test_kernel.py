@@ -14,6 +14,10 @@ from dickesim import Convention, DickeSpace, GateConventions, NormDriftError, Qu
 from dickesim.cli import _sweep_combos
 from dickesim.core import DimensionMismatchError, apply
 from dickesim.gates import (
+    EXPONENT_SIGNS,
+    ROTATION_COMPOSITIONS,
+    SQUEEZE_COMPOSITIONS,
+    SQUEEZE_ORDERS,
     propagate,
     rotation_from_turns,
     sequence_unitaries,
@@ -80,8 +84,15 @@ def test_zero_parameters_leave_the_state_unchanged(n):
         assert np.max(np.abs(propagate(space, np.zeros(13), conv, psi0) - psi0)) < 1e-14
 
 
-# Turns whose Euler angle b is 0 (pure z rotations) or pi (first entry of the
-# SU(2) element 0 up to rounding: half-turns about axes in the xy plane).
+# Turns at which an Euler angle set of the kernel is degenerate (middle angle
+# 0 or pi, so only the sum or difference of the outer angles is fixed).
+# Z-X-Z (combined squeeze): pure z rotations and half-turns about axes in the
+# xy plane (first entry of the SU(2) element 0 up to rounding).  The merged
+# X-Z-Y and Y-Z-X angles (product squeeze) read R P or P^dag R with P =
+# exp(-i pi/2 J_z): quarter turns about z (eighth turns under pauli-sum, which
+# doubles every angle), a quarter turn about y under the product rotation,
+# and 120-degree turns about body diagonals.
+_DIAGONAL = 2 * np.pi / 3 / np.sqrt(3)
 DEGENERATE_TURNS = [
     (0.0, 0.0, 0.0),
     (0.0, 0.0, 1.3),
@@ -90,6 +101,15 @@ DEGENERATE_TURNS = [
     (0.0, np.pi, 0.0),
     (np.pi / np.sqrt(2), -np.pi / np.sqrt(2), 0.0),
     (3 * np.pi, 0.0, 0.0),
+    (0.0, 0.0, np.pi / 2),
+    (0.0, 0.0, -np.pi / 2),
+    (0.0, 0.0, np.pi / 4),
+    (0.0, 0.0, -np.pi / 4),
+    (0.0, np.pi / 2, 0.0),
+    (_DIAGONAL, _DIAGONAL, _DIAGONAL),
+    (_DIAGONAL, _DIAGONAL, -_DIAGONAL),
+    (_DIAGONAL, -_DIAGONAL, _DIAGONAL),
+    (_DIAGONAL, -_DIAGONAL, -_DIAGONAL),
 ]
 
 
@@ -97,14 +117,11 @@ DEGENERATE_TURNS = [
 @pytest.mark.parametrize("n", [1, 4, 5])
 def test_rotation_at_degenerate_euler_angles(turns, n):
     rng = np.random.default_rng(11)
-    for convention in Convention:
+    for convention, conv in _sweep_combos():
         space = DickeSpace(n, convention)
         psi0 = random_state(space, rng)
-        for rot in ("combined", "product"):
-            for sign in (1, -1):
-                conv = GateConventions(rotation_composition=rot, exponent_sign=sign)
-                expected = rotation_from_turns(space, turns, conv).matrix @ psi0
-                assert_same_state(expected, propagate(space, turns, conv, psi0))
+        expected = rotation_from_turns(space, turns, conv).matrix @ psi0
+        assert_same_state(expected, propagate(space, turns, conv, psi0))
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.7, 0.7), (-1.9, -1.9), (0.0, 0.0), (0.0, 1.1)])
@@ -125,13 +142,17 @@ def test_combined_squeeze_special_strengths(alpha, beta, n):
 @given(turns=st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=3, max_size=3),
        n=st.integers(1, 9),
        convention=st.sampled_from(list(Convention)),
-       rot=st.sampled_from(["combined", "product"]),
-       sign=st.sampled_from([1, -1]),
+       rot=st.sampled_from(ROTATION_COMPOSITIONS),
+       sign=st.sampled_from(EXPONENT_SIGNS),
+       squeeze=st.sampled_from(SQUEEZE_COMPOSITIONS),
+       order=st.sampled_from(SQUEEZE_ORDERS),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_euler_path_equals_dense_rotation(turns, n, convention, rot, sign, seed):
+def test_euler_path_equals_dense_rotation(turns, n, convention, rot, sign, squeeze, order,
+                                          seed):
     space = DickeSpace(n, convention)
     psi0 = random_state(space, np.random.default_rng(seed))
-    conv = GateConventions(rotation_composition=rot, exponent_sign=sign)
+    conv = GateConventions(squeeze_order=order, squeeze_composition=squeeze,
+                           rotation_composition=rot, exponent_sign=sign)
     expected = rotation_from_turns(space, turns, conv).matrix @ psi0
     assert_same_state(expected, propagate(space, turns, conv, psi0))
 

@@ -13,6 +13,7 @@ from dickesim import (
     random_restart_search,
     unflatten_params,
 )
+from dickesim import optimizer
 from dickesim.optimizer import _restart_rng, make_objective
 
 
@@ -140,6 +141,29 @@ def test_grown_search_identity_insertion():
     assert grown.best_fidelity == pytest.approx(run.best_fidelity, abs=1e-12)
     assert [h[:2] for h in grown.history] == [(-1, -1), (-1, 3), (-1, -1)]
     assert grown.history[1][2] == grown.history[0][2]
+
+
+def test_objective_evaluations_count_every_call_over_growth(monkeypatch):
+    space = DickeSpace(3)
+    target = random_target(space, 100)
+    calls = []
+
+    def counting_objective(*args, **kwargs):
+        f = make_objective(*args, **kwargs)
+        return lambda params: calls.append(1) or f(params)
+
+    monkeypatch.setattr(optimizer, "make_objective", counting_objective)
+    config = OptimizerConfig(restarts=2, freeze_rounds=1, nm_max_iters=80, seed=3,
+                             max_steps=2)
+    run = grown_search(space, target, config, start_steps=1)
+    assert run.n_steps == 2
+    assert run.objective_evaluations == len(calls) > 2 * 80
+    # deterministic, so it can sit in the byte-identical optimize record
+    assert grown_search(space, target, config, start_steps=1).objective_evaluations \
+        == run.objective_evaluations
+    # restarts = 0 evaluates only the incumbent, once per sequence length
+    assert grown_search(space, target, replace(config, restarts=0),
+                        start_steps=0).objective_evaluations == 3
 
 
 def test_grown_search_reaches_reachable_target():
