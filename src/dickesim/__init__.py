@@ -14,7 +14,6 @@ from .core import (
     NotHermitianError,
     QuantumState,
     SymmetricOperator,
-    apply,
     build_sminus,
     build_splus,
     build_sx,
@@ -32,7 +31,6 @@ from .gates import (
     apply_sequence,
     flatten_params,
     propagate,
-    step_unitary,
     unflatten_params,
 )
 from .targets import (
@@ -50,7 +48,6 @@ from .targets import (
 from .wigner import (
     PlaneGrid,
     SphereGrid,
-    clebsch_gordan,
     export_grid,
     planar_wigner,
     spherical_wigner,

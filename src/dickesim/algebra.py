@@ -115,8 +115,10 @@ def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
     ``artifact_mask = w > 0`` the novelty test ignores the last w
     rows/columns, so the span is full at (d - w)^2; candidates that are new
     only inside that boundary strip are counted as truncation artifacts
-    instead of directions.
+    instead of directions.  ``rank_tol`` must lie in (0, 1).
     """
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
     mats = _as_matrices(generators)
     d = mats[0].shape[0]
     full = (d - max(artifact_mask, 0)) ** 2
@@ -217,7 +219,10 @@ def oscillator_counterexample(cutoff: int,
     return lie_closure(gens, rank_tol=rank_tol, artifact_mask=2)
 
 
-def _check_trotter_inputs(a: SymmetricOperator, b: SymmetricOperator, k: int) -> None:
+def _check_trotter_inputs(a: SymmetricOperator, b: SymmetricOperator, t: float,
+                          k: int) -> None:
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if a.space != b.space:
         raise ValueError("trotter operands live on different spaces")
     for op in (a, b):
@@ -230,7 +235,7 @@ def _check_trotter_inputs(a: SymmetricOperator, b: SymmetricOperator, k: int) ->
 def trotter_sum(a: SymmetricOperator, b: SymmetricOperator, t: float,
                 k: int) -> SymmetricOperator:
     """(e^(-iAt/k) e^(-iBt/k))^k, the first-order approximation to e^(-i(A+B)t)."""
-    _check_trotter_inputs(a, b, k)
+    _check_trotter_inputs(a, b, t, k)
     ua = hermitian_exp(a, -1j * t / k)
     ub = hermitian_exp(b, -1j * t / k)
     step = (ua @ ub).matrix
@@ -252,7 +257,7 @@ def trotter_commutator(a: SymmetricOperator, b: SymmetricOperator, t: float,
     Converges to the unitary generated by the Hermitian i[B, A], namely
     exp(-i * (i[B,A]) * t); see :func:`trotter_commutator_error`.
     """
-    _check_trotter_inputs(a, b, k)
+    _check_trotter_inputs(a, b, t, k)
     if t < 0:
         raise ValueError("t must be nonnegative (enters via sqrt(t/k))")
     s = np.sqrt(t / k)

@@ -21,7 +21,7 @@ import numpy as np
 ALGEBRA_TOL = 1e-12     # entrywise algebraic identities
 HERMITIAN_TOL = 1e-10   # Hermiticity of generators
 NORM_TOL = 1e-10        # state normalization, unitarity
-NORM_DRIFT_TOL = 1e-8   # silent norm drift in apply()
+NORM_DRIFT_TOL = 1e-8   # norm drift divided out of a propagated state
 
 
 class DimensionMismatchError(ValueError):
@@ -275,38 +275,6 @@ def hermitian_exp(h: SymmetricOperator, scale: complex) -> SymmetricOperator:
     w, v = np.linalg.eigh(sym)
     mat = (v * np.exp(scale * w)) @ v.conj().T
     return SymmetricOperator(h.space, mat)
-
-
-def apply(op: SymmetricOperator, s: QuantumState, renormalize: bool = False) -> QuantumState:
-    """op|psi> for pure states, U rho U^dag for densities.
-
-    Norm is never fixed up silently: drift beyond NORM_DRIFT_TOL raises
-    unless ``renormalize`` is passed explicitly (e.g. for ladder operators).
-    Roundoff-level drift inside the tolerance is divided out so it cannot
-    accumulate over long sequences.
-    """
-    _check_same_space(op.space, s.space)
-    if s.is_pure:
-        vec = op.matrix @ s.amplitudes
-        norm = np.linalg.norm(vec)
-        if renormalize:
-            if norm == 0:
-                raise NormDriftError("operator annihilated the state; cannot renormalize")
-            return QuantumState(s.space, amplitudes=vec / norm)
-        if abs(norm - 1.0) > NORM_DRIFT_TOL:
-            raise NormDriftError(
-                f"norm drifted to {norm!r}; pass renormalize=True for non-unitary operators"
-            )
-        return QuantumState(s.space, amplitudes=vec / norm)
-    rho = op.matrix @ s.density @ op.matrix.conj().T
-    tr = np.trace(rho).real
-    if renormalize:
-        if tr <= 0:
-            raise NormDriftError("operator annihilated the density; cannot renormalize")
-        return QuantumState(s.space, density=rho / tr)
-    if abs(tr - 1.0) > NORM_DRIFT_TOL:
-        raise NormDriftError(f"density trace drifted to {tr!r}")
-    return QuantumState(s.space, density=rho / tr)
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Rotation and squeezing unitaries, pulse steps, and sequence application.
+"""Rotation and squeezing gates, pulse steps, and sequence application.
 
 A pulse step is a coherent rotation followed by squeezing.  The rotation is
 R(theta, n) = exp(s * i * theta * (n_x S_x + n_y S_y + n_z S_z)) and the
@@ -7,11 +7,10 @@ global exponent sign s and the way the pieces compose are configurable via
 :class:`GateConventions` so that published parameter tables can be replayed
 under every plausible reading.
 
-:func:`propagate` applies a sequence to a state vector without forming any
-(N+1)x(N+1) unitary; every command that prepares a pure state goes through
-it.  The dense builders (:func:`rotation_from_turns`,
-:func:`squeeze_pair_unitary`, :func:`step_unitary`,
-:func:`sequence_unitaries`) stay as its reference and for mixed states.
+:func:`propagate` applies a sequence to a state vector, or to a block of
+columns, without forming any (N+1)x(N+1) unitary; every state preparation,
+pure or mixed, goes through it.  The dense unitaries it is tested against
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -29,13 +28,10 @@ from .core import (
     DimensionMismatchError,
     NormDriftError,
     QuantumState,
-    SymmetricOperator,
-    apply,
     build_sx,
     build_sy,
-    build_sz,
-    hermitian_exp,
     _check_same_space,
+    _psd_sqrt,
 )
 
 AXIS_NORM_TOL = 1e-9
@@ -172,61 +168,6 @@ class PulseSequence:
         return cls(space, steps, (0.0, 0.0, 1.0), 0.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _spin_triple(space: DickeSpace):
-    return build_sx(space), build_sy(space), build_sz(space)
-
-
-def rotation_from_turns(space: DickeSpace, turns,
-                        conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """Rotation given per-axis angles (theta_x, theta_y, theta_z)."""
-    turns = np.asarray(turns, dtype=float).reshape(3)
-    sx, sy, sz = _spin_triple(space)
-    s = conventions.exponent_sign
-    if conventions.rotation_composition == "combined":
-        gen = SymmetricOperator(
-            space, turns[0] * sx.matrix + turns[1] * sy.matrix + turns[2] * sz.matrix,
-            hermitian=True)
-        return hermitian_exp(gen, s * 1j)
-    rx = hermitian_exp(sx, s * 1j * turns[0])
-    ry = hermitian_exp(sy, s * 1j * turns[1])
-    rz = hermitian_exp(sz, s * 1j * turns[2])
-    return rz @ ry @ rx  # x rotation acts first
-
-
-def squeeze_pair_unitary(space: DickeSpace, alpha: float, beta: float,
-                         conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """The full squeezing part of one step, composition per conventions:
-    exp(s*i*alpha S_x^2) and exp(s*i*beta S_y^2) multiplied, or the single
-    exp(s*i*(alpha S_x^2 + beta S_y^2))."""
-    s = conventions.exponent_sign
-    sx, sy, _ = _spin_triple(space)
-    if conventions.squeeze_composition == "combined":
-        gen = SymmetricOperator(
-            space, alpha * (sx.matrix @ sx.matrix) + beta * (sy.matrix @ sy.matrix),
-            hermitian=True)
-        return hermitian_exp(gen, s * 1j)
-    ux = hermitian_exp(sx @ sx, s * 1j * alpha)
-    uy = hermitian_exp(sy @ sy, s * 1j * beta)
-    return uy @ ux if conventions.squeeze_order == "xy" else ux @ uy
-
-
-def step_unitary(step: PulseStep, space: DickeSpace,
-                 conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
-    """Rotation first, then squeezing: U = U_squeeze @ U_rot."""
-    rot = rotation_from_turns(space, step.turns, conventions)
-    sq = squeeze_pair_unitary(space, step.alpha, step.beta, conventions)
-    return sq @ rot
-
-
-def sequence_unitaries(seq: PulseSequence,
-                       conventions: GateConventions = DEFAULT_CONVENTIONS) -> list:
-    """Per-step unitaries followed by the final rotation, in application order."""
-    out = [step_unitary(st, seq.space, conventions) for st in seq.steps]
-    out.append(rotation_from_turns(seq.space, seq.final_turns, conventions))
-    return out
-
-
 class _Bases(NamedTuple):
     """Per-space data of :func:`propagate`; see :func:`_propagation_bases`."""
 
@@ -262,7 +203,7 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     Z(a) X(b) Z(c).
     """
     scale = 2.0 if space.convention is Convention.PAULI_SUM else 1.0
-    sx, sy, _ = _spin_triple(space)
+    sx, sy = build_sx(space), build_sy(space)
     wx, vx = np.linalg.eigh(sx.matrix.real / scale)
     jz = np.arange(space.dim) - space.n_emitters / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
@@ -380,7 +321,7 @@ def _euler_angles(turns: np.ndarray, conventions: GateConventions) -> np.ndarray
 
 def _combined_squeeze(bases: _Bases, alpha: float, beta: float,
                       psi: np.ndarray) -> np.ndarray:
-    """exp(i (alpha S_x^2 + beta S_y^2)) psi.
+    """exp(i (alpha S_x^2 + beta S_y^2)) psi, for a vector or a block of columns.
 
     The generator is real and couples m only to m +- 2, so it splits into an
     even-m and an odd-m tridiagonal block, each diagonalized on its own.
@@ -391,7 +332,10 @@ def _combined_squeeze(bases: _Bases, alpha: float, beta: float,
     for parity in (0, 1):
         d, e = diag[parity::2], off[parity::2]
         w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        out[parity::2] = v @ (np.exp(1j * w) * (v.T @ psi[parity::2]))
+        phase = np.exp(1j * w)
+        if psi.ndim == 2:
+            phase = phase[:, None]
+        out[parity::2] = v @ (phase * (v.T @ psi[parity::2]))
     return out
 
 
@@ -406,9 +350,10 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
               psi0, per_step: bool = False) -> np.ndarray:
     """Apply the sequence with flat parameters ``params`` (the
     :func:`flatten_params` layout, length 5M + 3) to the unit amplitude
-    vector ``psi0``.  Returns the final amplitudes or, with ``per_step``, an
-    (M+1, d) array of the states after each step and after the final
-    rotation.
+    vector ``psi0``, or to each column of a (d, r) block ``psi0`` whose
+    squared Frobenius norm is 1 (such as A with rho = A A^dag).  Returns the
+    final amplitudes, shaped as ``psi0``, or, with ``per_step``, an array of
+    the M+1 states after each step and after the final rotation.
 
     Every factor is a phase in a basis computed once per space, and no
     unitary is formed.  Rotation k has Euler angles (a, b, c) (see
@@ -425,15 +370,16 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
       the squeeze's two half-size parity blocks, diagonalized per step.
 
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
-    or a non-finite norm, raises NormDriftError.
+    or a non-finite norm, raises NormDriftError.  A block is checked and
+    rescaled as a whole, by its Frobenius norm, so that Tr rho stays 1.
     """
     params = np.asarray(params, dtype=float).reshape(-1)
     if (params.size - 3) % 5:
         raise ValueError(f"parameter vector length {params.size} is not 5M + 3")
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi.shape != (space.dim,):
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[0] != space.dim:
         raise DimensionMismatchError(
-            f"state length {psi.shape[0]} does not match space dimension {space.dim}")
+            f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
     bases = _propagation_bases(space)
     sign = conventions.exponent_sign
     n_steps = (params.size - 3) // 5
@@ -451,6 +397,8 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     coef[1:, 4] = strengths[:-1, 1 - yx]
     rows = bases.zxz_rows if combined else bases.merged_rows
     phases = np.exp(1j * (coef @ rows)).reshape(n_steps + 1, -1, space.dim)
+    if psi.ndim == 2:  # one phase per row, shared by the columns
+        phases = phases[..., None]
     if combined:
         first, second = bases.vx_h, bases.vx
     else:
@@ -483,17 +431,16 @@ def apply_sequence(seq: PulseSequence, initial: QuantumState,
                    conventions: GateConventions = DEFAULT_CONVENTIONS) -> QuantumState:
     """final_rotation . step_M . ... . step_1 applied to the initial state.
 
-    Pure states go through :func:`propagate`; densities through the dense
-    unitaries.
+    A density rho goes through :func:`propagate` as the columns of
+    A = sqrt(rho), and U rho U^dag is returned as (U A)(U A)^dag.
     """
     _check_same_space(seq.space, initial.space)
+    params = flatten_params(seq)
     if initial.is_pure:
         return QuantumState(seq.space, amplitudes=propagate(
-            seq.space, flatten_params(seq), conventions, initial.amplitudes))
-    state = initial
-    for u in sequence_unitaries(seq, conventions):
-        state = apply(u, state)
-    return state
+            seq.space, params, conventions, initial.amplitudes))
+    cols = propagate(seq.space, params, conventions, _psd_sqrt(initial.density))
+    return QuantumState(seq.space, density=cols @ cols.conj().T)
 
 
 def flatten_params(seq: PulseSequence) -> np.ndarray:

@@ -9,7 +9,7 @@ with irreducible tensor operators T_kq built from Clebsch-Gordan
 coefficients, normalized so that the integral over the sphere is 1 and the
 maximally mixed state is flat at 1/(4*pi).  It is evaluated as the
 expectation of one rotated kernel (:func:`spherical_wigner_values`); the
-T_kq table stays as its reference.
+T_kq table it is tested against lives in the test suite.
 
 Planar: the standard bosonic Wigner function of the state obtained by
 reading Dicke amplitudes as Fock amplitudes.  This identification ignores
@@ -27,7 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DickeSpace, QuantumState, _psd_sqrt
+from .core import QuantumState, _psd_sqrt
 from .gates import _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
@@ -41,126 +41,6 @@ _RESCALE_LIMIT = 2.0 ** _RESCALE_BITS
 
 class WindowWarning(UserWarning):
     """The planar grid window clips non-negligible Wigner weight."""
-
-
-@functools.lru_cache(maxsize=None)
-def _fac(n: int) -> int:
-    return math.factorial(n)
-
-
-def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
-                   J: float, M: float) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>.
-
-    Racah formula with log-scaled prefactor; the alternating sum, which
-    cancels catastrophically in floating point at large j, is carried out
-    exactly over the integers.  Invalid quantum numbers (triangle rule,
-    M != m1+m2, half-integer mismatches) return 0.0 by convention.
-    """
-    t = {}
-    for name, val in (("j1", j1), ("m1", m1), ("j2", j2), ("m2", m2),
-                      ("J", J), ("M", M)):
-        tv = round(2 * val)
-        if abs(2 * val - tv) > 1e-9:
-            return 0.0
-        t[name] = int(tv)
-    tj1, tm1, tj2, tm2, tJ, tM = (t["j1"], t["m1"], t["j2"], t["m2"], t["J"], t["M"])
-    if tM != tm1 + tm2:
-        return 0.0
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return 0.0
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
-        return 0.0
-
-    def f(tx: int) -> float:  # log((tx/2)!) for doubled integers
-        return math.lgamma(tx // 2 + 1)
-
-    log_pref = 0.5 * (
-        math.log(tJ + 1.0)
-        + f(tJ + tj1 - tj2) + f(tJ - tj1 + tj2) + f(tj1 + tj2 - tJ)
-        - f(tj1 + tj2 + tJ + 2)
-        + f(tJ + tM) + f(tJ - tM)
-        + f(tj1 - tm1) + f(tj1 + tm1)
-        + f(tj2 - tm2) + f(tj2 + tm2)
-    )
-    k_min = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
-    k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    if k_max < k_min:
-        return 0.0
-    # factorial arguments per term; scale by their maxima so every term is
-    # an exact integer and the alternating sum loses no precision
-    args = [
-        lambda k: k,
-        lambda k: (tj1 + tj2 - tJ) // 2 - k,
-        lambda k: (tj1 - tm1) // 2 - k,
-        lambda k: (tj2 + tm2) // 2 - k,
-        lambda k: (tJ - tj2 + tm1) // 2 + k,
-        lambda k: (tJ - tj1 - tm2) // 2 + k,
-    ]
-    ks = range(k_min, k_max + 1)
-    maxima = [max(a(k) for k in ks) for a in args]
-    log_scale = sum(math.lgamma(m + 1) for m in maxima)
-    total = 0
-    for k in ks:
-        term = 1
-        for a, mx in zip(args, maxima):
-            term *= _fac(mx) // _fac(a(k))
-        total += -term if k % 2 else term
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    # log of a (possibly huge) exact integer, then back to floats
-    log_total = math.log(-total if total < 0 else total)
-    return sign * math.exp(log_pref - log_scale + log_total)
-
-
-@functools.lru_cache(maxsize=None)
-def _multipole_bands(space: DickeSpace):
-    """Nonzero elements of every T_kq for the space.
-
-    T_kq = sum_{m} (-1)^(J - M_m) <J, M_m + q; J, -M_m | k q> |m+q><m| with
-    M_m = m - J, which is Hilbert-Schmidt orthonormal.  Returns a list of
-    (k, q, cols, rows, values) with real values.
-    """
-    n = space.n_emitters
-    j2 = n  # 2J
-    bands = []
-    for k in range(n + 1):
-        for q in range(-k, k + 1):
-            cols = np.arange(max(0, -q), min(n, n - q) + 1)
-            rows = cols + q
-            vals = np.array([
-                (-1.0) ** (j2 - m) * clebsch_gordan(
-                    n / 2, (2 * (m + q) - j2) / 2,
-                    n / 2, -(2 * m - j2) / 2,
-                    k, q)
-                for m in cols
-            ])
-            bands.append((k, q, cols, rows, vals))
-    return bands
-
-
-def spherical_tensor(space: DickeSpace, k: int, q: int) -> np.ndarray:
-    """Dense matrix of the irreducible tensor operator T_kq."""
-    if not (0 <= k <= space.n_emitters) or abs(q) > k:
-        raise ValueError(f"invalid multipole indices k={k}, q={q}")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for bk, bq, cols, rows, vals in _multipole_bands(space):
-        if bk == k and bq == q:
-            mat[rows, cols] = vals
-            break
-    return mat
-
-
-def multipole_coefficients(state: QuantumState) -> dict:
-    """rho_kq = Tr(T_kq^dag rho) for all (k, q)."""
-    rho = state.to_density()
-    out = {}
-    for k, q, cols, rows, vals in _multipole_bands(state.space):
-        out[(k, q)] = complex(np.dot(vals, rho[rows, cols]))
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -262,6 +262,14 @@ def test_closure_command(tmp_path):
     assert rec["outputs"]["reached_dimension"] == 6
 
 
+@pytest.mark.parametrize("rank_tol", ["-1", "0", "1", "nan"])
+def test_closure_rejects_rank_tol_outside_unit_interval(tmp_path, capsys, rank_tol):
+    assert run_cli(["closure", "--set", "squeezing-rotations", "--n", "4",
+                    "--rank-tol", rank_tol, "--out", str(tmp_path / "rec.json")]) == 2
+    assert "rank_tol" in capsys.readouterr().err
+    assert not (tmp_path / "rec.json").exists()
+
+
 def test_trotter_check_command(tmp_path):
     out = tmp_path / "rec.json"
     assert run_cli(["trotter-check", "--n", "4", "--t", "1.0",
@@ -330,6 +338,14 @@ def test_plane_resolution_below_two_exits_2(tmp_path):
 def test_trotter_check_needs_two_distinct_k(tmp_path, k_list):
     assert run_cli(["trotter-check", "--n", "4", "--k-list", k_list,
                     "--out", str(tmp_path / "rec.json")]) == 2
+    assert not (tmp_path / "rec.json").exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_trotter_check_rejects_non_finite_t(tmp_path, capsys, t):
+    assert run_cli(["trotter-check", "--n", "4", f"--t={t}",
+                    "--out", str(tmp_path / "rec.json")]) == 2
+    assert "t must be finite" in capsys.readouterr().err
     assert not (tmp_path / "rec.json").exists()
 
 
@@ -431,11 +447,17 @@ class NoScipy:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 
 sys.meta_path.insert(0, NoScipy())
+import numpy as np
+from dickesim import DickeSpace, QuantumState, apply_sequence, unflatten_params
 from dickesim.cli import main
 
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"exit code != 0: {argv}")
+# the density path: a maximally mixed state is left unchanged
+space, rho = DickeSpace(4), np.eye(5) / 5
+out = apply_sequence(unflatten_params(space, 1, np.full(8, 0.3)), QuantumState(space, density=rho))
+assert np.allclose(out.density, rho)
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
 

