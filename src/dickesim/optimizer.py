@@ -71,13 +71,16 @@ def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
 
 
 def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
-                max_iters: int = 2000, tolerance: float = 1e-9) -> Tuple[np.ndarray, float]:
+                max_iters: int = 2000, tolerance: float = 1e-9,
+                stop_value: Optional[float] = None) -> Tuple[np.ndarray, float]:
     """Nelder-Mead on the unfrozen coordinates with box clamping.
 
     Standard coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2).
     Frozen coordinates stay bit-identical to x0.  Terminates when the
-    simplex diameter drops below ``tolerance`` or after ``max_iters``
-    iterations; the returned value never exceeds f(x0).
+    simplex diameter drops below ``tolerance``, after ``max_iters``
+    iterations, or, when ``stop_value`` is given, as soon as the best vertex
+    (the initial simplex included) has a value <= ``stop_value``; the
+    returned value never exceeds f(x0).
     """
     x0 = np.asarray(x0, dtype=float)
     frozen = np.asarray(frozen_mask, dtype=bool)
@@ -111,6 +114,8 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
     for _ in range(max_iters):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
+        if stop_value is not None and values[0] <= stop_value:
+            break
         if np.max(np.abs(simplex[1:] - simplex[0])) < tolerance:
             break
         centroid = simplex[:-1].mean(axis=0)
@@ -153,6 +158,13 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
     restarts are numbered from 0 and tie-breaks go to the lower index by
     virtue of strict improvement tracking.  With restarts = 0 only the
     incumbent (default: all-zero identity sequence) is evaluated.
+
+    A positive ``config.target_infidelity`` ends the search where it is
+    reached: an incumbent that already meets it runs no restart, each
+    Nelder-Mead round stops at it, and no further round or restart follows.
+    With ``target_infidelity = 0`` every round runs to ``nm_tolerance`` or
+    ``nm_max_iters``, and the search stops after a restart only if the
+    infidelity reached 0.
     """
     n_params = 5 * n_steps + 3
     lower, upper = config.bounds(n_steps)
@@ -174,21 +186,26 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
     if on_improvement is not None:
         on_improvement(best_params, 1.0 - best_value)
 
+    goal = config.target_infidelity
+    stop_value = goal if goal > 0 else None
+    reached = lambda: stop_value is not None and best_value <= stop_value
     budget = min(config.free_param_budget, n_params)
-    for restart in range(config.restarts):
+    for restart in range(0 if reached() else config.restarts):
         rng = _restart_rng(config.seed, restart)
         x = rng.uniform(lower, upper)
         for round_idx in range(config.freeze_rounds):
             frozen = np.ones(n_params, dtype=bool)
             frozen[rng.permutation(n_params)[:budget]] = False
-            x, value = nelder_mead(f, x, frozen, lower, upper,
-                                   config.nm_max_iters, config.nm_tolerance)
+            x, value = nelder_mead(f, x, frozen, lower, upper, config.nm_max_iters,
+                                   config.nm_tolerance, stop_value)
             if value < best_value:
                 best_value, best_params = value, x.copy()
                 if on_improvement is not None:
                     on_improvement(best_params, 1.0 - best_value)
             history.append((restart, round_idx, 1.0 - best_value))
-        if best_value <= config.target_infidelity:
+            if reached():
+                break
+        if best_value <= goal:
             break
 
     return OptimizationRun(n_steps=n_steps, best_params=best_params,

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,61 @@ def test_optimize_determinism(tmp_path):
                         "--out", str(out)]) == 0
         recs.append(out.read_bytes())
     assert recs[0] == recs[1]
+
+
+def _reachable_target(tmp_path):
+    """Amplitudes of a random 2-step sequence applied to |0> at N = 3."""
+    space = dickesim.DickeSpace(3)
+    params = np.random.default_rng(7).uniform(-np.pi, np.pi, 13)
+    amps = dickesim.apply_sequence(dickesim.unflatten_params(space, 2, params),
+                                   dickesim.QuantumState.ground(space)).amplitudes
+    path = tmp_path / "reachable.json"
+    path.write_text(json.dumps([[float(a.real), float(a.imag)] for a in amps]))
+    return path
+
+
+def _optimize_outputs(tmp_path, flags):
+    out = tmp_path / "rec.json"
+    assert run_cli(["optimize", "--n", "3", "--target", "custom", "--steps", "2",
+                    "--start-steps", "2", *flags, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["outputs"]
+
+
+def test_optimize_without_stop_fidelity_is_pinned(tmp_path):
+    # two restarts of two rounds each, every round polished to --nm-tol
+    outputs = _optimize_outputs(tmp_path, [
+        "--custom-amplitudes", str(_reachable_target(tmp_path)),
+        "--restarts", "2", "--nm-iters", "300", "--seed", "33"])
+    digest = hashlib.sha256(np.asarray(outputs["best_params"]).tobytes()).hexdigest()
+    assert outputs["objective_evaluations"] == 2021
+    assert outputs["best_fidelity"] == 0.9999999999939904
+    assert digest == "f7d462a92df0adbd9281caf249cbb9708d80e4604e93a734f67842cde1592d34"
+
+
+def test_optimize_stop_fidelity_ends_the_round(tmp_path):
+    outputs = _optimize_outputs(tmp_path, [
+        "--custom-amplitudes", str(_reachable_target(tmp_path)),
+        "--restarts", "5", "--nm-iters", "1500", "--nm-tol", "1e-8", "--seed", "1",
+        "--stop-fidelity", "0.99"])
+    # polishing each round to --nm-tol took 1961 calls and reached fidelity 1.0
+    assert outputs["objective_evaluations"] == 136
+    assert 0.99 <= outputs["best_fidelity"] < 0.999
+    # the incumbent, then the first round of restart 0; no second round follows
+    assert [row[:2] for row in outputs["history_tail"]] == [[-1, -1], [0, 0]]
+
+
+def test_resumed_incumbent_meeting_stop_fidelity_runs_no_restart(tmp_path):
+    top = str(_custom_top(tmp_path, 4))
+    checkpoint = tmp_path / "best.json"
+    _optimize_outputs(tmp_path, ["--custom-amplitudes", top, "--restarts", "1",
+                                 "--freeze-rounds", "1", "--nm-iters", "400", "--seed", "17",
+                                 "--seq-out", str(checkpoint)])
+    assert json.loads(checkpoint.read_text())["metadata"]["best_fidelity"] > 0.9999
+    outputs = _optimize_outputs(tmp_path, ["--custom-amplitudes", top, "--restarts", "3",
+                                           "--seed", "17", "--stop-fidelity", "0.99",
+                                           "--resume", str(checkpoint)])
+    assert outputs["objective_evaluations"] == 1
+    assert outputs["best_fidelity"] > 0.9999
 
 
 def test_wigner_per_step_writes_one_file_per_step(tmp_path):
@@ -474,6 +530,8 @@ def test_cli_runs_without_scipy(tmp_path):
         ["closure", "--set", "squeezing-rotations", "--n", "4"],
         ["optimize", "--n", "4", "--steps", "1", "--restarts", "1", "--nm-iters", "50",
          "--target", "coherent", "--gamma", "0.5"],
+        ["optimize", "--n", "3", "--steps", "2", "--restarts", "5", "--target", "coherent",
+         "--gamma", "0.2", "--stop-fidelity", "0.99"],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(dickesim.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],

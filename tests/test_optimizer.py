@@ -83,6 +83,24 @@ def test_nelder_mead_never_worse_than_start():
         assert fx <= f(x0) + 1e-15
 
 
+def test_nelder_mead_stop_value_ends_the_round():
+    calls = []
+    f = lambda x: calls.append(1) or float(np.sum((x - 0.3) ** 2))
+    args = (np.zeros(6), np.zeros(6, dtype=bool), -np.ones(6), np.ones(6), 4000, 1e-10)
+    x_full, f_full = nelder_mead(f, *args)
+    full_calls = len(calls)
+    calls.clear()
+    _, f_stop = nelder_mead(f, *args, stop_value=1e-3)
+    assert f_stop <= 1e-3
+    assert len(calls) < full_calls / 4
+    x_none, f_none = nelder_mead(f, *args, stop_value=None)
+    assert np.array_equal(x_none, x_full) and f_none == f_full
+    # an initial simplex that already meets the goal costs no iteration
+    calls.clear()
+    nelder_mead(f, *args, stop_value=0.5)  # best initial vertex: 5 * 0.09 + 0.01
+    assert len(calls) == 7
+
+
 def test_nelder_mead_rejects_all_frozen():
     with pytest.raises(ValueError):
         nelder_mead(lambda x: 0.0, np.zeros(2), np.ones(2, dtype=bool),
@@ -96,6 +114,15 @@ def test_restarts_zero_evaluates_identity_sequence():
     run = random_restart_search(space, target, config, n_steps=2)
     assert run.best_fidelity == pytest.approx(1.0)
     assert np.all(run.best_params == 0)
+
+
+def test_zero_target_infidelity_stops_no_round():
+    # the identity already scores infidelity 0 here; with no stop fidelity
+    # set, the first restart still runs all its rounds, then the search ends
+    space = DickeSpace(4)
+    config = OptimizerConfig(restarts=3, freeze_rounds=2, nm_max_iters=40, seed=1)
+    run = random_restart_search(space, QuantumState.ground(space), config, n_steps=1)
+    assert [h[:2] for h in run.history] == [(-1, -1), (0, 0), (0, 1)]
 
 
 def test_search_determinism():
