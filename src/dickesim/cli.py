@@ -35,6 +35,7 @@ from .gates import (
     GateConventions,
     flatten_params,
     propagate,
+    squeeze_eigenpairs,
     unflatten_params,
 )
 from .optimizer import OptimizerConfig, grown_search
@@ -129,10 +130,12 @@ def _load_sequence(args, n_override=None) -> tuple:
 
 
 def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
-                     target: QuantumState) -> float:
+                     target: QuantumState, squeeze_eigs=None) -> float:
     """Fidelity of the flat-parameter sequence applied to |0> with ``target``,
-    which depends only on N and so serves every convention."""
-    final = propagate(space, params, conv, QuantumState.ground(space).amplitudes)
+    which depends only on N and so serves every convention.  ``squeeze_eigs``
+    is :func:`squeeze_eigenpairs` for these parameters and ``conv``'s sign."""
+    final = propagate(space, params, conv, QuantumState.ground(space).amplitudes,
+                      _squeeze_eigs=squeeze_eigs)
     return _fidelity_with_vector(final, target)
 
 
@@ -173,9 +176,14 @@ def cmd_replay(args) -> int:
     }
     outputs = {}
     if args.sweep_conventions:
+        # the combined squeeze's eigenpairs, one set per sign for this command,
+        # serve both operator conventions and both rotation compositions
+        eigs = {sign: squeeze_eigenpairs(space, params, sign) for sign in EXPONENT_SIGNS}
         rows = []
         for cvn, c in _sweep_combos():
-            fid = _replay_fidelity(params, DickeSpace(space.n_emitters, cvn), c, target)
+            fid = _replay_fidelity(params, DickeSpace(space.n_emitters, cvn), c, target,
+                                   eigs[c.exponent_sign]
+                                   if c.squeeze_composition == "combined" else None)
             rows.append({**c.to_dict(cvn), "fidelity": fid})
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows
@@ -201,6 +209,8 @@ def cmd_optimize(args) -> int:
     if args.start_steps is not None and not args.resume and args.start_steps > args.steps:
         raise ValueError(f"--start-steps {args.start_steps} exceeds --steps {args.steps}, "
                          "the maximum sequence length")
+    if args.stop_fidelity is not None and not 0 < args.stop_fidelity <= 1:
+        raise ValueError(f"--stop-fidelity must lie in (0, 1], got {args.stop_fidelity}")
     convention, conv = _override_conventions(args, Convention.SPIN_J, DEFAULT_CONVENTIONS)
     space = DickeSpace(args.n, convention)
     spec = _target_spec_from_args(args)

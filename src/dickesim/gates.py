@@ -182,7 +182,7 @@ class _Bases(NamedTuple):
     y_to_x: np.ndarray      # ... and back
     merged_rows: np.ndarray  # phase rows of the product-squeeze path, (5, 4 d)
     zxz_rows: np.ndarray    # phase rows of the combined-squeeze path, (5, 3 d)
-    sq_diag: np.ndarray     # diagonals of S_x^2 and S_y^2, shape (2, d)
+    sq_diag: np.ndarray     # diagonals of J_x^2 and J_y^2, shape (2, d)
     sq_off: np.ndarray      # their m, m+2 entries, shape (2, d - 2)
 
 
@@ -201,13 +201,18 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     the standard basis, a and s1 in the first squeeze's eigenbasis, and s2
     alone (for ``per_step``); the combined squeeze's are c, b and a of
     Z(a) X(b) Z(c).
+
+    Everything is built from the spin-j operators: S = scale * J exactly,
+    so the squared spins, kept in J units for :func:`squeeze_eigenpairs`,
+    are the same for both operator conventions.
     """
     scale = 2.0 if space.convention is Convention.PAULI_SUM else 1.0
-    sx, sy = build_sx(space), build_sy(space)
-    wx, vx = np.linalg.eigh(sx.matrix.real / scale)
+    spin_j = DickeSpace(space.n_emitters)
+    jx, jy = build_sx(spin_j).matrix, build_sy(spin_j).matrix
+    wx, vx = np.linalg.eigh(jx.real)
     jz = np.arange(space.dim) - space.n_emitters / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
-    sq = [(s.matrix @ s.matrix).real for s in (sx, sy)]
+    sq = [(j @ j).real for j in (jx, jy)]
     merged = np.zeros((5, 4, space.dim))
     merged[0, 2] = merged[2, 0] = wx
     merged[1, 1] = jz
@@ -319,20 +324,32 @@ def _euler_angles(turns: np.ndarray, conventions: GateConventions) -> np.ndarray
     return args @ _ZXZ_FROM_ARGS + offset
 
 
-def _combined_squeeze(bases: _Bases, alpha: float, beta: float,
-                      psi: np.ndarray) -> np.ndarray:
-    """exp(i (alpha S_x^2 + beta S_y^2)) psi, for a vector or a block of columns.
+def squeeze_eigenpairs(space: DickeSpace, params, exponent_sign: int) -> list:
+    """Per step of the flat parameters ``params``, the eigenpairs (w, v) of
+    the even-m and the odd-m block of exponent_sign * (alpha J_x^2 + beta J_y^2).
 
-    The generator is real and couples m only to m +- 2, so it splits into an
-    even-m and an odd-m tridiagonal block, each diagonalized on its own.
+    The generator is real and couples m only to m +- 2, so it splits into two
+    tridiagonal blocks.  They are in J units, so one result serves both
+    operator conventions: the S-unit eigenvalues are exactly scale**2 * w.
+    They are not shared across signs: eigh(-H) is not bitwise -eigh(H).
     """
-    diag = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
-    off = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
+    bases = _propagation_bases(space)
+    strengths = exponent_sign * np.asarray(params, dtype=float)[:-3].reshape(-1, 5)[:, 3:]
+    pairs = []
+    for alpha, beta in strengths:
+        diag = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
+        off = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
+        pairs.append([np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+                      for d, e in ((diag[p::2], off[p::2]) for p in (0, 1))])
+    return pairs
+
+
+def _combined_squeeze(pairs, scale: float, psi: np.ndarray) -> np.ndarray:
+    """exp(i (alpha S_x^2 + beta S_y^2)) psi with S = scale * J, for a vector
+    or a block of columns, from one step of :func:`squeeze_eigenpairs`."""
     out = np.empty_like(psi)
-    for parity in (0, 1):
-        d, e = diag[parity::2], off[parity::2]
-        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        phase = np.exp(1j * w)
+    for parity, (w, v) in enumerate(pairs):
+        phase = np.exp(1j * (scale ** 2 * w))
         if psi.ndim == 2:
             phase = phase[:, None]
         out[parity::2] = v @ (phase * (v.T @ psi[parity::2]))
@@ -347,7 +364,7 @@ def _checked(psi: np.ndarray) -> np.ndarray:
 
 
 def propagate(space: DickeSpace, params, conventions: GateConventions,
-              psi0, per_step: bool = False) -> np.ndarray:
+              psi0, per_step: bool = False, _squeeze_eigs=None) -> np.ndarray:
     """Apply the sequence with flat parameters ``params`` (the
     :func:`flatten_params` layout, length 5M + 3) to the unit amplitude
     vector ``psi0``, or to each column of a (d, r) block ``psi0`` whose
@@ -367,7 +384,9 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
       S_x^2 phase in the J_x basis, and the fixed change back to the J_y
       basis: three basis changes.  Order yx swaps the roles of x and y.
     - Combined squeeze: Z-X-Z angles around a phase in the J_x basis, then
-      the squeeze's two half-size parity blocks, diagonalized per step.
+      the squeeze's two half-size parity blocks, diagonalized per step by
+      :func:`squeeze_eigenpairs` (or taken from ``_squeeze_eigs``, its
+      result for this call's parameters and exponent sign).
 
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
     or a non-finite norm, raises NormDriftError.  A block is checked and
@@ -401,6 +420,8 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
         phases = phases[..., None]
     if combined:
         first, second = bases.vx_h, bases.vx
+        if _squeeze_eigs is None:
+            _squeeze_eigs = squeeze_eigenpairs(space, params, sign)
     else:
         # v1: the eigenbasis of the squeeze applied first; v2: the second.
         v1, v1_h, v2, v2_h, hop = (
@@ -414,7 +435,7 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
         if k == n_steps:
             break
         if combined:
-            psi = _combined_squeeze(bases, strengths[k, 0], strengths[k, 1], psi)
+            psi = _combined_squeeze(_squeeze_eigs[k], bases.scale, psi)
             if per_step:
                 states.append(_checked(psi))
         else:

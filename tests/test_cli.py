@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dickesim
-from dickesim import cli, targets
+from dickesim import Convention, cli, gates, targets
 from dickesim.cli import main
 from dickesim.seqfile import SequenceFileError
 
@@ -216,6 +217,24 @@ def test_optimize_stop_fidelity_ends_the_round(tmp_path):
     assert 0.99 <= outputs["best_fidelity"] < 0.999
     # the incumbent, then the first round of restart 0; no second round follows
     assert [row[:2] for row in outputs["history_tail"]] == [[-1, -1], [0, 0]]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1.5", "nan"])
+def test_optimize_stop_fidelity_outside_unit_interval_exits_2(tmp_path, capsys, value):
+    rec_out = tmp_path / "rec.json"
+    assert run_cli(["optimize", "--n", "3", "--steps", "1", "--target", "coherent",
+                    "--gamma", "0.2", "--restarts", "1", "--nm-iters", "20",
+                    "--stop-fidelity", value, "--out", str(rec_out)]) == 2
+    assert "--stop-fidelity" in capsys.readouterr().err
+    assert not rec_out.exists()
+
+
+def test_optimize_stop_fidelity_one_is_accepted(tmp_path):
+    outputs = _optimize_outputs(tmp_path, [
+        "--custom-amplitudes", str(_reachable_target(tmp_path)),
+        "--restarts", "1", "--freeze-rounds", "1", "--nm-iters", "50",
+        "--stop-fidelity", "1.0"])
+    assert 0.0 < outputs["best_fidelity"] <= 1.0
 
 
 def test_resumed_incumbent_meeting_stop_fidelity_runs_no_restart(tmp_path):
@@ -433,6 +452,50 @@ def test_target_built_once_per_emitter_count(tmp_path, monkeypatch):
                                               "--n-list", "38,40,42", "--out", out]) == 3
 
 
+def _count_gates_eigh(monkeypatch, argv):
+    """np.linalg.eigh calls that dickesim.gates makes while the CLI runs argv."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return np.linalg.eigh(*args, **kwargs)
+
+    linalg = SimpleNamespace(**{**vars(np.linalg), "eigh": counted})
+    monkeypatch.setattr(gates, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
+    assert run_cli(argv) == 0
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("sequence, n_steps", [("cat2", 1), ("gkp-square", 11)])
+def test_sweep_diagonalizes_each_squeeze_once_per_sign(tmp_path, monkeypatch,
+                                                       sequence, n_steps):
+    # the per-space bases hold one more eigh each, made once per process
+    for convention in Convention:
+        gates._propagation_bases(dickesim.DickeSpace(40, convention))
+    argv = ["replay", "--sequence", sequence, "--n", "40", "--sweep-conventions",
+            "--out", str(tmp_path / "rec.json")]
+    # 2 signs x 2 parity blocks per step, where one eigh per convention would
+    # make 8 x 2; a second sweep repeats the work, nothing carries over
+    assert _count_gates_eigh(monkeypatch, argv) == 4 * n_steps
+    assert _count_gates_eigh(monkeypatch, argv) == 4 * n_steps
+
+
+@pytest.mark.parametrize("sequence", ["cat2", "gkp-square"])
+@pytest.mark.parametrize("n", [40, 41])
+def test_sweep_rows_equal_single_convention_replays(tmp_path, sequence, n):
+    out = tmp_path / "rec.json"
+    assert run_cli(["replay", "--sequence", sequence, "--n", str(n),
+                    "--sweep-conventions", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["outputs"]["sweep"]
+    assert len(rows) == 24
+    for row in rows:
+        flags = [f"--{key.replace('_', '-')}={row[key]}" for key in row if key != "fidelity"]
+        assert run_cli(["replay", "--sequence", sequence, "--n", str(n), *flags,
+                        "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["outputs"]["fidelity"] == row["fidelity"], row
+
+
 def test_replay_custom_target_checkpoint(tmp_path):
     seq_out, rec_out = tmp_path / "best.json", tmp_path / "rec.json"
     assert run_cli(["optimize", "--n", "3", "--target", "custom",
@@ -522,6 +585,7 @@ def test_cli_runs_without_scipy(tmp_path):
     commands = [
         ["replay", "--sequence", "cat2"],
         ["replay", "--sequence", "gkp-hexagonal"],
+        ["replay", "--sequence", "gkp-square", "--sweep-conventions"],
         ["size-sweep", "--sequence", "cat2", "--n-list", "30,40"],
         ["wigner", "--target", "cat2", "--gamma", "1.5", "--n", "12", "--surface", "plane",
          "--resolution", "21", "--out", "plane.csv"],

@@ -19,13 +19,15 @@ from dickesim import (
     apply_sequence,
 )
 from dickesim.cli import _sweep_combos
-from dickesim.core import DimensionMismatchError
+from dickesim.core import DimensionMismatchError, build_sx, build_sy
 from dickesim.gates import (
     EXPONENT_SIGNS,
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
+    _combined_squeeze,
     propagate,
+    squeeze_eigenpairs,
     unflatten_params,
 )
 from oracle import apply, rotation_from_turns, sequence_unitaries, squeeze_pair_unitary
@@ -186,6 +188,45 @@ def test_density_and_column_block_match_dense(n):
                                    for c in columns], axis=-1)
             assert kernel.shape == one_by_one.shape
             assert np.max(np.abs(kernel * np.sqrt(3) - one_by_one)) <= 1e-13
+
+
+def s_unit_squeeze(space, alpha, beta, psi):
+    """exp(i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the space's own
+    S units: the reference that the J-unit eigenpairs reproduce bit for bit."""
+    sq = [(s.matrix @ s.matrix).real for s in (build_sx(space), build_sy(space))]
+    diag = alpha * np.diag(sq[0]) + beta * np.diag(sq[1])
+    off = alpha * np.diag(sq[0], 2) + beta * np.diag(sq[1], 2)
+    out = np.empty_like(psi)
+    for parity in (0, 1):
+        d, e = diag[parity::2], off[parity::2]
+        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        out[parity::2] = v @ (np.exp(1j * w) * (v.T @ psi[parity::2]))
+    return out
+
+
+# Strengths whose products with the squared-spin entries underflow (|s| below
+# ~1e-300) round differently in the two units, so they are left out.
+_STRENGTH = st.floats(-np.pi, np.pi).filter(lambda s: s == 0.0 or abs(s) > 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=_STRENGTH, beta=_STRENGTH, n=st.integers(2, 30),
+       sign=st.sampled_from(EXPONENT_SIGNS), seed=st.integers(0, 2**32 - 1))
+def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed):
+    # Pauli-sum units are S = 2 J: the J-unit eigenvalues times 2**2 are the
+    # S-unit ones bit for bit, and the eigenvectors are the same, so one set
+    # of eigenpairs serves both operator conventions without changing a bit.
+    space = DickeSpace(n, Convention.PAULI_SUM)
+    params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
+    (pairs,) = squeeze_eigenpairs(space, params, sign)
+    (j_pairs,) = squeeze_eigenpairs(DickeSpace(n), params, sign)
+    psi = random_state(space, np.random.default_rng(seed))
+    expected = s_unit_squeeze(space, sign * alpha, sign * beta, psi)
+    assert np.array_equal(_combined_squeeze(pairs, 2.0, psi), expected)
+    assert all(np.array_equal(a, b) for pair, j_pair in zip(pairs, j_pairs)
+               for a, b in zip(pair, j_pair))
+    assert np.array_equal(_combined_squeeze(j_pairs, 1.0, psi),
+                          s_unit_squeeze(DickeSpace(n), sign * alpha, sign * beta, psi))
 
 
 def test_propagate_rejects_bad_inputs():
