@@ -332,16 +332,24 @@ def squeeze_eigenpairs(space: DickeSpace, params, exponent_sign: int) -> list:
     tridiagonal blocks.  They are in J units, so one result serves both
     operator conventions: the S-unit eigenvalues are exactly scale**2 * w.
     They are not shared across signs: eigh(-H) is not bitwise -eigh(H).
+    A strength that is not finite, or so large that the generator overflows,
+    raises NormDriftError, as the product squeeze's norm check does.
     """
     bases = _propagation_bases(space)
-    strengths = exponent_sign * np.asarray(params, dtype=float)[:-3].reshape(-1, 5)[:, 3:]
-    pairs = []
-    for alpha, beta in strengths:
-        diag = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
-        off = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
-        pairs.append([np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-                      for d, e in ((diag[p::2], off[p::2]) for p in (0, 1))])
-    return pairs
+    given = np.asarray(params, dtype=float)[:-3].reshape(-1, 5)[:, 3:]
+    strengths = exponent_sign * given
+    alpha, beta = strengths[:, :1], strengths[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        diags = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
+        offs = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
+    bad = ~(np.isfinite(diags).all(axis=1) & np.isfinite(offs).all(axis=1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NormDriftError(f"squeeze strengths {given[k].tolist()} of step {k + 1} "
+                             "make the combined squeeze generator non-finite")
+    return [[np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+             for d, e in ((diag[p::2], off[p::2]) for p in (0, 1))]
+            for diag, off in zip(diags, offs)]
 
 
 def _combined_squeeze(pairs, scale: float, psi: np.ndarray) -> np.ndarray:
@@ -359,7 +367,7 @@ def _combined_squeeze(pairs, scale: float, psi: np.ndarray) -> np.ndarray:
 def _checked(psi: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
-        raise NormDriftError(f"norm drifted to {norm!r} during propagation")
+        raise NormDriftError(f"norm drifted to {float(norm)!r} during propagation")
     return psi / norm
 
 

@@ -7,6 +7,9 @@
   Clebsch-Gordan coefficients, and the multipole coefficients
   rho_kq = Tr(T_kq^dag rho).  ``wigner.spherical_wigner_values`` and its
   Lanczos kernel diagonal are checked against these.
+- Planar Wigner: the Laguerre recurrence walked separately at every grid
+  point.  ``wigner._planar_kernel_sum`` walks it once per distinct radius
+  and must match this bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dickesim.core import (
     _check_same_space,
 )
 from dickesim.gates import DEFAULT_CONVENTIONS, GateConventions, PulseSequence, PulseStep
+from dickesim import wigner
 
 
 # --- dense gates -------------------------------------------------------------
@@ -240,3 +244,46 @@ def multipole_coefficients(state: QuantumState) -> dict:
     for k, q, cols, rows, vals in _multipole_bands(state.space):
         out[(k, q)] = complex(np.dot(vals, rho[rows, cols]))
     return out
+
+
+# --- planar Wigner, one recurrence per grid point ------------------------------
+
+def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The Cahill-Glauber diagonal sum of ``wigner._planar_kernel_sum`` with the
+    A&S 22.7.12 recurrence, its rescale and its envelope evaluated on every
+    grid point, so on repeated radii too.  The rescale constants are read
+    from the module at call time."""
+    every, bits, limit = wigner._RESCALE_EVERY, wigner._RESCALE_BITS, wigner._RESCALE_LIMIT
+    alpha = (X + 1j * P) / np.sqrt(2)
+    x = 4.0 * np.abs(alpha) ** 2
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    phase = np.exp(1j * np.angle(alpha))
+    phase_k = np.ones_like(phase)
+    dim = amps.size
+    w = np.zeros_like(x)
+    for k in range(dim):
+        rho = amps[:dim - k] * np.conj(amps[k:]) * (-1.0) ** np.arange(dim - k)
+        nonzero = np.flatnonzero(rho)
+        if nonzero.size:
+            s_re, s_im = np.zeros_like(x), np.zeros_like(x)
+            l_prev, l_m = 0.0, np.ones_like(x)
+            log2_scale = 0
+            for m in range(nonzero[-1] + 1):
+                if m:
+                    l_prev, l_m = l_m, (((2 * m - 1 + k) - x) * l_m - math.sqrt(
+                        (m - 1) * (m - 1 + k)) * l_prev) / math.sqrt(m * (m + k))
+                if m % every == 0 and np.max(np.abs(l_m)) > limit:
+                    shift = np.where(np.abs(l_m) > limit, bits, 0)
+                    l_prev, l_m, s_re, s_im = (np.ldexp(a, -shift)
+                                               for a in (l_prev, l_m, s_re, s_im))
+                    log2_scale = log2_scale + shift
+                if rho[m].real:
+                    s_re += rho[m].real * l_m
+                if rho[m].imag:
+                    s_im += rho[m].imag * l_m
+            log_mag = 0.5 * (k * log_x - x - math.lgamma(k + 1)) if k else -0.5 * x
+            mag = np.exp(log_mag + log2_scale * math.log(2.0))
+            w += (2.0 if k else 1.0) / np.pi * mag * (phase_k.real * s_re - phase_k.imag * s_im)
+        phase_k *= phase
+    return w

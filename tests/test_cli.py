@@ -409,6 +409,56 @@ def test_plane_resolution_below_two_exits_2(tmp_path):
                     "--out", str(tmp_path / "p.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--x-max=nan", "--x-max=inf", "--p-max=nan", "--p-max=-inf"])
+def test_plane_non_finite_window_exits_2(tmp_path, capsys, flag):
+    out, record = tmp_path / "p.csv", tmp_path / "rec.json"
+    assert run_cli(["wigner", "--target", "cat2", "--gamma", "1", "--n", "10",
+                    "--surface", "plane", "--resolution", "11", flag,
+                    "--out", str(out), "--record", str(record)]) == 2
+    assert "planar window must be finite" in capsys.readouterr().err
+    assert not out.exists() and not record.exists()
+
+
+def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr(cli, "planar_wigner", too_large)
+    assert run_cli(["wigner", "--target", "cat2", "--gamma", "1", "--n", "10",
+                    "--surface", "plane", "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 74.5 TiB for an array\n"
+
+
+def _overflowing_squeeze_file(tmp_path, composition):
+    path = tmp_path / f"{composition}.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "n_emitters": 6, "convention": "spin-j",
+        "exponent_sign": 1, "squeeze_order": "xy",
+        "squeeze_composition": composition, "rotation_composition": "combined",
+        "steps": [{"axis": [1.0, 0.0, 0.0], "theta": 0.3, "alpha": 1e308, "beta": 1e308}],
+        "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.0},
+        "metadata": {"target": {"kind": "coherent", "gamma": [0.5, 0.0]}},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["replay"], ["replay", "--sweep-conventions"],
+                                     ["wigner", "--n-theta", "8", "--n-phi", "8"]])
+def test_overflowing_combined_squeeze_exits_3(tmp_path, capsys, command):
+    seq = _overflowing_squeeze_file(tmp_path, "combined")
+    assert run_cli(command + ["--sequence", seq, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: squeeze strengths [1e+308, 1e+308] of step 1")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product phases overflow
+def test_overflowing_product_squeeze_reports_plain_nan(tmp_path, capsys):
+    seq = _overflowing_squeeze_file(tmp_path, "product")
+    assert run_cli(["replay", "--sequence", seq, "--out", str(tmp_path / "out")]) == 3
+    assert "norm drifted to nan during propagation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k_list", ["8", "8,8"])
 def test_trotter_check_needs_two_distinct_k(tmp_path, k_list):
     assert run_cli(["trotter-check", "--n", "4", "--k-list", k_list,

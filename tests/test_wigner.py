@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 from scipy.special import eval_genlaguerre, gammaln
 
 try:
@@ -38,7 +39,12 @@ from dickesim.wigner import (
     spherical_wigner_values,
     _theta_weights,
 )
-from oracle import clebsch_gordan, multipole_coefficients, spherical_tensor
+from oracle import (
+    clebsch_gordan,
+    multipole_coefficients,
+    planar_kernel_sum_per_point,
+    spherical_tensor,
+)
 
 
 # --- Clebsch-Gordan ---------------------------------------------------------
@@ -371,17 +377,68 @@ def test_planar_kernel_matches_laguerre_oracle(n, resolution):
         assert np.max(np.abs(diff)) < 1e-12
 
 
-def test_planar_kernel_zero_amplitudes_mid_ladder():
+def _sparse_amplitudes():
+    """N = 20 amplitudes with zeros mid-ladder, and the same with every odd
+    diagonal k empty."""
     rng = np.random.default_rng(5)
     amps = rng.normal(size=21) + 1j * rng.normal(size=21)
     amps[[3, 4, 9, 10, 11, 17, 19, 20]] = 0
     even = amps.copy()
-    even[1::2] = 0  # every odd diagonal k is empty
+    even[1::2] = 0
+    return [vec / np.linalg.norm(vec) for vec in (amps, even)]
+
+
+def test_planar_kernel_zero_amplitudes_mid_ladder():
     X, P = _plane_axes(20, 31)
-    for vec in (amps, even):
-        vec = vec / np.linalg.norm(vec)
+    for vec in _sparse_amplitudes():
         diff = _planar_kernel_sum(vec, X, P) - _planar_oracle(vec, X, P)
         assert np.max(np.abs(diff)) < 1e-12
+
+
+def _random_amplitudes(n, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return vec / np.linalg.norm(vec)
+
+
+def _assert_same_bits_as_per_point_walk(amps, X, P):
+    assert np.array_equal(_planar_kernel_sum(amps, X, P),
+                          planar_kernel_sum_per_point(amps, X, P))
+
+
+@pytest.mark.parametrize("n", [4, 40, 100])
+@pytest.mark.parametrize("resolution", [40, 41])
+def test_planar_kernel_bitwise_equals_per_point_walk(n, resolution):
+    _assert_same_bits_as_per_point_walk(_random_amplitudes(n, 100 + n),
+                                        *_plane_axes(n, resolution))
+
+
+def test_planar_kernel_bitwise_on_asymmetric_window():
+    xs, ps = np.linspace(-7.0, 7.0, 61), np.linspace(-5.0, 5.0, 60)
+    _assert_same_bits_as_per_point_walk(_random_amplitudes(40, 7), xs[:, None], ps[None, :])
+
+
+def test_planar_kernel_bitwise_with_zero_amplitudes_mid_ladder():
+    X, P = _plane_axes(20, 31)
+    for vec in _sparse_amplitudes():
+        _assert_same_bits_as_per_point_walk(vec, X, P)
+
+
+def test_planar_kernel_bitwise_through_the_rescale():
+    # at N = 300 the window corners reach x ~ 3000, where l_m passes 2^512
+    # and the rescale runs
+    st = coherent_state(DickeSpace(300), 12.0)
+    _assert_same_bits_as_per_point_walk(st.amplitudes, *_plane_axes(300, 61))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hs.integers(0, 30), resolution=hs.integers(2, 41),
+       x_max=hs.floats(0.5, 12.0), p_max=hs.floats(0.5, 12.0),
+       seed=hs.integers(0, 2**32 - 1))
+def test_planar_kernel_bitwise_property(n, resolution, x_max, p_max, seed):
+    xs = np.linspace(-x_max, x_max, resolution)
+    ps = np.linspace(-p_max, p_max, resolution)
+    _assert_same_bits_as_per_point_walk(_random_amplitudes(n, seed), xs[:, None], ps[None, :])
 
 
 def test_planar_grid_raises_no_runtime_warning():
@@ -428,6 +485,13 @@ def test_planar_wigner_rejects_density():
 def test_planar_wigner_rejects_resolution_below_two(resolution):
     with pytest.raises(ValueError):
         planar_wigner(QuantumState.ground(DickeSpace(3)), resolution=resolution)
+
+
+@pytest.mark.parametrize("window", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                    (4.0, math.nan), (0.0, math.inf)])
+def test_planar_wigner_rejects_non_finite_window(window):
+    with pytest.raises(ValueError, match="finite"):
+        planar_wigner(QuantumState.ground(DickeSpace(3)), *window, resolution=5)
 
 
 # --- CSV export -------------------------------------------------------------
