@@ -7,7 +7,6 @@ for pulse sequences that prepare cat and grid states.
 """
 
 from .core import (
-    Convention,
     DickeSpace,
     DimensionMismatchError,
     NormDriftError,
@@ -25,6 +24,7 @@ from .core import (
 )
 from .gates import (
     DEFAULT_CONVENTIONS,
+    Convention,
     GateConventions,
     PulseSequence,
     PulseStep,

@@ -17,7 +17,6 @@ from importlib import resources
 import numpy as np
 
 from .core import (
-    Convention,
     DickeSpace,
     NormDriftError,
     NotHermitianError,
@@ -32,6 +31,7 @@ from .gates import (
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
+    Convention,
     GateConventions,
     flatten_params,
     propagate,
@@ -49,7 +49,6 @@ from .targets import (
     TargetKind,
     TargetSpec,
     TruncationError,
-    amplitudes_from_json,
     make_target,
 )
 from .algebra import (
@@ -65,8 +64,6 @@ from .wigner import (
     planar_wigner,
     spherical_wigner,
 )
-
-_CONVENTION_NAMES = tuple(c.value for c in Convention)
 
 BUNDLED_SEQUENCES = {
     "cat2": "cat2.json",
@@ -92,29 +89,23 @@ def _target_spec_from_args(args, metadata_target: dict | None = None) -> TargetS
             return TargetSpec.from_dict(metadata_target)
         except (TypeError, ValueError) as exc:
             raise SequenceFileError(f"metadata.target: {exc}") from exc
-    kind = TargetKind(args.target)
-    custom = None
-    if kind is TargetKind.CUSTOM:
-        if not getattr(args, "custom_amplitudes", None):
+    doc = {"kind": args.target, "gamma": args.gamma, "phi": args.phi,
+           "squeezing_db": args.squeezing_db, "gkp_codeword": args.gkp_codeword,
+           "allow_truncation": args.allow_truncation}
+    if args.target == TargetKind.CUSTOM.value:
+        if not args.custom_amplitudes:
             raise ValueError("--target custom requires --custom-amplitudes FILE")
         with open(args.custom_amplitudes, "r", encoding="utf-8") as fh:
-            custom = amplitudes_from_json(json.load(fh))
-    return TargetSpec(
-        kind=kind,
-        gamma=complex(args.gamma),
-        phi=args.phi,
-        squeezing_db=args.squeezing_db,
-        gkp_codeword=args.gkp_codeword,
-        allow_truncation=bool(getattr(args, "allow_truncation", False)),
-        custom_amplitudes=custom,
-    )
+            doc["custom"] = json.load(fh)
+        if doc["custom"] is None:  # from_dict would read null as "no amplitudes"
+            raise ValueError("custom amplitudes must be a JSON list")
+    return TargetSpec.from_dict(doc)
 
 
-def _override_conventions(args, base_convention: Convention,
-                          base: GateConventions) -> tuple:
+def _override_conventions(args, base: GateConventions) -> GateConventions:
     """``base`` with each convention flag given on the command line applied;
     the flags are named after the :meth:`GateConventions.to_dict` keys."""
-    doc = base.to_dict(base_convention)
+    doc = base.to_dict()
     doc.update({key: getattr(args, key) for key in doc if getattr(args, key) is not None})
     return GateConventions.from_dict(doc)
 
@@ -124,9 +115,7 @@ def _load_sequence(args, n_override=None) -> tuple:
     convention flags applied: (flat params, space, conventions, metadata)."""
     seq, file_conv, metadata = load_sequence_file(_resolve_sequence_path(args.sequence),
                                                   n_override)
-    convention, conv = _override_conventions(args, seq.space.convention, file_conv)
-    return (flatten_params(seq), DickeSpace(seq.space.n_emitters, convention),
-            conv, metadata)
+    return flatten_params(seq), seq.space, _override_conventions(args, file_conv), metadata
 
 
 def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
@@ -147,10 +136,9 @@ def _sweep_combos():
         for comp, order in itertools.product(SQUEEZE_COMPOSITIONS, SQUEEZE_ORDERS):
             if comp == "combined" and order != SQUEEZE_ORDERS[0]:
                 continue
-            yield convention, GateConventions(squeeze_order=order,
-                                              squeeze_composition=comp,
-                                              rotation_composition=rot,
-                                              exponent_sign=sign)
+            yield GateConventions(squeeze_order=order, squeeze_composition=comp,
+                                  rotation_composition=rot, exponent_sign=sign,
+                                  convention=convention)
 
 
 def _emit(out_path, record: ResultRecord, started: float) -> None:
@@ -171,7 +159,7 @@ def cmd_replay(args) -> int:
         "sequence": args.sequence,
         "n_emitters": space.n_emitters,
         "target": spec.to_dict(),
-        "conventions": conv.to_dict(space.convention),
+        "conventions": conv.to_dict(),
         "sweep": bool(args.sweep_conventions),
     }
     outputs = {}
@@ -180,11 +168,10 @@ def cmd_replay(args) -> int:
         # serve both operator conventions and both rotation compositions
         eigs = {sign: squeeze_eigenpairs(space, params, sign) for sign in EXPONENT_SIGNS}
         rows = []
-        for cvn, c in _sweep_combos():
-            fid = _replay_fidelity(params, DickeSpace(space.n_emitters, cvn), c, target,
-                                   eigs[c.exponent_sign]
+        for c in _sweep_combos():
+            fid = _replay_fidelity(params, space, c, target, eigs[c.exponent_sign]
                                    if c.squeeze_composition == "combined" else None)
-            rows.append({**c.to_dict(cvn), "fidelity": fid})
+            rows.append({**c.to_dict(), "fidelity": fid})
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows
         outputs["fidelity"] = rows[0]["fidelity"]
@@ -193,7 +180,7 @@ def cmd_replay(args) -> int:
     else:
         fid = _replay_fidelity(params, space, conv, target)
         outputs["fidelity"] = fid
-        outputs["conventions"] = conv.to_dict(space.convention)
+        outputs["conventions"] = conv.to_dict()
         print(f"fidelity {fid:.6f} under {outputs['conventions']}")
     if "reported_fidelity" in metadata:
         outputs["reported_fidelity"] = metadata["reported_fidelity"]
@@ -211,8 +198,8 @@ def cmd_optimize(args) -> int:
                          "the maximum sequence length")
     if args.stop_fidelity is not None and not 0 < args.stop_fidelity <= 1:
         raise ValueError(f"--stop-fidelity must lie in (0, 1], got {args.stop_fidelity}")
-    convention, conv = _override_conventions(args, Convention.SPIN_J, DEFAULT_CONVENTIONS)
-    space = DickeSpace(args.n, convention)
+    conv = _override_conventions(args, DEFAULT_CONVENTIONS)
+    space = DickeSpace(args.n)
     spec = _target_spec_from_args(args)
     target = make_target(spec, space)
     config = OptimizerConfig(
@@ -230,9 +217,8 @@ def cmd_optimize(args) -> int:
     initial = None
     if args.resume:
         prev_seq, prev_conv, prev_meta = load_sequence_file(args.resume)
-        found = {"n_emitters": prev_seq.space.n_emitters,
-                 **prev_conv.to_dict(prev_seq.space.convention)}
-        wanted = {"n_emitters": space.n_emitters, **conv.to_dict(convention)}
+        found = {"n_emitters": prev_seq.space.n_emitters, **prev_conv.to_dict()}
+        wanted = {"n_emitters": space.n_emitters, **conv.to_dict()}
         mismatch = [f"{key} {found[key]} in the checkpoint, {wanted[key]} requested"
                     for key in wanted if found[key] != wanted[key]]
         if mismatch:
@@ -259,7 +245,7 @@ def cmd_optimize(args) -> int:
     inputs = {
         "n_emitters": args.n,
         "target": spec.to_dict(),
-        "conventions": conv.to_dict(space.convention),
+        "conventions": conv.to_dict(),
         "steps": args.steps,
         "start_steps": start_steps,
         "restarts": args.restarts,
@@ -288,7 +274,7 @@ def cmd_wigner(args) -> int:
     if args.sequence:
         params, space, conv, _ = _load_sequence(args, args.n)
         inputs.update(sequence=args.sequence, n_emitters=space.n_emitters,
-                      conventions=conv.to_dict(space.convention),
+                      conventions=conv.to_dict(),
                       per_step=bool(args.per_step))
         vecs = propagate(space, params, conv,
                          QuantumState.ground(space).amplitudes, per_step=True)
@@ -297,8 +283,7 @@ def cmd_wigner(args) -> int:
         states = [QuantumState(space, amplitudes=v) for v in vecs]
     else:
         spec = _target_spec_from_args(args)
-        space = DickeSpace(40 if args.n is None else args.n,
-                           Convention(args.convention or "spin-j"))
+        space = DickeSpace(40 if args.n is None else args.n)
         inputs.update(target=spec.to_dict(), n_emitters=space.n_emitters)
         states = [make_target(spec, space)]
 
@@ -337,7 +322,7 @@ def cmd_closure(args) -> int:
     if args.set == "oscillator":
         report = oscillator_counterexample(args.cutoff, rank_tol=args.rank_tol)
     else:
-        space = DickeSpace(args.n, Convention(args.convention or "spin-j"))
+        space = DickeSpace(args.n)
         sx, sy = build_sx(space), build_sy(space)
         gens = [sx, sy]
         if args.set == "squeezing-rotations":
@@ -361,7 +346,7 @@ def cmd_closure(args) -> int:
 
 def cmd_trotter_check(args) -> int:
     started = time.perf_counter()
-    space = DickeSpace(args.n, Convention(args.convention or "spin-j"))
+    space = DickeSpace(args.n)
     sx, sy = build_sx(space), build_sy(space)
     a, b = sx @ sx, sy
     ks = [int(k) for k in args.k_list.split(",")]
@@ -390,13 +375,13 @@ def cmd_trotter_check(args) -> int:
 
 def cmd_size_sweep(args) -> int:
     started = time.perf_counter()
-    params, file_space, conv, metadata = _load_sequence(args)
+    params, _, conv, metadata = _load_sequence(args)
     spec = _target_spec_from_args(args, metadata.get("target"))
     ns = [int(v) for v in args.n_list.split(",")]
     rows = []
     for n in ns:
         try:
-            space = DickeSpace(n, file_space.convention)
+            space = DickeSpace(n)
             fid = _replay_fidelity(params, space, conv, make_target(spec, space))
             rows.append({"n_emitters": n, "fidelity": fid})
             print(f"N={n}: fidelity {fid:.6f}")
@@ -410,13 +395,13 @@ def cmd_size_sweep(args) -> int:
         print(f"fidelity std over N: {outputs['fidelity_std']:.6f}")
     inputs = {"sequence": args.sequence, "n_list": ns,
               "target": spec.to_dict(),
-              "conventions": conv.to_dict(file_space.convention)}
+              "conventions": conv.to_dict()}
     _emit(args.out, ResultRecord("size-sweep", inputs, outputs), started)
     return 0
 
 
 def _add_convention_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--convention", choices=_CONVENTION_NAMES, default=None)
+    p.add_argument("--convention", choices=[c.value for c in Convention], default=None)
     p.add_argument("--squeeze-order", choices=SQUEEZE_ORDERS, default=None)
     p.add_argument("--squeeze-composition", choices=SQUEEZE_COMPOSITIONS, default=None)
     p.add_argument("--rotation-composition", choices=ROTATION_COMPOSITIONS, default=None)
@@ -500,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative novelty tolerance of the closure search")
-    p.add_argument("--convention", choices=_CONVENTION_NAMES, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_closure)
 
@@ -508,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--k-list", default="8,16,32,64")
-    p.add_argument("--convention", choices=_CONVENTION_NAMES, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trotter_check)
 

@@ -3,15 +3,16 @@
 N two-level emitters restricted to permutation-symmetric states live in an
 (N+1)-dimensional space spanned by |0>, |1>, ..., |N>, where |m> carries m
 excitations.  Everything here is dense complex linear algebra on that space:
-ladder operators, the S_x/S_y/S_z triple in either of two normalization
-conventions, matrix exponentials of Hermitian generators, and fidelities.
+ladder operators, the spin-J triple J_x/J_y/J_z, matrix exponentials of
+Hermitian generators, and fidelities.  A space is fixed by N alone; the
+normalization of the S operators in the gate exponents (S = J or S = 2 J)
+is a gate convention, see :class:`dickesim.gates.GateConventions`.
 
 All values are immutable; operators and states can be shared freely.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,21 +37,6 @@ class NormDriftError(ValueError):
     """Applying an operator changed the state norm beyond tolerance."""
 
 
-class Convention(enum.Enum):
-    """Normalization of the collective S_x, S_y, S_z.
-
-    SPIN_J:    S_x = (S_+ + S_-)/2, S_z |m> = (m - N/2)|m>.  Satisfies
-               [S_x, S_y] = i S_z; this is the spin-J angular momentum algebra.
-    PAULI_SUM: S_x = S_+ + S_-, S_z |m> = 2(m - N/2)|m>, i.e. bare sums of
-               Pauli matrices with [S_x, S_y] = 2i S_z.
-
-    The ladder operators S_+- are identical in both conventions.
-    """
-
-    SPIN_J = "spin-j"
-    PAULI_SUM = "pauli-sum"
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -62,13 +48,10 @@ class DickeSpace:
     """The (N+1)-dimensional symmetric subspace of N emitters."""
 
     n_emitters: int
-    convention: Convention = Convention.SPIN_J
 
     def __post_init__(self):
         if not isinstance(self.n_emitters, (int, np.integer)) or self.n_emitters < 1:
             raise ValueError(f"n_emitters must be a positive integer, got {self.n_emitters!r}")
-        if not isinstance(self.convention, Convention):
-            object.__setattr__(self, "convention", Convention(self.convention))
 
     @property
     def dim(self) -> int:
@@ -214,10 +197,7 @@ def _check_same_space(a: DickeSpace, b: DickeSpace) -> None:
 
 
 def build_splus(space: DickeSpace) -> SymmetricOperator:
-    """Raising operator: S_+|m> = sqrt((m+1)(N-m)) |m+1>.
-
-    Independent of the convention (which only rescales S_x, S_y, S_z).
-    """
+    """Raising operator: S_+|m> = sqrt((m+1)(N-m)) |m+1>."""
     n = space.n_emitters
     m = np.arange(n)
     mat = np.zeros((n + 1, n + 1), dtype=complex)
@@ -231,30 +211,22 @@ def build_sminus(space: DickeSpace) -> SymmetricOperator:
 
 
 def build_sz(space: DickeSpace) -> SymmetricOperator:
-    """S_z|m> = (m - N/2)|m> (SPIN_J) or twice that (PAULI_SUM)."""
+    """J_z|m> = (m - N/2)|m>."""
     n = space.n_emitters
     diag = np.arange(n + 1) - n / 2
-    if space.convention is Convention.PAULI_SUM:
-        diag = 2 * diag
     return SymmetricOperator(space, np.diag(diag.astype(complex)), hermitian=True)
 
 
 def build_sx(space: DickeSpace) -> SymmetricOperator:
+    """J_x = (S_+ + S_-)/2."""
     sp = build_splus(space).matrix
-    sm = sp.conj().T
-    mat = sp + sm
-    if space.convention is Convention.SPIN_J:
-        mat = mat / 2
-    return SymmetricOperator(space, mat, hermitian=True)
+    return SymmetricOperator(space, (sp + sp.conj().T) / 2, hermitian=True)
 
 
 def build_sy(space: DickeSpace) -> SymmetricOperator:
+    """J_y = (S_+ - S_-)/(2i); [J_x, J_y] = i J_z."""
     sp = build_splus(space).matrix
-    sm = sp.conj().T
-    mat = (sp - sm) / 1j
-    if space.convention is Convention.SPIN_J:
-        mat = mat / 2
-    return SymmetricOperator(space, mat, hermitian=True)
+    return SymmetricOperator(space, (sp - sp.conj().T) / 1j / 2, hermitian=True)
 
 
 def commutator(a: SymmetricOperator, b: SymmetricOperator) -> SymmetricOperator:

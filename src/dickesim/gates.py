@@ -3,9 +3,9 @@
 A pulse step is a coherent rotation followed by squeezing.  The rotation is
 R(theta, n) = exp(s * i * theta * (n_x S_x + n_y S_y + n_z S_z)) and the
 squeezes are exp(s * i * alpha S_x^2) and exp(s * i * beta S_y^2), where the
-global exponent sign s and the way the pieces compose are configurable via
-:class:`GateConventions` so that published parameter tables can be replayed
-under every plausible reading.
+normalization of S, the global exponent sign s and the way the pieces compose
+are configurable via :class:`GateConventions` so that published parameter
+tables can be replayed under every plausible reading.
 
 :func:`propagate` applies a sequence to a state vector, or to a block of
 columns, without forming any (N+1)x(N+1) unitary; every state preparation,
@@ -15,6 +15,7 @@ live in the test suite.
 
 from __future__ import annotations
 
+import enum
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
@@ -23,7 +24,6 @@ import numpy as np
 
 from .core import (
     NORM_DRIFT_TOL,
-    Convention,
     DickeSpace,
     DimensionMismatchError,
     NormDriftError,
@@ -40,15 +40,32 @@ SQUEEZE_ORDERS = ("xy", "yx")
 SQUEEZE_COMPOSITIONS = ("product", "combined")
 ROTATION_COMPOSITIONS = ("combined", "product")
 EXPONENT_SIGNS = (1, -1)
-# serialized after "convention", in this order
-_CONVENTION_KEYS = ("exponent_sign", "squeeze_order", "squeeze_composition",
+# serialized in this order
+_CONVENTION_KEYS = ("convention", "exponent_sign", "squeeze_order", "squeeze_composition",
                     "rotation_composition")
+
+
+class Convention(enum.Enum):
+    """Normalization of the collective S_x, S_y, S_z.
+
+    SPIN_J:    S_x = (S_+ + S_-)/2, S_z |m> = (m - N/2)|m>.  Satisfies
+               [S_x, S_y] = i S_z; this is the spin-J angular momentum algebra.
+    PAULI_SUM: S_x = S_+ + S_-, S_z |m> = 2(m - N/2)|m>, i.e. bare sums of
+               Pauli matrices with [S_x, S_y] = 2i S_z.
+
+    The ladder operators S_+- are identical in both conventions.
+    """
+
+    SPIN_J = "spin-j"
+    PAULI_SUM = "pauli-sum"
 
 
 @dataclass(frozen=True)
 class GateConventions:
     """Resolvable ambiguities in how a pulse step turns into a unitary.
 
+    convention:           normalization of the S operators in the exponents,
+                          S = J (spin-j) or S = 2 J (pauli-sum).
     squeeze_order:        "xy" applies exp(i alpha S_x^2) first, "yx" flips.
                           Only relevant for squeeze_composition="product".
     squeeze_composition:  "product" multiplies the two squeeze exponentials;
@@ -64,8 +81,14 @@ class GateConventions:
     squeeze_composition: str = "product"
     rotation_composition: str = "combined"
     exponent_sign: int = 1
+    convention: Convention = Convention.SPIN_J
 
     def __post_init__(self):
+        if not isinstance(self.convention, Convention):
+            try:
+                object.__setattr__(self, "convention", Convention(self.convention))
+            except ValueError as exc:
+                raise ValueError(f"convention: {exc}") from exc
         if self.squeeze_order not in SQUEEZE_ORDERS:
             raise ValueError(f"squeeze_order must be one of {SQUEEZE_ORDERS}")
         if self.squeeze_composition not in SQUEEZE_COMPOSITIONS:
@@ -75,21 +98,22 @@ class GateConventions:
         if self.exponent_sign not in EXPONENT_SIGNS:
             raise ValueError("exponent_sign must be +1 or -1")
 
-    def to_dict(self, convention: Convention) -> dict:
-        """JSON form together with the operator convention, as stored in
-        sequence files and result records."""
-        return {"convention": convention.value,
-                **{key: getattr(self, key) for key in _CONVENTION_KEYS}}
+    @property
+    def scale(self) -> float:
+        """S = scale * J: 1 for spin-j, 2 for pauli-sum."""
+        return 2.0 if self.convention is Convention.PAULI_SUM else 1.0
+
+    def to_dict(self) -> dict:
+        """JSON form, as stored in sequence files and result records."""
+        doc = {key: getattr(self, key) for key in _CONVENTION_KEYS}
+        doc["convention"] = self.convention.value
+        return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> Tuple[Convention, "GateConventions"]:
+    def from_dict(cls, doc: dict) -> "GateConventions":
         """Inverse of :meth:`to_dict`; missing keys take the defaults.
         Invalid values raise ValueError."""
-        try:
-            convention = Convention(doc.get("convention", Convention.SPIN_J.value))
-        except ValueError as exc:
-            raise ValueError(f"convention: {exc}") from exc
-        return convention, cls(**{key: doc[key] for key in _CONVENTION_KEYS if key in doc})
+        return cls(**{key: doc[key] for key in _CONVENTION_KEYS if key in doc})
 
 
 DEFAULT_CONVENTIONS = GateConventions()
@@ -171,7 +195,6 @@ class PulseSequence:
 class _Bases(NamedTuple):
     """Per-space data of :func:`propagate`; see :func:`_propagation_bases`."""
 
-    scale: float            # S = scale * J: 1 for SPIN_J, 2 for PAULI_SUM
     jz: np.ndarray          # J_z diagonal, m - N/2
     wx: np.ndarray          # J_x eigenvalues
     vx: np.ndarray          # J_x eigenvectors (real, stored complex) ...
@@ -202,13 +225,10 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     alone (for ``per_step``); the combined squeeze's are c, b and a of
     Z(a) X(b) Z(c).
 
-    Everything is built from the spin-j operators: S = scale * J exactly,
-    so the squared spins, kept in J units for :func:`squeeze_eigenpairs`,
-    are the same for both operator conventions.
+    Everything is in J units; :func:`propagate` scales the coefficients to
+    the operator convention, S = scale * J.
     """
-    scale = 2.0 if space.convention is Convention.PAULI_SUM else 1.0
-    spin_j = DickeSpace(space.n_emitters)
-    jx, jy = build_sx(spin_j).matrix, build_sy(spin_j).matrix
+    jx, jy = build_sx(space).matrix, build_sy(space).matrix
     wx, vx = np.linalg.eigh(jx.real)
     jz = np.arange(space.dim) - space.n_emitters / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
@@ -216,15 +236,15 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     merged = np.zeros((5, 4, space.dim))
     merged[0, 2] = merged[2, 0] = wx
     merged[1, 1] = jz
-    # S_x^2 in the J_x basis and S_y^2 in the J_y basis
-    merged[3, 2] = merged[4, 0] = merged[4, 3] = (scale * wx) ** 2
+    # J_x^2 in the J_x basis and J_y^2 in the J_y basis
+    merged[3, 2] = merged[4, 0] = merged[4, 3] = wx ** 2
     zxz = np.zeros((5, 3, space.dim))
     zxz[0, 2] = zxz[2, 0] = jz
     zxz[1, 1] = wx
     vx = vx.astype(complex)
     vy_h = np.ascontiguousarray(vy.conj().T)
     x_to_y = vy_h @ vx
-    return _Bases(scale, jz, wx, vx, vx.T, vy, vy_h,
+    return _Bases(jz, wx, vx, vx.T, vy, vy_h,
                   x_to_y, np.ascontiguousarray(x_to_y.conj().T),
                   merged.reshape(5, -1), zxz.reshape(5, -1),
                   np.array([np.diag(q) for q in sq]),
@@ -408,22 +428,26 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
         raise DimensionMismatchError(
             f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
     bases = _propagation_bases(space)
-    sign = conventions.exponent_sign
+    sign, scale = conventions.exponent_sign, conventions.scale
     n_steps = (params.size - 3) // 5
     # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
     # final rotation's strengths 0
     table = np.zeros(params.size + 2)
     table[:-2] = params
     table = table.reshape(n_steps + 1, 5)
-    strengths = sign * table[:, 3:]
     combined = conventions.squeeze_composition == "combined"
     yx = int(conventions.squeeze_order == "yx")
-    coef = np.zeros_like(table)
-    coef[:, :3] = _euler_angles(table[:, :3] * (sign * bases.scale), conventions)
-    coef[:, 3] = strengths[:, yx]
-    coef[1:, 4] = strengths[:-1, 1 - yx]
     rows = bases.zxz_rows if combined else bases.merged_rows
-    phases = np.exp(1j * (coef @ rows)).reshape(n_steps + 1, -1, space.dim)
+    coef = np.zeros_like(table)
+    # S = scale * J: the turns scale by it and the squeeze strengths by its
+    # square, exact products since both are powers of two.  Overflowing
+    # parameters give non-finite phases, which _checked reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        strengths = sign * scale ** 2 * table[:, 3:]
+        coef[:, :3] = _euler_angles(table[:, :3] * (sign * scale), conventions)
+        coef[:, 3] = strengths[:, yx]
+        coef[1:, 4] = strengths[:-1, 1 - yx]
+        phases = np.exp(1j * (coef @ rows)).reshape(n_steps + 1, -1, space.dim)
     if psi.ndim == 2:  # one phase per row, shared by the columns
         phases = phases[..., None]
     if combined:
@@ -443,7 +467,7 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
         if k == n_steps:
             break
         if combined:
-            psi = _combined_squeeze(_squeeze_eigs[k], bases.scale, psi)
+            psi = _combined_squeeze(_squeeze_eigs[k], scale, psi)
             if per_step:
                 states.append(_checked(psi))
         else:

@@ -37,7 +37,7 @@ def sequence_to_dict(seq: PulseSequence, conventions: GateConventions,
     return {
         "format_version": FORMAT_VERSION,
         "n_emitters": seq.space.n_emitters,
-        **conventions.to_dict(seq.space.convention),
+        **conventions.to_dict(),
         "steps": [
             {
                 "axis": list(st.axis),
@@ -61,10 +61,10 @@ def sequence_from_dict(doc: dict, n_override: Optional[int] = None,
     _require(isinstance(n, int) and n >= 1, "n_emitters",
              f"expected positive integer, got {n!r}")
     try:
-        convention, conv = GateConventions.from_dict(doc)
+        conv = GateConventions.from_dict(doc)
     except ValueError as exc:
         raise SequenceFileError(str(exc)) from exc
-    space = DickeSpace(n, convention)
+    space = DickeSpace(n)
     steps = []
     raw_steps = doc.get("steps")
     _require(isinstance(raw_steps, list), "steps", "expected an array")

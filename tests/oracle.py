@@ -31,15 +31,26 @@ from dickesim.core import (
     hermitian_exp,
     _check_same_space,
 )
-from dickesim.gates import DEFAULT_CONVENTIONS, GateConventions, PulseSequence, PulseStep
+from dickesim.gates import (
+    DEFAULT_CONVENTIONS,
+    Convention,
+    GateConventions,
+    PulseSequence,
+    PulseStep,
+)
 from dickesim import wigner
 
 
 # --- dense gates -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _spin_triple(space: DickeSpace):
-    return build_sx(space), build_sy(space), build_sz(space)
+def _spin_triple(space: DickeSpace, convention: Convention = Convention.SPIN_J):
+    """S_x, S_y, S_z in the given normalization: the spin-J operators, or
+    twice them (bare sums of Pauli matrices)."""
+    triple = build_sx(space), build_sy(space), build_sz(space)
+    if convention is Convention.PAULI_SUM:
+        triple = tuple(SymmetricOperator(space, 2 * s.matrix, hermitian=True) for s in triple)
+    return triple
 
 
 def apply(op: SymmetricOperator, s: QuantumState, renormalize: bool = False) -> QuantumState:
@@ -78,7 +89,7 @@ def rotation_from_turns(space: DickeSpace, turns,
                         conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
     """Rotation given per-axis angles (theta_x, theta_y, theta_z)."""
     turns = np.asarray(turns, dtype=float).reshape(3)
-    sx, sy, sz = _spin_triple(space)
+    sx, sy, sz = _spin_triple(space, conventions.convention)
     s = conventions.exponent_sign
     if conventions.rotation_composition == "combined":
         gen = SymmetricOperator(
@@ -97,7 +108,7 @@ def squeeze_pair_unitary(space: DickeSpace, alpha: float, beta: float,
     exp(s*i*alpha S_x^2) and exp(s*i*beta S_y^2) multiplied, or the single
     exp(s*i*(alpha S_x^2 + beta S_y^2))."""
     s = conventions.exponent_sign
-    sx, sy, _ = _spin_triple(space)
+    sx, sy, _ = _spin_triple(space, conventions.convention)
     if conventions.squeeze_composition == "combined":
         gen = SymmetricOperator(
             space, alpha * (sx.matrix @ sx.matrix) + beta * (sy.matrix @ sy.matrix),

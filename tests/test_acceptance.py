@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dickesim import (
-    Convention,
     DickeSpace,
     OptimizerConfig,
     QuantumState,
@@ -49,7 +48,7 @@ def test_criterion_01_operator_identities():
     started = time.perf_counter()
     worst = 0.0
     for n in range(1, 13):
-        space = DickeSpace(n, Convention.SPIN_J)
+        space = DickeSpace(n)
         sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
         for a, b, c in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):
             worst = max(worst, (commutator(a, b) - 1j * c).max_abs())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim import Convention, cli, gates, targets
+from dickesim import cli, gates, targets
 from dickesim.cli import main
 from dickesim.seqfile import SequenceFileError
 
@@ -354,6 +354,19 @@ def test_trotter_check_command(tmp_path):
     assert len(rec["outputs"]["sum_errors"]) == 4
 
 
+@pytest.mark.parametrize("command", [["closure", "--set", "squeezing-rotations"],
+                                     ["trotter-check"]])
+def test_algebra_commands_take_no_convention(tmp_path, capsys, command):
+    # their generators are spin-j operators: lie_closure normalizes them, and
+    # the trotter errors are defined for S_x^2 and S_y in J units
+    out = tmp_path / "rec.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command + ["--convention", "pauli-sum", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --convention" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_size_sweep_single_n_matches_replay(tmp_path):
     sweep_out = tmp_path / "sweep.json"
     replay_out = tmp_path / "replay.json"
@@ -396,11 +409,13 @@ def test_size_sweep_reports_per_n_errors(tmp_path):
 
 def test_malformed_custom_amplitudes_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for raw in ([1, [0.5]], [1, "0.5"], [[1, 0, 0]], [True], {"a": 1}):
+    for raw in ([1, [0.5]], [1, "0.5"], [[1, 0, 0]], [True], {"a": 1}, None):
         path.write_text(json.dumps(raw))
         assert run_cli(["replay", "--sequence", "cat2", "--n", "4", "--target", "custom",
                         "--custom-amplitudes", str(path)]) == 2
-    assert "custom amplitude 1" in capsys.readouterr().err.splitlines()[0]
+    err = capsys.readouterr().err.splitlines()
+    assert "custom amplitude 1" in err[0]
+    assert err[-1] == "error: custom amplitudes must be a JSON list"  # also for null
 
 
 def test_plane_resolution_below_two_exits_2(tmp_path):
@@ -430,13 +445,14 @@ def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error: Unable to allocate 74.5 TiB for an array\n"
 
 
-def _overflowing_squeeze_file(tmp_path, composition):
+def _overflowing_squeeze_file(tmp_path, composition, theta=0.3, strength=1e308):
     path = tmp_path / f"{composition}.json"
     path.write_text(json.dumps({
         "format_version": 1, "n_emitters": 6, "convention": "spin-j",
         "exponent_sign": 1, "squeeze_order": "xy",
         "squeeze_composition": composition, "rotation_composition": "combined",
-        "steps": [{"axis": [1.0, 0.0, 0.0], "theta": 0.3, "alpha": 1e308, "beta": 1e308}],
+        "steps": [{"axis": [1.0, 0.0, 0.0], "theta": theta, "alpha": strength,
+                   "beta": strength}],
         "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.0},
         "metadata": {"target": {"kind": "coherent", "gamma": [0.5, 0.0]}},
     }))
@@ -452,9 +468,17 @@ def test_overflowing_combined_squeeze_exits_3(tmp_path, capsys, command):
     assert err.startswith("numerical failure: squeeze strengths [1e+308, 1e+308] of step 1")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product phases overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is reported, not warned
 def test_overflowing_product_squeeze_reports_plain_nan(tmp_path, capsys):
     seq = _overflowing_squeeze_file(tmp_path, "product")
+    assert run_cli(["replay", "--sequence", seq, "--out", str(tmp_path / "out")]) == 3
+    assert "norm drifted to nan during propagation" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("composition", ["product", "combined"])
+def test_overflowing_combined_rotation_reports_plain_nan(tmp_path, capsys, composition):
+    seq = _overflowing_squeeze_file(tmp_path, composition, theta=1e308, strength=0.1)
     assert run_cli(["replay", "--sequence", seq, "--out", str(tmp_path / "out")]) == 3
     assert "norm drifted to nan during propagation" in capsys.readouterr().err
 
@@ -520,9 +544,8 @@ def _count_gates_eigh(monkeypatch, argv):
 @pytest.mark.parametrize("sequence, n_steps", [("cat2", 1), ("gkp-square", 11)])
 def test_sweep_diagonalizes_each_squeeze_once_per_sign(tmp_path, monkeypatch,
                                                        sequence, n_steps):
-    # the per-space bases hold one more eigh each, made once per process
-    for convention in Convention:
-        gates._propagation_bases(dickesim.DickeSpace(40, convention))
+    # the per-space bases hold one more eigh, made once per process
+    gates._propagation_bases(dickesim.DickeSpace(40))
     argv = ["replay", "--sequence", sequence, "--n", "40", "--sweep-conventions",
             "--out", str(tmp_path / "rec.json")]
     # 2 signs x 2 parity blocks per step, where one eigh per convention would

@@ -19,7 +19,7 @@ from dickesim import (
     hermitian_exp,
 )
 from dickesim.algebra import ladder_norm_constant
-from oracle import apply
+from oracle import _spin_triple, apply
 
 
 def test_splus_matrix_elements_n40():
@@ -38,9 +38,13 @@ def test_splus_single_qubit():
 
 
 def test_splus_convention_independent():
-    a = build_splus(DickeSpace(5, Convention.SPIN_J))
-    b = build_splus(DickeSpace(5, Convention.PAULI_SUM))
-    assert np.array_equal(a.matrix, b.matrix)
+    # both normalizations share S_+: S_x = (S_+ + S_-)/2 or S_+ + S_-
+    space = DickeSpace(5)
+    sp = build_splus(space).matrix
+    for convention, factor in ((Convention.SPIN_J, 0.5), (Convention.PAULI_SUM, 1.0)):
+        sx, sy, _ = _spin_triple(space, convention)
+        assert np.allclose(sx.matrix, factor * (sp + sp.conj().T), atol=1e-14)
+        assert np.allclose(sy.matrix, factor * (sp - sp.conj().T) / 1j, atol=1e-14)
 
 
 def test_splus_squared_ladder_coefficient():
@@ -72,7 +76,7 @@ def test_sminus_annihilates_ground():
 
 def test_sz_spectra():
     assert np.allclose(np.diag(build_sz(DickeSpace(2)).matrix), [-1, 0, 1])
-    assert np.allclose(np.diag(build_sz(DickeSpace(2, Convention.PAULI_SUM)).matrix),
+    assert np.allclose(np.diag(_spin_triple(DickeSpace(2), Convention.PAULI_SUM)[2].matrix),
                        [-2, 0, 2])
     assert np.allclose(np.diag(build_sz(DickeSpace(1)).matrix), [-0.5, 0.5])
 
@@ -92,8 +96,7 @@ def test_spin_j_commutator(n):
 
 
 def test_pauli_sum_commutator_single_qubit():
-    space = DickeSpace(1, Convention.PAULI_SUM)
-    sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
+    sx, sy, sz = _spin_triple(DickeSpace(1), Convention.PAULI_SUM)
     # direct 2x2 oracle
     direct = sx.matrix @ sy.matrix - sy.matrix @ sx.matrix
     assert np.allclose(direct, 2j * sz.matrix, atol=1e-14)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dickesim import (
+    Convention,
     DickeSpace,
     GateConventions,
     PulseSequence,
@@ -14,6 +15,7 @@ from dickesim import (
     flatten_params,
     unflatten_params,
 )
+from dickesim.cli import _sweep_combos
 from oracle import rotation_from_turns, squeeze_pair_unitary, step_unitary
 
 
@@ -242,3 +244,18 @@ def test_pulse_step_normalizes_axis():
     seq = PulseSequence(DickeSpace(2), (step,), (0.0, 6.0, 8.0), 2.0)
     assert seq.final_axis == (0.0, 6.0, 8.0)
     assert np.allclose(seq.final_turns, [0.0, 1.2, 1.6], rtol=0, atol=1e-15)
+
+
+def test_conventions_dict_roundtrip():
+    combos = list(_sweep_combos())
+    assert len(set(combos)) == 24
+    for conv in combos:
+        doc = conv.to_dict()
+        assert list(doc) == ["convention", "exponent_sign", "squeeze_order",
+                             "squeeze_composition", "rotation_composition"]
+        assert doc["convention"] == conv.convention.value
+        assert GateConventions.from_dict(doc) == conv
+    assert GateConventions.from_dict({}) == GateConventions()
+    assert GateConventions(convention="pauli-sum").convention is Convention.PAULI_SUM
+    with pytest.raises(ValueError, match="^convention: "):
+        GateConventions.from_dict({"convention": "spin-half"})

@@ -19,7 +19,7 @@ from dickesim import (
     apply_sequence,
 )
 from dickesim.cli import _sweep_combos
-from dickesim.core import DimensionMismatchError, build_sx, build_sy
+from dickesim.core import DimensionMismatchError
 from dickesim.gates import (
     EXPONENT_SIGNS,
     ROTATION_COMPOSITIONS,
@@ -30,7 +30,13 @@ from dickesim.gates import (
     squeeze_eigenpairs,
     unflatten_params,
 )
-from oracle import apply, rotation_from_turns, sequence_unitaries, squeeze_pair_unitary
+from oracle import (
+    _spin_triple,
+    apply,
+    rotation_from_turns,
+    sequence_unitaries,
+    squeeze_pair_unitary,
+)
 
 INFIDELITY_TOL = 1e-12
 AMPLITUDE_TOL = 1e-10
@@ -59,8 +65,8 @@ def assert_same_state(dense, kernel):
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 40, 101])
 def test_kernel_matches_dense_on_every_convention(n):
     rng = np.random.default_rng(1000 + n)
-    for convention, conv in _sweep_combos():
-        space = DickeSpace(n, convention)
+    space = DickeSpace(n)
+    for conv in _sweep_combos():
         params = rng.uniform(-np.pi, np.pi, 5 * 3 + 3)
         ground = QuantumState.ground(space).amplitudes
         assert_same_state(dense_states(space, params, conv, ground)[-1],
@@ -70,8 +76,8 @@ def test_kernel_matches_dense_on_every_convention(n):
 @pytest.mark.parametrize("n", [3, 6])
 def test_per_step_states_match_dense_loop(n):
     rng = np.random.default_rng(7)
-    for convention, conv in _sweep_combos():
-        space = DickeSpace(n, convention)
+    space = DickeSpace(n)
+    for conv in _sweep_combos():
         params = rng.uniform(-np.pi, np.pi, 5 * 4 + 3)
         psi0 = random_state(space, rng)
         dense = dense_states(space, params, conv, psi0)
@@ -87,7 +93,7 @@ def test_zero_parameters_leave_the_state_unchanged(n):
     rng = np.random.default_rng(3)
     space = DickeSpace(n)
     psi0 = random_state(space, rng)
-    for _, conv in _sweep_combos():
+    for conv in _sweep_combos():
         assert np.max(np.abs(propagate(space, np.zeros(13), conv, psi0) - psi0)) < 1e-14
 
 
@@ -124,8 +130,8 @@ DEGENERATE_TURNS = [
 @pytest.mark.parametrize("n", [1, 4, 5])
 def test_rotation_at_degenerate_euler_angles(turns, n):
     rng = np.random.default_rng(11)
-    for convention, conv in _sweep_combos():
-        space = DickeSpace(n, convention)
+    space = DickeSpace(n)
+    for conv in _sweep_combos():
         psi0 = random_state(space, rng)
         expected = rotation_from_turns(space, turns, conv).matrix @ psi0
         assert_same_state(expected, propagate(space, turns, conv, psi0))
@@ -135,11 +141,12 @@ def test_rotation_at_degenerate_euler_angles(turns, n):
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_combined_squeeze_special_strengths(alpha, beta, n):
     rng = np.random.default_rng(13)
+    space = DickeSpace(n)
     for convention in Convention:
-        space = DickeSpace(n, convention)
         psi0 = random_state(space, rng)
         for sign in (1, -1):
-            conv = GateConventions(squeeze_composition="combined", exponent_sign=sign)
+            conv = GateConventions(squeeze_composition="combined", exponent_sign=sign,
+                                   convention=convention)
             params = np.array([0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0])
             expected = squeeze_pair_unitary(space, alpha, beta, conv).matrix @ psi0
             assert_same_state(expected, propagate(space, params, conv, psi0))
@@ -156,10 +163,11 @@ def test_combined_squeeze_special_strengths(alpha, beta, n):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_euler_path_equals_dense_rotation(turns, n, convention, rot, sign, squeeze, order,
                                           seed):
-    space = DickeSpace(n, convention)
+    space = DickeSpace(n)
     psi0 = random_state(space, np.random.default_rng(seed))
     conv = GateConventions(squeeze_order=order, squeeze_composition=squeeze,
-                           rotation_composition=rot, exponent_sign=sign)
+                           rotation_composition=rot, exponent_sign=sign,
+                           convention=convention)
     expected = rotation_from_turns(space, turns, conv).matrix @ psi0
     assert_same_state(expected, propagate(space, turns, conv, psi0))
 
@@ -167,9 +175,9 @@ def test_euler_path_equals_dense_rotation(turns, n, convention, rot, sign, squee
 @pytest.mark.parametrize("n", [3, 4])
 def test_density_and_column_block_match_dense(n):
     rng = np.random.default_rng(17 + n)
-    for convention, conv in _sweep_combos():
-        space = DickeSpace(n, convention)
-        d = space.dim
+    space = DickeSpace(n)
+    d = space.dim
+    for conv in _sweep_combos():
         params = rng.uniform(-np.pi, np.pi, 5 * 3 + 3)
         seq = unflatten_params(space, 3, params)
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -190,10 +198,10 @@ def test_density_and_column_block_match_dense(n):
             assert np.max(np.abs(kernel * np.sqrt(3) - one_by_one)) <= 1e-13
 
 
-def s_unit_squeeze(space, alpha, beta, psi):
-    """exp(i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the space's own
-    S units: the reference that the J-unit eigenpairs reproduce bit for bit."""
-    sq = [(s.matrix @ s.matrix).real for s in (build_sx(space), build_sy(space))]
+def s_unit_squeeze(space, convention, alpha, beta, psi):
+    """exp(i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the convention's
+    own S units: the reference that the J-unit eigenpairs reproduce bit for bit."""
+    sq = [(s.matrix @ s.matrix).real for s in _spin_triple(space, convention)[:2]]
     diag = alpha * np.diag(sq[0]) + beta * np.diag(sq[1])
     off = alpha * np.diag(sq[0], 2) + beta * np.diag(sq[1], 2)
     out = np.empty_like(psi)
@@ -216,17 +224,14 @@ def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed
     # Pauli-sum units are S = 2 J: the J-unit eigenvalues times 2**2 are the
     # S-unit ones bit for bit, and the eigenvectors are the same, so one set
     # of eigenpairs serves both operator conventions without changing a bit.
-    space = DickeSpace(n, Convention.PAULI_SUM)
+    space = DickeSpace(n)
     params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
     (pairs,) = squeeze_eigenpairs(space, params, sign)
-    (j_pairs,) = squeeze_eigenpairs(DickeSpace(n), params, sign)
     psi = random_state(space, np.random.default_rng(seed))
-    expected = s_unit_squeeze(space, sign * alpha, sign * beta, psi)
-    assert np.array_equal(_combined_squeeze(pairs, 2.0, psi), expected)
-    assert all(np.array_equal(a, b) for pair, j_pair in zip(pairs, j_pairs)
-               for a, b in zip(pair, j_pair))
-    assert np.array_equal(_combined_squeeze(j_pairs, 1.0, psi),
-                          s_unit_squeeze(DickeSpace(n), sign * alpha, sign * beta, psi))
+    for convention in Convention:
+        scale = GateConventions(convention=convention).scale
+        expected = s_unit_squeeze(space, convention, sign * alpha, sign * beta, psi)
+        assert np.array_equal(_combined_squeeze(pairs, scale, psi), expected)
 
 
 def test_propagate_rejects_bad_inputs():

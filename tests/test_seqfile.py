@@ -45,6 +45,18 @@ def test_roundtrip_bytes_identical(tmp_path):
         assert saves[0] == saves[1], name
 
 
+def test_pauli_sum_file_roundtrip_bytes_identical(tmp_path):
+    path = tmp_path / "seq.json"
+    conv = GateConventions(convention="pauli-sum", squeeze_order="yx")
+    save_sequence_file(str(path), sample_sequence(), conv, None)
+    first = path.read_bytes()
+    assert json.loads(first)["convention"] == "pauli-sum"
+    seq, conv2, meta = load_sequence_file(str(path))
+    assert conv2 == conv
+    save_sequence_file(str(path), seq, conv2, meta)
+    assert path.read_bytes() == first
+
+
 def test_loaded_sequence_replays_identically(tmp_path):
     from dickesim import QuantumState, apply_sequence
 
@@ -85,6 +97,11 @@ def test_schema_errors_are_precise(tmp_path):
     doc = sequence_to_dict(sample_sequence(), GateConventions(), None)
     doc["squeeze_order"] = "zz"
     with pytest.raises(SequenceFileError, match="squeeze_order"):
+        sequence_from_dict(doc)
+
+    doc = sequence_to_dict(sample_sequence(), GateConventions(), None)
+    doc["convention"] = "spin-half"
+    with pytest.raises(SequenceFileError, match="^convention: 'spin-half'"):
         sequence_from_dict(doc)
 
 

@@ -242,11 +242,10 @@ def test_spherical_wigner_real():
     assert np.max(np.abs(vals - _harmonic_oracle(st, thetas, phis))) < 1e-12
 
 
-@pytest.mark.parametrize("convention", ["spin-j", "pauli-sum"])
 @pytest.mark.parametrize("n", [1, 2, 7, 20])
-def test_rotated_kernel_matches_harmonic_oracle(n, convention):
+def test_rotated_kernel_matches_harmonic_oracle(n):
     rng = np.random.default_rng(100 + n)
-    space = DickeSpace(n, convention)
+    space = DickeSpace(n)
     thetas = rng.uniform(0, np.pi, (3, 1))
     phis = rng.uniform(-np.pi, 3 * np.pi, 4)
     for st in _oracle_states(space, rng):
@@ -258,12 +257,6 @@ def test_rotated_kernel_matches_harmonic_oracle(n, convention):
         grid = spherical_wigner(st, n_theta=5, n_phi=6)
         ref = _harmonic_oracle(st, grid.thetas[:, None], grid.phis)
         assert np.max(np.abs(grid.values - ref)) < 1e-12
-
-
-def test_sphere_grid_of_pauli_sum_ground_state_is_normalized():
-    grid = spherical_wigner(QuantumState.ground(DickeSpace(9, "pauli-sum")),
-                            n_theta=16, n_phi=24)
-    assert grid.integral() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 40, 100])
