@@ -44,7 +44,7 @@ from dickesim import wigner
 # --- dense gates -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _spin_triple(space: DickeSpace, convention: Convention = Convention.SPIN_J):
+def _spin_triple(space: DickeSpace, convention: Convention):
     """S_x, S_y, S_z in the given normalization: the spin-J operators, or
     twice them (bare sums of Pauli matrices)."""
     triple = build_sx(space), build_sy(space), build_sz(space)
