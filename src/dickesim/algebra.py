@@ -180,14 +180,6 @@ def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
     )
 
 
-def closure_residual(report: ClosureReport, mat: np.ndarray) -> float:
-    """Relative residual of mat against the closure basis (0 means contained)."""
-    span = np.zeros((0, mat.size), dtype=complex)
-    for b in report.basis:
-        span, _ = _extend(span, b, report.rank_tolerance)
-    return float(np.linalg.norm(_orthogonal_part(span, mat)) / np.linalg.norm(mat))
-
-
 def oscillator_generators(cutoff: int) -> Dict[str, np.ndarray]:
     """Truncated harmonic-oscillator x, p, x^2, p^2, s = (xp + px)/2."""
     if cutoff < 4:

@@ -378,6 +378,7 @@ def cmd_size_sweep(args) -> int:
     params, _, conv, metadata = _load_sequence(args)
     spec = _target_spec_from_args(args, metadata.get("target"))
     ns = [int(v) for v in args.n_list.split(",")]
+    spec.check()  # errors that hold at every N end the command; the rest are rows
     rows = []
     for n in ns:
         try:

@@ -15,10 +15,11 @@ live in the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -297,53 +298,6 @@ _ZXZ_FROM_ARGS = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]
 _TINY = np.finfo(float).tiny
 
 
-@functools.lru_cache(maxsize=None)
-def _euler_map(conventions: GateConventions) -> Tuple[np.ndarray, np.ndarray]:
-    """(matrix, offset) of :func:`_euler_angles`: the matrix takes a call's
-    quaternions (or, for the product rotation, the eight half-angle products
-    per rotation) to the columns its Z-X-Z angles are read from, and the
-    offset is added to the angles."""
-    if conventions.squeeze_composition == "combined":
-        matrix, middle = _UNIT, 0.0
-    else:
-        matrix, middle = _MERGED_EULER[conventions.squeeze_order]
-    if conventions.rotation_composition == "product":
-        matrix = _PRODUCT_ROTATION @ matrix
-    return matrix @ _ARG_COLUMNS, np.array([-0.5 * np.pi, middle, 0.5 * np.pi])
-
-
-def _euler_angles(turns: np.ndarray, conventions: GateConventions) -> np.ndarray:
-    """Euler angles (a, b, c), one row per row of J-normalized ``turns``.
-
-    With the combined squeeze they are Z-X-Z angles, Z(a) X(b) Z(c) with
-    Z(a) = exp(i a J_z).  With the product squeeze they are X-Z-Y angles,
-    X(a) Z(b) Y(c), for order xy and Y-Z-X angles for yx, so that the outer
-    factors share an eigenbasis with the neighbouring squeezes.  Reading the
-    angles off the quaternion fixes the element of SU(2), not just of SO(3),
-    so they hold in every spin-J representation, odd N included.  At a
-    middle angle of 0 (or pi) only a + c (or a - c) is determined, and only
-    it matters.
-    """
-    matrix, offset = _euler_map(conventions)
-    if conventions.rotation_composition == "combined":
-        norm = np.sqrt(np.einsum("ij,ij->i", turns, turns))
-        half = np.exp(0.5j * norm)
-        quat = np.empty((len(turns), 4))
-        quat[:, 0] = half.real
-        # the floor only acts at norm 0, where sin(0) = 0
-        quat[:, 1:] = turns * (half.imag / np.maximum(norm, _TINY))[:, None]
-    else:
-        halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
-        quat = (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
-                * halves[:, 2, None, None, :]).reshape(-1, 8)
-    cols = quat @ matrix
-    args = np.empty((len(turns), 3))
-    args[:, :2] = np.arctan2(cols[:, :2], cols[:, 2:])
-    hyp = np.hypot(cols[:, :2], cols[:, 2:])
-    args[:, 2] = np.arctan2(hyp[:, 0], hyp[:, 1])
-    return args @ _ZXZ_FROM_ARGS + offset
-
-
 def squeeze_eigenpairs(space: DickeSpace, params, exponent_sign: int) -> list:
     """Per step of the flat parameters ``params``, the eigenpairs (w, v) of
     the even-m and the odd-m block of exponent_sign * (alpha J_x^2 + beta J_y^2).
@@ -391,6 +345,113 @@ def _checked(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
+# Parameters no larger than this in magnitude keep every intermediate of a
+# propagation finite, so NumPy's overflow warnings are silenced (the norm
+# check reports the outcome) only above it, or for NaN.
+_QUIET_ABOVE = 1e100
+_LOUD = contextlib.nullcontext()
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Callable:
+    """The kernel of :func:`propagate` for one space, set of conventions and
+    step count M, with every choice that depends only on them made once.
+    Returns ``run(params, psi, per_step, squeeze_eigs)`` for flat float
+    ``params`` of length 5M + 3 and a complex vector or block ``psi``.
+
+    Rotation k has Euler angles (a, b, c).  With the combined squeeze they
+    are Z-X-Z angles, Z(a) X(b) Z(c) with Z(a) = exp(i a J_z).  With the
+    product squeeze they are X-Z-Y angles, X(a) Z(b) Y(c), for order xy and
+    Y-Z-X angles for yx, so that the outer factors share an eigenbasis with
+    the neighbouring squeezes.  Reading the angles off the quaternion fixes
+    the element of SU(2), not just of SO(3), so they hold in every spin-J
+    representation, odd N included.  At a middle angle of 0 (or pi) only
+    a + c (or a - c) is determined, and only it matters.
+    """
+    bases = _propagation_bases(space)
+    sign, scale = conventions.exponent_sign, conventions.scale
+    # S = scale * J: the turns scale by it and the squeeze strengths by its
+    # square, exact products since both are powers of two
+    turn_scale, strength_scale = sign * scale, sign * scale ** 2
+    combined = conventions.squeeze_composition == "combined"
+    product_rotation = conventions.rotation_composition == "product"
+    yx = int(conventions.squeeze_order == "yx")
+    rows = bases.zxz_rows if combined else bases.merged_rows
+    # euler takes the quaternions (or, for the product rotation, the eight
+    # half-angle products per rotation) to the columns the Z-X-Z angles are
+    # read from; offset is added to the angles
+    euler, middle = (_UNIT, 0.0) if combined else _MERGED_EULER[conventions.squeeze_order]
+    if product_rotation:
+        euler = _PRODUCT_ROTATION @ euler
+    euler = euler @ _ARG_COLUMNS
+    offset = np.array([-0.5 * np.pi, middle, 0.5 * np.pi])
+    if combined:
+        first, second = bases.vx_h, bases.vx
+    else:
+        # v1: the eigenbasis of the squeeze applied first; v2: the second.
+        v1, v1_h, v2, v2_h, hop = (
+            (bases.vy, bases.vy_h, bases.vx, bases.vx_h, bases.y_to_x) if yx
+            else (bases.vx, bases.vx_h, bases.vy, bases.vy_h, bases.x_to_y))
+        first, second = v2, v1_h
+
+    def run(params, psi, per_step, squeeze_eigs):
+        # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
+        # final rotation's strengths 0
+        table = np.zeros(5 * n_steps + 5)
+        table[:-2] = params
+        table = table.reshape(n_steps + 1, 5)
+        coef = np.zeros((n_steps + 1, 5))
+        quiet = np.abs(params).max() <= _QUIET_ABOVE
+        with _LOUD if quiet else np.errstate(over="ignore", invalid="ignore"):
+            strengths = strength_scale * table[:, 3:]
+            turns = table[:, :3] * turn_scale
+            if product_rotation:
+                halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
+                quat = (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
+                        * halves[:, 2, None, None, :]).reshape(-1, 8)
+            else:
+                norm = np.sqrt(np.einsum("ij,ij->i", turns, turns))
+                half = np.exp(0.5j * norm)
+                quat = np.empty((n_steps + 1, 4))
+                quat[:, 0] = half.real
+                # the floor only acts at norm 0, where sin(0) = 0
+                quat[:, 1:] = turns * (half.imag / np.maximum(norm, _TINY))[:, None]
+            cols = quat.dot(euler)
+            args = np.empty((n_steps + 1, 3))
+            args[:, :2] = np.arctan2(cols[:, :2], cols[:, 2:])
+            hyp = np.hypot(cols[:, :2], cols[:, 2:])
+            args[:, 2] = np.arctan2(hyp[:, 0], hyp[:, 1])
+            coef[:, :3] = args.dot(_ZXZ_FROM_ARGS) + offset
+            coef[:, 3] = strengths[:, yx]
+            coef[1:, 4] = strengths[:-1, 1 - yx]
+            phases = np.exp(1j * coef.dot(rows)).reshape(n_steps + 1, -1, space.dim)
+        if psi.ndim == 2:  # one phase per row, shared by the columns
+            phases = phases[..., None]
+        if combined and squeeze_eigs is None:
+            squeeze_eigs = squeeze_eigenpairs(space, params, sign)
+        if not combined:
+            psi = v2_h.dot(psi)
+        states = []
+        for k in range(n_steps + 1):
+            psi = phases[k, 2] * second.dot(phases[k, 1] * first.dot(phases[k, 0] * psi))
+            if k == n_steps:
+                break
+            if combined:
+                psi = _combined_squeeze(squeeze_eigs[k], scale, psi)
+                if per_step:
+                    states.append(_checked(psi))
+            else:
+                psi = hop.dot(psi)
+                if per_step:  # the second squeeze's phase is still to come
+                    states.append(_checked(v2.dot(phases[k + 1, 3] * psi)))
+        if not combined:
+            psi = v1.dot(psi)
+        states.append(_checked(psi))
+        return np.array(states) if per_step else states[-1]
+
+    return run
+
+
 def propagate(space: DickeSpace, params, conventions: GateConventions,
               psi0, per_step: bool = False, _squeeze_eigs=None) -> np.ndarray:
     """Apply the sequence with flat parameters ``params`` (the
@@ -400,11 +461,13 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     final amplitudes, shaped as ``psi0``, or, with ``per_step``, an array of
     the M+1 states after each step and after the final rotation.
 
-    Every factor is a phase in a basis computed once per space, and no
-    unitary is formed.  Rotation k has Euler angles (a, b, c) (see
-    :func:`_euler_angles`); with the squeeze strengths s1 (first applied)
-    and s2, row k of ``coef`` is (a_k, b_k, c_k, s1_k, s2_{k-1}), and every
-    phase of the call is one ``exp(i coef @ rows)``.
+    The inputs are checked here; the work is done by the cached
+    :func:`_plan` for this space, these conventions and M, which
+    :func:`dickesim.optimizer.make_objective` also binds directly.  Every
+    factor is a phase in a basis computed once per space, and no unitary is
+    formed.  With the squeeze strengths s1 (first applied) and s2, row k of
+    ``coef`` is (a_k, b_k, c_k, s1_k, s2_{k-1}), and every phase of the
+    call is one ``exp(i coef @ rows)``.
 
     - Product squeeze, order xy: the state stays in the J_y eigenbasis
       between steps.  One step is Y(c_k) merged with the previous S_y^2
@@ -427,57 +490,8 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     if psi.ndim not in (1, 2) or psi.shape[0] != space.dim:
         raise DimensionMismatchError(
             f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
-    bases = _propagation_bases(space)
-    sign, scale = conventions.exponent_sign, conventions.scale
-    n_steps = (params.size - 3) // 5
-    # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
-    # final rotation's strengths 0
-    table = np.zeros(params.size + 2)
-    table[:-2] = params
-    table = table.reshape(n_steps + 1, 5)
-    combined = conventions.squeeze_composition == "combined"
-    yx = int(conventions.squeeze_order == "yx")
-    rows = bases.zxz_rows if combined else bases.merged_rows
-    coef = np.zeros_like(table)
-    # S = scale * J: the turns scale by it and the squeeze strengths by its
-    # square, exact products since both are powers of two.  Overflowing
-    # parameters give non-finite phases, which _checked reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        strengths = sign * scale ** 2 * table[:, 3:]
-        coef[:, :3] = _euler_angles(table[:, :3] * (sign * scale), conventions)
-        coef[:, 3] = strengths[:, yx]
-        coef[1:, 4] = strengths[:-1, 1 - yx]
-        phases = np.exp(1j * (coef @ rows)).reshape(n_steps + 1, -1, space.dim)
-    if psi.ndim == 2:  # one phase per row, shared by the columns
-        phases = phases[..., None]
-    if combined:
-        first, second = bases.vx_h, bases.vx
-        if _squeeze_eigs is None:
-            _squeeze_eigs = squeeze_eigenpairs(space, params, sign)
-    else:
-        # v1: the eigenbasis of the squeeze applied first; v2: the second.
-        v1, v1_h, v2, v2_h, hop = (
-            (bases.vy, bases.vy_h, bases.vx, bases.vx_h, bases.y_to_x) if yx
-            else (bases.vx, bases.vx_h, bases.vy, bases.vy_h, bases.x_to_y))
-        first, second = v2, v1_h
-        psi = v2_h @ psi
-    states = []
-    for k in range(n_steps + 1):
-        psi = phases[k, 2] * (second @ (phases[k, 1] * (first @ (phases[k, 0] * psi))))
-        if k == n_steps:
-            break
-        if combined:
-            psi = _combined_squeeze(_squeeze_eigs[k], scale, psi)
-            if per_step:
-                states.append(_checked(psi))
-        else:
-            psi = hop @ psi
-            if per_step:  # the second squeeze's phase is still to come
-                states.append(_checked(v2 @ (phases[k + 1, 3] * psi)))
-    if not combined:
-        psi = v1 @ psi
-    states.append(_checked(psi))
-    return np.array(states) if per_step else states[-1]
+    run = _plan(space, conventions, (params.size - 3) // 5)
+    return run(params, psi, per_step, _squeeze_eigs)
 
 
 def apply_sequence(seq: PulseSequence, initial: QuantumState,

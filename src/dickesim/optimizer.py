@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import DickeSpace, QuantumState, _check_same_space, _fidelity_with_vector
-from .gates import DEFAULT_CONVENTIONS, GateConventions, propagate
+from .gates import DEFAULT_CONVENTIONS, GateConventions, _plan
 
 PARAM_BOUND = np.pi  # every angle and squeeze strength lies in [-pi, pi]
 
@@ -57,15 +57,18 @@ class OptimizationRun:
 def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
                    conventions: GateConventions = DEFAULT_CONVENTIONS) -> Callable:
     """Closure over a fixed target: 1 - fidelity(sequence(params) applied to
-    |0>, target) for a flat parameter vector of length 5 * n_steps + 3."""
+    |0>, target) for a flat parameter vector of length 5 * n_steps + 3.  It
+    binds the propagation plan of ``space``, ``conventions`` and ``n_steps``
+    once, so an evaluation is a length check, the kernel and the fidelity."""
     _check_same_space(space, target.space)
     ground = QuantumState.ground(space).amplitudes
     expected = 5 * n_steps + 3
+    run = _plan(space, conventions, n_steps)
 
     def f(params: np.ndarray) -> float:
         if len(params) != expected:
             raise ValueError(f"parameter vector length {len(params)}, expected {expected}")
-        return 1.0 - _fidelity_with_vector(propagate(space, params, conventions, ground), target)
+        return 1.0 - _fidelity_with_vector(run(params, ground, False, None), target)
 
     return f
 
@@ -92,7 +95,7 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
         raise ValueError("x0 violates the box constraints")
     free = np.flatnonzero(~frozen)
     lo, hi = lower[free], upper[free]
-    clamp = lambda z: np.clip(z, lo, hi)
+    clamp = lambda z: np.minimum(np.maximum(z, lo), hi)
 
     def embed(z: np.ndarray) -> np.ndarray:
         x = x0.copy()
@@ -112,13 +115,13 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
     values = np.asarray([fz(v) for v in simplex])
 
     for _ in range(max_iters):
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         simplex, values = simplex[order], values[order]
         if stop_value is not None and values[0] <= stop_value:
             break
-        if np.max(np.abs(simplex[1:] - simplex[0])) < tolerance:
+        if np.abs(simplex[1:] - simplex[0]).max() < tolerance:
             break
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
         reflected = clamp(centroid + (centroid - simplex[-1]))
         f_r = fz(reflected)
         if f_r < values[0]:

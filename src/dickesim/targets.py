@@ -71,6 +71,18 @@ class TargetSpec:
         if self.gkp_codeword not in GKP_CODEWORDS:
             raise ValueError(f"gkp_codeword must be one of {GKP_CODEWORDS}")
 
+    def check(self) -> None:
+        """Raise the ValueError that :func:`make_target` raises for this spec
+        at every N.  Truncation and length errors depend on N and are left
+        to it."""
+        if self.kind in (TargetKind.GKP_SQUARE, TargetKind.GKP_HEX) and self.squeezing_db <= 0:
+            raise ValueError("squeezing_db must be positive")
+        if self.kind is TargetKind.CUSTOM:
+            if self.custom_amplitudes is None:
+                raise ValueError("custom target requires custom_amplitudes")
+            if np.linalg.norm(np.asarray(self.custom_amplitudes, dtype=complex)) == 0:
+                raise ValueError("cannot normalize the zero vector")
+
     def to_dict(self) -> dict:
         """JSON form, as stored in result records and sequence-file metadata."""
         return {
@@ -308,6 +320,7 @@ def gkp_state(space: DickeSpace, lattice: GkpLattice, squeezing_db: float,
 
 def make_target(spec: TargetSpec, space: DickeSpace) -> QuantumState:
     """Build the state a :class:`TargetSpec` describes."""
+    spec.check()
     if spec.kind is TargetKind.COHERENT:
         return coherent_state(space, spec.gamma)
     if spec.kind is TargetKind.CAT2:
@@ -320,7 +333,5 @@ def make_target(spec: TargetSpec, space: DickeSpace) -> QuantumState:
     if spec.kind is TargetKind.GKP_HEX:
         return gkp_state(space, GkpLattice.HEX, spec.squeezing_db,
                          spec.gkp_codeword, spec.allow_truncation)
-    if spec.custom_amplitudes is None:
-        raise ValueError("custom target requires custom_amplitudes")
     return QuantumState.from_amplitudes(space, np.asarray(spec.custom_amplitudes),
                                         normalize=True)

@@ -23,7 +23,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -248,11 +247,3 @@ def export_grid(grid, path) -> None:
         for a, row in zip(outer, np.asarray(grid.values, dtype=float)):
             head = f"{float(a)!r},"
             fh.writelines(f"{head}{b}{w!r}\n" for b, w in zip(inner, row.tolist()))
-
-
-def load_grid_csv(path) -> Tuple[str, np.ndarray]:
-    """Read back an exported grid; returns (header, rows as (n, 3) array)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        data = [tuple(float(tok) for tok in line.split(",")) for line in fh if line.strip()]
-    return header, np.asarray(data)

@@ -10,6 +10,8 @@
 - Planar Wigner: the Laguerre recurrence walked separately at every grid
   point.  ``wigner._planar_kernel_sum`` walks it once per distinct radius
   and must match this bit for bit.
+- Helpers that only tests need: the residual of a matrix against a Lie
+  closure's span, and reading an exported Wigner grid back from CSV.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 
 import numpy as np
 
+from dickesim.algebra import ClosureReport, _extend, _orthogonal_part
 from dickesim.core import (
     NORM_DRIFT_TOL,
     DickeSpace,
@@ -298,3 +301,19 @@ def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) 
             w += (2.0 if k else 1.0) / np.pi * mag * (phase_k.real * s_re - phase_k.imag * s_im)
         phase_k *= phase
     return w
+
+
+def closure_residual(report: ClosureReport, mat: np.ndarray) -> float:
+    """Relative residual of mat against the closure basis (0 means contained)."""
+    span = np.zeros((0, mat.size), dtype=complex)
+    for b in report.basis:
+        span, _ = _extend(span, b, report.rank_tolerance)
+    return float(np.linalg.norm(_orthogonal_part(span, mat)) / np.linalg.norm(mat))
+
+
+def load_grid_csv(path) -> tuple:
+    """Read back an exported grid; returns (header, rows as (n, 3) array)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        data = [tuple(float(tok) for tok in line.split(",")) for line in fh if line.strip()]
+    return header, np.asarray(data)

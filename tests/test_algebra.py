@@ -21,10 +21,10 @@ from dickesim import (
     trotter_sum_error,
 )
 from dickesim.algebra import (
-    closure_residual,
     ladder_norm_constant,
     oscillator_generators,
 )
+from oracle import closure_residual
 
 
 def squeezing_rotation_generators(n):

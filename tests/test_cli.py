@@ -407,6 +407,21 @@ def test_size_sweep_reports_per_n_errors(tmp_path):
     assert "fidelity" in rec["outputs"]["table"][1]
 
 
+def test_size_sweep_exits_2_on_target_errors_at_every_n(tmp_path, capsys):
+    amps, out = tmp_path / "amps.json", tmp_path / "rec.json"
+    amps.write_text("[]")
+    target = ["--target", "custom", "--custom-amplitudes", str(amps), "--out", str(out)]
+    assert run_cli(["replay", "--sequence", "cat2", "--n", "4", *target]) == 2
+    assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "4,6", *target]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: cannot normalize the zero vector"] * 2
+    assert not out.exists()
+    # a length that fits one N and not another is still one row per N
+    amps.write_text("[1, 0, 0, 0, 0]")
+    assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "4,6", *target]) == 0
+    rows = json.loads(out.read_text())["outputs"]["table"]
+    assert "fidelity" in rows[0] and "error" in rows[1]
+
+
 def test_malformed_custom_amplitudes_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for raw in ([1, [0.5]], [1, "0.5"], [[1, 0, 0]], [True], {"a": 1}, None):

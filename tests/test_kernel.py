@@ -19,17 +19,20 @@ from dickesim import (
     apply_sequence,
 )
 from dickesim.cli import _sweep_combos
-from dickesim.core import DimensionMismatchError
+from dickesim import gates
+from dickesim.core import DimensionMismatchError, _fidelity_with_vector
 from dickesim.gates import (
     EXPONENT_SIGNS,
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
     _combined_squeeze,
+    _plan,
     propagate,
     squeeze_eigenpairs,
     unflatten_params,
 )
+from dickesim.optimizer import make_objective
 from oracle import (
     _spin_triple,
     apply,
@@ -248,3 +251,57 @@ def test_propagate_rejects_bad_inputs():
         propagate(space, [0.0, 0.0, 0.0, np.nan, 0.0, 0.0, 0.0, 0.0], conv, ground)
     with pytest.raises(NormDriftError):
         propagate(space, np.zeros(8), conv, 2 * ground)
+
+
+def test_objective_binds_its_plan_once():
+    space = DickeSpace(4)
+    rng = np.random.default_rng(23)
+    target = QuantumState(space, amplitudes=random_state(space, rng))
+    f = make_objective(space, target, 3, GateConventions(exponent_sign=-1))
+    before = _plan.cache_info()
+    for _ in range(20):
+        f(rng.uniform(-np.pi, np.pi, 18))
+    after = _plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("n, n_steps", [(4, 3), (5, 0), (6, 1)])
+def test_objective_is_one_minus_the_propagated_fidelity_bitwise(n, n_steps):
+    space = DickeSpace(n)
+    rng = np.random.default_rng(29 + n)
+    target = QuantumState(space, amplitudes=random_state(space, rng))
+    ground = QuantumState.ground(space).amplitudes
+    for conv in _sweep_combos():
+        f = make_objective(space, target, n_steps, conv)
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, 5 * n_steps + 3)
+            expected = 1.0 - _fidelity_with_vector(propagate(space, params, conv, ground), target)
+            assert f(params) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_errstate_guard_leaves_every_result_unchanged(monkeypatch, n):
+    rng = np.random.default_rng(31 + n)
+    space = DickeSpace(n)
+    block = np.stack([random_state(space, rng) for _ in range(3)], axis=-1) / np.sqrt(3)
+    for conv in _sweep_combos():
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, 5 * 3 + 3)
+        psi0 = random_state(space, rng)
+        for psi, per_step in ((psi0, False), (psi0, True), (block, False), (block, True)):
+            results = []
+            for guard in (0.0, np.inf):  # np.errstate entered for every vector, for none
+                monkeypatch.setattr(gates, "_QUIET_ABOVE", guard)
+                results.append(propagate(space, params, conv, psi, per_step))
+            assert np.array_equal(*results)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [4, 40])
+def test_parameters_at_the_errstate_guard_raise_no_warning(n):
+    # up to the guard no intermediate overflows, so no warning needs silencing
+    rng = np.random.default_rng(37)
+    space = DickeSpace(n)
+    psi0 = random_state(space, rng)
+    for conv in _sweep_combos():
+        params = gates._QUIET_ABOVE * rng.choice([-1.0, 1.0], 5 * 2 + 3)
+        propagate(space, params, conv, psi0, per_step=True)

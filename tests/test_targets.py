@@ -296,6 +296,20 @@ def test_gkp_rejects_nonpositive_db():
         gkp_state(DickeSpace(20), GkpLattice.SQUARE, -3.0)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (TargetSpec(TargetKind.GKP_HEX, squeezing_db=0.0), "squeezing_db must be positive"),
+    (TargetSpec(TargetKind.CUSTOM), "requires custom_amplitudes"),
+    (TargetSpec(TargetKind.CUSTOM, custom_amplitudes=()), "cannot normalize the zero vector"),
+    (TargetSpec(TargetKind.CUSTOM, custom_amplitudes=(0.0, 0j)), "cannot normalize"),
+])
+def test_spec_check_raises_what_make_target_raises_at_every_n(spec, message):
+    with pytest.raises(ValueError, match=message):
+        spec.check()
+    for n in (1, 4, 40):
+        with pytest.raises(ValueError, match=message):
+            make_target(spec, DickeSpace(n))
+
+
 def test_make_target_custom_passthrough():
     space = DickeSpace(4)
     spec = TargetSpec(TargetKind.CUSTOM, custom_amplitudes=(1.0, 0.0, 0.0, 0.0, 0.0))

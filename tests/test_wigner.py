@@ -35,12 +35,12 @@ from dickesim.wigner import (
     WindowWarning,
     _kernel_diagonal,
     _planar_kernel_sum,
-    load_grid_csv,
     spherical_wigner_values,
     _theta_weights,
 )
 from oracle import (
     clebsch_gordan,
+    load_grid_csv,
     multipole_coefficients,
     planar_kernel_sum_per_point,
     spherical_tensor,
