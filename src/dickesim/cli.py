@@ -206,7 +206,6 @@ def cmd_optimize(args) -> int:
         max_steps=args.steps,
         restarts=args.restarts,
         freeze_rounds=args.freeze_rounds,
-        free_param_budget=args.free_params,
         nm_max_iters=args.nm_iters,
         nm_tolerance=args.nm_tol,
         seed=args.seed,
@@ -250,7 +249,6 @@ def cmd_optimize(args) -> int:
         "start_steps": start_steps,
         "restarts": args.restarts,
         "freeze_rounds": args.freeze_rounds,
-        "free_params": args.free_params,
     }
     outputs = {
         "best_fidelity": run.best_fidelity,
@@ -446,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-steps", type=int, default=None,
                    help="initial M for the growth schedule (default 2)")
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--freeze-rounds", type=int, default=2)
-    p.add_argument("--free-params", type=int, default=20)
+    p.add_argument("--freeze-rounds", type=int, default=2, help="Nelder-Mead rounds per restart")
     p.add_argument("--nm-iters", type=int, default=2000)
     p.add_argument("--nm-tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
@@ -463,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="export Wigner-function grids as CSV")
     p.add_argument("--sequence", default=None)
     p.add_argument("--per-step", action="store_true",
-                   help="one sphere grid per step (sequence sources only)")
+                   help="one grid per step (sequence sources only)")
     p.add_argument("--n", type=int, default=None,
                    help="emitter count (default: the sequence file's, else 40)")
     p.add_argument("--surface", choices=["sphere", "plane"], default="sphere")

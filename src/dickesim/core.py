@@ -140,7 +140,7 @@ class QuantumState:
                     f"amplitude vector length {vec.shape[0]} does not match dimension {d}"
                 )
             norm = np.linalg.norm(vec)
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
                 raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
             object.__setattr__(self, "amplitudes", _frozen(vec))
         else:
@@ -149,8 +149,9 @@ class QuantumState:
                 raise DimensionMismatchError(
                     f"density shape {rho.shape} does not match dimension {d}"
                 )
-            if abs(np.trace(rho).real - 1.0) > NORM_TOL or abs(np.trace(rho).imag) > NORM_TOL:
-                raise ValueError(f"density trace {np.trace(rho)!r} deviates from 1")
+            trace = np.trace(rho)
+            if not (abs(trace.real - 1.0) <= NORM_TOL and abs(trace.imag) <= NORM_TOL):
+                raise ValueError(f"density trace {trace!r} deviates from 1")
             if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
                 raise NotHermitianError("density matrix is not Hermitian")
             evals = np.linalg.eigvalsh(rho)

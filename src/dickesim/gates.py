@@ -35,8 +35,6 @@ from .core import (
     _psd_sqrt,
 )
 
-AXIS_NORM_TOL = 1e-9
-
 SQUEEZE_ORDERS = ("xy", "yx")
 SQUEEZE_COMPOSITIONS = ("product", "combined")
 ROTATION_COMPOSITIONS = ("combined", "product")

@@ -1,11 +1,10 @@
 """Random-restart Nelder-Mead search over flattened pulse parameters.
 
 The search draws random starting points inside the box constraints, then for
-each start runs a configurable number of Nelder-Mead rounds in which a random
-subset of coordinates is frozen (locked at their current values) so that only
-``free_param_budget`` coordinates move at a time.  Everything is driven by
-per-restart RNG streams seeded with the pair (seed, restart index), so
-results do not depend on execution order and different seeds give
+each start runs a configurable number of Nelder-Mead rounds over every
+coordinate, each round starting where the previous one ended.  Start points
+come from per-restart RNG streams seeded with the pair (seed, restart index),
+so results do not depend on execution order and different seeds give
 independent streams.
 """
 
@@ -28,8 +27,7 @@ class OptimizerConfig:
 
     max_steps: int = 3
     restarts: int = 50
-    freeze_rounds: int = 2
-    free_param_budget: int = 20
+    freeze_rounds: int = 2  # Nelder-Mead rounds per restart
     nm_max_iters: int = 2000
     nm_tolerance: float = 1e-9
     seed: int = 0
@@ -73,37 +71,25 @@ def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
     return f
 
 
-def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
+def nelder_mead(f: Callable, x0, lower, upper,
                 max_iters: int = 2000, tolerance: float = 1e-9,
                 stop_value: Optional[float] = None) -> Tuple[np.ndarray, float]:
-    """Nelder-Mead on the unfrozen coordinates with box clamping.
+    """Nelder-Mead with box clamping.
 
     Standard coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2).
-    Frozen coordinates stay bit-identical to x0.  Terminates when the
-    simplex diameter drops below ``tolerance``, after ``max_iters``
+    Every evaluation gets a fresh array clamped to the box.  Terminates when
+    the simplex diameter drops below ``tolerance``, after ``max_iters``
     iterations, or, when ``stop_value`` is given, as soon as the best vertex
     (the initial simplex included) has a value <= ``stop_value``; the
     returned value never exceeds f(x0).
     """
-    x0 = np.asarray(x0, dtype=float)
-    frozen = np.asarray(frozen_mask, dtype=bool)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if frozen.all():
-        raise ValueError("at least one coordinate must stay unfrozen")
-    if np.any(x0 < lower - 1e-12) or np.any(x0 > upper + 1e-12):
+    z0 = np.asarray(x0, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    if np.any(z0 < lo - 1e-12) or np.any(z0 > hi + 1e-12):
         raise ValueError("x0 violates the box constraints")
-    free = np.flatnonzero(~frozen)
-    lo, hi = lower[free], upper[free]
     clamp = lambda z: np.minimum(np.maximum(z, lo), hi)
-
-    def embed(z: np.ndarray) -> np.ndarray:
-        x = x0.copy()
-        x[free] = clamp(z)
-        return x
-
-    fz = lambda z: f(embed(z))
-    z0 = x0[free]
+    fz = lambda z: f(clamp(z))
     n = z0.size
     simplex = [z0]
     for idx in range(n):
@@ -143,7 +129,7 @@ def nelder_mead(f: Callable, x0, frozen_mask, lower, upper,
                 values[1:] = [fz(v) for v in simplex[1:]]
 
     best = int(np.argmin(values))
-    return embed(simplex[best]), float(values[best])
+    return clamp(simplex[best]), float(values[best])
 
 
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:
@@ -155,7 +141,7 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
                           config: OptimizerConfig, n_steps: int,
                           initial_params: Optional[np.ndarray] = None,
                           on_improvement: Optional[Callable] = None) -> OptimizationRun:
-    """Global search: random starts, frozen-subset Nelder-Mead rounds.
+    """Global search: random starts, each refined by Nelder-Mead rounds.
 
     ``initial_params`` seeds the incumbent (used when growing or resuming);
     restarts are numbered from 0 and tie-breaks go to the lower index by
@@ -192,14 +178,10 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
     goal = config.target_infidelity
     stop_value = goal if goal > 0 else None
     reached = lambda: stop_value is not None and best_value <= stop_value
-    budget = min(config.free_param_budget, n_params)
     for restart in range(0 if reached() else config.restarts):
-        rng = _restart_rng(config.seed, restart)
-        x = rng.uniform(lower, upper)
+        x = _restart_rng(config.seed, restart).uniform(lower, upper)
         for round_idx in range(config.freeze_rounds):
-            frozen = np.ones(n_params, dtype=bool)
-            frozen[rng.permutation(n_params)[:budget]] = False
-            x, value = nelder_mead(f, x, frozen, lower, upper, config.nm_max_iters,
+            x, value = nelder_mead(f, x, lower, upper, config.nm_max_iters,
                                    config.nm_tolerance, stop_value)
             if value < best_value:
                 best_value, best_params = value, x.copy()

@@ -74,13 +74,20 @@ class TargetSpec:
     def check(self) -> None:
         """Raise the ValueError that :func:`make_target` raises for this spec
         at every N.  Truncation and length errors depend on N and are left
-        to it."""
-        if self.kind in (TargetKind.GKP_SQUARE, TargetKind.GKP_HEX) and self.squeezing_db <= 0:
+        to it.  Non-finite parameters are rejected for every kind."""
+        for name, value in (("gamma", self.gamma), ("phi", self.phi),
+                            ("squeezing_db", self.squeezing_db)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.kind in (TargetKind.GKP_SQUARE, TargetKind.GKP_HEX) and not self.squeezing_db > 0:
             raise ValueError("squeezing_db must be positive")
+        amps = np.asarray(self.custom_amplitudes or (), dtype=complex)
+        if not np.isfinite(amps).all():
+            raise ValueError("custom amplitudes must be finite")
         if self.kind is TargetKind.CUSTOM:
             if self.custom_amplitudes is None:
                 raise ValueError("custom target requires custom_amplitudes")
-            if np.linalg.norm(np.asarray(self.custom_amplitudes, dtype=complex)) == 0:
+            if np.linalg.norm(amps) == 0:
                 raise ValueError("cannot normalize the zero vector")
 
     def to_dict(self) -> dict:

@@ -164,7 +164,7 @@ def test_criterion_06_replay_reports(tmp_path):
 def test_criterion_07_optimizer_recovery():
     started = time.perf_counter()
     space = DickeSpace(4)
-    config = OptimizerConfig(restarts=50, freeze_rounds=1, free_param_budget=20,
+    config = OptimizerConfig(restarts=50, freeze_rounds=1,
                              nm_max_iters=1500, nm_tolerance=1e-8, seed=314,
                              target_infidelity=0.01)
     gen_rng = np.random.default_rng(1234)

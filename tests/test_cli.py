@@ -178,11 +178,11 @@ def test_optimize_determinism(tmp_path):
     assert recs[0] == recs[1]
 
 
-def _reachable_target(tmp_path):
-    """Amplitudes of a random 2-step sequence applied to |0> at N = 3."""
-    space = dickesim.DickeSpace(3)
-    params = np.random.default_rng(7).uniform(-np.pi, np.pi, 13)
-    amps = dickesim.apply_sequence(dickesim.unflatten_params(space, 2, params),
+def _reachable_target(tmp_path, n=3, steps=2, seed=7):
+    """Amplitudes of a random ``steps``-step sequence applied to |0> at N = ``n``."""
+    space = dickesim.DickeSpace(n)
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, 5 * steps + 3)
+    amps = dickesim.apply_sequence(dickesim.unflatten_params(space, steps, params),
                                    dickesim.QuantumState.ground(space)).amplitudes
     path = tmp_path / "reachable.json"
     path.write_text(json.dumps([[float(a.real), float(a.imag)] for a in amps]))
@@ -217,6 +217,19 @@ def test_optimize_stop_fidelity_ends_the_round(tmp_path):
     assert 0.99 <= outputs["best_fidelity"] < 0.999
     # the incumbent, then the first round of restart 0; no second round follows
     assert [row[:2] for row in outputs["history_tail"]] == [[-1, -1], [0, 0]]
+
+
+def test_optimize_six_steps_moves_every_parameter(tmp_path):
+    # 33 parameters, and every Nelder-Mead round moves all of them
+    out = tmp_path / "rec.json"
+    assert run_cli(["optimize", "--n", "10", "--steps", "6", "--start-steps", "6",
+                    "--target", "custom", "--custom-amplitudes",
+                    str(_reachable_target(tmp_path, n=10, steps=6, seed=2)),
+                    "--restarts", "50", "--nm-iters", "1500", "--nm-tol", "1e-8",
+                    "--stop-fidelity", "0.99", "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert outputs["best_fidelity"] >= 0.99
+    assert outputs["objective_evaluations"] == 1009
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "1.5", "nan"])
@@ -420,6 +433,24 @@ def test_size_sweep_exits_2_on_target_errors_at_every_n(tmp_path, capsys):
     assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "4,6", *target]) == 0
     rows = json.loads(out.read_text())["outputs"]["table"]
     assert "fidelity" in rows[0] and "error" in rows[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [
+    ["replay", "--sequence", "gkp-square", "--target", "gkp-square", "--squeezing-db", "nan"],
+    ["replay", "--sequence", "cat2", "--target", "cat4", "--phi", "nan"],
+    ["replay", "--sequence", "cat2", "--target", "cat2", "--gamma", "nan"],
+    ["replay", "--sequence", "cat2", "--target", "custom", "--custom-amplitudes", "NAN_FILE"],
+    ["size-sweep", "--sequence", "cat2", "--n-list", "4,6", "--target", "cat4", "--phi", "nan"],
+])
+def test_non_finite_target_parameters_exit_2(tmp_path, capsys, command):
+    amps, out = tmp_path / "amps.json", tmp_path / "rec.json"
+    amps.write_text("[1, NaN]")
+    command = [str(amps) if arg == "NAN_FILE" else arg for arg in command]
+    assert run_cli([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+    assert not out.exists()
 
 
 def test_malformed_custom_amplitudes_exit_2(tmp_path, capsys):

@@ -290,6 +290,15 @@ def test_state_validation():
         QuantumState(space, density=np.eye(4))  # trace 4
 
 
+def test_nan_states_are_rejected():
+    space = DickeSpace(1)
+    with pytest.raises(ValueError, match="norm"):
+        QuantumState(space, amplitudes=[np.nan, 0])
+    for rho in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0])):
+        with pytest.raises(ValueError, match="trace"):
+            QuantumState(space, density=rho)
+
+
 def test_operator_immutability():
     sx = build_sx(DickeSpace(4))
     with pytest.raises(ValueError):
