@@ -152,6 +152,8 @@ class QuantumState:
             trace = np.trace(rho)
             if not (abs(trace.real - 1.0) <= NORM_TOL and abs(trace.imag) <= NORM_TOL):
                 raise ValueError(f"density trace {trace!r} deviates from 1")
+            if not np.isfinite(rho).all():  # NaN slips through both tests below
+                raise ValueError("density entries must be finite")
             if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
                 raise NotHermitianError("density matrix is not Hermitian")
             evals = np.linalg.eigvalsh(rho)
@@ -178,12 +180,15 @@ class QuantumState:
 
     @classmethod
     def from_amplitudes(cls, space: DickeSpace, vec, normalize: bool = False) -> "QuantumState":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        vec = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
         if normalize:
-            n = np.linalg.norm(vec)
-            if n == 0:
+            big = np.max(np.abs(vec.view(float)), initial=0.0)
+            if big == 0:
                 raise ValueError("cannot normalize the zero vector")
-            vec = vec / n
+            # scale the largest real or imaginary part into [1, 2) by a power of
+            # two first: exact, and the norm then cannot overflow or underflow
+            vec = np.ldexp(vec.view(float), 1 - int(np.frexp(big)[1])).view(complex)
+            vec = vec / np.linalg.norm(vec)
         return cls(space, amplitudes=vec)
 
     def to_density(self) -> np.ndarray:

@@ -8,8 +8,9 @@ Spherical: the multipole expansion for a spin J = N/2,
 with irreducible tensor operators T_kq built from Clebsch-Gordan
 coefficients, normalized so that the integral over the sphere is 1 and the
 maximally mixed state is flat at 1/(4*pi).  It is evaluated as the
-expectation of one rotated kernel (:func:`spherical_wigner_values`); the
-T_kq table it is tested against lives in the test suite.
+expectation of one rotated kernel, written as a trigonometric polynomial in
+theta with integer frequencies (:func:`spherical_wigner_values`); the T_kq
+table it is tested against lives in the test suite.
 
 Planar: the standard bosonic Wigner function of the state obtained by
 reading Dicke amplitudes as Fock amplitudes.  This identification ignores
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantumState, _psd_sqrt
+from .core import DickeSpace, QuantumState, _frozen, _psd_sqrt
 from .gates import _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
@@ -58,30 +59,45 @@ def _kernel_diagonal(n: int) -> np.ndarray:
     return math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ t_k0)
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_bands(n: int) -> tuple:
+    """The diagonals G_{a,a+k}, k = 0..N, of the north-pole kernel in the J_y
+    eigenbasis, G = V_y^dag diag(Delta) V_y.  V_y = P V_x with P diagonal, so
+    P cancels against diag(Delta) and G = V_x^T diag(Delta) V_x is real."""
+    vx = _propagation_bases(DickeSpace(n)).vx.real
+    g = (vx.T * _kernel_diagonal(n)) @ vx
+    return tuple(_frozen(np.diagonal(g, k)) for k in range(n + 1))
+
+
 def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
-    """W at arbitrary (theta, phi) points (broadcast together): with
-    rho = sum_c a_c a_c^dag, W = sum_m Delta_m sum_c |<m| exp(i theta J_y)
-    exp(i phi J_z) a_c>|^2, J_y through its cached eigenbasis.  The phi half and
-    the J_y eigenphases are computed once per distinct angle, so each row of
-    the broadcast shape costs one matrix product on a (d, r * n) block."""
+    """W at arbitrary (theta, phi) points (broadcast together).
+
+    With rho = sum_c a_c a_c^dag and u_c(phi) = V_y^dag exp(i phi J_z) a_c, the
+    kernel expectation sum_m Delta_m sum_c |<m| exp(i theta J_y) exp(i phi J_z)
+    a_c>|^2 reads sum_{a,b} G_{a,b} conj(u_a) u_b exp(i theta (b - a)) summed
+    over c: J_y's eigenvalues are a - N/2, so every pair of levels beats at the
+    integer frequency k = b - a.  With h_k(phi) = sum_c sum_a G_{a,a+k}
+    conj(u_a) u_{a+k} (one pass per diagonal, O(d^2 r) per distinct phi),
+    W = Re[h_0 + 2 sum_{k>=1} exp(i k theta) h_k]: one (n_theta, d) @ (d, n_phi)
+    product over the distinct angles, gathered back onto the broadcast shape.
+    The cost is O(d^2 r n_phi + d n_theta n_phi) in the distinct angles, so
+    scattered points pay for the full table of their distinct values."""
     thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
     theta_set, theta_at = np.unique(thetas, return_inverse=True)
     phi_set, phi_at = np.unique(phis, return_inverse=True)
     theta_at, phi_at = np.broadcast_arrays(theta_at.reshape(thetas.shape),
                                            phi_at.reshape(phis.shape))
-    rows = (math.prod(theta_at.shape[:-1]), theta_at.shape[-1]) if theta_at.ndim else (1, 1)
     bases = _propagation_bases(state.space)
-    delta = _kernel_diagonal(state.space.n_emitters)
     cols = state.amplitudes[:, None] if state.is_pure else _psd_sqrt(state.density)
     d, r = cols.shape
-    half = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
-    half = (bases.vy_h @ half.reshape(d, -1)).reshape(d, r, -1)
-    turn = np.exp(1j * np.multiply.outer(bases.wx, theta_set))[:, None, :]
-    out = np.empty(rows)
-    for i, (t, p) in enumerate(zip(theta_at.reshape(rows), phi_at.reshape(rows))):
-        block = bases.vy @ (half.take(p, axis=2) * turn.take(t, axis=2)).reshape(d, -1)
-        out[i] = (delta @ (block * block.conj()).real).reshape(r, -1).sum(axis=0)
-    return out.reshape(theta_at.shape)
+    u = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
+    u = (bases.vy_h @ u.reshape(d, -1)).reshape(d, r, -1)
+    u_conj, bands = u.conj(), _kernel_bands(state.space.n_emitters)
+    h = np.array([g_k @ (u_conj[:d - k] * u[k:]).reshape(d - k, -1)
+                  for k, g_k in enumerate(bands)]).reshape(d, r, -1).sum(axis=1)
+    k = np.arange(d)
+    table = ((np.exp(1j * np.multiply.outer(theta_set, k)) * np.where(k, 2.0, 1.0)) @ h).real
+    return table[theta_at.ravel(), phi_at.ravel()].reshape(theta_at.shape)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@
 - Spherical Wigner: the irreducible tensor operators T_kq from exact
   Clebsch-Gordan coefficients, and the multipole coefficients
   rho_kq = Tr(T_kq^dag rho).  ``wigner.spherical_wigner_values`` and its
-  Lanczos kernel diagonal are checked against these.
+  Lanczos kernel diagonal are checked against these.  The kernel rotated to
+  every row of points by one matrix product, which the frequency form of
+  ``wigner.spherical_wigner_values`` must match to 1e-12 of max|W|.
 - Planar Wigner: the Laguerre recurrence walked separately at every grid
   point.  ``wigner._planar_kernel_sum`` walks it once per distinct radius
   and must match this bit for bit.
@@ -40,6 +42,7 @@ from dickesim.gates import (
     GateConventions,
     PulseSequence,
     PulseStep,
+    _propagation_bases,
 )
 from dickesim import wigner
 
@@ -258,6 +261,42 @@ def multipole_coefficients(state: QuantumState) -> dict:
     for k, q, cols, rows, vals in _multipole_bands(state.space):
         out[(k, q)] = complex(np.dot(vals, rho[rows, cols]))
     return out
+
+
+# --- spherical Wigner, the kernel rotated row by row ---------------------------
+
+def spherical_wigner_per_row(state: QuantumState, thetas, phis) -> np.ndarray:
+    """W at (theta, phi) points (broadcast together) as the rotated-kernel
+    expectation itself: with rho = sum_c a_c a_c^dag, W = sum_m Delta_m sum_c
+    |<m| exp(i theta J_y) exp(i phi J_z) a_c>|^2, J_y through its eigenbasis.
+    The phi half and the J_y eigenphases are computed once per distinct angle,
+    and each row of the broadcast shape costs one V_y (diag(exp(i theta w)) A)
+    product on a (d, r * n) block.  A density is factored by its eigenvectors
+    with the eigenvalues below 1e-12 of the largest left out, so a low-rank
+    density costs its rank."""
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    theta_set, theta_at = np.unique(thetas, return_inverse=True)
+    phi_set, phi_at = np.unique(phis, return_inverse=True)
+    theta_at, phi_at = np.broadcast_arrays(theta_at.reshape(thetas.shape),
+                                           phi_at.reshape(phis.shape))
+    rows = (math.prod(theta_at.shape[:-1]), theta_at.shape[-1]) if theta_at.ndim else (1, 1)
+    bases = _propagation_bases(state.space)
+    delta = wigner._kernel_diagonal(state.space.n_emitters)
+    if state.is_pure:
+        cols = state.amplitudes[:, None]
+    else:
+        w, v = np.linalg.eigh(state.density)
+        keep = w > 1e-12 * w.max()
+        cols = v[:, keep] * np.sqrt(w[keep])
+    d, r = cols.shape
+    half = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
+    half = (bases.vy_h @ half.reshape(d, -1)).reshape(d, r, -1)
+    turn = np.exp(1j * np.multiply.outer(bases.wx, theta_set))[:, None, :]
+    out = np.empty(rows)
+    for i, (t, p) in enumerate(zip(theta_at.reshape(rows), phi_at.reshape(rows))):
+        block = bases.vy @ (half.take(p, axis=2) * turn.take(t, axis=2)).reshape(d, -1)
+        out[i] = (delta @ (block * block.conj()).real).reshape(r, -1).sum(axis=0)
+    return out.reshape(theta_at.shape)
 
 
 # --- planar Wigner, one recurrence per grid point ------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim import cli, gates, targets
+from dickesim import cli, gates, targets, wigner
 from dickesim.cli import main
 from dickesim.seqfile import SequenceFileError
 
@@ -585,6 +585,45 @@ def _count_gates_eigh(monkeypatch, argv):
     assert run_cli(argv) == 0
     monkeypatch.undo()
     return len(calls)
+
+
+def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
+    # one propagation yields every step's state; one sphere grid per state
+    # (M = 11 steps plus the final rotation); the kernel's J_y-basis bands are
+    # built once per N and looked up by every later grid
+    calls = {"propagate": 0, "spherical_wigner_values": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "propagate")
+    counted(wigner, "spherical_wigner_values")
+    wigner._kernel_bands.cache_clear()
+    assert run_cli(["wigner", "--sequence", "gkp-square", "--per-step",
+                    "--out", str(tmp_path / "gkp")]) == 0
+    assert calls == {"propagate": 1, "spherical_wigner_values": 12}
+    assert wigner._kernel_bands.cache_info()[:2] == (11, 1)  # hits, misses
+    assert run_cli(["wigner", "--sequence", "cat2", "--n", "7", "--per-step",
+                    "--out", str(tmp_path / "cat")]) == 0
+    assert wigner._kernel_bands.cache_info()[:2] == (12, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_custom_amplitudes_normalize(tmp_path):
+    fidelities = []
+    for raw in ("[[1e308, 0], [1e308, 0]]", "[[1, 0], [1, 0]]"):
+        amps, out = tmp_path / "amps.json", tmp_path / "rec.json"
+        amps.write_text(raw)
+        assert run_cli(["replay", "--sequence", "cat2", "--n", "1", "--target", "custom",
+                        "--custom-amplitudes", str(amps), "--out", str(out)]) == 0
+        fidelities.append(json.loads(out.read_text())["outputs"]["fidelity"])
+    assert fidelities[0] == fidelities[1]
 
 
 @pytest.mark.parametrize("sequence, n_steps", [("cat2", 1), ("gkp-square", 11)])

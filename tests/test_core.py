@@ -299,6 +299,28 @@ def test_nan_states_are_rejected():
             QuantumState(space, density=rho)
 
 
+def test_non_finite_density_entries_are_rejected():
+    space = DickeSpace(1)
+    for off in (np.nan, np.inf, complex(0.1, np.nan)):
+        rho = np.array([[0.5, off], [np.conj(off), 0.5]])
+        with pytest.raises(ValueError, match="finite") as err:
+            QuantumState(space, density=rho)
+        assert type(err.value) is ValueError  # exit 2, not a numerical failure
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_amplitudes_normalize_without_overflow():
+    space = DickeSpace(2)
+    for vec, expected in (([1e308, 1e308, 0], [1, 1, 0]),
+                          ([1.7e308 + 1.7e308j, 0, 1e-320], [1 + 1j, 0, 0]),
+                          ([5e-324, 0, 0], [1, 0, 0])):
+        st = QuantumState.from_amplitudes(space, vec, normalize=True)
+        assert np.allclose(st.amplitudes, np.array(expected) / np.linalg.norm(expected),
+                           rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="zero vector"):
+        QuantumState.from_amplitudes(space, [0, 0, 0], normalize=True)
+
+
 def test_operator_immutability():
     sx = build_sx(DickeSpace(4))
     with pytest.raises(ValueError):

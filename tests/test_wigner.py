@@ -44,6 +44,7 @@ from oracle import (
     multipole_coefficients,
     planar_kernel_sum_per_point,
     spherical_tensor,
+    spherical_wigner_per_row,
 )
 
 
@@ -257,6 +258,27 @@ def test_rotated_kernel_matches_harmonic_oracle(n):
         grid = spherical_wigner(st, n_theta=5, n_phi=6)
         ref = _harmonic_oracle(st, grid.thetas[:, None], grid.phis)
         assert np.max(np.abs(grid.values - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 41, 100])
+def test_frequency_form_matches_row_loop_oracle(n):
+    # the trigonometric polynomial in theta against the kernel rotated row by row
+    rng = np.random.default_rng(200 + n)
+    space = DickeSpace(n)
+    thetas, phis = rng.uniform(0, np.pi, (3, 1)), rng.uniform(-np.pi, 3 * np.pi, 4)
+    scattered = rng.uniform(0, np.pi, 25), rng.uniform(0, 2 * np.pi, 25)
+    pure, rank_3, flat = _oracle_states(space, rng)
+    # the flat state's (d, d * n_phi) block costs the oracle ~0.1 s per row at N = 100
+    for st, stride in ((pure, 1), (rank_3, 1), (flat, 1 if n < 100 else 17)):
+        grid = spherical_wigner(st)
+        scale = 1e-12 * np.max(np.abs(grid.values))
+        for pts in ((thetas, phis), scattered, (thetas[1, 0], phis[2])):
+            vals, ref = spherical_wigner_values(st, *pts), spherical_wigner_per_row(st, *pts)
+            assert vals.shape == ref.shape
+            assert np.max(np.abs(vals - ref)) < scale
+        rows = slice(None, None, stride)
+        ref = spherical_wigner_per_row(st, grid.thetas[rows, None], grid.phis)
+        assert np.max(np.abs(grid.values[rows] - ref)) < scale
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 40, 100])
