@@ -12,15 +12,12 @@ from .core import (
     NormDriftError,
     NotHermitianError,
     QuantumState,
-    SymmetricOperator,
     build_sminus,
     build_splus,
     build_sx,
     build_sy,
     build_sz,
-    commutator,
     fidelity,
-    hermitian_exp,
 )
 from .gates import (
     DEFAULT_CONVENTIONS,

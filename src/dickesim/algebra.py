@@ -10,7 +10,7 @@ climbs the Dicke ladder with powers of S_+.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,11 +18,10 @@ from .core import (
     DickeSpace,
     NotHermitianError,
     QuantumState,
-    SymmetricOperator,
     build_splus,
     fidelity,
-    hermitian_exp,
     HERMITIAN_TOL,
+    _hermitian_exp,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -51,18 +50,8 @@ class ClosureReport:
     basis: List[np.ndarray] = field(default_factory=list, repr=False)
 
 
-def _as_matrices(generators: Sequence[Union[SymmetricOperator, np.ndarray]]) -> List[np.ndarray]:
-    mats = []
-    space = None
-    for g in generators:
-        if isinstance(g, SymmetricOperator):
-            if space is None:
-                space = g.space
-            elif g.space != space:
-                raise ValueError("closure generators live on different spaces")
-            mats.append(np.asarray(g.matrix, dtype=complex))
-        else:
-            mats.append(np.asarray(g, dtype=complex))
+def _as_matrices(generators: Sequence[np.ndarray]) -> List[np.ndarray]:
+    mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
     d = mats[0].shape[0]
@@ -70,7 +59,7 @@ def _as_matrices(generators: Sequence[Union[SymmetricOperator, np.ndarray]]) -> 
         if m.shape != (d, d):
             raise ValueError("generators must share one square shape")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise NotHermitianError("closure generators must be Hermitian")
+            raise NotHermitianError("generators must be Hermitian")
     return mats
 
 
@@ -102,7 +91,7 @@ def _masked(mat: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def lie_closure(generators: Sequence[Union[SymmetricOperator, np.ndarray]],
+def lie_closure(generators: Sequence[np.ndarray],
                 rank_tol: float = DEFAULT_RANK_TOL,
                 artifact_mask: int = 0) -> ClosureReport:
     """Close the real span of Hermitian generators under i[., .].
@@ -211,56 +200,46 @@ def oscillator_counterexample(cutoff: int,
     return lie_closure(gens, rank_tol=rank_tol, artifact_mask=2)
 
 
-def _check_trotter_inputs(a: SymmetricOperator, b: SymmetricOperator, t: float,
-                          k: int) -> None:
+def _check_trotter_inputs(a: np.ndarray, b: np.ndarray, t: float, k: int) -> List[np.ndarray]:
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if a.space != b.space:
-        raise ValueError("trotter operands live on different spaces")
-    for op in (a, b):
-        if np.max(np.abs(op.matrix - op.matrix.conj().T)) > HERMITIAN_TOL:
-            raise NotHermitianError("trotter operands must be Hermitian")
     if k < 1:
         raise ValueError("k must be a positive integer")
+    return _as_matrices([a, b])
 
 
-def trotter_sum(a: SymmetricOperator, b: SymmetricOperator, t: float,
-                k: int) -> SymmetricOperator:
+def trotter_sum(a: np.ndarray, b: np.ndarray, t: float, k: int) -> np.ndarray:
     """(e^(-iAt/k) e^(-iBt/k))^k, the first-order approximation to e^(-i(A+B)t)."""
-    _check_trotter_inputs(a, b, t, k)
-    ua = hermitian_exp(a, -1j * t / k)
-    ub = hermitian_exp(b, -1j * t / k)
-    step = (ua @ ub).matrix
-    return SymmetricOperator(a.space, np.linalg.matrix_power(step, k))
+    a, b = _check_trotter_inputs(a, b, t, k)
+    ua = _hermitian_exp(a, -1j * t / k)
+    ub = _hermitian_exp(b, -1j * t / k)
+    return np.linalg.matrix_power(ua @ ub, k)
 
 
-def trotter_sum_error(a: SymmetricOperator, b: SymmetricOperator, t: float,
-                      k: int) -> float:
+def trotter_sum_error(a: np.ndarray, b: np.ndarray, t: float, k: int) -> float:
     """Max-norm distance between the k-fold product and the exact e^(-i(A+B)t)."""
     approx = trotter_sum(a, b, t, k)
-    exact = hermitian_exp(a + b, -1j * t)
-    return (approx - exact).max_abs()
+    exact = _hermitian_exp(a + b, -1j * t)
+    return float(np.max(np.abs(approx - exact)))
 
 
-def trotter_commutator(a: SymmetricOperator, b: SymmetricOperator, t: float,
-                       k: int) -> SymmetricOperator:
+def trotter_commutator(a: np.ndarray, b: np.ndarray, t: float, k: int) -> np.ndarray:
     """(e^(-iA s) e^(-iB s) e^(iA s) e^(iB s))^k with s = sqrt(t/k).
 
     Converges to the unitary generated by the Hermitian i[B, A], namely
     exp(-i * (i[B,A]) * t); see :func:`trotter_commutator_error`.
     """
-    _check_trotter_inputs(a, b, t, k)
+    a, b = _check_trotter_inputs(a, b, t, k)
     if t < 0:
         raise ValueError("t must be nonnegative (enters via sqrt(t/k))")
     s = np.sqrt(t / k)
-    ua = hermitian_exp(a, -1j * s).matrix
-    ub = hermitian_exp(b, -1j * s).matrix
+    ua = _hermitian_exp(a, -1j * s)
+    ub = _hermitian_exp(b, -1j * s)
     step = ua @ ub @ ua.conj().T @ ub.conj().T
-    return SymmetricOperator(a.space, np.linalg.matrix_power(step, k))
+    return np.linalg.matrix_power(step, k)
 
 
-def trotter_commutator_error(a: SymmetricOperator, b: SymmetricOperator, t: float,
-                             k: int) -> float:
+def trotter_commutator_error(a: np.ndarray, b: np.ndarray, t: float, k: int) -> float:
     """Max-norm distance to the exact unitary for the commutator generator.
 
     The Hermitian generator is H = i(BA - AB) = i[B, A]; the group-commutator
@@ -268,11 +247,11 @@ def trotter_commutator_error(a: SymmetricOperator, b: SymmetricOperator, t: floa
     the domain check ruling out non-unitary targets.
     """
     approx = trotter_commutator(a, b, t, k)
-    h_mat = 1j * (b.matrix @ a.matrix - a.matrix @ b.matrix)
+    h_mat = 1j * (b @ a - a @ b)
     if np.max(np.abs(h_mat - h_mat.conj().T)) > HERMITIAN_TOL:
         raise NotHermitianError("i[B, A] is not Hermitian; no unitary target exists")
-    exact = hermitian_exp(SymmetricOperator(a.space, h_mat, hermitian=True), -1j * t)
-    return (approx - exact).max_abs()
+    exact = _hermitian_exp(h_mat, -1j * t)
+    return float(np.max(np.abs(approx - exact)))
 
 
 def ladder_norm_constant(n_emitters: int, n: int) -> float:
@@ -305,7 +284,7 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
     if abs(a0) < 1e-12:
         raise ValueError("target has a_0 = 0; the ladder construction divides by a_0")
     n_emitters = space.n_emitters
-    splus = build_splus(space).matrix
+    splus = build_splus(space)
     power = np.eye(space.dim, dtype=complex)
     vec = QuantumState.ground(space).amplitudes.copy()
     for n in range(1, n_emitters + 1):
@@ -314,7 +293,6 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
         if ratio == 0:
             continue
         gen = ratio * power - np.conj(ratio) * power.conj().T
-        h = SymmetricOperator(space, -1j * gen, hermitian=True)
-        vec = hermitian_exp(h, 1j).matrix @ vec
+        vec = _hermitian_exp(-1j * gen, 1j) @ vec
     state = QuantumState.from_amplitudes(space, vec, normalize=True)
     return state, 1.0 - fidelity(state, target)

@@ -509,13 +509,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SequenceFileError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NormDriftError, NotHermitianError, TruncationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # SequenceFileError, JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. a grid too large to allocate

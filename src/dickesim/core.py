@@ -3,8 +3,8 @@
 N two-level emitters restricted to permutation-symmetric states live in an
 (N+1)-dimensional space spanned by |0>, |1>, ..., |N>, where |m> carries m
 excitations.  Everything here is dense complex linear algebra on that space:
-ladder operators, the spin-J triple J_x/J_y/J_z, matrix exponentials of
-Hermitian generators, and fidelities.  A space is fixed by N alone; the
+ladder operators and the spin-J triple J_x/J_y/J_z as read-only complex
+(N+1)x(N+1) arrays, states, and fidelities.  A space is fixed by N alone; the
 normalization of the S operators in the gate exponents (S = J or S = 2 J)
 is a gate convention, see :class:`dickesim.gates.GateConventions`.
 
@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 # Tolerances used throughout the package.
-ALGEBRA_TOL = 1e-12     # entrywise algebraic identities
 HERMITIAN_TOL = 1e-10   # Hermiticity of generators
 NORM_TOL = 1e-10        # state normalization, unitarity
 NORM_DRIFT_TOL = 1e-8   # norm drift divided out of a propagated state
@@ -56,64 +55,6 @@ class DickeSpace:
     @property
     def dim(self) -> int:
         return self.n_emitters + 1
-
-    @property
-    def spin_j(self) -> float:
-        """Total spin J = N/2 of the symmetric sector."""
-        return self.n_emitters / 2
-
-
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """Dense complex (N+1)x(N+1) operator on a Dicke space.
-
-    Row/column index m in {0..N} labels the Dicke state |m>.  Operators
-    flagged ``hermitian`` are validated entrywise at construction.
-    """
-
-    space: DickeSpace
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise DimensionMismatchError(
-                f"operator matrix shape {mat.shape} does not match space dimension {d}"
-            )
-        if self.hermitian:
-            dev = np.max(np.abs(mat - mat.conj().T))
-            if dev > ALGEBRA_TOL:
-                raise NotHermitianError(
-                    f"operator tagged Hermitian deviates from its adjoint by {dev:.3e}"
-                )
-        object.__setattr__(self, "matrix", _frozen(mat))
-
-    def dagger(self) -> "SymmetricOperator":
-        return SymmetricOperator(self.space, self.matrix.conj().T, hermitian=self.hermitian)
-
-    def __matmul__(self, other: "SymmetricOperator") -> "SymmetricOperator":
-        _check_same_space(self.space, other.space)
-        return SymmetricOperator(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "SymmetricOperator") -> "SymmetricOperator":
-        _check_same_space(self.space, other.space)
-        return SymmetricOperator(self.space, self.matrix + other.matrix,
-                                 hermitian=self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "SymmetricOperator") -> "SymmetricOperator":
-        _check_same_space(self.space, other.space)
-        return SymmetricOperator(self.space, self.matrix - other.matrix,
-                                 hermitian=self.hermitian and other.hermitian)
-
-    def __mul__(self, scalar) -> "SymmetricOperator":
-        return SymmetricOperator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -202,63 +143,55 @@ def _check_same_space(a: DickeSpace, b: DickeSpace) -> None:
         raise DimensionMismatchError(f"space mismatch: {a} vs {b}")
 
 
-def build_splus(space: DickeSpace) -> SymmetricOperator:
+def build_splus(space: DickeSpace) -> np.ndarray:
     """Raising operator: S_+|m> = sqrt((m+1)(N-m)) |m+1>."""
     n = space.n_emitters
     m = np.arange(n)
     mat = np.zeros((n + 1, n + 1), dtype=complex)
     mat[m + 1, m] = np.sqrt((m + 1.0) * (n - m))
-    return SymmetricOperator(space, mat)
+    return _frozen(mat)
 
 
-def build_sminus(space: DickeSpace) -> SymmetricOperator:
+def build_sminus(space: DickeSpace) -> np.ndarray:
     """Lowering operator: S_-|m> = sqrt(m(N-m+1)) |m-1>.  Adjoint of S_+."""
-    return build_splus(space).dagger()
+    return _frozen(build_splus(space).conj().T)
 
 
-def build_sz(space: DickeSpace) -> SymmetricOperator:
+def build_sz(space: DickeSpace) -> np.ndarray:
     """J_z|m> = (m - N/2)|m>."""
     n = space.n_emitters
     diag = np.arange(n + 1) - n / 2
-    return SymmetricOperator(space, np.diag(diag.astype(complex)), hermitian=True)
+    return _frozen(np.diag(diag.astype(complex)))
 
 
-def build_sx(space: DickeSpace) -> SymmetricOperator:
+def build_sx(space: DickeSpace) -> np.ndarray:
     """J_x = (S_+ + S_-)/2."""
-    sp = build_splus(space).matrix
-    return SymmetricOperator(space, (sp + sp.conj().T) / 2, hermitian=True)
+    return _frozen((build_splus(space) + build_sminus(space)) / 2)
 
 
-def build_sy(space: DickeSpace) -> SymmetricOperator:
+def build_sy(space: DickeSpace) -> np.ndarray:
     """J_y = (S_+ - S_-)/(2i); [J_x, J_y] = i J_z."""
-    sp = build_splus(space).matrix
-    return SymmetricOperator(space, (sp - sp.conj().T) / 1j / 2, hermitian=True)
+    return _frozen((build_splus(space) - build_sminus(space)) / 1j / 2)
 
 
-def commutator(a: SymmetricOperator, b: SymmetricOperator) -> SymmetricOperator:
-    """[a, b] = ab - ba."""
-    _check_same_space(a.space, b.space)
-    return SymmetricOperator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def hermitian_exp(h: SymmetricOperator, scale: complex) -> SymmetricOperator:
-    """exp(scale * h) for Hermitian h, via eigendecomposition.
-
-    Unitary to machine precision whenever scale is purely imaginary.
-    """
-    dev = np.max(np.abs(h.matrix - h.matrix.conj().T))
-    if dev > HERMITIAN_TOL:
-        raise NotHermitianError(f"generator deviates from Hermitian by {dev:.3e}")
-    sym = (h.matrix + h.matrix.conj().T) / 2
-    w, v = np.linalg.eigh(sym)
-    mat = (v * np.exp(scale * w)) @ v.conj().T
-    return SymmetricOperator(h.space, mat)
+def _hermitian_exp(h: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * h) for Hermitian h (checked by the caller), via eigh of (h + h^dag)/2."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    return (v * np.exp(scale * w)) @ v.conj().T
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _psd_factor(rho: np.ndarray) -> np.ndarray:
+    """A with rho = A A^dag: one column per eigenvalue above 1e-12 of the largest,
+    its eigenvector scaled by the eigenvalue's square root."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-12 * w.max()
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

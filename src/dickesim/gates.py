@@ -32,7 +32,7 @@ from .core import (
     build_sx,
     build_sy,
     _check_same_space,
-    _psd_sqrt,
+    _psd_factor,
 )
 
 SQUEEZE_ORDERS = ("xy", "yx")
@@ -227,7 +227,7 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     Everything is in J units; :func:`propagate` scales the coefficients to
     the operator convention, S = scale * J.
     """
-    jx, jy = build_sx(space).matrix, build_sy(space).matrix
+    jx, jy = build_sx(space), build_sy(space)
     wx, vx = np.linalg.eigh(jx.real)
     jz = np.arange(space.dim) - space.n_emitters / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
@@ -496,15 +496,15 @@ def apply_sequence(seq: PulseSequence, initial: QuantumState,
                    conventions: GateConventions = DEFAULT_CONVENTIONS) -> QuantumState:
     """final_rotation . step_M . ... . step_1 applied to the initial state.
 
-    A density rho goes through :func:`propagate` as the columns of
-    A = sqrt(rho), and U rho U^dag is returned as (U A)(U A)^dag.
+    A density rho goes through :func:`propagate` as the columns of its rank
+    factor A, rho = A A^dag, and U rho U^dag is returned as (U A)(U A)^dag.
     """
     _check_same_space(seq.space, initial.space)
     params = flatten_params(seq)
     if initial.is_pure:
         return QuantumState(seq.space, amplitudes=propagate(
             seq.space, params, conventions, initial.amplitudes))
-    cols = propagate(seq.space, params, conventions, _psd_sqrt(initial.density))
+    cols = propagate(seq.space, params, conventions, _psd_factor(initial.density))
     return QuantumState(seq.space, density=cols @ cols.conj().T)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DickeSpace, QuantumState, _frozen, _psd_sqrt
+from .core import DickeSpace, QuantumState, _frozen, _psd_factor
 from .gates import _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
@@ -88,7 +88,7 @@ def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
     theta_at, phi_at = np.broadcast_arrays(theta_at.reshape(thetas.shape),
                                            phi_at.reshape(phis.shape))
     bases = _propagation_bases(state.space)
-    cols = state.amplitudes[:, None] if state.is_pure else _psd_sqrt(state.density)
+    cols = state.amplitudes[:, None] if state.is_pure else _psd_factor(state.density)
     d, r = cols.shape
     u = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
     u = (bases.vy_h @ u.reshape(d, -1)).reshape(d, r, -1)

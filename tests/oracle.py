@@ -1,8 +1,9 @@
 """Dense reference implementations that the package's fast paths are tested against.
 
-- Gates: every rotation and squeeze as an (N+1)x(N+1) unitary built by
-  ``hermitian_exp``, and ``apply`` to act with one on a pure or mixed state.
-  ``gates.propagate`` is checked against these on every convention.
+- Gates: every rotation and squeeze as a dense (N+1)x(N+1) unitary array,
+  the exponential of its Hermitian generator through ``eigh``
+  (``core._hermitian_exp``), and ``apply`` to act with one on a pure or mixed
+  state.  ``gates.propagate`` is checked against these on every convention.
 - Spherical Wigner: the irreducible tensor operators T_kq from exact
   Clebsch-Gordan coefficients, and the multipole coefficients
   rho_kq = Tr(T_kq^dag rho).  ``wigner.spherical_wigner_values`` and its
@@ -12,8 +13,8 @@
 - Planar Wigner: the Laguerre recurrence walked separately at every grid
   point.  ``wigner._planar_kernel_sum`` walks it once per distinct radius
   and must match this bit for bit.
-- Helpers that only tests need: the residual of a matrix against a Lie
-  closure's span, and reading an exported Wigner grid back from CSV.
+- Helpers that only tests need: the commutator [a, b], the residual of a
+  matrix against a Lie closure's span, and reading an exported Wigner grid back from CSV.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from dickesim.core import (
     DickeSpace,
     NormDriftError,
     QuantumState,
-    SymmetricOperator,
+    _frozen,
+    _hermitian_exp,
     build_sx,
     build_sy,
     build_sz,
-    hermitian_exp,
-    _check_same_space,
 )
 from dickesim.gates import (
     DEFAULT_CONVENTIONS,
@@ -55,11 +55,11 @@ def _spin_triple(space: DickeSpace, convention: Convention):
     twice them (bare sums of Pauli matrices)."""
     triple = build_sx(space), build_sy(space), build_sz(space)
     if convention is Convention.PAULI_SUM:
-        triple = tuple(SymmetricOperator(space, 2 * s.matrix, hermitian=True) for s in triple)
+        triple = tuple(_frozen(2 * s) for s in triple)
     return triple
 
 
-def apply(op: SymmetricOperator, s: QuantumState, renormalize: bool = False) -> QuantumState:
+def apply(op: np.ndarray, s: QuantumState, renormalize: bool = False) -> QuantumState:
     """op|psi> for pure states, U rho U^dag for densities.
 
     Norm is never fixed up silently: drift beyond NORM_DRIFT_TOL raises
@@ -67,9 +67,8 @@ def apply(op: SymmetricOperator, s: QuantumState, renormalize: bool = False) -> 
     Roundoff-level drift inside the tolerance is divided out so it cannot
     accumulate over long sequences.
     """
-    _check_same_space(op.space, s.space)
     if s.is_pure:
-        vec = op.matrix @ s.amplitudes
+        vec = op @ s.amplitudes
         norm = np.linalg.norm(vec)
         if renormalize:
             if norm == 0:
@@ -80,7 +79,7 @@ def apply(op: SymmetricOperator, s: QuantumState, renormalize: bool = False) -> 
                 f"norm drifted to {norm!r}; pass renormalize=True for non-unitary operators"
             )
         return QuantumState(s.space, amplitudes=vec / norm)
-    rho = op.matrix @ s.density @ op.matrix.conj().T
+    rho = op @ s.density @ op.conj().T
     tr = np.trace(rho).real
     if renormalize:
         if tr <= 0:
@@ -92,41 +91,35 @@ def apply(op: SymmetricOperator, s: QuantumState, renormalize: bool = False) -> 
 
 
 def rotation_from_turns(space: DickeSpace, turns,
-                        conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
+                        conventions: GateConventions = DEFAULT_CONVENTIONS) -> np.ndarray:
     """Rotation given per-axis angles (theta_x, theta_y, theta_z)."""
     turns = np.asarray(turns, dtype=float).reshape(3)
     sx, sy, sz = _spin_triple(space, conventions.convention)
     s = conventions.exponent_sign
     if conventions.rotation_composition == "combined":
-        gen = SymmetricOperator(
-            space, turns[0] * sx.matrix + turns[1] * sy.matrix + turns[2] * sz.matrix,
-            hermitian=True)
-        return hermitian_exp(gen, s * 1j)
-    rx = hermitian_exp(sx, s * 1j * turns[0])
-    ry = hermitian_exp(sy, s * 1j * turns[1])
-    rz = hermitian_exp(sz, s * 1j * turns[2])
+        return _hermitian_exp(turns[0] * sx + turns[1] * sy + turns[2] * sz, s * 1j)
+    rx = _hermitian_exp(sx, s * 1j * turns[0])
+    ry = _hermitian_exp(sy, s * 1j * turns[1])
+    rz = _hermitian_exp(sz, s * 1j * turns[2])
     return rz @ ry @ rx  # x rotation acts first
 
 
 def squeeze_pair_unitary(space: DickeSpace, alpha: float, beta: float,
-                         conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
+                         conventions: GateConventions = DEFAULT_CONVENTIONS) -> np.ndarray:
     """The full squeezing part of one step, composition per conventions:
     exp(s*i*alpha S_x^2) and exp(s*i*beta S_y^2) multiplied, or the single
     exp(s*i*(alpha S_x^2 + beta S_y^2))."""
     s = conventions.exponent_sign
     sx, sy, _ = _spin_triple(space, conventions.convention)
     if conventions.squeeze_composition == "combined":
-        gen = SymmetricOperator(
-            space, alpha * (sx.matrix @ sx.matrix) + beta * (sy.matrix @ sy.matrix),
-            hermitian=True)
-        return hermitian_exp(gen, s * 1j)
-    ux = hermitian_exp(sx @ sx, s * 1j * alpha)
-    uy = hermitian_exp(sy @ sy, s * 1j * beta)
+        return _hermitian_exp(alpha * (sx @ sx) + beta * (sy @ sy), s * 1j)
+    ux = _hermitian_exp(sx @ sx, s * 1j * alpha)
+    uy = _hermitian_exp(sy @ sy, s * 1j * beta)
     return uy @ ux if conventions.squeeze_order == "xy" else ux @ uy
 
 
 def step_unitary(step: PulseStep, space: DickeSpace,
-                 conventions: GateConventions = DEFAULT_CONVENTIONS) -> SymmetricOperator:
+                 conventions: GateConventions = DEFAULT_CONVENTIONS) -> np.ndarray:
     """Rotation first, then squeezing: U = U_squeeze @ U_rot."""
     rot = rotation_from_turns(space, step.turns, conventions)
     sq = squeeze_pair_unitary(space, step.alpha, step.beta, conventions)
@@ -340,6 +333,11 @@ def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) 
             w += (2.0 if k else 1.0) / np.pi * mag * (phase_k.real * s_re - phase_k.imag * s_im)
         phase_k *= phase
     return w
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] = ab - ba."""
+    return a @ b - b @ a
 
 
 def closure_residual(report: ClosureReport, mat: np.ndarray) -> float:

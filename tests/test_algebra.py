@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,15 @@ from dickesim import (
     DickeSpace,
     NotHermitianError,
     QuantumState,
+    TargetKind,
+    TargetSpec,
     build_splus,
     build_sx,
     build_sy,
     build_sz,
     fidelity,
-    hermitian_exp,
     lie_closure,
+    make_target,
     oscillator_counterexample,
     synthesis_by_powers,
     trotter_commutator,
@@ -24,6 +28,8 @@ from dickesim.algebra import (
     ladder_norm_constant,
     oscillator_generators,
 )
+from dickesim.cli import main as cli_main
+from dickesim.core import _hermitian_exp
 from oracle import closure_residual
 
 
@@ -64,7 +70,7 @@ def test_closure_order_and_mixing_invariance():
     base = lie_closure(gens).traceless_dimension
     assert lie_closure(gens[::-1]).traceless_dimension == base
     # invertible real recombination of the generators spans the same algebra
-    mats = [g.matrix for g in gens]
+    mats = list(gens)
     mixed = [
         mats[0] + 2 * mats[1],
         mats[1] - mats[2],
@@ -80,7 +86,7 @@ def test_closure_contains_quadratic_cross_terms():
     report = lie_closure(gens)
     sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
     for a, b in ((sy, sz), (sx, sy), (sx, sz)):
-        op = a.matrix @ b.matrix + b.matrix @ a.matrix
+        op = a @ b + b @ a
         assert closure_residual(report, op) < 1e-8
 
 
@@ -129,7 +135,7 @@ def _oracle_dimension(mats, tol=1e-8):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_closure_matches_matrix_rank_oracle(n):
     space = DickeSpace(n)
-    sx, sy = build_sx(space).matrix, build_sy(space).matrix
+    sx, sy = build_sx(space), build_sy(space)
     for mats in ([sx, sy, sx @ sx, sy @ sy], [sx @ sx, sy @ sy]):
         assert lie_closure(mats).reached_dimension == _oracle_dimension(mats)
 
@@ -149,7 +155,7 @@ def test_closure_bounded_and_scale_invariant(d, count, seed, scales):
 
 def test_closure_ignores_generator_scale_and_zero_generators():
     space = DickeSpace(4)
-    sx, sy = build_sx(space).matrix, build_sy(space).matrix
+    sx, sy = build_sx(space), build_sy(space)
     report = lie_closure([1e-12 * sx, np.zeros_like(sx), 1e12 * sy])
     assert report.reached_dimension == 3
 
@@ -245,7 +251,7 @@ def test_trotter_commutator_zero_time_is_identity():
     space = DickeSpace(3)
     sx, sy = build_sx(space), build_sy(space)
     u = trotter_commutator(sx @ sx, sy, 0.0, 7)
-    assert np.allclose(u.matrix, np.eye(4), atol=1e-12)
+    assert np.allclose(u, np.eye(4), atol=1e-12)
 
 
 def test_trotter_commutator_converges_to_hermitian_generator_unitary():
@@ -266,8 +272,8 @@ def test_trotter_commutator_su2_target():
     space = DickeSpace(2)
     sx, sy = build_sx(space), build_sy(space)
     approx = trotter_commutator(sx, sy, 0.8, 4096)
-    exact = hermitian_exp(build_sz(space), -1j * 0.8)
-    assert (approx - exact).max_abs() < 0.05
+    exact = _hermitian_exp(build_sz(space), -1j * 0.8)
+    assert np.max(np.abs(approx - exact)) < 0.05
 
 
 def test_trotter_rejects_bad_inputs():
@@ -277,6 +283,8 @@ def test_trotter_rejects_bad_inputs():
         trotter_sum(build_splus(space), sx, 1.0, 4)
     with pytest.raises(ValueError):
         trotter_sum(sx, sx, 1.0, 0)
+    with pytest.raises(ValueError, match="square shape"):
+        trotter_sum(sx, build_sx(DickeSpace(4)), 1.0, 4)
     with pytest.raises(ValueError):
         trotter_commutator(sx, sx, -1.0, 4)
 
@@ -302,7 +310,7 @@ def test_synthesis_matches_direct_exponential_product():
     state, err = synthesis_by_powers(space, target, 0.05)
 
     amps = target.amplitudes
-    sp = build_splus(space).matrix
+    sp = build_splus(space)
     psi = QuantumState.ground(space).amplitudes.copy()
     power = np.eye(4, dtype=complex)
     m = 20
@@ -357,3 +365,24 @@ def test_synthesis_rejects_bad_scale():
     space = DickeSpace(3)
     with pytest.raises(ValueError):
         synthesis_by_powers(space, QuantumState.ground(space), 0.5)
+
+
+# --- pinned outputs ---------------------------------------------------------
+
+def test_trotter_check_and_synthesis_outputs_are_pinned(tmp_path):
+    # the default trotter-check (N=4, t=1, k = 8..64) and the weak coherent
+    # target's synthesis infidelity, to relative 1e-12
+    out = tmp_path / "trotter.json"
+    assert cli_main(["trotter-check", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())["outputs"]
+    assert rec["sum_errors"] == pytest.approx(
+        [0.07310557111449245, 0.0364093599778489, 0.018156885927150618,
+         0.00906501045386833], rel=1e-12)
+    assert rec["commutator_errors"] == pytest.approx(
+        [0.4184117395988512, 0.33066290000947585, 0.2468793017304527,
+         0.17932317079371393], rel=1e-12)
+    for n, infidelity in ((10, 0.000833232112779192), (20, 0.0008902773745406156),
+                          (40, 0.0009189402286312598)):
+        space = DickeSpace(n)
+        target = make_target(TargetSpec(TargetKind.COHERENT, gamma=0.2), space)
+        assert synthesis_by_powers(space, target, 0.1)[1] == pytest.approx(infidelity, rel=1e-12)

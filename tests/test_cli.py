@@ -74,6 +74,20 @@ def test_replay_missing_file_exits_2(capsys):
     assert run_cli(["replay", "--sequence", "/nonexistent/q.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["replay", "--sequence", "{dir}"],
+    ["replay", "--sequence", "cat2", "--out", "{dir}"],
+    ["replay", "--sequence", "cat2", "--target", "custom", "--custom-amplitudes", "{dir}"],
+    ["wigner", "--sequence", "cat2", "--per-step", "--out", "{file}"],
+], ids=["sequence-dir", "out-dir", "amplitudes-dir", "per-step-out-file"])
+def test_path_errors_exit_2(tmp_path, capsys, argv):
+    existing = tmp_path / "existing.csv"
+    existing.write_text("")
+    assert run_cli([a.format(dir=tmp_path, file=existing) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_replay_bad_schema_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format_version": 1, "n_emitters": "x"}))

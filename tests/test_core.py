@@ -6,45 +6,42 @@ from dickesim import (
     DickeSpace,
     DimensionMismatchError,
     NormDriftError,
-    NotHermitianError,
     QuantumState,
-    SymmetricOperator,
     build_sminus,
     build_splus,
     build_sx,
     build_sy,
     build_sz,
-    commutator,
     fidelity,
-    hermitian_exp,
 )
 from dickesim.algebra import ladder_norm_constant
-from oracle import _spin_triple, apply
+from dickesim.core import _hermitian_exp
+from oracle import _spin_triple, apply, commutator
 
 
 def test_splus_matrix_elements_n40():
     sp = build_splus(DickeSpace(40))
-    assert sp.matrix[1, 0] == pytest.approx(np.sqrt(40), abs=1e-14)
+    assert sp[1, 0] == pytest.approx(np.sqrt(40), abs=1e-14)
     m = np.arange(40)
-    assert np.allclose(sp.matrix[m + 1, m], np.sqrt((m + 1) * (40 - m)))
-    off = sp.matrix.copy()
+    assert np.allclose(sp[m + 1, m], np.sqrt((m + 1) * (40 - m)))
+    off = sp.copy()
     off[m + 1, m] = 0
     assert np.all(off == 0)
 
 
 def test_splus_single_qubit():
     sp = build_splus(DickeSpace(1))
-    assert np.array_equal(sp.matrix, np.array([[0, 0], [1, 0]], dtype=complex))
+    assert np.array_equal(sp, np.array([[0, 0], [1, 0]], dtype=complex))
 
 
 def test_splus_convention_independent():
     # both normalizations share S_+: S_x = (S_+ + S_-)/2 or S_+ + S_-
     space = DickeSpace(5)
-    sp = build_splus(space).matrix
+    sp = build_splus(space)
     for convention, factor in ((Convention.SPIN_J, 0.5), (Convention.PAULI_SUM, 1.0)):
         sx, sy, _ = _spin_triple(space, convention)
-        assert np.allclose(sx.matrix, factor * (sp + sp.conj().T), atol=1e-14)
-        assert np.allclose(sy.matrix, factor * (sp - sp.conj().T) / 1j, atol=1e-14)
+        assert np.allclose(sx, factor * (sp + sp.conj().T), atol=1e-14)
+        assert np.allclose(sy, factor * (sp - sp.conj().T) / 1j, atol=1e-14)
 
 
 def test_splus_squared_ladder_coefficient():
@@ -53,120 +50,109 @@ def test_splus_squared_ladder_coefficient():
     sp = build_splus(space)
     vec = np.zeros(4, dtype=complex)
     vec[0] = 1
-    vec = sp.matrix @ (sp.matrix @ vec)
+    vec = sp @ (sp @ vec)
     assert vec[2] == pytest.approx(np.sqrt(12.0), rel=1e-14)
 
 
 def test_sminus_is_adjoint_of_splus():
     for n in (1, 2, 7, 40):
         space = DickeSpace(n)
-        assert np.array_equal(build_sminus(space).matrix,
-                              build_splus(space).matrix.conj().T)
+        assert np.array_equal(build_sminus(space),
+                              build_splus(space).conj().T)
 
 
 def test_sminus_element_n2():
     sm = build_sminus(DickeSpace(2))
-    assert sm.matrix[0, 1] == pytest.approx(np.sqrt(2), abs=1e-15)
+    assert sm[0, 1] == pytest.approx(np.sqrt(2), abs=1e-15)
 
 
 def test_sminus_annihilates_ground():
     sm = build_sminus(DickeSpace(40))
-    assert np.all(sm.matrix[:, 0] == 0)
+    assert np.all(sm[:, 0] == 0)
 
 
 def test_sz_spectra():
-    assert np.allclose(np.diag(build_sz(DickeSpace(2)).matrix), [-1, 0, 1])
-    assert np.allclose(np.diag(_spin_triple(DickeSpace(2), Convention.PAULI_SUM)[2].matrix),
+    assert np.allclose(np.diag(build_sz(DickeSpace(2))), [-1, 0, 1])
+    assert np.allclose(np.diag(_spin_triple(DickeSpace(2), Convention.PAULI_SUM)[2]),
                        [-2, 0, 2])
-    assert np.allclose(np.diag(build_sz(DickeSpace(1)).matrix), [-0.5, 0.5])
+    assert np.allclose(np.diag(build_sz(DickeSpace(1))), [-0.5, 0.5])
 
 
 def test_sx_single_qubit_is_half_pauli():
     sx = build_sx(DickeSpace(1))
-    assert np.allclose(sx.matrix, np.array([[0, 0.5], [0.5, 0]]))
+    assert np.allclose(sx, np.array([[0, 0.5], [0.5, 0]]))
     sy = build_sy(DickeSpace(1))
-    assert np.allclose(sy.matrix, np.array([[0, 0.5j], [-0.5j, 0]]))
+    assert np.allclose(sy, np.array([[0, 0.5j], [-0.5j, 0]]))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_spin_j_commutator(n):
     space = DickeSpace(n)
     sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
-    assert commutator(sx, sy).matrix == pytest.approx(1j * sz.matrix, abs=1e-12)
+    assert commutator(sx, sy) == pytest.approx(1j * sz, abs=1e-12)
 
 
 def test_pauli_sum_commutator_single_qubit():
     sx, sy, sz = _spin_triple(DickeSpace(1), Convention.PAULI_SUM)
     # direct 2x2 oracle
-    direct = sx.matrix @ sy.matrix - sy.matrix @ sx.matrix
-    assert np.allclose(direct, 2j * sz.matrix, atol=1e-14)
-    assert np.allclose(sx.matrix, [[0, 1], [1, 0]])
+    direct = sx @ sy - sy @ sx
+    assert np.allclose(direct, 2j * sz, atol=1e-14)
+    assert np.allclose(sx, [[0, 1], [1, 0]])
 
 
 def test_commutator_self_is_zero():
     sx = build_sx(DickeSpace(4))
-    assert np.all(commutator(sx, sx).matrix == 0)
+    assert np.all(commutator(sx, sx) == 0)
 
 
 def test_commutator_sz_splus_sign():
     # the S_z spectrum (m - N/2) implies [S_z, S_+] = +S_+
     space = DickeSpace(5)
     sz, sp = build_sz(space), build_splus(space)
-    assert commutator(sz, sp).matrix == pytest.approx(sp.matrix, abs=1e-12)
+    assert commutator(sz, sp) == pytest.approx(sp, abs=1e-12)
 
 
 def test_commutator_sx_sysquared_identity():
     space = DickeSpace(3)
     sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
-    lhs = commutator(sx, sy @ sy).matrix
-    rhs = 1j * (sz.matrix @ sy.matrix + sy.matrix @ sz.matrix)
+    lhs = commutator(sx, sy @ sy)
+    rhs = 1j * (sz @ sy + sy @ sz)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_commutator_space_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        commutator(build_sx(DickeSpace(2)), build_sx(DickeSpace(3)))
 
 
 def test_hermitian_exp_zero_is_identity():
     space = DickeSpace(6)
-    zero = SymmetricOperator(space, np.zeros((7, 7)), hermitian=True)
-    assert np.allclose(hermitian_exp(zero, 1j).matrix, np.eye(7))
+    zero = np.zeros((7, 7))
+    assert np.allclose(_hermitian_exp(zero, 1j), np.eye(7))
 
 
 def test_hermitian_exp_diagonal():
-    u = hermitian_exp(build_sz(DickeSpace(2)), 1j * np.pi)
-    assert np.allclose(np.diag(u.matrix),
+    u = _hermitian_exp(build_sz(DickeSpace(2)), 1j * np.pi)
+    assert np.allclose(np.diag(u),
                        [np.exp(-1j * np.pi), 1.0, np.exp(1j * np.pi)], atol=1e-14)
 
 
 def test_hermitian_exp_pi_y_rotation_flips_poles():
     # oracle at N=2: direct 3x3 computation with an independent series expansion
     space2 = DickeSpace(2)
-    sy_mat = build_sy(space2).matrix
+    sy_mat = build_sy(space2)
     series = np.eye(3, dtype=complex)
     term = np.eye(3, dtype=complex)
     for k in range(1, 60):
         term = term @ (1j * np.pi * sy_mat) / k
         series = series + term
-    u2 = hermitian_exp(build_sy(space2), 1j * np.pi)
-    assert np.allclose(u2.matrix, series, atol=1e-12)
+    u2 = _hermitian_exp(build_sy(space2), 1j * np.pi)
+    assert np.allclose(u2, series, atol=1e-12)
     for n in (2, 5, 40):
         space = DickeSpace(n)
-        u = hermitian_exp(build_sy(space), 1j * np.pi)
-        out = u.matrix @ QuantumState.ground(space).amplitudes
+        u = _hermitian_exp(build_sy(space), 1j * np.pi)
+        out = u @ QuantumState.ground(space).amplitudes
         assert abs(out[n]) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_hermitian_exp_rejects_non_hermitian():
-    space = DickeSpace(3)
-    with pytest.raises(NotHermitianError):
-        hermitian_exp(build_splus(space), 1j)
 
 
 def test_apply_identity():
     space = DickeSpace(5)
-    eye = SymmetricOperator(space, np.eye(6), hermitian=True)
+    eye = np.eye(6)
     st = QuantumState.basis_state(space, 3)
     assert np.array_equal(apply(eye, st).amplitudes, st.amplitudes)
 
@@ -185,7 +171,7 @@ def test_apply_norm_drift_raises():
 
 def test_apply_unitary_preserves_norm():
     space = DickeSpace(8)
-    u = hermitian_exp(build_sx(space), 0.7j)
+    u = _hermitian_exp(build_sx(space), 0.7j)
     st = apply(u, QuantumState.basis_state(space, 2))
     assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
@@ -193,7 +179,7 @@ def test_apply_unitary_preserves_norm():
 def test_apply_density_form():
     space = DickeSpace(3)
     rho = QuantumState(space, density=np.eye(4) / 4)
-    u = hermitian_exp(build_sy(space), 0.3j)
+    u = _hermitian_exp(build_sy(space), 0.3j)
     out = apply(u, rho)
     assert np.trace(out.density).real == pytest.approx(1.0, abs=1e-12)
 
@@ -241,18 +227,18 @@ def test_fidelity_symmetry_and_phase_invariance():
 def test_su2_algebra_and_casimir(n):
     space = DickeSpace(n)
     sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
-    assert commutator(sx, sy).matrix == pytest.approx(1j * sz.matrix, abs=1e-12)
-    assert commutator(sy, sz).matrix == pytest.approx(1j * sx.matrix, abs=1e-12)
-    assert commutator(sz, sx).matrix == pytest.approx(1j * sy.matrix, abs=1e-12)
+    assert commutator(sx, sy) == pytest.approx(1j * sz, abs=1e-12)
+    assert commutator(sy, sz) == pytest.approx(1j * sx, abs=1e-12)
+    assert commutator(sz, sx) == pytest.approx(1j * sy, abs=1e-12)
     j = n / 2
-    casimir = sx.matrix @ sx.matrix + sy.matrix @ sy.matrix + sz.matrix @ sz.matrix
+    casimir = sx @ sx + sy @ sy + sz @ sz
     assert casimir == pytest.approx(j * (j + 1) * np.eye(n + 1), abs=1e-10)
 
 
 def test_splus_nilpotent():
     for n in (1, 3, 6):
         space = DickeSpace(n)
-        power = np.linalg.matrix_power(build_splus(space).matrix, n + 1)
+        power = np.linalg.matrix_power(build_splus(space), n + 1)
         assert np.all(power == 0)
 
 
@@ -261,18 +247,18 @@ def test_hermitian_exp_inverse():
     space = DickeSpace(6)
     for _ in range(5):
         raw = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        h = SymmetricOperator(space, (raw + raw.conj().T) / 2, hermitian=True)
+        h = (raw + raw.conj().T) / 2
         t = rng.uniform(-10, 10)
-        u = hermitian_exp(h, 1j * t)
-        uinv = hermitian_exp(h, -1j * t)
-        assert np.max(np.abs((u @ uinv).matrix - np.eye(7))) < 1e-10
+        u = _hermitian_exp(h, 1j * t)
+        uinv = _hermitian_exp(h, -1j * t)
+        assert np.max(np.abs((u @ uinv) - np.eye(7))) < 1e-10
 
 
 def test_ladder_norm_constants_match_repeated_application():
     # c_n = sqrt(n! N!/(N-n)!) against the norm of S_+^n |0> built by iteration
     for n_emitters in range(1, 11):
         space = DickeSpace(n_emitters)
-        sp = build_splus(space).matrix
+        sp = build_splus(space)
         vec = QuantumState.ground(space).amplitudes.copy()
         for n in range(1, n_emitters + 1):
             vec = sp @ vec
@@ -322,6 +308,8 @@ def test_huge_amplitudes_normalize_without_overflow():
 
 
 def test_operator_immutability():
-    sx = build_sx(DickeSpace(4))
-    with pytest.raises(ValueError):
-        sx.matrix[0, 0] = 5.0
+    for build in (build_splus, build_sminus, build_sx, build_sy, build_sz):
+        op = build(DickeSpace(4))
+        assert op.dtype == complex
+        with pytest.raises(ValueError):
+            op[0, 0] = 5.0

@@ -20,36 +20,36 @@ from oracle import rotation_from_turns, squeeze_pair_unitary, step_unitary
 
 
 def unitarity_defect(u):
-    d = u.matrix.shape[0]
-    return np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(d)))
+    d = u.shape[0]
+    return np.max(np.abs(u.conj().T @ u - np.eye(d)))
 
 
 def test_rotation_zero_angle_is_identity():
     u = rotation_from_turns(DickeSpace(5), (0, 0, 0.0))
-    assert np.allclose(u.matrix, np.eye(6), atol=1e-14)
+    assert np.allclose(u, np.eye(6), atol=1e-14)
 
 
 def test_rotation_z_axis_diagonal():
     theta = 0.83
     u = rotation_from_turns(DickeSpace(2), (0, 0, theta))
     expected = np.diag([np.exp(-1j * theta), 1.0, np.exp(1j * theta)])
-    assert np.allclose(u.matrix, expected, atol=1e-12)
+    assert np.allclose(u, expected, atol=1e-12)
 
 
 def test_rotation_pi_about_y_flips_ground():
     # independent oracle at N=2: truncated matrix exponential series
     space = DickeSpace(2)
-    gen = 1j * np.pi * build_sy(space).matrix
+    gen = 1j * np.pi * build_sy(space)
     series, term = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
     for k in range(1, 60):
         term = term @ gen / k
         series = series + term
     u = rotation_from_turns(space, (0, np.pi, 0))
-    assert np.allclose(u.matrix, series, atol=1e-12)
+    assert np.allclose(u, series, atol=1e-12)
     for n in (3, 17):
         space = DickeSpace(n)
         u = rotation_from_turns(space, (0, np.pi, 0))
-        final = u.matrix @ QuantumState.ground(space).amplitudes
+        final = u @ QuantumState.ground(space).amplitudes
         assert abs(final[n]) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -60,14 +60,14 @@ def test_rotation_rejects_zero_axis():
 
 def test_squeeze_zero_strength_is_identity():
     space = DickeSpace(7)
-    assert np.allclose(squeeze_pair_unitary(space, 0.0, 0.0).matrix, np.eye(8), atol=1e-14)
+    assert np.allclose(squeeze_pair_unitary(space, 0.0, 0.0), np.eye(8), atol=1e-14)
 
 
 def test_single_qubit_squeeze_is_global_phase():
     space = DickeSpace(1)
     alpha = 0.9
     u = squeeze_pair_unitary(space, alpha, 0.0)
-    assert np.allclose(u.matrix, np.exp(1j * alpha / 4) * np.eye(2), atol=1e-12)
+    assert np.allclose(u, np.exp(1j * alpha / 4) * np.eye(2), atol=1e-12)
 
 
 def test_squeeze_commutation_by_direct_computation():
@@ -75,16 +75,16 @@ def test_squeeze_commutation_by_direct_computation():
     # commute exactly; genuine non-commutation starts at N=3
     space = DickeSpace(2)
     ux, uy = squeeze_pair_unitary(space, 0.5, 0.0), squeeze_pair_unitary(space, 0.0, 0.5)
-    assert np.max(np.abs((ux @ uy).matrix - (uy @ ux).matrix)) < 1e-14
+    assert np.max(np.abs(ux @ uy - uy @ ux)) < 1e-14
     space = DickeSpace(3)
     ux, uy = squeeze_pair_unitary(space, 0.5, 0.0), squeeze_pair_unitary(space, 0.0, 0.5)
-    assert np.max(np.abs((ux @ uy).matrix - (uy @ ux).matrix)) > 1e-3
+    assert np.max(np.abs(ux @ uy - uy @ ux)) > 1e-3
 
 
 def test_step_all_zero_is_identity():
     space = DickeSpace(6)
     step = PulseStep((0, 0, 1), 0.0, 0.0, 0.0)
-    assert np.allclose(step_unitary(step, space).matrix, np.eye(7), atol=1e-13)
+    assert np.allclose(step_unitary(step, space), np.eye(7), atol=1e-13)
 
 
 def test_step_reduces_to_rotation_without_squeeze():
@@ -92,7 +92,7 @@ def test_step_reduces_to_rotation_without_squeeze():
     step = PulseStep((0.3, -0.5, 0.8), 1.2, 0.0, 0.0)
     u = step_unitary(step, space)
     r = rotation_from_turns(space, step.turns)
-    assert np.allclose(u.matrix, r.matrix, atol=1e-13)
+    assert np.allclose(u, r, atol=1e-13)
 
 
 def test_step_reduces_to_squeezes_without_rotation():
@@ -100,7 +100,7 @@ def test_step_reduces_to_squeezes_without_rotation():
     step = PulseStep((0, 0, 1), 0.0, 0.4, -0.7)
     u = step_unitary(step, space)
     expected = squeeze_pair_unitary(space, 0.0, -0.7) @ squeeze_pair_unitary(space, 0.4, 0.0)
-    assert np.allclose(u.matrix, expected.matrix, atol=1e-13)
+    assert np.allclose(u, expected, atol=1e-13)
 
 
 def test_squeeze_order_flag():
@@ -108,19 +108,19 @@ def test_squeeze_order_flag():
     xy = squeeze_pair_unitary(space, 0.5, 0.8, GateConventions(squeeze_order="xy"))
     yx = squeeze_pair_unitary(space, 0.5, 0.8, GateConventions(squeeze_order="yx"))
     ux, uy = squeeze_pair_unitary(space, 0.5, 0.0), squeeze_pair_unitary(space, 0.0, 0.8)
-    assert np.allclose(xy.matrix, (uy @ ux).matrix, atol=1e-13)
-    assert np.allclose(yx.matrix, (ux @ uy).matrix, atol=1e-13)
-    assert np.max(np.abs(xy.matrix - yx.matrix)) > 1e-4
+    assert np.allclose(xy, uy @ ux, atol=1e-13)
+    assert np.allclose(yx, ux @ uy, atol=1e-13)
+    assert np.max(np.abs(xy - yx)) > 1e-4
 
 
 def test_combined_squeeze_composition():
     space = DickeSpace(4)
     conv = GateConventions(squeeze_composition="combined")
     u = squeeze_pair_unitary(space, 0.5, 0.8, conv)
-    sx, sy = build_sx(space).matrix, build_sy(space).matrix
+    sx, sy = build_sx(space), build_sy(space)
     w, v = np.linalg.eigh(0.5 * sx @ sx + 0.8 * sy @ sy)
     expected = (v * np.exp(1j * w)) @ v.conj().T
-    assert np.allclose(u.matrix, expected, atol=1e-12)
+    assert np.allclose(u, expected, atol=1e-12)
 
 
 def test_exponent_sign_flag_conjugates_each_factor():
@@ -128,10 +128,10 @@ def test_exponent_sign_flag_conjugates_each_factor():
     turns = 0.9 * np.array([0.6, 0.0, 0.8])
     rot_p = rotation_from_turns(space, turns, GateConventions(exponent_sign=1))
     rot_m = rotation_from_turns(space, turns, GateConventions(exponent_sign=-1))
-    assert np.allclose(rot_m.matrix, rot_p.matrix.conj().T, atol=1e-12)
+    assert np.allclose(rot_m, rot_p.conj().T, atol=1e-12)
     sq_p = squeeze_pair_unitary(space, 0.7, 0.0, GateConventions(exponent_sign=1))
     sq_m = squeeze_pair_unitary(space, 0.7, 0.0, GateConventions(exponent_sign=-1))
-    assert np.allclose(sq_m.matrix, sq_p.matrix.conj().T, atol=1e-12)
+    assert np.allclose(sq_m, sq_p.conj().T, atol=1e-12)
 
 
 def test_rotation_composition_modes():
@@ -140,7 +140,7 @@ def test_rotation_composition_modes():
     combined = rotation_from_turns(space, turns, GateConventions())
     product = rotation_from_turns(space, turns,
                                   GateConventions(rotation_composition="product"))
-    sx, sy, sz = (b(space).matrix for b in (build_sx, build_sy, build_sz))
+    sx, sy, sz = (b(space) for b in (build_sx, build_sy, build_sz))
 
     def expm_series(gen):
         out, term = np.eye(5, dtype=complex), np.eye(5, dtype=complex)
@@ -149,18 +149,18 @@ def test_rotation_composition_modes():
             out = out + term
         return out
 
-    assert np.allclose(combined.matrix,
+    assert np.allclose(combined,
                        expm_series(1j * (0.4 * sx - 0.2 * sy + 0.9 * sz)), atol=1e-12)
-    assert np.allclose(product.matrix,
+    assert np.allclose(product,
                        expm_series(1j * 0.9 * sz) @ expm_series(-1j * 0.2 * sy)
                        @ expm_series(1j * 0.4 * sx), atol=1e-12)
-    assert np.max(np.abs(combined.matrix - product.matrix)) > 1e-3
+    assert np.max(np.abs(combined - product)) > 1e-3
     # single-axis rotations agree between the two compositions
     one_axis = np.array([0.0, 0.7, 0.0])
     assert np.allclose(
-        rotation_from_turns(space, one_axis).matrix,
+        rotation_from_turns(space, one_axis),
         rotation_from_turns(space, one_axis,
-                            GateConventions(rotation_composition="product")).matrix,
+                            GateConventions(rotation_composition="product")),
         atol=1e-12)
 
 
@@ -203,10 +203,10 @@ def test_flatten_length_and_roundtrip():
     for st1, st2 in zip(seq.steps, seq2.steps):
         u1 = step_unitary(st1, space)
         u2 = step_unitary(st2, space)
-        assert np.max(np.abs(u1.matrix - u2.matrix)) < 1e-12
+        assert np.max(np.abs(u1 - u2)) < 1e-12
     f1 = rotation_from_turns(space, seq.final_turns)
     f2 = rotation_from_turns(space, seq2.final_turns)
-    assert np.max(np.abs(f1.matrix - f2.matrix)) < 1e-12
+    assert np.max(np.abs(f1 - f2)) < 1e-12
 
 
 def test_all_zero_vector_is_identity_sequence():

@@ -1,7 +1,7 @@
 """The state-vector propagation kernel against the dense unitaries it replaces.
 
 The dense path (``oracle.sequence_unitaries`` + ``oracle.apply``, built
-from ``hermitian_exp``) is the oracle.  Amplitudes are compared as well as
+from ``core._hermitian_exp``) is the oracle.  Amplitudes are compared as well as
 overlaps, because for odd N (half-integer spin) a rotation read only up to
 SO(3) would differ from the oracle by a global sign that no overlap shows.
 """
@@ -136,7 +136,7 @@ def test_rotation_at_degenerate_euler_angles(turns, n):
     space = DickeSpace(n)
     for conv in _sweep_combos():
         psi0 = random_state(space, rng)
-        expected = rotation_from_turns(space, turns, conv).matrix @ psi0
+        expected = rotation_from_turns(space, turns, conv) @ psi0
         assert_same_state(expected, propagate(space, turns, conv, psi0))
 
 
@@ -151,7 +151,7 @@ def test_combined_squeeze_special_strengths(alpha, beta, n):
             conv = GateConventions(squeeze_composition="combined", exponent_sign=sign,
                                    convention=convention)
             params = np.array([0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0])
-            expected = squeeze_pair_unitary(space, alpha, beta, conv).matrix @ psi0
+            expected = squeeze_pair_unitary(space, alpha, beta, conv) @ psi0
             assert_same_state(expected, propagate(space, params, conv, psi0))
 
 
@@ -171,7 +171,7 @@ def test_euler_path_equals_dense_rotation(turns, n, convention, rot, sign, squee
     conv = GateConventions(squeeze_order=order, squeeze_composition=squeeze,
                            rotation_composition=rot, exponent_sign=sign,
                            convention=convention)
-    expected = rotation_from_turns(space, turns, conv).matrix @ psi0
+    expected = rotation_from_turns(space, turns, conv) @ psi0
     assert_same_state(expected, propagate(space, turns, conv, psi0))
 
 
@@ -183,13 +183,14 @@ def test_density_and_column_block_match_dense(n):
     for conv in _sweep_combos():
         params = rng.uniform(-np.pi, np.pi, 5 * 3 + 3)
         seq = unflatten_params(space, 3, params)
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = QuantumState(space, density=g @ g.conj().T / np.vdot(g, g).real)
-        expected = rho
-        for u in sequence_unitaries(seq, conv):
-            expected = apply(u, expected)
-        out = apply_sequence(seq, rho, conv)
-        assert np.max(np.abs(out.density - expected.density)) <= 1e-12
+        for rank in (d, 2):  # full rank, and a density factored by its rank
+            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            rho = QuantumState(space, density=g @ g.conj().T / np.vdot(g, g).real)
+            expected = rho
+            for u in sequence_unitaries(seq, conv):
+                expected = apply(u, expected)
+            out = apply_sequence(seq, rho, conv)
+            assert np.max(np.abs(out.density - expected.density)) <= 1e-12
 
         columns = [random_state(space, rng) for _ in range(3)]
         block = np.stack(columns, axis=-1) / np.sqrt(3)  # unit Frobenius norm
@@ -204,7 +205,7 @@ def test_density_and_column_block_match_dense(n):
 def s_unit_squeeze(space, convention, alpha, beta, psi):
     """exp(i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the convention's
     own S units: the reference that the J-unit eigenpairs reproduce bit for bit."""
-    sq = [(s.matrix @ s.matrix).real for s in _spin_triple(space, convention)[:2]]
+    sq = [(s @ s).real for s in _spin_triple(space, convention)[:2]]
     diag = alpha * np.diag(sq[0]) + beta * np.diag(sq[1])
     off = alpha * np.diag(sq[0], 2) + beta * np.diag(sq[1], 2)
     out = np.empty_like(psi)

@@ -25,10 +25,10 @@ from dickesim import (
     coherent_state,
     export_grid,
     gkp_state,
-    hermitian_exp,
     planar_wigner,
     spherical_wigner,
 )
+from dickesim.core import _hermitian_exp, _psd_factor
 from dickesim.wigner import (
     PlaneGrid,
     SphereGrid,
@@ -115,7 +115,7 @@ def test_multipole_operators_orthonormal():
 def test_multipole_k1_q0_proportional_to_sz():
     space = DickeSpace(6)
     t10 = spherical_tensor(space, 1, 0)
-    sz = build_sz(space).matrix
+    sz = build_sz(space)
     ratio = t10[1, 1] / sz[1, 1]
     assert np.allclose(t10, ratio * sz, atol=1e-12)
 
@@ -148,11 +148,11 @@ def test_rotated_coherent_state_peak_tracks_bloch_vector():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.3, 2.5)
-        gen = axis[0] * sx.matrix + axis[1] * sy.matrix + axis[2] * sz.matrix
-        u = hermitian_exp(type(sx)(space, gen, hermitian=True), 1j * angle)
-        st = QuantumState(space, amplitudes=u.matrix @ QuantumState.ground(space).amplitudes)
+        gen = axis[0] * sx + axis[1] * sy + axis[2] * sz
+        u = _hermitian_exp(gen, 1j * angle)
+        st = QuantumState(space, amplitudes=u @ QuantumState.ground(space).amplitudes)
         # oracle: Bloch direction from spin expectation values
-        vec = np.array([np.vdot(st.amplitudes, m.matrix @ st.amplitudes).real
+        vec = np.array([np.vdot(st.amplitudes, m @ st.amplitudes).real
                         for m in (sx, sy, sz)])
         vec /= np.linalg.norm(vec)
         theta0 = np.arccos(np.clip(vec[2], -1, 1))
@@ -180,13 +180,13 @@ def test_spherical_wigner_rotation_covariance():
     # expectation values, so W_{U psi}(x) = W_psi(M^T x) pointwise
     space = DickeSpace(8)
     sx, sy, sz = build_sx(space), build_sy(space), build_sz(space)
-    spins = [sx.matrix, sy.matrix, sz.matrix]
+    spins = [sx, sy, sz]
     rng = np.random.default_rng(12)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = 1.1
     gen = axis[0] * spins[0] + axis[1] * spins[1] + axis[2] * spins[2]
-    u = hermitian_exp(type(sx)(space, gen, hermitian=True), 1j * angle).matrix
+    u = _hermitian_exp(gen, 1j * angle)
 
     norm = np.trace(spins[0] @ spins[0]).real
     m_rot = np.array([[np.trace(u.conj().T @ spins[i] @ u @ spins[j]).real / norm
@@ -268,6 +268,7 @@ def test_frequency_form_matches_row_loop_oracle(n):
     thetas, phis = rng.uniform(0, np.pi, (3, 1)), rng.uniform(-np.pi, 3 * np.pi, 4)
     scattered = rng.uniform(0, np.pi, 25), rng.uniform(0, 2 * np.pi, 25)
     pure, rank_3, flat = _oracle_states(space, rng)
+    assert _psd_factor(rank_3.density).shape == (space.dim, 3)  # r columns, not d
     # the flat state's (d, d * n_phi) block costs the oracle ~0.1 s per row at N = 100
     for st, stride in ((pure, 1), (rank_3, 1), (flat, 1 if n < 100 else 17)):
         grid = spherical_wigner(st)
