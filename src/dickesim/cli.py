@@ -350,6 +350,8 @@ def cmd_trotter_check(args) -> int:
     ks = [int(k) for k in args.k_list.split(",")]
     if len(set(ks)) < 2:
         raise ValueError("--k-list needs at least two distinct k to fit a slope")
+    if args.t == 0 or args.n == 1:  # S_x^2 = I/4 at N = 1 commutes with S_y
+        raise ValueError("both product formulas are exact at --t 0 and at --n 1: no slope to fit")
     sum_errors = [trotter_sum_error(a, b, args.t, k) for k in ks]
     comm_errors = [trotter_commutator_error(a, b, args.t, k) for k in ks]
 

@@ -42,6 +42,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normalized(vec: np.ndarray) -> np.ndarray:
+    """vec / ||vec|| for a nonzero contiguous vector, after a power of two takes
+    its largest real or imaginary part into [1, 2): the norm cannot overflow or
+    underflow, and ordinary vectors give the same bits as vec / norm(vec)."""
+    parts = vec.view(float)
+    vec = np.ldexp(parts, 1 - int(np.frexp(np.max(np.abs(parts)))[1])).view(vec.dtype)
+    return vec / np.linalg.norm(vec)
+
+
 @dataclass(frozen=True)
 class DickeSpace:
     """The (N+1)-dimensional symmetric subspace of N emitters."""
@@ -123,13 +132,9 @@ class QuantumState:
     def from_amplitudes(cls, space: DickeSpace, vec, normalize: bool = False) -> "QuantumState":
         vec = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
         if normalize:
-            big = np.max(np.abs(vec.view(float)), initial=0.0)
-            if big == 0:
+            if not vec.any():
                 raise ValueError("cannot normalize the zero vector")
-            # scale the largest real or imaginary part into [1, 2) by a power of
-            # two first: exact, and the norm then cannot overflow or underflow
-            vec = np.ldexp(vec.view(float), 1 - int(np.frexp(big)[1])).view(complex)
-            vec = vec / np.linalg.norm(vec)
+            vec = _normalized(vec)
         return cls(space, amplitudes=vec)
 
     def to_density(self) -> np.ndarray:

@@ -15,7 +15,6 @@ live in the test suite.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .core import (
     build_sx,
     build_sy,
     _check_same_space,
+    _normalized,
     _psd_factor,
 )
 
@@ -123,14 +123,18 @@ def _checked_axis(axis) -> Tuple[float, float, float]:
     vec = np.asarray(axis, dtype=float).reshape(-1)
     if vec.shape != (3,):
         raise ValueError(f"rotation axis must be a 3-vector, got shape {vec.shape}")
-    if np.linalg.norm(vec) == 0:
+    if not np.isfinite(vec).all():
+        raise ValueError(f"rotation axis must be finite, got {vec.tolist()}")
+    if not vec.any():
         raise ValueError("rotation axis must be nonzero")
     return (float(vec[0]), float(vec[1]), float(vec[2]))
 
 
-def _unit(axis: Tuple[float, float, float]) -> np.ndarray:
-    vec = np.asarray(axis)
-    return vec / np.linalg.norm(vec)
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -147,14 +151,13 @@ class PulseStep:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", _checked_axis(self.axis))
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        for name in ("theta", "alpha", "beta"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
     @property
     def turns(self) -> np.ndarray:
         """Per-axis rotation angles (theta_x, theta_y, theta_z) = theta * axis / |axis|."""
-        return self.theta * _unit(self.axis)
+        return self.theta * _normalized(np.asarray(self.axis))
 
 
 @dataclass(frozen=True)
@@ -169,26 +172,16 @@ class PulseSequence:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "final_axis", _checked_axis(self.final_axis))
-        object.__setattr__(self, "final_theta", float(self.final_theta))
+        object.__setattr__(self, "final_theta", _finite("final_theta", self.final_theta))
 
     @property
     def final_turns(self) -> np.ndarray:
         """Per-axis angles of the final rotation, as :attr:`PulseStep.turns`."""
-        return self.final_theta * _unit(self.final_axis)
+        return self.final_theta * _normalized(np.asarray(self.final_axis))
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def n_params(self) -> int:
-        """Flattened parameter count: five per step plus three final angles."""
-        return 5 * self.n_steps + 3
-
-    @classmethod
-    def identity(cls, space: DickeSpace, n_steps: int = 0) -> "PulseSequence":
-        steps = tuple(PulseStep((0.0, 0.0, 1.0), 0.0, 0.0, 0.0) for _ in range(n_steps))
-        return cls(space, steps, (0.0, 0.0, 1.0), 0.0)
 
 
 class _Bases(NamedTuple):
@@ -343,13 +336,6 @@ def _checked(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
-# Parameters no larger than this in magnitude keep every intermediate of a
-# propagation finite, so NumPy's overflow warnings are silenced (the norm
-# check reports the outcome) only above it, or for NaN.
-_QUIET_ABOVE = 1e100
-_LOUD = contextlib.nullcontext()
-
-
 @functools.lru_cache(maxsize=None)
 def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Callable:
     """The kernel of :func:`propagate` for one space, set of conventions and
@@ -399,30 +385,28 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
         table[:-2] = params
         table = table.reshape(n_steps + 1, 5)
         coef = np.zeros((n_steps + 1, 5))
-        quiet = np.abs(params).max() <= _QUIET_ABOVE
-        with _LOUD if quiet else np.errstate(over="ignore", invalid="ignore"):
-            strengths = strength_scale * table[:, 3:]
-            turns = table[:, :3] * turn_scale
-            if product_rotation:
-                halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
-                quat = (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
-                        * halves[:, 2, None, None, :]).reshape(-1, 8)
-            else:
-                norm = np.sqrt(np.einsum("ij,ij->i", turns, turns))
-                half = np.exp(0.5j * norm)
-                quat = np.empty((n_steps + 1, 4))
-                quat[:, 0] = half.real
-                # the floor only acts at norm 0, where sin(0) = 0
-                quat[:, 1:] = turns * (half.imag / np.maximum(norm, _TINY))[:, None]
-            cols = quat.dot(euler)
-            args = np.empty((n_steps + 1, 3))
-            args[:, :2] = np.arctan2(cols[:, :2], cols[:, 2:])
-            hyp = np.hypot(cols[:, :2], cols[:, 2:])
-            args[:, 2] = np.arctan2(hyp[:, 0], hyp[:, 1])
-            coef[:, :3] = args.dot(_ZXZ_FROM_ARGS) + offset
-            coef[:, 3] = strengths[:, yx]
-            coef[1:, 4] = strengths[:-1, 1 - yx]
-            phases = np.exp(1j * coef.dot(rows)).reshape(n_steps + 1, -1, space.dim)
+        strengths = strength_scale * table[:, 3:]
+        turns = table[:, :3] * turn_scale
+        if product_rotation:
+            halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
+            quat = (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
+                    * halves[:, 2, None, None, :]).reshape(-1, 8)
+        else:
+            norm = np.sqrt(np.einsum("ij,ij->i", turns, turns))
+            half = np.exp(0.5j * norm)
+            quat = np.empty((n_steps + 1, 4))
+            quat[:, 0] = half.real
+            # the floor only acts at norm 0, where sin(0) = 0
+            quat[:, 1:] = turns * (half.imag / np.maximum(norm, _TINY))[:, None]
+        cols = quat.dot(euler)
+        args = np.empty((n_steps + 1, 3))
+        args[:, :2] = np.arctan2(cols[:, :2], cols[:, 2:])
+        hyp = np.hypot(cols[:, :2], cols[:, 2:])
+        args[:, 2] = np.arctan2(hyp[:, 0], hyp[:, 1])
+        coef[:, :3] = args.dot(_ZXZ_FROM_ARGS) + offset
+        coef[:, 3] = strengths[:, yx]
+        coef[1:, 4] = strengths[:-1, 1 - yx]
+        phases = np.exp(1j * coef.dot(rows)).reshape(n_steps + 1, -1, space.dim)
         if psi.ndim == 2:  # one phase per row, shared by the columns
             phases = phases[..., None]
         if combined and squeeze_eigs is None:
@@ -478,8 +462,10 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
       result for this call's parameters and exponent sign).
 
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
-    or a non-finite norm, raises NormDriftError.  A block is checked and
-    rescaled as a whole, by its Frobenius norm, so that Tr rho stays 1.
+    or a non-finite norm, raises NormDriftError.  This is the door for files
+    and library callers, so overflow is left to that check and its warnings
+    are silenced.  A block is checked and rescaled as a whole, by its
+    Frobenius norm, so that Tr rho stays 1.
     """
     params = np.asarray(params, dtype=float).reshape(-1)
     if (params.size - 3) % 5:
@@ -489,7 +475,8 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
         raise DimensionMismatchError(
             f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
     run = _plan(space, conventions, (params.size - 3) // 5)
-    return run(params, psi, per_step, _squeeze_eigs)
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm check reports overflow
+        return run(params, psi, per_step, _squeeze_eigs)
 
 
 def apply_sequence(seq: PulseSequence, initial: QuantumState,

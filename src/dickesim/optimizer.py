@@ -57,7 +57,9 @@ def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
     """Closure over a fixed target: 1 - fidelity(sequence(params) applied to
     |0>, target) for a flat parameter vector of length 5 * n_steps + 3.  It
     binds the propagation plan of ``space``, ``conventions`` and ``n_steps``
-    once, so an evaluation is a length check, the kernel and the fidelity."""
+    once, so an evaluation is a length check, the kernel and the fidelity.
+    It runs bare: no intermediate overflows inside the box +-PARAM_BOUND, and
+    :func:`random_restart_search` evaluates its incumbent under ``np.errstate``."""
     _check_same_space(space, target.space)
     ground = QuantumState.ground(space).amplitudes
     expected = 5 * n_steps + 3
@@ -89,7 +91,6 @@ def nelder_mead(f: Callable, x0, lower, upper,
     if np.any(z0 < lo - 1e-12) or np.any(z0 > hi + 1e-12):
         raise ValueError("x0 violates the box constraints")
     clamp = lambda z: np.minimum(np.maximum(z, lo), hi)
-    fz = lambda z: f(clamp(z))
     n = z0.size
     simplex = [z0]
     for idx in range(n):
@@ -98,7 +99,7 @@ def nelder_mead(f: Callable, x0, lower, upper,
         vert[idx] = vert[idx] + step if vert[idx] + step <= hi[idx] else vert[idx] - step
         simplex.append(vert)
     simplex = np.asarray(simplex)
-    values = np.asarray([fz(v) for v in simplex])
+    values = np.asarray([f(clamp(v)) for v in simplex])
 
     for _ in range(max_iters):
         order = values.argsort(kind="stable")
@@ -109,10 +110,10 @@ def nelder_mead(f: Callable, x0, lower, upper,
             break
         centroid = np.add.reduce(simplex[:-1], axis=0) / n
         reflected = clamp(centroid + (centroid - simplex[-1]))
-        f_r = fz(reflected)
+        f_r = f(reflected)
         if f_r < values[0]:
             expanded = clamp(centroid + 2.0 * (centroid - simplex[-1]))
-            f_e = fz(expanded)
+            f_e = f(expanded)
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -121,12 +122,12 @@ def nelder_mead(f: Callable, x0, lower, upper,
             simplex[-1], values[-1] = reflected, f_r
         else:
             contracted = clamp(centroid + 0.5 * (simplex[-1] - centroid))
-            f_c = fz(contracted)
+            f_c = f(contracted)
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = [fz(v) for v in simplex[1:]]
+                values[1:] = [f(clamp(v)) for v in simplex[1:]]
 
     best = int(np.argmin(values))
     return clamp(simplex[best]), float(values[best])
@@ -170,7 +171,8 @@ def random_restart_search(space: DickeSpace, target: QuantumState,
     if incumbent.size != n_params:
         raise ValueError(f"initial_params length {incumbent.size}, expected {n_params}")
     best_params = incumbent
-    best_value = f(incumbent)
+    with np.errstate(over="ignore", invalid="ignore"):  # it may lie outside the box
+        best_value = f(incumbent)
     history: List[Tuple[int, int, float]] = [(-1, -1, 1.0 - best_value)]
     if on_improvement is not None:
         on_improvement(best_params, 1.0 - best_value)

@@ -543,6 +543,30 @@ def test_overflowing_combined_rotation_reports_plain_nan(tmp_path, capsys, compo
     assert "norm drifted to nan during propagation" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the incumbent door silences overflow
+@pytest.mark.parametrize("composition", ["product", "combined"])
+def test_resume_from_overflowing_checkpoint_exits_3(tmp_path, capsys, composition):
+    checkpoint = _overflowing_squeeze_file(tmp_path, composition)
+    rec_out = tmp_path / "rec.json"
+    assert run_cli(["optimize", "--n", "6", "--steps", "1", "--target", "coherent",
+                    "--gamma", "0.5", "--squeeze-composition", composition,
+                    "--restarts", "1", "--resume", checkpoint, "--out", str(rec_out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not rec_out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "4", "--t", "0"], ["--n", "4", "--t", "-0.0"],
+                                   ["--n", "1"]])
+def test_trotter_check_refuses_exact_cases(tmp_path, capsys, flags):
+    # at t = 0, or at N = 1 where S_x^2 = I/4, both formulas are exact and
+    # their errors are roundoff, so a fitted slope would mean nothing
+    out = tmp_path / "rec.json"
+    assert run_cli(["trotter-check"] + flags + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: both product formulas are exact") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k_list", ["8", "8,8"])
 def test_trotter_check_needs_two_distinct_k(tmp_path, k_list):
     assert run_cli(["trotter-check", "--n", "4", "--k-list", k_list,

@@ -166,7 +166,7 @@ def test_rotation_composition_modes():
 
 def test_apply_sequence_empty_is_identity():
     space = DickeSpace(5)
-    seq = PulseSequence.identity(space)
+    seq = PulseSequence(space, (), (0.0, 0.0, 1.0), 0.0)
     st = QuantumState.basis_state(space, 2)
     out = apply_sequence(seq, st)
     assert np.allclose(out.amplitudes, st.amplitudes, atol=1e-12)
@@ -197,8 +197,8 @@ def test_flatten_length_and_roundtrip():
     space = DickeSpace(5)
     params = rng.uniform(-np.pi, np.pi, 13)
     seq = unflatten_params(space, 2, params)
-    assert seq.n_params == 13
     flat = flatten_params(seq)
+    assert flat.size == 13
     seq2 = unflatten_params(space, 2, flat)
     for st1, st2 in zip(seq.steps, seq2.steps):
         u1 = step_unitary(st1, space)

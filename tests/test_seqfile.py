@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dickesim import DickeSpace, GateConventions, PulseSequence, PulseStep
+from dickesim import DickeSpace, GateConventions, PulseSequence, PulseStep, flatten_params
 from dickesim.cli import BUNDLED_SEQUENCES, _resolve_sequence_path
 from dickesim.seqfile import (
     ResultRecord,
@@ -103,6 +103,58 @@ def test_schema_errors_are_precise(tmp_path):
     doc["convention"] = "spin-half"
     with pytest.raises(SequenceFileError, match="^convention: 'spin-half'"):
         sequence_from_dict(doc)
+
+
+def _edited_file(tmp_path, where, key, value):
+    """sample_sequence() saved with one value replaced: ``where`` is "steps"
+    (step 0), "final" (the final rotation) or "doc" (the top level)."""
+    doc = sequence_to_dict(sample_sequence(), GateConventions(), None)
+    {"steps": doc["steps"][0], "final": doc["final_rotation"], "doc": doc}[where][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))  # non-finite floats as Infinity / NaN
+    return str(path)
+
+
+@pytest.mark.parametrize("where, key, value, named", [
+    ("steps", "theta", "fast", r"^steps\[0\]: could not convert string to float: 'fast'$"),
+    ("steps", "axis", [0.0, 0.0, 0.0], r"^steps\[0\]: rotation axis must be nonzero$"),
+    ("steps", "axis", ["x", 0.0, 1.0], r"^steps\[0\]: could not convert string"),
+    ("final", "axis", [1.0, 0.0], r"^final_rotation: rotation axis must be a 3-vector"),
+    ("final", "axis", [0.0, 0.0, 0.0], r"^final_rotation: rotation axis must be nonzero$"),
+    ("final", "theta", None, r"^final_rotation: float\(\) argument"),
+    ("doc", "squeeze_composition", "sum", r"^squeeze_composition must be one of"),
+    ("doc", "rotation_composition", "zyz", r"^rotation_composition must be one of"),
+    ("doc", "exponent_sign", 2, r"^exponent_sign must be \+1 or -1$"),
+], ids=["theta-string", "axis-zero", "axis-string", "final-axis-short", "final-axis-zero",
+        "final-theta-null", "squeeze-composition", "rotation-composition", "exponent-sign"])
+def test_element_errors_name_their_element(tmp_path, where, key, value, named):
+    with pytest.raises(SequenceFileError, match=named):
+        load_sequence_file(_edited_file(tmp_path, where, key, value))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("where, key, value, named", [
+    # extreme but finite axes load and give the same angles as the unit axis
+    ("steps", "axis", [0.0, 0.0, 1e200], None),
+    ("steps", "axis", [0.0, 0.0, 1e-170], None),
+    ("final", "axis", [1e308, 0.0, 0.0], None),
+    ("steps", "theta", float("inf"), r"^steps\[0\]: theta must be finite, got inf$"),
+    ("steps", "alpha", float("nan"), r"^steps\[0\]: alpha must be finite, got nan$"),
+    ("steps", "beta", float("-inf"), r"^steps\[0\]: beta must be finite, got -inf$"),
+    ("steps", "axis", [float("inf"), 0.0, 1.0], r"^steps\[0\]: rotation axis must be finite"),
+    ("final", "theta", float("nan"), r"^final_rotation: final_theta must be finite, got nan$"),
+    ("final", "axis", [0.0, float("nan"), 1.0],
+     r"^final_rotation: rotation axis must be finite"),
+], ids=["axis-1e200", "axis-1e-170", "final-axis-1e308", "theta-inf", "alpha-nan", "beta-ninf",
+        "axis-inf", "final-theta-nan", "final-axis-nan"])
+def test_non_finite_and_extreme_numbers(tmp_path, where, key, value, named):
+    path = _edited_file(tmp_path, where, key, value)
+    if named is not None:
+        with pytest.raises(SequenceFileError, match=named):
+            load_sequence_file(path)
+        return
+    seq, _, _ = load_sequence_file(path)
+    assert np.array_equal(flatten_params(seq), flatten_params(sample_sequence()))
 
 
 def test_json_syntax_error_reports_line(tmp_path):
