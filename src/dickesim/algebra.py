@@ -25,6 +25,7 @@ from .core import (
 )
 
 DEFAULT_RANK_TOL = 1e-8
+_BRACKET_CHUNK = 128  # brackets formed and projected together; caps their memory
 
 
 @dataclass
@@ -36,7 +37,12 @@ class ClosureReport:
     the identity component; universal means the traceless algebra fills
     su(d), i.e. traceless_dimension == target_dimension = d^2 - 1.
     artifact_count reports candidate directions rejected as truncation
-    artifacts when boundary masking is active.
+    artifacts when boundary masking is active.  min_admitted_residual is the
+    smallest norm, relative to the candidate's own, of the part of any
+    admitted direction outside the span before it (inf when none was
+    admitted): the verdict's margin over ``rank_tolerance``.  basis holds
+    the admitted directions as a (reached, d, d) complex array, each at unit
+    Hilbert-Schmidt norm.
     """
 
     generator_count: int
@@ -47,7 +53,9 @@ class ClosureReport:
     universal: bool
     rank_tolerance: float
     artifact_count: int = 0
-    basis: List[np.ndarray] = field(default_factory=list, repr=False)
+    min_admitted_residual: float = np.inf
+    basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), complex),
+                              repr=False)
 
 
 def _as_matrices(generators: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -63,32 +71,53 @@ def _as_matrices(generators: Sequence[np.ndarray]) -> List[np.ndarray]:
     return mats
 
 
-def _orthogonal_part(span: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Flattened part of mat orthogonal to the orthonormal rows of span under
-    the real Hilbert-Schmidt product, projected twice (twice is enough)."""
-    vec = mat.reshape(-1)
-    for _ in range(2):
-        vec = vec - (span.conj() @ vec).real @ span
-    return vec
+def _packing(d: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions in the real view of a flattened complex d x d matrix, and
+    their weights, that pack a Hermitian matrix into a real d^2 row: its
+    diagonal, then sqrt(2) times the real and the imaginary parts of its
+    upper triangle.  The plain dot product of two rows is then the real
+    Hilbert-Schmidt product.  Entries inside the leading (d - width) block
+    come first, so the first (d - width)^2 entries are the masked row."""
+    diag = np.arange(d)
+    up_i, up_j = np.triu_indices(d, 1)
+    up = 2 * (up_i * d + up_j)
+    pos = np.concatenate([2 * diag * (d + 1), up, up + 1])
+    weight = np.concatenate([np.ones(d), np.full(2 * up.size, np.sqrt(2.0))])
+    order = np.argsort(np.concatenate([diag, up_j, up_j]) >= d - width, kind="stable")
+    return pos[order], weight[order]
 
 
-def _extend(span: np.ndarray, mat: np.ndarray, rank_tol: float) -> Tuple[np.ndarray, bool]:
-    """Append mat's unit direction outside span when that part exceeds
-    ``rank_tol``; mat has norm at most 1, so the test is relative."""
-    vec = _orthogonal_part(span, mat)
-    norm = np.linalg.norm(vec)
-    if norm <= rank_tol:
-        return span, False
-    return np.vstack([span, vec / norm]), True
+class _PackedSpan:
+    """Orthonormal real rows filled in place into a preallocated array."""
 
+    def __init__(self, capacity: int, rank_tol: float):
+        self._rows = np.empty((capacity, capacity))
+        self.size = 0
+        self.rank_tol = rank_tol
 
-def _masked(mat: np.ndarray, width: int) -> np.ndarray:
-    if width <= 0:
-        return mat
-    out = mat.copy()
-    out[-width:, :] = 0.0
-    out[:, -width:] = 0.0
-    return out
+    def project(self, vecs: np.ndarray, start: int = 0) -> np.ndarray:
+        """vecs minus their parts along the rows from ``start`` on."""
+        rows = self._rows[start:self.size]
+        return vecs - (vecs @ rows.T) @ rows
+
+    def residual(self, vec: np.ndarray, start: int) -> Tuple[np.ndarray, float]:
+        """The part of vec outside the span and its norm, for vec already
+        projected twice on the rows before ``start``.  It is projected on
+        the rows from ``start`` on, and then, if it still exceeds
+        ``rank_tol``, twice more on every row: the second look that keeps
+        the rows orthonormal to roundoff."""
+        if self.size == len(self._rows):  # a full span leaves nothing outside
+            return vec, 0.0
+        vec = self.project(vec, start)
+        norm = float(np.linalg.norm(vec))
+        if norm > self.rank_tol:
+            vec = self.project(self.project(vec))
+            norm = float(np.linalg.norm(vec))
+        return vec, norm
+
+    def append(self, vec: np.ndarray, norm: float) -> None:
+        self._rows[self.size] = vec / norm
+        self.size += 1
 
 
 def lie_closure(generators: Sequence[np.ndarray],
@@ -105,55 +134,90 @@ def lie_closure(generators: Sequence[np.ndarray],
     rows/columns, so the span is full at (d - w)^2; candidates that are new
     only inside that boundary strip are counted as truncation artifacts
     instead of directions.  ``rank_tol`` must lie in (0, 1).
+
+    The span is an orthonormal set of packed real rows (:func:`_packing`).
+    Each new direction's brackets with the directions found before it are
+    formed and projected in chunks of ``_BRACKET_CHUNK``: twice on the span
+    as it stood before the chunk, then one by one, in order, on the rows
+    the chunk has added, and a candidate still new gets a second look, two
+    more projections on the whole span, before it is admitted.
     """
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
     mats = _as_matrices(generators)
     d = mats[0].shape[0]
-    full = (d - max(artifact_mask, 0)) ** 2
-    rank_span = np.zeros((0, d * d), dtype=complex)  # masked; decides rank
-    full_span = rank_span  # unmasked; tells artifacts from known directions
-    basis: List[np.ndarray] = []
-    artifact_count = 0
+    width = max(artifact_mask, 0)
+    full = (d - width) ** 2
+    pos, weight = _packing(d, width)
+    rank_span = _PackedSpan(full, rank_tol)  # masked; decides rank
+    # unmasked; tells artifacts from known directions
+    full_span = _PackedSpan(d * d, rank_tol) if width else None
+    basis = np.empty((full, d, d), dtype=complex)
+    reached = artifact_count = 0
+    min_residual = np.inf
 
-    def admit(mat: np.ndarray) -> bool:
-        nonlocal rank_span, full_span, artifact_count
-        rank_span, new = _extend(rank_span, _masked(mat, artifact_mask), rank_tol)
-        if new:
-            basis.append(mat)
-            if artifact_mask:
-                full_span, _ = _extend(full_span, mat, rank_tol)
-        elif artifact_mask and np.linalg.norm(_orthogonal_part(full_span, mat)) > rank_tol:
-            artifact_count += 1
-        return new
+    def pack(cands: np.ndarray) -> np.ndarray:
+        return cands.reshape(len(cands), -1).view(float)[:, pos] * weight
+
+    def admit(cands: np.ndarray, packed: np.ndarray, stop: bool) -> bool:
+        """Admit the new ones among unit-norm candidates in order; True when
+        ``stop`` is set and the span has filled."""
+        nonlocal reached, artifact_count, min_residual
+        rank_start = rank_span.size
+        masked = rank_span.project(rank_span.project(packed[:, :full]))
+        if full_span is not None:
+            full_start = full_span.size
+            unmasked = full_span.project(full_span.project(packed))
+        for k, cand in enumerate(cands):
+            vec, norm = rank_span.residual(masked[k], rank_start)
+            if norm > rank_tol:
+                rank_span.append(vec, norm)
+                basis[reached] = cand
+                reached += 1
+                min_residual = min(min_residual, norm)
+                if full_span is not None:
+                    vec, norm = full_span.residual(unmasked[k], full_start)
+                    if norm > rank_tol:
+                        full_span.append(vec, norm)
+                if stop and reached == full:
+                    return True
+            elif full_span is not None:
+                artifact_count += full_span.residual(unmasked[k], full_start)[1] > rank_tol
+        return False
 
     def expand() -> int:
-        """Bracket each new direction with every direction, breadth first;
-        returns the number of rounds."""
-        rounds, frontier = 0, range(len(basis))
+        """Bracket each new direction with every direction found before its
+        turn, breadth first; returns the number of rounds."""
+        rounds, frontier = 0, range(reached)
         while frontier:
             rounds += 1
-            start = len(basis)
+            start = reached
             for i in frontier:
-                for j in range(len(basis)):
-                    a, b = basis[i], basis[j]
-                    cand = 1j * (a @ b - b @ a)
-                    norm = np.linalg.norm(cand)
-                    if norm > rank_tol and admit(cand / norm) and len(basis) == full:
-                        return rounds
-            frontier = range(start, len(basis))
+                a, count = basis[i], reached
+                for lo in range(0, count, _BRACKET_CHUNK):
+                    block = basis[lo:min(lo + _BRACKET_CHUNK, count)]
+                    cands = a @ block  # in place from here: the chunk sets the peak memory
+                    cands -= block @ a
+                    cands *= 1j
+                    packed = pack(cands)
+                    norms = np.linalg.norm(packed, axis=1)
+                    keep = norms > rank_tol
+                    if keep.any():
+                        cands, packed, norms = cands[keep], packed[keep], norms[keep, None]
+                        cands /= norms[:, :, None]
+                        packed /= norms
+                        if admit(cands, packed, stop=True):
+                            return rounds
+            frontier = range(start, reached)
         return rounds
 
-    for m in mats:
-        norm = np.linalg.norm(m)
-        if norm:
-            admit(m / norm)
+    gens = np.array([m / np.linalg.norm(m) for m in mats if np.linalg.norm(m)])
+    if len(gens):
+        admit(gens, pack(gens), stop=False)
     iterations = expand()
 
-    reached = len(basis)
-    ident = np.eye(d, dtype=complex) / np.sqrt(d)
-    has_identity = np.linalg.norm(
-        _orthogonal_part(rank_span, _masked(ident, artifact_mask))) < 0.5
+    ident = pack(np.eye(d, dtype=complex)[None] / np.sqrt(d))[0, :full]
+    has_identity = np.linalg.norm(rank_span.project(rank_span.project(ident))) < 0.5
     traceless = reached - (1 if has_identity else 0)
     target = d * d - 1
     return ClosureReport(
@@ -165,7 +229,8 @@ def lie_closure(generators: Sequence[np.ndarray],
         universal=(traceless >= target),
         rank_tolerance=rank_tol,
         artifact_count=artifact_count,
-        basis=basis,
+        min_admitted_residual=float(min_residual),
+        basis=basis if reached == full else basis[:reached].copy(),
     )
 
 

@@ -99,7 +99,9 @@ def _target_spec_from_args(args, metadata_target: dict | None = None) -> TargetS
             doc["custom"] = json.load(fh)
         if doc["custom"] is None:  # from_dict would read null as "no amplitudes"
             raise ValueError("custom amplitudes must be a JSON list")
-    return TargetSpec.from_dict(doc)
+    spec = TargetSpec.from_dict(doc)
+    spec.check(label=lambda field: "--" + field.replace("_", "-"))
+    return spec
 
 
 def _override_conventions(args, base: GateConventions) -> GateConventions:
@@ -190,9 +192,14 @@ def cmd_replay(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    for flag, value in (("--steps", args.steps), ("--start-steps", args.start_steps)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be non-negative, got {value}")
+    for flag, value, least in (("--steps", args.steps, 0), ("--start-steps", args.start_steps, 0),
+                               ("--restarts", args.restarts, 0), ("--nm-iters", args.nm_iters, 0),
+                               ("--freeze-rounds", args.freeze_rounds, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be {'positive' if least else 'non-negative'}, "
+                             f"got {value}")
+    if not 0 <= args.nm_tol < np.inf:
+        raise ValueError(f"--nm-tol must be finite and non-negative, got {args.nm_tol}")
     if args.start_steps is not None and not args.resume and args.start_steps > args.steps:
         raise ValueError(f"--start-steps {args.start_steps} exceeds --steps {args.steps}, "
                          "the maximum sequence length")
@@ -337,7 +344,8 @@ def cmd_closure(args) -> int:
     }
     print(f"closure: traceless {report.traceless_dimension}/{report.target_dimension} "
           f"(reached {report.reached_dimension}, artifacts {report.artifact_count}) "
-          f"universal={report.universal}")
+          f"universal={report.universal}, smallest admitted residual "
+          f"{report.min_admitted_residual / report.rank_tolerance:.4g} x rank_tol")
     _emit(args.out, ResultRecord("closure", inputs, outputs), started)
     return 0
 
@@ -352,8 +360,17 @@ def cmd_trotter_check(args) -> int:
         raise ValueError("--k-list needs at least two distinct k to fit a slope")
     if args.t == 0 or args.n == 1:  # S_x^2 = I/4 at N = 1 commutes with S_y
         raise ValueError("both product formulas are exact at --t 0 and at --n 1: no slope to fit")
+    # beyond 2^52 rad, exp(-iHt) keeps no digit of its phases
+    if not abs(args.t) * float(np.linalg.norm(a) + np.linalg.norm(b)) < 2.0 ** 52:
+        raise ValueError(f"--t must be finite and keep the phases t |A + B| below 2^52 rad, "
+                         f"got {args.t}")
     sum_errors = [trotter_sum_error(a, b, args.t, k) for k in ks]
     comm_errors = [trotter_commutator_error(a, b, args.t, k) for k in ks]
+    # a product of k factors carries roundoff of about k (N + 1) eps
+    if min(min(pair) / k for k, pair in zip(ks, zip(sum_errors, comm_errors))) \
+            < 100 * space.dim * np.finfo(float).eps:
+        raise ValueError(f"--t {args.t} leaves errors within 100x of their roundoff, "
+                         "k (N + 1) eps: no slope to fit")
 
     def slope(errors):
         return float(np.polyfit(np.log(ks), np.log(errors), 1)[0])

@@ -14,7 +14,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .core import DickeSpace, QuantumState
 
 WARN_TAIL = 1e-6
 ERROR_TAIL = 1e-4
+MAX_GAMMA = 1e150  # per part of gamma: |gamma|^2, the mean excitation, stays finite
+MAX_PHI = 1e15  # the largest cat4 leg phase, 3 phi, stays below 2^52 rad
 
 
 class TruncationWarning(UserWarning):
@@ -71,16 +73,24 @@ class TargetSpec:
         if self.gkp_codeword not in GKP_CODEWORDS:
             raise ValueError(f"gkp_codeword must be one of {GKP_CODEWORDS}")
 
-    def check(self) -> None:
+    def check(self, label: Callable[[str], str] = str) -> None:
         """Raise the ValueError that :func:`make_target` raises for this spec
         at every N.  Truncation and length errors depend on N and are left
-        to it.  Non-finite parameters are rejected for every kind."""
+        to it.  Non-finite parameters, and a gamma or phi too large to
+        compute with, are rejected for every kind.  ``label`` names a field
+        in the message (the CLI passes its flag names)."""
         for name, value in (("gamma", self.gamma), ("phi", self.phi),
                             ("squeezing_db", self.squeezing_db)):
             if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{label(name)} must be finite, got {value}")
+        if not max(abs(self.gamma.real), abs(self.gamma.imag)) <= MAX_GAMMA:
+            raise ValueError(f"{label('gamma')} must have real and imaginary parts within "
+                             f"+-{MAX_GAMMA:g} (|gamma|^2 must be finite), got {self.gamma}")
+        if not abs(self.phi) <= MAX_PHI:
+            raise ValueError(f"{label('phi')} must lie within +-{MAX_PHI:g} "
+                             f"(3 phi must keep a digit below 2^52 rad), got {self.phi}")
         if self.kind in (TargetKind.GKP_SQUARE, TargetKind.GKP_HEX) and not self.squeezing_db > 0:
-            raise ValueError("squeezing_db must be positive")
+            raise ValueError(f"{label('squeezing_db')} must be positive")
         amps = np.asarray(self.custom_amplitudes or (), dtype=complex)
         if not np.isfinite(amps).all():
             raise ValueError("custom amplitudes must be finite")

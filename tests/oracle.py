@@ -13,6 +13,9 @@
 - Planar Wigner: the Laguerre recurrence walked separately at every grid
   point.  ``wigner._planar_kernel_sum`` walks it once per distinct radius
   and must match this bit for bit.
+- Lie closure: the sequential search that ``algebra.lie_closure`` replaced,
+  with a complex span extended one candidate at a time.  Both must reach
+  the same dimensions, rounds, verdicts and artifact counts.
 - Helpers that only tests need: the commutator [a, b], the residual of a
   matrix against a Lie closure's span, and reading an exported Wigner grid back from CSV.
 """
@@ -24,7 +27,7 @@ import math
 
 import numpy as np
 
-from dickesim.algebra import ClosureReport, _extend, _orthogonal_part
+from dickesim.algebra import DEFAULT_RANK_TOL, ClosureReport, _as_matrices
 from dickesim.core import (
     NORM_DRIFT_TOL,
     DickeSpace,
@@ -338,6 +341,107 @@ def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] = ab - ba."""
     return a @ b - b @ a
+
+
+# --- Lie closure, one candidate at a time -------------------------------------
+
+def _orthogonal_part(span: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Flattened part of mat orthogonal to the orthonormal rows of span under
+    the real Hilbert-Schmidt product, projected twice (twice is enough)."""
+    vec = mat.reshape(-1)
+    for _ in range(2):
+        vec = vec - (span.conj() @ vec).real @ span
+    return vec
+
+
+def _extend(span: np.ndarray, mat: np.ndarray, rank_tol: float):
+    """(span, norm): norm is that of mat's part outside span, whose unit
+    direction is appended when norm exceeds ``rank_tol``; mat has norm at
+    most 1, so the test is relative."""
+    vec = _orthogonal_part(span, mat)
+    norm = float(np.linalg.norm(vec))
+    if norm > rank_tol:
+        span = np.vstack([span, vec / norm])
+    return span, norm
+
+
+def _masked(mat: np.ndarray, width: int) -> np.ndarray:
+    if width <= 0:
+        return mat
+    out = mat.copy()
+    out[-width:, :] = 0.0
+    out[:, -width:] = 0.0
+    return out
+
+
+def lie_closure_sequential(generators, rank_tol: float = DEFAULT_RANK_TOL,
+                           artifact_mask: int = 0) -> ClosureReport:
+    """``algebra.lie_closure`` with each bracket formed, projected twice on a
+    complex span and admitted one at a time, in the same order."""
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+    mats = _as_matrices(generators)
+    d = mats[0].shape[0]
+    full = (d - max(artifact_mask, 0)) ** 2
+    rank_span = np.zeros((0, d * d), dtype=complex)  # masked; decides rank
+    full_span = rank_span  # unmasked; tells artifacts from known directions
+    basis = []
+    artifact_count, min_residual = 0, np.inf
+
+    def admit(mat: np.ndarray) -> bool:
+        nonlocal rank_span, full_span, artifact_count, min_residual
+        rank_span, norm = _extend(rank_span, _masked(mat, artifact_mask), rank_tol)
+        new = norm > rank_tol
+        if new:
+            basis.append(mat)
+            min_residual = min(min_residual, norm)
+            if artifact_mask:
+                full_span, _ = _extend(full_span, mat, rank_tol)
+        elif artifact_mask and np.linalg.norm(_orthogonal_part(full_span, mat)) > rank_tol:
+            artifact_count += 1
+        return new
+
+    def expand() -> int:
+        """Bracket each new direction with every direction, breadth first;
+        returns the number of rounds."""
+        rounds, frontier = 0, range(len(basis))
+        while frontier:
+            rounds += 1
+            start = len(basis)
+            for i in frontier:
+                for j in range(len(basis)):
+                    a, b = basis[i], basis[j]
+                    cand = 1j * (a @ b - b @ a)
+                    norm = np.linalg.norm(cand)
+                    if norm > rank_tol and admit(cand / norm) and len(basis) == full:
+                        return rounds
+            frontier = range(start, len(basis))
+        return rounds
+
+    for m in mats:
+        norm = np.linalg.norm(m)
+        if norm:
+            admit(m / norm)
+    iterations = expand()
+
+    reached = len(basis)
+    ident = np.eye(d, dtype=complex) / np.sqrt(d)
+    has_identity = np.linalg.norm(
+        _orthogonal_part(rank_span, _masked(ident, artifact_mask))) < 0.5
+    traceless = reached - (1 if has_identity else 0)
+    target = d * d - 1
+    return ClosureReport(
+        generator_count=len(mats),
+        reached_dimension=reached,
+        traceless_dimension=traceless,
+        target_dimension=target,
+        iterations=iterations,
+        universal=(traceless >= target),
+        rank_tolerance=rank_tol,
+        artifact_count=artifact_count,
+        min_admitted_residual=float(min_residual),
+        basis=np.array(basis).reshape(reached, d, d),
+    )
 
 
 def closure_residual(report: ClosureReport, mat: np.ndarray) -> float:

@@ -30,7 +30,8 @@ from dickesim.algebra import (
 )
 from dickesim.cli import main as cli_main
 from dickesim.core import _hermitian_exp
-from oracle import closure_residual
+from dickesim import algebra
+from oracle import closure_residual, lie_closure_sequential
 
 
 def squeezing_rotation_generators(n):
@@ -105,7 +106,7 @@ def test_closure_two_squeezes_respect_parity(n):
     assert report.reached_dimension <= _parity_bound(n)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 24])
 def test_closure_squeezing_rotations_fills_exactly_u_d(n):
     _, gens = squeezing_rotation_generators(n)
     report = lie_closure(gens)
@@ -151,6 +152,79 @@ def test_closure_bounded_and_scale_invariant(d, count, seed, scales):
     assert report.reached_dimension <= d * d
     scaled = lie_closure([s * m for s, m in zip(scales, mats)])
     assert scaled.reached_dimension == report.reached_dimension
+
+
+def _outcome(report):
+    return (report.reached_dimension, report.traceless_dimension, report.iterations,
+            report.universal, report.artifact_count)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("squeezes", [True, False], ids=["squeezing-rotations", "rotations-only"])
+def test_closure_matches_sequential_oracle_on_cli_sets(n, squeezes):
+    _, gens = squeezing_rotation_generators(n)
+    gens = gens if squeezes else gens[:2]
+    assert _outcome(lie_closure(gens)) == _outcome(lie_closure_sequential(gens))
+
+
+def _cubic_set(cutoff):
+    ops = oscillator_generators(cutoff)
+    return [*ops.values(), ops["x"] @ ops["x"] @ ops["x"]]
+
+
+@pytest.mark.parametrize("gens", [
+    *[pytest.param(list(oscillator_generators(c).values()), id=f"oscillator-{c}")
+      for c in (8, 12, 16, 32)],
+    *[pytest.param(_cubic_set(c), id=f"cubic-{c}") for c in (8, 12)],
+])
+def test_masked_closure_matches_sequential_oracle(gens):
+    assert (_outcome(lie_closure(gens, artifact_mask=2))
+            == _outcome(lie_closure_sequential(gens, artifact_mask=2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_closure_matches_sequential_oracle_on_random_sets(d, count, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    mats = [h + h.conj().T for h in raw]
+    assert _outcome(lie_closure(mats)) == _outcome(lie_closure_sequential(mats))
+
+
+def test_packed_span_stays_orthonormal(monkeypatch):
+    spans = []
+
+    class Recorded(algebra._PackedSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+    monkeypatch.setattr(algebra, "_PackedSpan", Recorded)
+    _, gens = squeezing_rotation_generators(24)
+    assert lie_closure(gens).universal
+    (span,) = spans
+    rows = span._rows[:span.size]
+    assert rows.shape == (625, 625)
+    assert np.max(np.abs(rows @ rows.T - np.eye(625))) < 1e-12
+
+
+def test_closure_basis_is_one_array_of_unit_directions():
+    space, gens = squeezing_rotation_generators(3)
+    basis = lie_closure(gens).basis
+    assert basis.shape == (16, 4, 4) and basis.dtype == complex
+    assert np.allclose(np.linalg.norm(basis, axis=(1, 2)), 1.0)
+    assert np.allclose(basis, basis.conj().transpose(0, 2, 1))
+
+
+def test_closure_margin_over_rank_tol():
+    # the smallest admitted residual, relative to the candidate's norm; the
+    # sequential oracle measures the same quantity
+    _, gens = squeezing_rotation_generators(4)
+    report = lie_closure(gens)
+    assert report.min_admitted_residual > 1e-2
+    assert report.min_admitted_residual == pytest.approx(
+        lie_closure_sequential(gens).min_admitted_residual, rel=1e-9)
+    assert lie_closure([np.zeros((2, 2))]).min_admitted_residual == np.inf
 
 
 def test_closure_ignores_generator_scale_and_zero_generators():

@@ -364,6 +364,18 @@ def test_closure_command(tmp_path):
     assert rec["outputs"]["reached_dimension"] == 6
 
 
+def test_closure_prints_its_margin_outside_the_record(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    assert run_cli(["closure", "--set", "squeezing-rotations", "--n", "4",
+                    "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("closure: traceless 24/24")
+    assert line.endswith("smallest admitted residual 4.067e+07 x rank_tol")
+    assert set(json.loads(out.read_text())["outputs"]) == {
+        "generator_count", "reached_dimension", "traceless_dimension", "target_dimension",
+        "iterations", "universal", "artifact_count"}
+
+
 @pytest.mark.parametrize("rank_tol", ["-1", "0", "1", "nan"])
 def test_closure_rejects_rank_tol_outside_unit_interval(tmp_path, capsys, rank_tol):
     assert run_cli(["closure", "--set", "squeezing-rotations", "--n", "4",
@@ -567,6 +579,21 @@ def test_trotter_check_refuses_exact_cases(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--n", "3", "--t", "1e308"], ["--n", "3", "--t=-1e308"],
+                                   ["--n", "3", "--t", "inf"], ["--n", "3", "--t", "1e-300"],
+                                   ["--n", "40", "--t", "1e-300"],
+                                   ["--n", "3", "--t", "1e-300", "--k-list", "1024,2048"]])
+def test_trotter_check_refuses_t_out_of_range(tmp_path, capsys, flags):
+    # an overflowing phase used to write NaN into the record, and a tiny t
+    # fitted slopes to roundoff
+    out = tmp_path / "rec.json"
+    assert run_cli(["trotter-check"] + flags + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --t ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k_list", ["8", "8,8"])
 def test_trotter_check_needs_two_distinct_k(tmp_path, k_list):
     assert run_cli(["trotter-check", "--n", "4", "--k-list", k_list,
@@ -729,6 +756,28 @@ def test_optimize_negative_step_count_names_flag(tmp_path, capsys, flag):
     assert run_cli(argv + [flag, "-1"]) == 2
     assert f"{flag} must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "rec.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag, argv", [
+    ("--gamma", ["replay", "--sequence", "cat2", "--target", "cat2", "--gamma", "1e308"]),
+    ("--gamma", ["replay", "--sequence", "cat2", "--target", "cat2", "--gamma", "1e308j"]),
+    ("--gamma", ["replay", "--sequence", "cat2", "--target", "cat2",
+                 "--gamma", "1.5e308+1.5e308j"]),
+    ("--phi", ["replay", "--sequence", "cat2", "--target", "cat4", "--phi", "1e308"]),
+    ("--phi", ["size-sweep", "--sequence", "cat2", "--n-list", "4,6", "--target", "cat4",
+               "--phi=-1e308"]),
+    *[(flag, ["optimize", "--n", "3", "--target", "coherent", "--gamma", "0.1",
+              flag, value]) for flag, value in (
+        ("--restarts", "-1"), ("--nm-iters", "-1"), ("--freeze-rounds", "0"),
+        ("--nm-tol", "nan"), ("--nm-tol", "inf"), ("--nm-tol", "-1"))],
+])
+def test_boundary_values_exit_2_naming_the_flag(tmp_path, capsys, flag, argv):
+    out = tmp_path / "rec.json"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+    assert not out.exists()
 
 
 def test_optimize_start_steps_zero_is_honoured(tmp_path):

@@ -301,6 +301,8 @@ def test_gkp_rejects_nonpositive_db():
     (TargetSpec(TargetKind.CUSTOM), "requires custom_amplitudes"),
     (TargetSpec(TargetKind.CUSTOM, custom_amplitudes=()), "cannot normalize the zero vector"),
     (TargetSpec(TargetKind.CUSTOM, custom_amplitudes=(0.0, 0j)), "cannot normalize"),
+    (TargetSpec(TargetKind.CAT2, gamma=1e308), "gamma must have real and imaginary"),
+    (TargetSpec(TargetKind.CAT4, phi=-1e308), "phi must lie within"),
 ])
 def test_spec_check_raises_what_make_target_raises_at_every_n(spec, message):
     with pytest.raises(ValueError, match=message):
