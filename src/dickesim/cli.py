@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: replay, optimize, wigner, closure, trotter-check, size-sweep.
-Exit codes: 0 success, 2 validation error, 3 numerical-tolerance failure.
+Subcommands: replay, optimize, wigner, closure, trotter-check, size-sweep; each
+returns (inputs, outputs), and :func:`main` alone makes, times and writes the record.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (NaN in a record too).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .gates import (
 )
 from .optimizer import OptimizerConfig, grown_search
 from .seqfile import (
+    NonFiniteRecordError,
     ResultRecord,
     SequenceFileError,
     load_sequence_file,
@@ -143,17 +145,7 @@ def _sweep_combos():
                                   convention=convention)
 
 
-def _emit(out_path, record: ResultRecord, started: float) -> None:
-    if out_path:
-        record.save(out_path)
-        print(f"record written to {out_path}")
-    else:
-        sys.stdout.write(record.to_json())
-    print(f"wall time: {time.perf_counter() - started:.3f} s")
-
-
-def cmd_replay(args) -> int:
-    started = time.perf_counter()
+def cmd_replay(args) -> tuple[dict, dict]:
     params, space, conv, metadata = _load_sequence(args, args.n)
     spec = _target_spec_from_args(args, metadata.get("target"))
     target = make_target(spec, space)
@@ -186,12 +178,10 @@ def cmd_replay(args) -> int:
         print(f"fidelity {fid:.6f} under {outputs['conventions']}")
     if "reported_fidelity" in metadata:
         outputs["reported_fidelity"] = metadata["reported_fidelity"]
-    _emit(args.out, ResultRecord("replay", inputs, outputs), started)
-    return 0
+    return inputs, outputs
 
 
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
+def cmd_optimize(args) -> tuple[dict, dict]:
     for flag, value, least in (("--steps", args.steps, 0), ("--start-steps", args.start_steps, 0),
                                ("--restarts", args.restarts, 0), ("--nm-iters", args.nm_iters, 0),
                                ("--freeze-rounds", args.freeze_rounds, 1)):
@@ -268,12 +258,10 @@ def cmd_optimize(args) -> int:
     print(f"best fidelity {run.best_fidelity:.6f} with {run.n_steps} steps")
     if args.seq_out:  # the last improvement has already written the final checkpoint
         print(f"sequence written to {args.seq_out}")
-    _emit(args.out, ResultRecord("optimize", inputs, outputs, seed=args.seed), started)
-    return 0
+    return inputs, outputs
 
 
-def cmd_wigner(args) -> int:
-    started = time.perf_counter()
+def cmd_wigner(args) -> tuple[dict, dict]:
     outputs = {"files": []}
     inputs = {"surface": args.surface}
     if args.sequence:
@@ -293,10 +281,12 @@ def cmd_wigner(args) -> int:
         states = [make_target(spec, space)]
 
     out = args.out or "wigner.csv"
-    multi = len(states) > 1
-    if multi:
+    paths = [out]
+    if len(states) > 1:  # --per-step: a directory of step01.csv, ..., final.csv
         os.makedirs(out, exist_ok=True)
-    for idx, st in enumerate(states):
+        names = [f"step{i:02d}.csv" for i in range(1, len(states))] + ["final.csv"]
+        paths = [os.path.join(out, name) for name in names]
+    for st, path in zip(states, paths):
         if args.surface == "sphere":
             grid = spherical_wigner(st, args.n_theta, args.n_phi)
             extra = {"integral": grid.integral()}
@@ -305,23 +295,16 @@ def cmd_wigner(args) -> int:
             extra = {"integral": grid.integral(),
                      "approximation": PLANAR_APPROXIMATION_LABEL,
                      "window_clipped": grid.window_clipped}
-        if multi:
-            name = f"step{idx + 1:02d}.csv" if idx < len(states) - 1 else "final.csv"
-            path = os.path.join(out, name)
-        else:
-            path = out
         export_grid(grid, path)
         outputs["files"].append({"path": path, **extra})
         print(f"wrote {path} (integral {extra['integral']:.6f})")
     if args.surface == "plane":
         outputs["approximation"] = PLANAR_APPROXIMATION_LABEL
         print(f"planar Wigner uses the {PLANAR_APPROXIMATION_LABEL} approximation")
-    _emit(args.record, ResultRecord("wigner", inputs, outputs), started)
-    return 0
+    return inputs, outputs
 
 
-def cmd_closure(args) -> int:
-    started = time.perf_counter()
+def cmd_closure(args) -> tuple[dict, dict]:
     inputs = {"set": args.set, "n_emitters": args.n, "cutoff": args.cutoff,
               "rank_tol": args.rank_tol}
     if args.set == "oscillator":
@@ -333,25 +316,17 @@ def cmd_closure(args) -> int:
         if args.set == "squeezing-rotations":
             gens += [sx @ sx, sy @ sy]
         report = lie_closure(gens, rank_tol=args.rank_tol)
-    outputs = {
-        "generator_count": report.generator_count,
-        "reached_dimension": report.reached_dimension,
-        "traceless_dimension": report.traceless_dimension,
-        "target_dimension": report.target_dimension,
-        "iterations": report.iterations,
-        "universal": report.universal,
-        "artifact_count": report.artifact_count,
-    }
+    outputs = {name: getattr(report, name) for name in (
+        "generator_count", "reached_dimension", "traceless_dimension", "target_dimension",
+        "iterations", "universal", "artifact_count")}
     print(f"closure: traceless {report.traceless_dimension}/{report.target_dimension} "
           f"(reached {report.reached_dimension}, artifacts {report.artifact_count}) "
           f"universal={report.universal}, smallest admitted residual "
           f"{report.min_admitted_residual / report.rank_tolerance:.4g} x rank_tol")
-    _emit(args.out, ResultRecord("closure", inputs, outputs), started)
-    return 0
+    return inputs, outputs
 
 
-def cmd_trotter_check(args) -> int:
-    started = time.perf_counter()
+def cmd_trotter_check(args) -> tuple[dict, dict]:
     space = DickeSpace(args.n)
     sx, sy = build_sx(space), build_sy(space)
     a, b = sx @ sx, sy
@@ -360,10 +335,10 @@ def cmd_trotter_check(args) -> int:
         raise ValueError("--k-list needs at least two distinct k to fit a slope")
     if args.t == 0 or args.n == 1:  # S_x^2 = I/4 at N = 1 commutes with S_y
         raise ValueError("both product formulas are exact at --t 0 and at --n 1: no slope to fit")
-    # beyond 2^52 rad, exp(-iHt) keeps no digit of its phases
-    if not abs(args.t) * float(np.linalg.norm(a) + np.linalg.norm(b)) < 2.0 ** 52:
-        raise ValueError(f"--t must be finite and keep the phases t |A + B| below 2^52 rad, "
-                         f"got {args.t}")
+    # t enters sqrt(t/k); beyond 2^52 rad, exp(-iHt) keeps no digit of its phases
+    if not 0 <= args.t * float(np.linalg.norm(a) + np.linalg.norm(b)) < 2.0 ** 52:
+        raise ValueError(f"--t must be finite, non-negative and keep the phases t |A + B| "
+                         f"below 2^52 rad, got {args.t}")
     sum_errors = [trotter_sum_error(a, b, args.t, k) for k in ks]
     comm_errors = [trotter_commutator_error(a, b, args.t, k) for k in ks]
     # a product of k factors carries roundoff of about k (N + 1) eps
@@ -386,12 +361,10 @@ def cmd_trotter_check(args) -> int:
               "generators": "a = S_x^2, b = S_y"}
     print(f"sum slope {outputs['sum_slope']:.3f}, "
           f"commutator slope {outputs['commutator_slope']:.3f} (ideal -1)")
-    _emit(args.out, ResultRecord("trotter-check", inputs, outputs), started)
-    return 0
+    return inputs, outputs
 
 
-def cmd_size_sweep(args) -> int:
-    started = time.perf_counter()
+def cmd_size_sweep(args) -> tuple[dict, dict]:
     params, _, conv, metadata = _load_sequence(args)
     spec = _target_spec_from_args(args, metadata.get("target"))
     ns = [int(v) for v in args.n_list.split(",")]
@@ -414,8 +387,7 @@ def cmd_size_sweep(args) -> int:
     inputs = {"sequence": args.sequence, "n_list": ns,
               "target": spec.to_dict(),
               "conventions": conv.to_dict()}
-    _emit(args.out, ResultRecord("size-sweep", inputs, outputs), started)
-    return 0
+    return inputs, outputs
 
 
 def _add_convention_flags(p: argparse.ArgumentParser) -> None:
@@ -454,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every convention combination and report the best")
     _add_target_flags(p)
     _add_convention_flags(p)
-    p.add_argument("--out", default=None, help="write the result record here")
+    p.add_argument("--out", dest="record", default=None, help="write the result record here")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("optimize", help="search for a pulse sequence preparing a target")
@@ -473,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-out", default=None, help="checkpoint/output sequence file")
     _add_target_flags(p)
     _add_convention_flags(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record", default=None)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("wigner", help="export Wigner-function grids as CSV")
@@ -502,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative novelty tolerance of the closure search")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record", default=None)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("trotter-check", help="product-formula error scaling")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--k-list", default="8,16,32,64")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record", default=None)
     p.set_defaults(func=cmd_trotter_check)
 
     p = sub.add_parser("size-sweep", help="replay one sequence across system sizes")
@@ -517,18 +489,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="comma-separated emitter counts")
     _add_target_flags(p)
     _add_convention_flags(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record", default=None)
     p.set_defaults(func=cmd_size_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (NormDriftError, NotHermitianError, TruncationError) as exc:
+        inputs, outputs = args.func(args)
+        record = ResultRecord(args.cmd, inputs, outputs, seed=getattr(args, "seed", None))
+        if args.record:
+            record.save(args.record)
+            print(f"record written to {args.record}")
+        else:
+            sys.stdout.write(record.to_json())
+    except (NormDriftError, NotHermitianError, TruncationError, NonFiniteRecordError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:  # SequenceFileError, JSONDecodeError are ValueErrors
@@ -537,6 +515,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. a grid too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    print(f"wall time: {time.perf_counter() - started:.3f} s")
+    return 0
 
 
 if __name__ == "__main__":

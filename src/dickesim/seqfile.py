@@ -27,6 +27,10 @@ class SequenceFileError(ValueError):
     """Schema violation in a sequence file; message pinpoints the element."""
 
 
+class NonFiniteRecordError(ValueError):
+    """A result record holds NaN or infinity, which strict JSON cannot carry."""
+
+
 def _require(cond: bool, where: str, what: str):
     if not cond:
         raise SequenceFileError(f"{where}: {what}")
@@ -149,7 +153,11 @@ class ResultRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NonFiniteRecordError(f"the {self.command} record holds NaN or infinity, "
+                                       "which JSON cannot carry") from exc
 
     def save(self, path: str) -> None:
         _atomic_write_text(path, self.to_json())

@@ -33,7 +33,8 @@ from .gates import _propagation_bases
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
 BOUNDARY_WARN_LEVEL = 1e-3
 # plane recurrence: check |l_m| every 32 steps (growth in between stays under
-# 2^420 for x = 4|alpha|^2 up to 1e5) and scale points past 2^512 down by 2^512
+# 2^420 for x = 4|alpha|^2 up to 1e5; past that, at every step) and scale
+# points past 2^512 down by 2^512
 _RESCALE_EVERY = 32
 _RESCALE_BITS = 512
 _RESCALE_LIMIT = 2.0 ** _RESCALE_BITS
@@ -166,28 +167,35 @@ def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.nda
     e^{-2|alpha|^2} / (pi sqrt(k!)), with l_m^k = sqrt(m! k!/(m+k)!) L_m^k
     walked upwards in m by the normalized three-term recurrence (A&S 22.7.12).
     l_m grows like x^m / m! where the envelope underflows, so every
-    ``_RESCALE_EVERY`` steps points past 2^_RESCALE_BITS are scaled down by that
-    power of two and the exponent is folded into the envelope's log.
+    ``_RESCALE_EVERY`` steps (every step past x = 1e5) points past
+    2^_RESCALE_BITS are scaled down by that power of two and the exponent is
+    folded into the envelope's log.
 
     Everything but the phase e^{i k arg alpha} depends on x = 4|alpha|^2 only,
     so the recurrence, the rescale and the envelope run once per distinct x
     (``np.unique`` of the grid's own values; a grid of 201^2 points at N = 40
     has 8,192) and are gathered back onto the grid for the phase sum.  Every
     point sees the same floating-point operations as a per-point walk would,
-    so the values are unchanged bit for bit."""
+    so the values are unchanged bit for bit.  Points too far out to carry
+    any weight are not walked (the walk would overflow there) and read 0."""
     alpha = (X + 1j * P) / np.sqrt(2)
-    x, at = np.unique(4.0 * np.abs(alpha) ** 2, return_inverse=True)
+    radii, at = np.unique(4.0 * np.abs(alpha) ** 2, return_inverse=True)
     at = at.reshape(alpha.shape)
+    # for x >= 1, |l_m^k(x)| <= 2^(m+k) x^m with m + k < d bounds |W| by (2/pi) d
+    # (2x)^d e^(-x/2), below 2^-1075 past x = 1600 + 4d ln(4d + 1600): W reads 0 there
+    dim = amps.size
+    x = radii[:np.searchsorted(radii, 1600 + 4 * dim * math.log(4 * dim + 1600), side="right")]
+    every = 1 if x.size and x[-1] > 1e5 else _RESCALE_EVERY
+    far = np.zeros(radii.size - x.size)
     with np.errstate(divide="ignore"):
         log_x = np.log(x)  # -inf at alpha = 0, where every k >= 1 term vanishes
     phase = np.exp(1j * np.angle(alpha))
     phase_k = np.ones_like(phase)
-    dim = amps.size
     w = np.zeros(alpha.shape)
     for k in range(dim):
         rho = amps[:dim - k] * np.conj(amps[k:]) * (-1.0) ** np.arange(dim - k)
         nonzero = np.flatnonzero(rho)  # rho_m = (-1)^m c_m conj(c_{m+k})
-        if nonzero.size:
+        if nonzero.size and x.size:
             s_re, s_im = np.zeros_like(x), np.zeros_like(x)
             l_prev, l_m = 0.0, np.ones_like(x)
             log2_scale = 0  # the sums hold 2^-log2_scale times their true value
@@ -195,7 +203,7 @@ def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.nda
                 if m:
                     l_prev, l_m = l_m, (((2 * m - 1 + k) - x) * l_m - math.sqrt(
                         (m - 1) * (m - 1 + k)) * l_prev) / math.sqrt(m * (m + k))
-                if m % _RESCALE_EVERY == 0 and np.max(np.abs(l_m)) > _RESCALE_LIMIT:
+                if m % every == 0 and np.max(np.abs(l_m)) > _RESCALE_LIMIT:
                     shift = np.where(np.abs(l_m) > _RESCALE_LIMIT, _RESCALE_BITS, 0)
                     l_prev, l_m, s_re, s_im = (np.ldexp(a, -shift)
                                                for a in (l_prev, l_m, s_re, s_im))
@@ -207,6 +215,8 @@ def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.nda
             # (2|alpha|)^k e^{-2|alpha|^2} / sqrt(k!), through logs to dodge overflow
             log_mag = 0.5 * (k * log_x - x - math.lgamma(k + 1)) if k else -0.5 * x
             mag = np.exp(log_mag + log2_scale * math.log(2.0))
+            if far.size:
+                mag, s_re, s_im = (np.concatenate((a, far)) for a in (mag, s_re, s_im))
             w += (2.0 if k else 1.0) / np.pi * mag[at] * (
                 phase_k.real * s_re[at] - phase_k.imag * s_im[at])
         phase_k *= phase
@@ -226,8 +236,9 @@ def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
         raise ValueError("planar_wigner expects a pure state")
     if resolution < 2:
         raise ValueError(f"planar grid resolution must be at least 2, got {resolution}")
-    if not (math.isfinite(x_max) and math.isfinite(p_max)):
-        raise ValueError(f"planar window must be finite, got x_max={x_max}, p_max={p_max}")
+    if not math.hypot(x_max, p_max) <= 1e150:  # keeps 4|alpha|^2 and dx dp finite
+        raise ValueError(f"planar window must be finite, within radius 1e150, "
+                         f"got x_max={x_max}, p_max={p_max}")
     n = state.space.n_emitters
     if x_max <= 0:
         x_max = np.sqrt(2.0 * n) + 3.0

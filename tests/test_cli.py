@@ -583,7 +583,8 @@ def test_trotter_check_refuses_exact_cases(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flags", [["--n", "3", "--t", "1e308"], ["--n", "3", "--t=-1e308"],
                                    ["--n", "3", "--t", "inf"], ["--n", "3", "--t", "1e-300"],
                                    ["--n", "40", "--t", "1e-300"],
-                                   ["--n", "3", "--t", "1e-300", "--k-list", "1024,2048"]])
+                                   ["--n", "3", "--t", "1e-300", "--k-list", "1024,2048"],
+                                   ["--n", "4", "--t", "-1"]])
 def test_trotter_check_refuses_t_out_of_range(tmp_path, capsys, flags):
     # an overflowing phase used to write NaN into the record, and a tiny t
     # fitted slopes to roundoff
@@ -677,6 +678,47 @@ def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
     assert run_cli(["wigner", "--sequence", "cat2", "--n", "7", "--per-step",
                     "--out", str(tmp_path / "cat")]) == 0
     assert wigner._kernel_bands.cache_info()[:2] == (12, 2)
+
+
+def test_default_plane_walks_8192_distinct_radii(tmp_path, monkeypatch):
+    # the Laguerre recurrence runs once per distinct 4|alpha|^2 of the 201 x 201 grid
+    sizes = []
+
+    def counted(*args, **kwargs):
+        found = np.unique(*args, **kwargs)
+        sizes.append(found[0].size)
+        return found
+
+    monkeypatch.setattr(wigner, "np", SimpleNamespace(**{**vars(np), "unique": counted}))
+    assert run_cli(["wigner", "--sequence", "cat2", "--surface", "plane",
+                    "--out", str(tmp_path / "plane.csv")]) == 0
+    assert sizes == [8192]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, x_max", [("40", "1e6"), ("4", "1e100")])
+def test_plane_far_window_stays_finite(tmp_path, n, x_max):
+    # the recurrence used to overflow on radii far past the state's support
+    out, record = tmp_path / "p.csv", tmp_path / "rec.json"
+    assert run_cli(["wigner", "--sequence", "cat2", "--n", n, "--surface", "plane",
+                    "--resolution", "21", "--x-max", x_max,
+                    "--out", str(out), "--record", str(record)]) == 0
+    assert np.isfinite(json.loads(record.read_text())["outputs"]["files"][0]["integral"])
+    assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_non_finite_record_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, record):
+    monkeypatch.setattr(cli, "cmd_closure", lambda args: ({"set": args.set},
+                                                          {"value": float("nan")}))
+    out = tmp_path / "rec.json"
+    argv = ["closure", "--set", "rotations-only"] + (["--out", str(out)] if record else [])
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert not out.exists() and "{" not in captured.out
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

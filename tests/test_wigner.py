@@ -14,6 +14,7 @@ except ImportError:  # scipy < 1.15
     def _sph_harm(k, q, theta, phi):
         return _sph_harm_legacy(q, k, phi, theta)
 
+from dickesim import wigner as wigner_module
 from dickesim import (
     DickeSpace,
     GkpLattice,
@@ -447,6 +448,35 @@ def test_planar_kernel_bitwise_through_the_rescale():
     _assert_same_bits_as_per_point_walk(st.amplitudes, *_plane_axes(300, 61))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [4, 40, 100])
+def test_planar_kernel_far_points_read_zero(n):
+    # far past the support the walk would overflow; those points read +0.0 and
+    # the near ones keep the bits of a per-point walk
+    amps = _random_amplitudes(n, 11 + n)
+    near = np.array([-3.0, 0.0, 2.5])
+    xs, ps = np.concatenate([[-1e6], near, [1e4]]), np.concatenate([[-1e120], near, [1e6]])
+    values = _planar_kernel_sum(amps, xs[:, None], ps[None, :])
+    assert np.array_equal(values[1:4, 1:4],
+                          planar_kernel_sum_per_point(amps, near[:, None], near[None, :]))
+    far = np.ones(values.shape, bool)
+    far[1:4, 1:4] = False
+    assert np.all(values[far] == 0) and not np.signbit(values[far]).any()
+
+
+def test_planar_kernel_rescales_every_step_past_1e5(monkeypatch):
+    # at N = 3000 the walk covers radii out to x = 4|alpha|^2 ~ 1.16e5, and past
+    # x = 1e5 it checks for a rescale at every step, as this per-point walk does
+    # (checks every 32 steps would still hold here; they overflow from N ~ 20,000)
+    amps = np.zeros(3001)
+    amps[-1] = 1.0
+    xs, ps = np.array([0.0, 60.0, 230.0]), np.array([0.0, 1.0])
+    values = _planar_kernel_sum(amps, xs[:, None], ps[None, :])
+    monkeypatch.setattr(wigner_module, "_RESCALE_EVERY", 1)
+    assert np.all(np.isfinite(values))
+    assert np.array_equal(values, planar_kernel_sum_per_point(amps, xs[:, None], ps[None, :]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=hs.integers(0, 30), resolution=hs.integers(2, 41),
        x_max=hs.floats(0.5, 12.0), p_max=hs.floats(0.5, 12.0),
@@ -504,7 +534,8 @@ def test_planar_wigner_rejects_resolution_below_two(resolution):
 
 
 @pytest.mark.parametrize("window", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
-                                    (4.0, math.nan), (0.0, math.inf)])
+                                    (4.0, math.nan), (0.0, math.inf), (1e151, 0.0),
+                                    (1e120, 1e151)])
 def test_planar_wigner_rejects_non_finite_window(window):
     with pytest.raises(ValueError, match="finite"):
         planar_wigner(QuantumState.ground(DickeSpace(3)), *window, resolution=5)
