@@ -283,9 +283,9 @@ def cmd_wigner(args) -> tuple[dict, dict]:
     out = args.out or "wigner.csv"
     paths = [out]
     if len(states) > 1:  # --per-step: a directory of step01.csv, ..., final.csv
-        os.makedirs(out, exist_ok=True)
         names = [f"step{i:02d}.csv" for i in range(1, len(states))] + ["final.csv"]
         paths = [os.path.join(out, name) for name in names]
+    made = []  # every grid is computed and checked before any file is written
     for st, path in zip(states, paths):
         if args.surface == "sphere":
             grid = spherical_wigner(st, args.n_theta, args.n_phi)
@@ -295,6 +295,13 @@ def cmd_wigner(args) -> tuple[dict, dict]:
             extra = {"integral": grid.integral(),
                      "approximation": PLANAR_APPROXIMATION_LABEL,
                      "window_clipped": grid.window_clipped}
+        if not (np.isfinite(grid.values).all() and np.isfinite(extra["integral"])):
+            raise NonFiniteRecordError(f"the Wigner grid for {path} holds NaN or infinity; "
+                                       f"no file was written")
+        made.append((grid, path, extra))
+    if len(states) > 1:
+        os.makedirs(out, exist_ok=True)
+    for grid, path, extra in made:
         export_grid(grid, path)
         outputs["files"].append({"path": path, **extra})
         print(f"wrote {path} (integral {extra['integral']:.6f})")

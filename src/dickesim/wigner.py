@@ -32,12 +32,6 @@ from .gates import _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
 BOUNDARY_WARN_LEVEL = 1e-3
-# plane recurrence: check |l_m| every 32 steps (growth in between stays under
-# 2^420 for x = 4|alpha|^2 up to 1e5; past that, at every step) and scale
-# points past 2^512 down by 2^512
-_RESCALE_EVERY = 32
-_RESCALE_BITS = 512
-_RESCALE_LIMIT = 2.0 ** _RESCALE_BITS
 
 
 class WindowWarning(UserWarning):
@@ -160,67 +154,75 @@ class PlaneGrid:
         return float(self.values.sum() * dx * dp)
 
 
-def _planar_kernel_sum(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """W(x,p) = sum_{m,n} c_m conj(c_n) K_mn(alpha), alpha = (x+ip)/sqrt(2), one
-    diagonal k = n - m at a time (Cahill and Glauber, Phys. Rev. 177, 1882
-    (1969)): K_{m,m+k} = (-1)^m l_m^k(4|alpha|^2) (2|alpha|)^k e^{i k arg alpha}
-    e^{-2|alpha|^2} / (pi sqrt(k!)), with l_m^k = sqrt(m! k!/(m+k)!) L_m^k
-    walked upwards in m by the normalized three-term recurrence (A&S 22.7.12).
-    l_m grows like x^m / m! where the envelope underflows, so every
-    ``_RESCALE_EVERY`` steps (every step past x = 1e5) points past
-    2^_RESCALE_BITS are scaled down by that power of two and the exponent is
-    folded into the envelope's log.
+def _hermite_table(xs: np.ndarray, size: int) -> np.ndarray:
+    """Phi[i, a] = phi_a(sqrt(2) xs[i]), a < size, with the Hermite functions
+    phi_a(u) = e^{-u^2/2} H_a(u) / sqrt(2^a a! sqrt(pi)) of x = (a + a^dag)/sqrt(2).
+    The three-term recurrence in a starts from pi^(-1/4), without the Gaussian,
+    which underflows past |u| ~ 37.6 (inside the support from N ~ 450 on).  A
+    point past 2^512 is scaled down by 2^512 (a step grows it by at most 2^500
+    while |xs| <= 1e150); each entry's exponent and the Gaussian e^{-xs^2} are
+    applied at the end, so far points read 0 and nothing overflows."""
+    u = math.sqrt(2.0) * xs
+    table, log2_scale = np.empty((size, xs.size)), np.zeros((size, xs.size))
+    h_prev, h = np.zeros_like(u), np.full_like(u, math.pi ** -0.25)
+    table[0] = h
+    for a in range(1, size):
+        h_prev, h = h, math.sqrt(2.0 / a) * u * h - math.sqrt((a - 1) / a) * h_prev
+        big = np.abs(h) > 2.0 ** 512
+        if big.any():
+            h_prev, h = np.ldexp(h_prev, -512 * big), np.ldexp(h, -512 * big)
+            log2_scale[a:] += 512 * big
+        table[a] = h
+    return (table * np.exp(log2_scale * math.log(2.0) - xs * xs)).T
 
-    Everything but the phase e^{i k arg alpha} depends on x = 4|alpha|^2 only,
-    so the recurrence, the rescale and the envelope run once per distinct x
-    (``np.unique`` of the grid's own values; a grid of 201^2 points at N = 40
-    has 8,192) and are gathered back onto the grid for the phase sum.  Every
-    point sees the same floating-point operations as a per-point walk would,
-    so the values are unchanged bit for bit.  Points too far out to carry
-    any weight are not walked (the walk would overflow there) and read 0."""
-    alpha = (X + 1j * P) / np.sqrt(2)
-    radii, at = np.unique(4.0 * np.abs(alpha) ** 2, return_inverse=True)
-    at = at.reshape(alpha.shape)
-    # for x >= 1, |l_m^k(x)| <= 2^(m+k) x^m with m + k < d bounds |W| by (2/pi) d
-    # (2x)^d e^(-x/2), below 2^-1075 past x = 1600 + 4d ln(4d + 1600): W reads 0 there
-    dim = amps.size
-    x = radii[:np.searchsorted(radii, 1600 + 4 * dim * math.log(4 * dim + 1600), side="right")]
-    every = 1 if x.size and x[-1] > 1e5 else _RESCALE_EVERY
-    far = np.zeros(radii.size - x.size)
-    with np.errstate(divide="ignore"):
-        log_x = np.log(x)  # -inf at alpha = 0, where every k >= 1 term vanishes
-    phase = np.exp(1j * np.angle(alpha))
-    phase_k = np.ones_like(phase)
-    w = np.zeros(alpha.shape)
-    for k in range(dim):
-        rho = amps[:dim - k] * np.conj(amps[k:]) * (-1.0) ** np.arange(dim - k)
-        nonzero = np.flatnonzero(rho)  # rho_m = (-1)^m c_m conj(c_{m+k})
-        if nonzero.size and x.size:
-            s_re, s_im = np.zeros_like(x), np.zeros_like(x)
-            l_prev, l_m = 0.0, np.ones_like(x)
-            log2_scale = 0  # the sums hold 2^-log2_scale times their true value
-            for m in range(nonzero[-1] + 1):
-                if m:
-                    l_prev, l_m = l_m, (((2 * m - 1 + k) - x) * l_m - math.sqrt(
-                        (m - 1) * (m - 1 + k)) * l_prev) / math.sqrt(m * (m + k))
-                if m % every == 0 and np.max(np.abs(l_m)) > _RESCALE_LIMIT:
-                    shift = np.where(np.abs(l_m) > _RESCALE_LIMIT, _RESCALE_BITS, 0)
-                    l_prev, l_m, s_re, s_im = (np.ldexp(a, -shift)
-                                               for a in (l_prev, l_m, s_re, s_im))
-                    log2_scale = log2_scale + shift
-                if rho[m].real:
-                    s_re += rho[m].real * l_m
-                if rho[m].imag:
-                    s_im += rho[m].imag * l_m
-            # (2|alpha|)^k e^{-2|alpha|^2} / sqrt(k!), through logs to dodge overflow
-            log_mag = 0.5 * (k * log_x - x - math.lgamma(k + 1)) if k else -0.5 * x
-            mag = np.exp(log_mag + log2_scale * math.log(2.0))
-            if far.size:
-                mag, s_re, s_im = (np.concatenate((a, far)) for a in (mag, s_re, s_im))
-            w += (2.0 if k else 1.0) / np.pi * mag[at] * (
-                phase_k.real * s_re[at] - phase_k.imag * s_im[at])
-        phase_k *= phase
-    return w
+
+def _plane_coefficients(amps: np.ndarray) -> np.ndarray:
+    """C with W(x, p) = pi^(-1/2) sum_{a,b <= 2N} C_ab phi_a(sqrt(2) x) phi_b(sqrt(2) p).
+
+    In W = (1/pi) int conj(psi(x+y)) psi(x-y) e^{2ipy} dy with psi = sum c_n
+    phi_n, rotating (x+y, x-y) into (sqrt(2) x, sqrt(2) y) is a 50:50 beam
+    splitter U on phi_m phi_n, and int e^{2ipy} phi_b(sqrt(2) y) dy = sqrt(pi)
+    i^b phi_b(sqrt(2) p), so C_ab = Re(i^b sum_{m+n=a+b} conj(c_m) c_n
+    <a,b|U|m,n>).  The columns U|m, L-m>, m and L - m <= N, are built one
+    total L = a + b at a time by the balanced step U|m,n> = (sqrt(m) P+
+    U|m-1,n> + sqrt(n) P- U|m,n-1>) / L, P+- = (A_X^dag +- A_Y^dag)/sqrt(2)
+    (Risbo, J. Geodesy 70, 383 (1996)); raising one index alone is unstable.
+    O(N^3) time and O(N^2) memory, whatever the grid."""
+    n = amps.size - 1
+    size = 2 * n + 1
+    roots = np.sqrt(np.arange(size + 1.0))
+    i_b = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])[np.arange(size) % 4]
+    coef = np.zeros((size, size))
+    flat, skew = coef.reshape(-1), (size - 1) * np.arange(size)  # flat[L + skew[a]] = C_{a,L-a}
+    # cols[:, 1 + m - max(0, L - n)] = U|m, L-m>, with a zero column at each end
+    cols = np.array([[0.0, 1.0, 0.0]])
+    for total in range(size):
+        lo, hi = max(0, total - n), min(total, n)
+        if total:
+            count, first = hi - lo + 1, int(total > n)  # first: where U|lo-1, L-lo> sits
+            via_m = cols[:, first:first + count] * roots[lo:hi + 1]  # sqrt(m) U|m-1, L-m>
+            via_n = cols[:, first + 1:first + 1 + count] * roots[total - hi:total - lo + 1][::-1]
+            raise_a = roots[1:total + 1, None] / (math.sqrt(2.0) * total)
+            cols = np.zeros((total + 1, count + 2))
+            cols[1:, 1:-1] = raise_a * (via_m + via_n)
+            cols[:-1, 1:-1] += raise_a[::-1] * (via_m - via_n)  # raising b = L - a
+        # g_a = sum_m conj(c_m) c_{L-m} <a, L-a|U|m, L-m> as (Re, Im) pairs
+        pair = np.conj(amps[lo:hi + 1]) * amps[total - hi:total - lo + 1][::-1]
+        g = cols[:, 1:-1] @ pair.view(float).reshape(-1, 2)
+        flat[total + skew[:total + 1]] = (g * i_b[total::-1]).sum(axis=1)
+    return coef
+
+
+def _planar_kernel_sum(amps: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """W on the grid of xs (axis 0) by ps (axis 1), as the bilinear form
+    Phi(xs) C Phi(ps)^T / sqrt(pi) of :func:`_plane_coefficients` and
+    :func:`_hermite_table`; the x table serves p when the axes are equal.
+    O(N^3 + R N^2 + R^2 N) for an R x R grid."""
+    xs, ps = np.ravel(xs), np.ravel(ps)
+    size = 2 * amps.size - 1
+    phi_x = _hermite_table(xs, size)
+    phi_p = phi_x if np.array_equal(xs, ps) else _hermite_table(ps, size)
+    return phi_x @ (_plane_coefficients(amps) / math.sqrt(math.pi)) @ phi_p.T + 0.0  # -0.0 -> +0.0
 
 
 def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
@@ -236,7 +238,7 @@ def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
         raise ValueError("planar_wigner expects a pure state")
     if resolution < 2:
         raise ValueError(f"planar grid resolution must be at least 2, got {resolution}")
-    if not math.hypot(x_max, p_max) <= 1e150:  # keeps 4|alpha|^2 and dx dp finite
+    if not math.hypot(x_max, p_max) <= 1e150:  # keeps x^2, dx dp and the Hermite steps finite
         raise ValueError(f"planar window must be finite, within radius 1e150, "
                          f"got x_max={x_max}, p_max={p_max}")
     n = state.space.n_emitters
@@ -246,7 +248,7 @@ def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
         p_max = x_max
     xs = np.linspace(-x_max, x_max, resolution)
     ps = np.linspace(-p_max, p_max, resolution)
-    values = _planar_kernel_sum(state.amplitudes, xs[:, None], ps[None, :])
+    values = _planar_kernel_sum(state.amplitudes, xs, ps)
     edge = max(np.max(np.abs(values[0, :])), np.max(np.abs(values[-1, :])),
                np.max(np.abs(values[:, 0])), np.max(np.abs(values[:, -1])))
     clipped = bool(edge > BOUNDARY_WARN_LEVEL)

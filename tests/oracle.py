@@ -10,9 +10,9 @@
   Lanczos kernel diagonal are checked against these.  The kernel rotated to
   every row of points by one matrix product, which the frequency form of
   ``wigner.spherical_wigner_values`` must match to 1e-12 of max|W|.
-- Planar Wigner: the Laguerre recurrence walked separately at every grid
-  point.  ``wigner._planar_kernel_sum`` walks it once per distinct radius
-  and must match this bit for bit.
+- Planar Wigner: the Cahill-Glauber Laguerre recurrence walked separately at
+  every grid point.  ``wigner._planar_kernel_sum``, a Hermite bilinear form,
+  must match it to 1e-13.
 - Lie closure: the sequential search that ``algebra.lie_closure`` replaced,
   with a complex span extended one candidate at a time.  Both must reach
   the same dimensions, rounds, verdicts and artifact counts.
@@ -297,24 +297,38 @@ def spherical_wigner_per_row(state: QuantumState, thetas, phis) -> np.ndarray:
 
 # --- planar Wigner, one recurrence per grid point ------------------------------
 
+# the walk's own rescale: check |l_m| every 32 steps and scale points past
+# 2^512 down by 2^512 (growth over 32 steps stays under 2^420 for x up to 1e5)
+_RESCALE_EVERY = 32
+_RESCALE_BITS = 512
+_RESCALE_LIMIT = 2.0 ** _RESCALE_BITS
+
+
 def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The Cahill-Glauber diagonal sum of ``wigner._planar_kernel_sum`` with the
-    A&S 22.7.12 recurrence, its rescale and its envelope evaluated on every
-    grid point, so on repeated radii too.  The rescale constants are read
-    from the module at call time."""
-    every, bits, limit = wigner._RESCALE_EVERY, wigner._RESCALE_BITS, wigner._RESCALE_LIMIT
+    """W(x,p) = sum_{m,n} c_m conj(c_n) K_mn(alpha), alpha = (x+ip)/sqrt(2), one
+    diagonal k = n - m at a time (Cahill and Glauber, Phys. Rev. 177, 1882
+    (1969)), walked separately at every grid point: K_{m,m+k} = (-1)^m
+    l_m^k(4|alpha|^2) (2|alpha|)^k e^{i k arg alpha} e^{-2|alpha|^2} / (pi
+    sqrt(k!)), with l_m^k = sqrt(m! k!/(m+k)!) L_m^k walked upwards in m by the
+    normalized three-term recurrence (A&S 22.7.12), rescaled by powers of two,
+    and the envelope applied through logs.  Points past x = 4|alpha|^2 = 1600
+    + 4d ln(4d + 1600) read +0.0 and are not walked: for x >= 1, |l_m^k(x)| <=
+    2^(m+k) x^m with m + k < d bounds |W| by (2/pi) d (2x)^d e^(-x/2), below
+    2^-1075 there, and the walk would overflow."""
     alpha = (X + 1j * P) / np.sqrt(2)
-    x = 4.0 * np.abs(alpha) ** 2
+    x_all = 4.0 * np.abs(alpha) ** 2
+    dim = amps.size
+    near = x_all <= 1600 + 4 * dim * math.log(4 * dim + 1600)
+    alpha, x = alpha[near], x_all[near]
     with np.errstate(divide="ignore"):
         log_x = np.log(x)
     phase = np.exp(1j * np.angle(alpha))
     phase_k = np.ones_like(phase)
-    dim = amps.size
     w = np.zeros_like(x)
     for k in range(dim):
         rho = amps[:dim - k] * np.conj(amps[k:]) * (-1.0) ** np.arange(dim - k)
         nonzero = np.flatnonzero(rho)
-        if nonzero.size:
+        if nonzero.size and x.size:
             s_re, s_im = np.zeros_like(x), np.zeros_like(x)
             l_prev, l_m = 0.0, np.ones_like(x)
             log2_scale = 0
@@ -322,8 +336,8 @@ def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) 
                 if m:
                     l_prev, l_m = l_m, (((2 * m - 1 + k) - x) * l_m - math.sqrt(
                         (m - 1) * (m - 1 + k)) * l_prev) / math.sqrt(m * (m + k))
-                if m % every == 0 and np.max(np.abs(l_m)) > limit:
-                    shift = np.where(np.abs(l_m) > limit, bits, 0)
+                if m % _RESCALE_EVERY == 0 and np.max(np.abs(l_m)) > _RESCALE_LIMIT:
+                    shift = np.where(np.abs(l_m) > _RESCALE_LIMIT, _RESCALE_BITS, 0)
                     l_prev, l_m, s_re, s_im = (np.ldexp(a, -shift)
                                                for a in (l_prev, l_m, s_re, s_im))
                     log2_scale = log2_scale + shift
@@ -335,7 +349,9 @@ def planar_kernel_sum_per_point(amps: np.ndarray, X: np.ndarray, P: np.ndarray) 
             mag = np.exp(log_mag + log2_scale * math.log(2.0))
             w += (2.0 if k else 1.0) / np.pi * mag * (phase_k.real * s_re - phase_k.imag * s_im)
         phase_k *= phase
-    return w
+    out = np.zeros_like(x_all)
+    out[near] = w
+    return out
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -680,19 +680,25 @@ def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
     assert wigner._kernel_bands.cache_info()[:2] == (12, 2)
 
 
-def test_default_plane_walks_8192_distinct_radii(tmp_path, monkeypatch):
-    # the Laguerre recurrence runs once per distinct 4|alpha|^2 of the 201 x 201 grid
-    sizes = []
+def test_default_plane_builds_one_coefficient_matrix_and_one_table(tmp_path, monkeypatch):
+    # N = 40: one (2N+1)^2 coefficient matrix, and one Hermite table on the 201
+    # points that the square default window's x and p axes share
+    shapes = {"_plane_coefficients": [], "_hermite_table": []}
 
-    def counted(*args, **kwargs):
-        found = np.unique(*args, **kwargs)
-        sizes.append(found[0].size)
-        return found
+    def counted(name):
+        real = getattr(wigner, name)
 
-    monkeypatch.setattr(wigner, "np", SimpleNamespace(**{**vars(np), "unique": counted}))
+        def wrapper(*args, **kwargs):
+            found = real(*args, **kwargs)
+            shapes[name].append(found.shape)
+            return found
+        monkeypatch.setattr(wigner, name, wrapper)
+
+    counted("_plane_coefficients")
+    counted("_hermite_table")
     assert run_cli(["wigner", "--sequence", "cat2", "--surface", "plane",
                     "--out", str(tmp_path / "plane.csv")]) == 0
-    assert sizes == [8192]
+    assert shapes == {"_plane_coefficients": [(81, 81)], "_hermite_table": [(201, 81)]}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -705,6 +711,32 @@ def test_plane_far_window_stays_finite(tmp_path, n, x_max):
                     "--out", str(out), "--record", str(record)]) == 0
     assert np.isfinite(json.loads(record.read_text())["outputs"]["files"][0]["integral"])
     assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+
+
+@pytest.mark.parametrize("surface, grid_fn", [("sphere", "spherical_wigner"),
+                                             ("plane", "planar_wigner")])
+def test_wigner_non_finite_grid_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           surface, grid_fn):
+    # cat2 --per-step makes two grids; the second holds a NaN, so the first must
+    # not be written either
+    real, made = getattr(cli, grid_fn), []
+
+    def nan_in_second(*args, **kwargs):
+        grid = real(*args, **kwargs)
+        made.append(grid)
+        if len(made) == 2:
+            grid.values[0, 0] = float("nan")
+        return grid
+
+    monkeypatch.setattr(cli, grid_fn, nan_in_second)
+    out, record = tmp_path / "grids", tmp_path / "rec.json"
+    assert run_cli(["wigner", "--sequence", "cat2", "--n", "6", "--per-step",
+                    "--surface", surface, "--resolution", "21",
+                    "--out", str(out), "--record", str(record)]) == 3
+    assert len(made) == 2 and not record.exists() and not list(tmp_path.rglob("*.csv"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert str(out / "final.csv") in err[0]
 
 
 @pytest.mark.parametrize("record", [False, True])

@@ -14,7 +14,6 @@ except ImportError:  # scipy < 1.15
     def _sph_harm(k, q, theta, phi):
         return _sph_harm_legacy(q, k, phi, theta)
 
-from dickesim import wigner as wigner_module
 from dickesim import (
     DickeSpace,
     GkpLattice,
@@ -418,63 +417,61 @@ def _random_amplitudes(n, seed):
     return vec / np.linalg.norm(vec)
 
 
-def _assert_same_bits_as_per_point_walk(amps, X, P):
-    assert np.array_equal(_planar_kernel_sum(amps, X, P),
-                          planar_kernel_sum_per_point(amps, X, P))
+def _assert_matches_per_point_walk(amps, X, P):
+    # the bilinear form sums in another order than the Laguerre walk
+    diff = _planar_kernel_sum(amps, X, P) - planar_kernel_sum_per_point(amps, X, P)
+    assert np.max(np.abs(diff)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 40, 100])
 @pytest.mark.parametrize("resolution", [40, 41])
 def test_planar_kernel_bitwise_equals_per_point_walk(n, resolution):
-    _assert_same_bits_as_per_point_walk(_random_amplitudes(n, 100 + n),
-                                        *_plane_axes(n, resolution))
+    _assert_matches_per_point_walk(_random_amplitudes(n, 100 + n), *_plane_axes(n, resolution))
 
 
 def test_planar_kernel_bitwise_on_asymmetric_window():
     xs, ps = np.linspace(-7.0, 7.0, 61), np.linspace(-5.0, 5.0, 60)
-    _assert_same_bits_as_per_point_walk(_random_amplitudes(40, 7), xs[:, None], ps[None, :])
+    _assert_matches_per_point_walk(_random_amplitudes(40, 7), xs[:, None], ps[None, :])
 
 
 def test_planar_kernel_bitwise_with_zero_amplitudes_mid_ladder():
     X, P = _plane_axes(20, 31)
     for vec in _sparse_amplitudes():
-        _assert_same_bits_as_per_point_walk(vec, X, P)
+        _assert_matches_per_point_walk(vec, X, P)
 
 
 def test_planar_kernel_bitwise_through_the_rescale():
-    # at N = 300 the window corners reach x ~ 3000, where l_m passes 2^512
-    # and the rescale runs
+    # at N = 300 the window corners reach x ~ 3000, where the walk's l_m passes
+    # 2^512 and its rescale runs
     st = coherent_state(DickeSpace(300), 12.0)
-    _assert_same_bits_as_per_point_walk(st.amplitudes, *_plane_axes(300, 61))
+    _assert_matches_per_point_walk(st.amplitudes, *_plane_axes(300, 61))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [4, 40, 100])
 def test_planar_kernel_far_points_read_zero(n):
-    # far past the support the walk would overflow; those points read +0.0 and
-    # the near ones keep the bits of a per-point walk
+    # far past the support the Gaussian underflows, and the walk skips the point
+    # (it would overflow there); both read +0.0
     amps = _random_amplitudes(n, 11 + n)
     near = np.array([-3.0, 0.0, 2.5])
     xs, ps = np.concatenate([[-1e6], near, [1e4]]), np.concatenate([[-1e120], near, [1e6]])
+    _assert_matches_per_point_walk(amps, xs[:, None], ps[None, :])
     values = _planar_kernel_sum(amps, xs[:, None], ps[None, :])
-    assert np.array_equal(values[1:4, 1:4],
-                          planar_kernel_sum_per_point(amps, near[:, None], near[None, :]))
     far = np.ones(values.shape, bool)
     far[1:4, 1:4] = False
     assert np.all(values[far] == 0) and not np.signbit(values[far]).any()
 
 
-def test_planar_kernel_rescales_every_step_past_1e5(monkeypatch):
-    # at N = 3000 the walk covers radii out to x = 4|alpha|^2 ~ 1.16e5, and past
-    # x = 1e5 it checks for a rescale at every step, as this per-point walk does
-    # (checks every 32 steps would still hold here; they overflow from N ~ 20,000)
-    amps = np.zeros(3001)
-    amps[-1] = 1.0
-    xs, ps = np.array([0.0, 60.0, 230.0]), np.array([0.0, 1.0])
-    values = _planar_kernel_sum(amps, xs[:, None], ps[None, :])
-    monkeypatch.setattr(wigner_module, "_RESCALE_EVERY", 1)
-    assert np.all(np.isfinite(values))
-    assert np.array_equal(values, planar_kernel_sum_per_point(amps, xs[:, None], ps[None, :]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_planar_grid_keeps_weight_past_gaussian_underflow():
+    # e^{-u^2/2} underflows past |u| = sqrt(2)|x| ~ 37.6; at N = 480 and gamma = 17
+    # the grid row x = 27.19 (u = 38.5) still carries W ~ 1.6e-5.  gamma = 17
+    # leaves a Poisson weight of 4e-25 beyond |480>, so the closed form holds.
+    grid = planar_wigner(coherent_state(DickeSpace(480), 17.0), resolution=21)
+    alpha = (grid.xs[:, None] + 1j * grid.ps[None, :]) / np.sqrt(2)
+    exact = np.exp(-2 * np.abs(alpha - 17.0) ** 2) / np.pi
+    assert np.max(exact[np.abs(grid.xs) * np.sqrt(2) > 37.6]) > 1e-5
+    assert np.max(np.abs(grid.values - exact)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,7 +481,7 @@ def test_planar_kernel_rescales_every_step_past_1e5(monkeypatch):
 def test_planar_kernel_bitwise_property(n, resolution, x_max, p_max, seed):
     xs = np.linspace(-x_max, x_max, resolution)
     ps = np.linspace(-p_max, p_max, resolution)
-    _assert_same_bits_as_per_point_walk(_random_amplitudes(n, seed), xs[:, None], ps[None, :])
+    _assert_matches_per_point_walk(_random_amplitudes(n, seed), xs[:, None], ps[None, :])
 
 
 def test_planar_grid_raises_no_runtime_warning():
