@@ -31,15 +31,10 @@ from .gates import (
     unflatten_params,
 )
 from .targets import (
-    GkpLattice,
     TargetKind,
     TargetSpec,
     TruncationError,
     TruncationWarning,
-    cat2_state,
-    cat4_state,
-    coherent_state,
-    gkp_state,
     make_target,
 )
 from .wigner import (

@@ -2,9 +2,10 @@
 
 Bosonic constructions are mapped onto the symmetric basis by identifying the
 Fock amplitude of |n> with the Dicke amplitude of |n>, truncating at n = N and
-renormalizing.  Truncation is policed: a pre-normalization tail weight above
-``WARN_TAIL`` emits a :class:`TruncationWarning`, above ``ERROR_TAIL`` it
-raises (the space is too small for the requested state).
+renormalizing.  :func:`make_target` builds every kind and polices the
+truncation once: a pre-normalization tail weight above ``WARN_TAIL`` emits a
+:class:`TruncationWarning`, above ``ERROR_TAIL`` it raises (the space is too
+small for the requested state) unless the spec allows truncation.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class TargetKind(enum.Enum):
     GKP_SQUARE = "gkp-square"
     GKP_HEX = "gkp-hexagonal"
     CUSTOM = "custom"
-
-
-class GkpLattice(enum.Enum):
-    SQUARE = "square"
-    HEX = "hexagonal"
 
 
 # Which grid state on the lattice.  "sensor" is the single-state code whose
@@ -196,54 +192,6 @@ def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
     return total if upward else 1.0 - total
 
 
-def _police_tail(tail: float, n_emitters: int, what: str,
-                 min_n: Optional[int] = None, allow: bool = False) -> None:
-    if tail > ERROR_TAIL and not allow:
-        hint = f"; need N >= {min_n}" if min_n is not None else ""
-        raise TruncationError(
-            f"{what} leaves weight {tail:.3e} beyond |{n_emitters}> "
-            f"(limit {ERROR_TAIL:g}){hint}"
-        )
-    if tail > WARN_TAIL:
-        warnings.warn(
-            f"{what} leaves weight {tail:.3e} beyond |{n_emitters}>; "
-            f"N = {n_emitters} may be too small",
-            TruncationWarning,
-            stacklevel=3,
-        )
-
-
-def coherent_state(space: DickeSpace, gamma: complex) -> QuantumState:
-    """|gamma> truncated to the Dicke ladder and renormalized."""
-    tail = coherent_tail_weight(space.n_emitters, gamma)
-    _police_tail(tail, space.n_emitters, f"coherent state gamma={gamma}")
-    amp = coherent_amplitudes(space.n_emitters, gamma)
-    return QuantumState.from_amplitudes(space, amp, normalize=True)
-
-
-def cat2_state(space: DickeSpace, gamma: complex) -> QuantumState:
-    """Two-legged cat: normalize(|gamma> - i |-gamma>)."""
-    tail = coherent_tail_weight(space.n_emitters, gamma)
-    _police_tail(tail, space.n_emitters, f"2-cat gamma={gamma}")
-    amp = (coherent_amplitudes(space.n_emitters, gamma)
-           - 1j * coherent_amplitudes(space.n_emitters, -complex(gamma)))
-    return QuantumState.from_amplitudes(space, amp, normalize=True)
-
-
-def cat4_state(space: DickeSpace, gamma: complex, phi: float) -> QuantumState:
-    """Four-legged cat: normalize(sum_k e^(i k phi) |i^k gamma>).
-
-    Legs sit at gamma, i*gamma, -gamma, -i*gamma.
-    """
-    tail = coherent_tail_weight(space.n_emitters, gamma)
-    _police_tail(tail, space.n_emitters, f"4-cat gamma={gamma}")
-    gamma = complex(gamma)
-    amp = np.zeros(space.dim, dtype=complex)
-    for k in range(4):
-        amp += np.exp(1j * k * phi) * coherent_amplitudes(space.n_emitters, (1j ** k) * gamma)
-    return QuantumState.from_amplitudes(space, amp, normalize=True)
-
-
 def _oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
     """psi_n(x) for n = 0..n_max via the stable three-term recurrence."""
     psi = np.zeros((n_max + 1, x.size))
@@ -291,64 +239,79 @@ def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:
     return out
 
 
-def gkp_state(space: DickeSpace, lattice: GkpLattice, squeezing_db: float,
-              codeword: str = "sensor", allow_truncation: bool = False) -> QuantumState:
-    """Finite-energy GKP state, envelope e^(-Delta^2 n) with Delta = 10^(-dB/20).
+# (spacing, offset) of each square codeword's position comb; see GKP_CODEWORDS
+_SQUARE_COMBS = {"sensor": (np.sqrt(2 * np.pi), 0.0),
+                 "zero": (2 * np.sqrt(np.pi), 0.0),
+                 "one": (2 * np.sqrt(np.pi), np.sqrt(np.pi))}
 
-    The ideal grid state (sensor cell by default, logical codewords of the
-    4*pi cell on request) is built in the Fock basis, damped by the envelope,
-    truncated at n = N and renormalized.  Raises :class:`TruncationError`
-    naming the minimum usable N when the envelope is too broad, unless
-    ``allow_truncation`` downgrades that to a warning (deliberate hard
-    truncation, e.g. to mirror a target built directly at dimension N+1).
+
+def _grid_amplitudes(n_emitters: int, spec: TargetSpec) -> Tuple[np.ndarray, float, int]:
+    """A finite-energy GKP target before truncation: (amplitudes on
+    n = 0..max(4N, 200), weight beyond |N>, least N within ERROR_TAIL).
+
+    The ideal grid state is built in the Fock basis and damped by the envelope
+    e^(-Delta^2 n), Delta = 10^(-dB/20).  Raises :class:`TruncationError` when
+    the internal cutoff itself cannot hold the envelope.
     """
-    if not isinstance(lattice, GkpLattice):
-        lattice = GkpLattice(lattice)
-    if codeword not in GKP_CODEWORDS:
-        raise ValueError(f"gkp codeword must be one of {GKP_CODEWORDS}")
-    if squeezing_db <= 0:
-        raise ValueError("squeezing_db must be positive")
-    delta = 10.0 ** (-squeezing_db / 20.0)
-    n_ext = max(4 * space.n_emitters, 200)
-    if lattice is GkpLattice.SQUARE:
-        if codeword == "sensor":
-            ideal = _square_comb_amplitudes(n_ext, np.sqrt(2 * np.pi), 0.0)
-        elif codeword == "zero":
-            ideal = _square_comb_amplitudes(n_ext, 2 * np.sqrt(np.pi), 0.0)
-        else:
-            ideal = _square_comb_amplitudes(n_ext, 2 * np.sqrt(np.pi), np.sqrt(np.pi))
+    delta = 10.0 ** (-spec.squeezing_db / 20.0)
+    n_ext = max(4 * n_emitters, 200)
+    if spec.kind is TargetKind.GKP_SQUARE:
+        ideal = _square_comb_amplitudes(n_ext, *_SQUARE_COMBS[spec.gkp_codeword])
     else:
-        ideal = _hex_lattice_amplitudes(n_ext, codeword)
+        ideal = _hex_lattice_amplitudes(n_ext, spec.gkp_codeword)
     amp = ideal * np.exp(-delta ** 2) ** np.arange(n_ext + 1)
     weights = np.abs(amp) ** 2
     total = weights.sum()
     if weights[-(n_ext // 10):].sum() / total > ERROR_TAIL * 1e-3:
         raise TruncationError(
             f"internal cutoff {n_ext} cannot certify the truncation tail for "
-            f"{squeezing_db} dB; squeezing too strong for this construction"
+            f"{spec.squeezing_db} dB; squeezing too strong for this construction"
         )
     cum = np.cumsum(weights) / total
-    tail = 1.0 - cum[space.n_emitters]
-    min_n = int(np.searchsorted(cum, 1.0 - ERROR_TAIL))
-    _police_tail(tail, space.n_emitters, f"{lattice.value} GKP at {squeezing_db} dB",
-                 min_n=min_n, allow=allow_truncation)
-    return QuantumState.from_amplitudes(space, amp[:space.dim], normalize=True)
+    return amp, 1.0 - cum[n_emitters], int(np.searchsorted(cum, 1.0 - ERROR_TAIL))
+
+
+# name and (weight w_k, leg g_k) of the coherent-leg kinds, sum_k w_k |g_k>;
+# the 4-cat's legs sit at gamma, i gamma, -gamma, -i gamma
+_COHERENT_LEGS = {
+    TargetKind.COHERENT: ("coherent state", lambda g, phi: [(1, g)]),
+    TargetKind.CAT2: ("2-cat", lambda g, phi: [(1, g), (-1j, -g)]),
+    TargetKind.CAT4: ("4-cat", lambda g, phi: [(np.exp(1j * k * phi), 1j ** k * g)
+                                               for k in range(4)]),
+}
 
 
 def make_target(spec: TargetSpec, space: DickeSpace) -> QuantumState:
-    """Build the state a :class:`TargetSpec` describes."""
+    """Build the state a :class:`TargetSpec` describes, truncated at |N> and
+    renormalized.  A tail beyond |N> above ``WARN_TAIL`` warns; above
+    ``ERROR_TAIL`` it raises :class:`TruncationError` unless
+    ``spec.allow_truncation`` downgrades that to the warning (deliberate hard
+    truncation).  A coherent or cat target's tail is its leg's Poisson tail."""
     spec.check()
-    if spec.kind is TargetKind.COHERENT:
-        return coherent_state(space, spec.gamma)
-    if spec.kind is TargetKind.CAT2:
-        return cat2_state(space, spec.gamma)
-    if spec.kind is TargetKind.CAT4:
-        return cat4_state(space, spec.gamma, spec.phi)
-    if spec.kind is TargetKind.GKP_SQUARE:
-        return gkp_state(space, GkpLattice.SQUARE, spec.squeezing_db,
-                         spec.gkp_codeword, spec.allow_truncation)
-    if spec.kind is TargetKind.GKP_HEX:
-        return gkp_state(space, GkpLattice.HEX, spec.squeezing_db,
-                         spec.gkp_codeword, spec.allow_truncation)
-    return QuantumState.from_amplitudes(space, np.asarray(spec.custom_amplitudes),
-                                        normalize=True)
+    if spec.kind is TargetKind.CUSTOM:
+        return QuantumState.from_amplitudes(space, np.asarray(spec.custom_amplitudes),
+                                            normalize=True)
+    n = space.n_emitters
+    if spec.kind in _COHERENT_LEGS:  # policed before the legs are summed
+        name, legs = _COHERENT_LEGS[spec.kind]
+        amp, tail, least = None, coherent_tail_weight(n, spec.gamma), None
+        what = f"{name} gamma={spec.gamma}"
+    else:
+        amp, tail, least = _grid_amplitudes(n, spec)
+        what = f"{spec.kind.value.removeprefix('gkp-')} GKP at {spec.squeezing_db} dB"
+    if tail > ERROR_TAIL and not spec.allow_truncation:
+        hint = f"; need N >= {least}" if least is not None else ""
+        raise TruncationError(f"{what} leaves weight {tail:.3e} beyond |{n}> "
+                              f"(limit {ERROR_TAIL:g}){hint}")
+    if tail > WARN_TAIL:
+        warnings.warn(f"{what} leaves weight {tail:.3e} beyond |{n}>; "
+                      f"N = {n} may be too small", TruncationWarning, stacklevel=2)
+    if amp is None:
+        amp = np.zeros(space.dim, dtype=complex)
+        for weight, leg in legs(complex(spec.gamma), spec.phi):
+            amp += weight * coherent_amplitudes(n, leg)
+    amp = amp[:space.dim]
+    if not amp.any():  # every kept amplitude underflowed
+        raise TruncationError(f"{what} leaves no amplitude at or below |{n}> "
+                              "that float64 can represent")
+    return QuantumState.from_amplitudes(space, amp, normalize=True)

@@ -16,15 +16,17 @@ from dickesim import (
     DickeSpace,
     OptimizerConfig,
     QuantumState,
+    TargetKind,
+    TargetSpec,
     apply_sequence,
     build_sminus,
     build_splus,
     build_sx,
     build_sy,
     build_sz,
-    cat2_state,
     fidelity,
     lie_closure,
+    make_target,
     oscillator_counterexample,
     planar_wigner,
     random_restart_search,
@@ -222,7 +224,7 @@ def test_criterion_08_wigner_checks():
     ok &= cov_err < 1e-6
 
     # planar 2-cat vs the closed-form two-coherent-state oracle
-    st = cat2_state(DickeSpace(40), 3.0)
+    st = make_target(TargetSpec(TargetKind.CAT2, gamma=3.0), DickeSpace(40))
     grid = planar_wigner(st, x_max=7.5, p_max=7.5, resolution=101)
     X, P = grid.xs[:, None], grid.ps[None, :]
     alpha = (X + 1j * P) / np.sqrt(2)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -446,6 +447,28 @@ def test_size_sweep_reports_per_n_errors(tmp_path):
     assert "fidelity" in rec["outputs"]["table"][1]
 
 
+@pytest.mark.parametrize("kind, name", [("coherent", "coherent state"), ("cat2", "2-cat"),
+                                        ("cat4", "4-cat")])
+def test_allow_truncation_holds_for_coherent_leg_targets(tmp_path, capsys, kind, name):
+    out = tmp_path / "rec.json"
+    target = ["--target", kind, "--gamma", "3", "--allow-truncation", "--out", str(out)]
+    with pytest.warns(targets.TruncationWarning, match=f"^{name} gamma="):
+        assert run_cli(["replay", "--sequence", "cat2", "--n", "10", *target]) == 0
+    assert 0 <= json.loads(out.read_text())["outputs"]["fidelity"] <= 1
+    with pytest.warns(targets.TruncationWarning):
+        assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "10,40", *target]) == 0
+    rows = json.loads(out.read_text())["outputs"]["table"]
+    assert [sorted(row) for row in rows] == [["fidelity", "n_emitters"]] * 2
+    # at gamma = 40 every amplitude kept at N = 4 underflows
+    capsys.readouterr()
+    with pytest.warns(targets.TruncationWarning):
+        assert run_cli(["replay", "--sequence", "cat2", "--n", "4", "--target", kind,
+                        "--gamma", "40", "--allow-truncation"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"numerical failure: {name} gamma=(40+0j) leaves no amplitude at or "
+                   "below |4> that float64 can represent"]
+
+
 def test_size_sweep_exits_2_on_target_errors_at_every_n(tmp_path, capsys):
     amps, out = tmp_path / "amps.json", tmp_path / "rec.json"
     amps.write_text("[]")
@@ -737,6 +760,21 @@ def test_wigner_non_finite_grid_exits_3_and_writes_nothing(tmp_path, capsys, mon
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: "), err
     assert str(out / "final.csv") in err[0]
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for _ in range(2):
+        assert run_cli(["closure", "--set", "rotations-only", "--out",
+                        str(tmp_path / "rec.json")]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 @pytest.mark.parametrize("record", [False, True])

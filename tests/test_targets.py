@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,20 +7,20 @@ from scipy.special import eval_hermite, gammainc, gammaln
 
 from dickesim import (
     DickeSpace,
-    GkpLattice,
     QuantumState,
     TargetKind,
     TargetSpec,
     TruncationError,
     TruncationWarning,
-    cat2_state,
-    cat4_state,
-    coherent_state,
     fidelity,
-    gkp_state,
     make_target,
 )
 from dickesim.targets import _hex_lattice_amplitudes, coherent_amplitudes, coherent_tail_weight
+
+
+# the 10 dB grid states, truncated on purpose at the N each test uses
+SQUARE_10DB = TargetSpec(TargetKind.GKP_SQUARE, squeezing_db=10.0, allow_truncation=True)
+HEX_10DB = TargetSpec(TargetKind.GKP_HEX, squeezing_db=10.0, allow_truncation=True)
 
 
 def coherent_overlap(gamma, delta):
@@ -27,13 +29,13 @@ def coherent_overlap(gamma, delta):
 
 
 def test_coherent_gamma_zero_is_ground():
-    st = coherent_state(DickeSpace(10), 0.0)
+    st = make_target(TargetSpec(TargetKind.COHERENT, gamma=0.0), DickeSpace(10))
     assert st.amplitudes[0] == pytest.approx(1.0)
     assert np.all(st.amplitudes[1:] == 0)
 
 
 def test_coherent_normalized():
-    st = coherent_state(DickeSpace(40), 3.0)
+    st = make_target(TargetSpec(TargetKind.COHERENT, gamma=3.0), DickeSpace(40))
     assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -66,8 +68,8 @@ def test_coherent_tail_is_a_probability(n, gamma):
 def test_coherent_overlap_identity():
     space = DickeSpace(60)
     for g, d in [(1.5, -0.5 + 1j), (2.0, 2.0), (0.3j, 1.1)]:
-        a = coherent_state(space, g)
-        b = coherent_state(space, d)
+        a = make_target(TargetSpec(TargetKind.COHERENT, gamma=g), space)
+        b = make_target(TargetSpec(TargetKind.COHERENT, gamma=d), space)
         inner = np.vdot(a.amplitudes, b.amplitudes)
         assert inner == pytest.approx(coherent_overlap(g, d), abs=1e-8)
 
@@ -75,18 +77,18 @@ def test_coherent_overlap_identity():
 def test_coherent_warns_when_space_too_small():
     # gamma = 3 at N = 22 leaves a tail of ~7e-5: inside the warn window
     with pytest.warns(TruncationWarning):
-        coherent_state(DickeSpace(22), 3.0)
+        make_target(TargetSpec(TargetKind.COHERENT, gamma=3.0), DickeSpace(22))
 
 
 def test_coherent_errors_when_space_far_too_small():
     # gamma = 40 at N = 4 puts nearly all the weight beyond |4>
     for n, gamma in ((17, 3.0), (4, 40.0)):
         with pytest.raises(TruncationError):
-            coherent_state(DickeSpace(n), gamma)
+            make_target(TargetSpec(TargetKind.COHERENT, gamma=gamma), DickeSpace(n))
 
 
 def test_cat2_gamma_zero_collapses_to_ground():
-    st = cat2_state(DickeSpace(8), 0.0)
+    st = make_target(TargetSpec(TargetKind.CAT2, gamma=0.0), DickeSpace(8))
     assert abs(st.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -104,7 +106,7 @@ def test_cat2_overlap_with_opposite_parity_cat():
     analytic = (coherent_overlap(g, g) + 1j * coherent_overlap(g, -g)
                 + 1j * coherent_overlap(-g, g) - coherent_overlap(-g, -g))
     assert np.vdot(minus_vec, plus_vec) == pytest.approx(analytic, abs=1e-8)
-    minus = cat2_state(space, g)
+    minus = make_target(TargetSpec(TargetKind.CAT2, gamma=g), space)
     plus_state = QuantumState.from_amplitudes(space, plus_vec, normalize=True)
     expected_sq = abs(analytic) ** 2 / (np.linalg.norm(minus_vec)
                                         * np.linalg.norm(plus_vec)) ** 2
@@ -115,14 +117,14 @@ def test_cat4_sector_support():
     # for phi a multiple of pi/2 the four legs interfere to a single n mod 4 sector
     space = DickeSpace(40)
     for mult, sector in [(0, 0), (1, 3), (2, 2), (3, 1)]:
-        st = cat4_state(space, 3.0, mult * np.pi / 2)
+        st = make_target(TargetSpec(TargetKind.CAT4, gamma=3.0, phi=mult * np.pi / 2), space)
         n = np.arange(41)
         off_sector = np.abs(st.amplitudes[n % 4 != sector])
         assert np.max(off_sector) < 1e-12
 
 
 def test_cat4_generic_phi_spans_sectors():
-    st = cat4_state(DickeSpace(40), 3.0, np.pi / 4)
+    st = make_target(TargetSpec(TargetKind.CAT4, gamma=3.0, phi=np.pi / 4), DickeSpace(40))
     n = np.arange(41)
     weights = [np.sum(np.abs(st.amplitudes[n % 4 == j]) ** 2) for j in range(4)]
     assert weights[0] > 0.3 and weights[3] > 0.3
@@ -160,7 +162,7 @@ def _position_oracle_square(n_emitters, spacing, offset, db):
 def test_gkp_square_matches_position_oracle():
     space = DickeSpace(40)
     with pytest.warns(TruncationWarning):
-        st = gkp_state(space, GkpLattice.SQUARE, 10.0, allow_truncation=True)
+        st = make_target(SQUARE_10DB, space)
     oracle = _position_oracle_square(40, np.sqrt(2 * np.pi), 0.0, 10.0)
     oracle_state = QuantumState.from_amplitudes(space, oracle, normalize=True)
     assert fidelity(st, oracle_state) > 1 - 1e-6
@@ -170,8 +172,7 @@ def test_gkp_square_codewords_match_position_oracle():
     space = DickeSpace(40)
     for codeword, offset in [("zero", 0.0), ("one", np.sqrt(np.pi))]:
         with pytest.warns(TruncationWarning):
-            st = gkp_state(space, GkpLattice.SQUARE, 10.0, codeword,
-                           allow_truncation=True)
+            st = make_target(replace(SQUARE_10DB, gkp_codeword=codeword), space)
         oracle = _position_oracle_square(40, 2 * np.sqrt(np.pi), offset, 10.0)
         oracle_state = QuantumState.from_amplitudes(space, oracle, normalize=True)
         assert fidelity(st, oracle_state) > 1 - 1e-6
@@ -179,7 +180,7 @@ def test_gkp_square_codewords_match_position_oracle():
 
 def test_gkp_square_amplitudes_real_and_even():
     with pytest.warns(TruncationWarning):
-        st = gkp_state(DickeSpace(40), GkpLattice.SQUARE, 10.0, allow_truncation=True)
+        st = make_target(SQUARE_10DB, DickeSpace(40))
     assert np.max(np.abs(st.amplitudes.imag)) < 1e-12
     odd = np.abs(st.amplitudes[1::2])
     assert np.max(odd) < 1e-12
@@ -188,7 +189,7 @@ def test_gkp_square_amplitudes_real_and_even():
 def test_gkp_square_fourfold_symmetry():
     # the sensor state is invariant under a 90-degree phase-space rotation
     with pytest.warns(TruncationWarning):
-        st = gkp_state(DickeSpace(44), GkpLattice.SQUARE, 10.0, allow_truncation=True)
+        st = make_target(SQUARE_10DB, DickeSpace(44))
     n = np.arange(45)
     rotated = QuantumState.from_amplitudes(
         DickeSpace(44), st.amplitudes * np.exp(-1j * (np.pi / 2) * n), normalize=True)
@@ -211,7 +212,7 @@ def _displacement_expectation(amps, alpha, cutoff=200):
 def test_gkp_stabilizer_expectations():
     # grid states score high on their lattice displacements, low off-lattice
     with pytest.warns(TruncationWarning):
-        hx = gkp_state(DickeSpace(48), GkpLattice.HEX, 10.0, allow_truncation=True)
+        hx = make_target(HEX_10DB, DickeSpace(48))
     ell = np.sqrt(4 * np.pi / np.sqrt(3))
     gen1 = ell / np.sqrt(2)
     gen2 = ell * (0.5 + 1j * np.sqrt(3) / 2) / np.sqrt(2)
@@ -221,7 +222,7 @@ def test_gkp_stabilizer_expectations():
     assert abs(_displacement_expectation(hx.amplitudes, gen1 / 2)) < 0.05
 
     with pytest.warns(TruncationWarning):
-        sq = gkp_state(DickeSpace(48), GkpLattice.SQUARE, 10.0, allow_truncation=True)
+        sq = make_target(SQUARE_10DB, DickeSpace(48))
     gen = np.sqrt(2 * np.pi) / np.sqrt(2)
     for g in (gen, 1j * gen):
         ev = _displacement_expectation(sq.amplitudes, g)
@@ -233,7 +234,7 @@ def test_gkp_hex_half_turn_symmetry():
     # the hex lattice state is invariant under a 180-degree phase-space
     # rotation but not under 90 degrees (which the square state survives)
     with pytest.warns(TruncationWarning):
-        st = gkp_state(DickeSpace(48), GkpLattice.HEX, 10.0, allow_truncation=True)
+        st = make_target(HEX_10DB, DickeSpace(48))
     n = np.arange(49)
     half_turn = QuantumState.from_amplitudes(
         DickeSpace(48), st.amplitudes * np.exp(-1j * np.pi * n), normalize=True)
@@ -288,12 +289,12 @@ def test_target_spec_from_dict_rejects_malformed(doc):
 
 def test_gkp_truncation_error_names_minimum_n():
     with pytest.raises(TruncationError, match=r"need N >= \d+"):
-        gkp_state(DickeSpace(20), GkpLattice.SQUARE, 10.0)
+        make_target(TargetSpec(TargetKind.GKP_SQUARE, squeezing_db=10.0), DickeSpace(20))
 
 
 def test_gkp_rejects_nonpositive_db():
     with pytest.raises(ValueError):
-        gkp_state(DickeSpace(20), GkpLattice.SQUARE, -3.0)
+        make_target(TargetSpec(TargetKind.GKP_SQUARE, squeezing_db=-3.0), DickeSpace(20))
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -319,11 +320,42 @@ def test_make_target_custom_passthrough():
     assert abs(st.amplitudes[0]) == pytest.approx(1.0)
 
 
-def test_make_target_dispatch_matches_direct_calls():
-    space = DickeSpace(40)
-    via_spec = make_target(TargetSpec(TargetKind.CAT2, gamma=3.0), space)
-    direct = cat2_state(space, 3.0)
-    assert fidelity(via_spec, direct) == pytest.approx(1.0, abs=1e-14)
+@pytest.mark.parametrize("gamma, phi", [(3.0, np.pi / 4), (2 + 1j, 0.3), (0.2, -2.0)])
+def test_coherent_leg_kinds_match_their_definitions(gamma, phi):
+    # normalize(sum_k w_k |g_k>), one coherent_amplitudes vector per leg; gamma
+    # is complex, as a spec read from JSON or the CLI holds it, so -gamma of a
+    # real gamma has angle -pi
+    gamma = complex(gamma)
+    legs = {TargetKind.COHERENT: [(1, gamma)],
+            TargetKind.CAT2: [(1, gamma), (-1j, -gamma)],
+            TargetKind.CAT4: [(np.exp(1j * k * phi), 1j ** k * gamma) for k in range(4)]}
+    for kind, kind_legs in legs.items():
+        vec = sum(w * coherent_amplitudes(40, g) for w, g in kind_legs)
+        st = make_target(TargetSpec(kind, gamma=gamma, phi=phi), DickeSpace(40))
+        assert np.max(np.abs(st.amplitudes - vec / np.linalg.norm(vec))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind, name", [(TargetKind.COHERENT, "coherent state"),
+                                        (TargetKind.CAT2, "2-cat"), (TargetKind.CAT4, "4-cat")])
+def test_allow_truncation_holds_for_coherent_leg_kinds(kind, name):
+    # gamma = 3 at N = 10 leaves the leg's Poisson tail 0.294 beyond |10>
+    space = DickeSpace(10)
+    with pytest.raises(TruncationError, match=rf"^{name} gamma=3.0 leaves weight 2.940e-01"):
+        make_target(TargetSpec(kind, gamma=3.0), space)
+    with pytest.warns(TruncationWarning, match=rf"^{name} gamma=3.0 leaves weight 2.940e-01"):
+        st = make_target(TargetSpec(kind, gamma=3.0, allow_truncation=True), space)
+    assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    # at gamma = 40 every amplitude kept at N = 4 underflows: nothing to normalize
+    with pytest.warns(TruncationWarning), pytest.raises(
+            TruncationError, match=rf"^{name} gamma=40.0 leaves no amplitude at or below \|4>"):
+        make_target(TargetSpec(kind, gamma=40.0, allow_truncation=True), DickeSpace(4))
+
+
+@pytest.mark.parametrize("spec", [SQUARE_10DB, TargetSpec(TargetKind.CAT2, gamma=3.0)])
+def test_truncation_warning_names_the_caller(spec):
+    with pytest.warns(TruncationWarning) as record:
+        make_target(spec, DickeSpace(22))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_every_target_normalized():

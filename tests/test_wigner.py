@@ -16,15 +16,14 @@ except ImportError:  # scipy < 1.15
 
 from dickesim import (
     DickeSpace,
-    GkpLattice,
     QuantumState,
+    TargetKind,
+    TargetSpec,
     build_sx,
     build_sy,
     build_sz,
-    cat2_state,
-    coherent_state,
     export_grid,
-    gkp_state,
+    make_target,
     planar_wigner,
     spherical_wigner,
 )
@@ -334,7 +333,7 @@ def _cross_wigner(alpha, gam, delt):
 
 def test_cat2_planar_wigner_matches_closed_form():
     space = DickeSpace(40)
-    st = cat2_state(space, 3.0)
+    st = make_target(TargetSpec(TargetKind.CAT2, gamma=3.0), space)
     grid = planar_wigner(st, x_max=7.5, p_max=7.5, resolution=151)
     X = grid.xs[:, None]
     P = grid.ps[None, :]
@@ -385,8 +384,9 @@ def test_planar_kernel_matches_laguerre_oracle(n, resolution):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the N = 4 GKP is truncated on purpose
         states = [QuantumState.from_amplitudes(space, vec, normalize=True),
-                  cat2_state(space, 3.0 if n >= 40 else 0.5),
-                  gkp_state(space, GkpLattice.SQUARE, 10.0, allow_truncation=True)]
+                  make_target(TargetSpec(TargetKind.CAT2, gamma=3.0 if n >= 40 else 0.5), space),
+                  make_target(TargetSpec(TargetKind.GKP_SQUARE, squeezing_db=10.0,
+                                         allow_truncation=True), space)]
     X, P = _plane_axes(n, resolution)
     for st in states:
         diff = _planar_kernel_sum(st.amplitudes, X, P) - _planar_oracle(st.amplitudes, X, P)
@@ -443,7 +443,7 @@ def test_planar_kernel_bitwise_with_zero_amplitudes_mid_ladder():
 def test_planar_kernel_bitwise_through_the_rescale():
     # at N = 300 the window corners reach x ~ 3000, where the walk's l_m passes
     # 2^512 and its rescale runs
-    st = coherent_state(DickeSpace(300), 12.0)
+    st = make_target(TargetSpec(TargetKind.COHERENT, gamma=12.0), DickeSpace(300))
     _assert_matches_per_point_walk(st.amplitudes, *_plane_axes(300, 61))
 
 
@@ -467,7 +467,8 @@ def test_planar_grid_keeps_weight_past_gaussian_underflow():
     # e^{-u^2/2} underflows past |u| = sqrt(2)|x| ~ 37.6; at N = 480 and gamma = 17
     # the grid row x = 27.19 (u = 38.5) still carries W ~ 1.6e-5.  gamma = 17
     # leaves a Poisson weight of 4e-25 beyond |480>, so the closed form holds.
-    grid = planar_wigner(coherent_state(DickeSpace(480), 17.0), resolution=21)
+    st = make_target(TargetSpec(TargetKind.COHERENT, gamma=17.0), DickeSpace(480))
+    grid = planar_wigner(st, resolution=21)
     alpha = (grid.xs[:, None] + 1j * grid.ps[None, :]) / np.sqrt(2)
     exact = np.exp(-2 * np.abs(alpha - 17.0) ** 2) / np.pi
     assert np.max(exact[np.abs(grid.xs) * np.sqrt(2) > 37.6]) > 1e-5
@@ -503,7 +504,8 @@ def test_planar_grid_finite_at_large_n():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.all(np.isfinite(planar_wigner(rand, resolution=21).values))
         # at gamma = 12 the rescaled points carry the state's own weight
-        grid = planar_wigner(coherent_state(space, 12.0), resolution=61)
+        st = make_target(TargetSpec(TargetKind.COHERENT, gamma=12.0), space)
+        grid = planar_wigner(st, resolution=61)
     alpha = (grid.xs[:, None] + 1j * grid.ps[None, :]) / np.sqrt(2)
     exact = np.exp(-2 * np.abs(alpha - 12.0) ** 2) / np.pi
     assert np.max(np.abs(grid.values - exact)) < 1e-12
@@ -511,7 +513,7 @@ def test_planar_grid_finite_at_large_n():
 
 
 def test_planar_window_warning():
-    st = cat2_state(DickeSpace(40), 3.0)
+    st = make_target(TargetSpec(TargetKind.CAT2, gamma=3.0), DickeSpace(40))
     with pytest.warns(WindowWarning):
         grid = planar_wigner(st, x_max=2.0, p_max=2.0, resolution=41)
     assert grid.window_clipped
