@@ -127,7 +127,7 @@ def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
                      target: QuantumState, squeeze_eigs=None) -> float:
     """Fidelity of the flat-parameter sequence applied to |0> with ``target``,
     which depends only on N and so serves every convention.  ``squeeze_eigs``
-    is :func:`squeeze_eigenpairs` for these parameters and ``conv``'s sign."""
+    is :func:`squeeze_eigenpairs` for these parameters."""
     final = propagate(space, params, conv, QuantumState.ground(space).amplitudes,
                       _squeeze_eigs=squeeze_eigs)
     return _fidelity_with_vector(final, target)
@@ -159,13 +159,13 @@ def cmd_replay(args) -> tuple[dict, dict]:
     }
     outputs = {}
     if args.sweep_conventions:
-        # the combined squeeze's eigenpairs, one set per sign for this command,
-        # serve both operator conventions and both rotation compositions
-        eigs = {sign: squeeze_eigenpairs(space, params, sign) for sign in EXPONENT_SIGNS}
+        # the combined squeeze's eigenpairs, one set for this command, serve
+        # both signs, both operator conventions and both rotation compositions
+        eigs = squeeze_eigenpairs(space, params)
         rows = []
         for c in _sweep_combos():
-            fid = _replay_fidelity(params, space, c, target, eigs[c.exponent_sign]
-                                   if c.squeeze_composition == "combined" else None)
+            fid = _replay_fidelity(params, space, c, target,
+                                   eigs if c.squeeze_composition == "combined" else None)
             rows.append({**c.to_dict(), "fidelity": fid})
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows

@@ -289,21 +289,23 @@ _ZXZ_FROM_ARGS = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]
 _TINY = np.finfo(float).tiny
 
 
-def squeeze_eigenpairs(space: DickeSpace, params, exponent_sign: int) -> list:
+def squeeze_eigenpairs(space: DickeSpace, params) -> list:
     """Per step of the flat parameters ``params``, the eigenpairs (w, v) of
-    the even-m and the odd-m block of exponent_sign * (alpha J_x^2 + beta J_y^2).
+    the even-m and the odd-m block of -(alpha J_x^2 + beta J_y^2).
 
     The generator is real and couples m only to m +- 2, so it splits into two
-    tridiagonal blocks.  They are in J units, so one result serves both
-    operator conventions: the S-unit eigenvalues are exactly scale**2 * w.
-    They are not shared across signs: eigh(-H) is not bitwise -eigh(H).
+    tridiagonal blocks.  One result serves every convention: the squeeze
+    exp(s i (alpha S_x^2 + beta S_y^2)) with S = scale * J is exp(i k w) in
+    this eigenbasis, with k = -s * scale**2, an exact product (see
+    :func:`_combined_squeeze`).  The sign -1 is the one every bundled table
+    uses, so for them these are the eigenpairs of their own generator; under
+    sign +1, eigh(-H) stands in for eigh(H), equal to roundoff.
     A strength that is not finite, or so large that the generator overflows,
     raises NormDriftError, as the product squeeze's norm check does.
     """
     bases = _propagation_bases(space)
     given = np.asarray(params, dtype=float)[:-3].reshape(-1, 5)[:, 3:]
-    strengths = exponent_sign * given
-    alpha, beta = strengths[:, :1], strengths[:, 1:]
+    alpha, beta = -given[:, :1], -given[:, 1:]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         diags = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
         offs = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
@@ -317,12 +319,13 @@ def squeeze_eigenpairs(space: DickeSpace, params, exponent_sign: int) -> list:
             for diag, off in zip(diags, offs)]
 
 
-def _combined_squeeze(pairs, scale: float, psi: np.ndarray) -> np.ndarray:
-    """exp(i (alpha S_x^2 + beta S_y^2)) psi with S = scale * J, for a vector
-    or a block of columns, from one step of :func:`squeeze_eigenpairs`."""
+def _combined_squeeze(pairs, k: float, psi: np.ndarray) -> np.ndarray:
+    """exp(s i (alpha S_x^2 + beta S_y^2)) psi with S = scale * J, for a
+    vector or a block of columns, from one step of :func:`squeeze_eigenpairs`
+    and k = -s * scale**2: the phases are exp(i k w)."""
     out = np.empty_like(psi)
     for parity, (w, v) in enumerate(pairs):
-        phase = np.exp(1j * (scale ** 2 * w))
+        phase = np.exp(1j * (k * w))
         if psi.ndim == 2:
             phase = phase[:, None]
         out[parity::2] = v @ (phase * (v.T @ psi[parity::2]))
@@ -357,6 +360,7 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
     # S = scale * J: the turns scale by it and the squeeze strengths by its
     # square, exact products since both are powers of two
     turn_scale, strength_scale = sign * scale, sign * scale ** 2
+    squeeze_k = -sign * scale ** 2  # the combined squeeze's phases, exp(i k w)
     combined = conventions.squeeze_composition == "combined"
     product_rotation = conventions.rotation_composition == "product"
     yx = int(conventions.squeeze_order == "yx")
@@ -410,7 +414,7 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
         if psi.ndim == 2:  # one phase per row, shared by the columns
             phases = phases[..., None]
         if combined and squeeze_eigs is None:
-            squeeze_eigs = squeeze_eigenpairs(space, params, sign)
+            squeeze_eigs = squeeze_eigenpairs(space, params)
         if not combined:
             psi = v2_h.dot(psi)
         states = []
@@ -419,7 +423,7 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
             if k == n_steps:
                 break
             if combined:
-                psi = _combined_squeeze(squeeze_eigs[k], scale, psi)
+                psi = _combined_squeeze(squeeze_eigs[k], squeeze_k, psi)
                 if per_step:
                     states.append(_checked(psi))
             else:
@@ -459,7 +463,7 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     - Combined squeeze: Z-X-Z angles around a phase in the J_x basis, then
       the squeeze's two half-size parity blocks, diagonalized per step by
       :func:`squeeze_eigenpairs` (or taken from ``_squeeze_eigs``, its
-      result for this call's parameters and exponent sign).
+      result for this call's parameters, which serves either exponent sign).
 
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
     or a non-finite norm, raises NormDriftError.  This is the door for files

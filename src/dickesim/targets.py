@@ -25,6 +25,8 @@ WARN_TAIL = 1e-6
 ERROR_TAIL = 1e-4
 MAX_GAMMA = 1e150  # per part of gamma: |gamma|^2, the mean excitation, stays finite
 MAX_PHI = 1e15  # the largest cat4 leg phase, 3 phi, stays below 2^52 rad
+_TINY = np.finfo(float).tiny
+_LATTICE_CHUNK = 32  # Fock levels per block of the hexagonal lattice recurrence
 
 
 class TruncationWarning(UserWarning):
@@ -145,23 +147,34 @@ def amplitudes_from_json(raw) -> Tuple[complex, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _log_factorials(n_max: int) -> np.ndarray:
-    """log(n!) for n = 0..n_max; read-only, since every caller shares it."""
-    table = np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
-    table.flags.writeable = False
-    return table
+def _fock_logs(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, log(n!)/2) for n = 0..n_max; read-only, since every caller shares them."""
+    n = np.arange(n_max + 1.0)
+    half_log_factorials = 0.5 * np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    for table in (n, half_log_factorials):
+        table.flags.writeable = False
+    return n, half_log_factorials
 
 
 def coherent_amplitudes(n_max: int, gamma) -> np.ndarray:
     """Exact coherent amplitudes e^(-|g|^2/2) g^n / sqrt(n!) for n = 0..n_max,
-    along a last axis appended to the shape of ``gamma`` (scalar or array)."""
-    n = np.arange(n_max + 1)
+    along a last axis appended to the shape of ``gamma`` (scalar or array).
+
+    The magnitudes are formed in log space and the phases e^(i n arg g) as
+    powers of g/|g| by repeated multiplication, so a g on an axis has exact
+    phases: a real g gives imaginary parts of exactly 0, and -3.0 and -3-0j
+    the same amplitudes."""
+    n, half_log_factorials = _fock_logs(n_max)
     gamma = np.asarray(gamma, dtype=complex)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at gamma = 0
-        logmag = (n * np.log(np.abs(gamma)) - 0.5 * _log_factorials(n_max)
-                  - 0.5 * np.abs(gamma) ** 2)
-    logmag[..., 0] = -0.5 * np.abs(gamma[..., 0]) ** 2  # g^0 = 1, also at g = 0
-    return np.exp(logmag) * np.exp(1j * n * np.angle(gamma))
+    mag = np.abs(gamma)
+    # the floor acts only below the smallest normal |g| (g = 0 included),
+    # where g / floor still makes |g|^n = floor^n |g / floor|^n
+    floor = np.maximum(mag, _TINY)
+    powers = np.empty(gamma.shape[:-1] + (n_max + 1,), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = gamma / floor
+    np.cumprod(powers, axis=-1, out=powers)
+    return np.exp(n * np.log(floor) - half_log_factorials - 0.5 * mag ** 2) * powers
 
 
 def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
@@ -213,10 +226,16 @@ def _square_comb_amplitudes(n_max: int, spacing: float, offset: float) -> np.nda
 
 
 def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:
-    """Fock amplitudes of an ideal hexagonal grid state via coherent sums.
+    """Fock amplitudes of an ideal hexagonal grid state, a coherent sum.
 
-    The state is sum over lattice displacements D(lambda) applied to vacuum,
-    with the displacement-composition phases of the stabilizer group.
+    The state is the sum over lattice displacements D(lambda) applied to
+    vacuum, with the displacement-composition phases of the stabilizer group:
+    sum_k c_k |mu_k> over the points mu_k inside the amplitude cut.  All
+    points advance together by the recurrence a_n = a_{n-1} mu / sqrt(n),
+    from a_0 = c e^{-|mu|^2/2}, _LATTICE_CHUNK levels at a time.  Each point
+    carries its own power-of-two exponent, renormalized between chunks, since
+    e^{-|mu|^2/2} alone underflows past |mu| ~ 38.6 (inside the cut from
+    N ~ 282 on).  Memory is O(points + n_max).
     """
     cell_area = 2 * np.pi if codeword == "sensor" else 4 * np.pi
     # lattice generators and codeword shift as displacements (x + ip)/sqrt(2)
@@ -225,17 +244,41 @@ def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:
     shift = g1 / 2 if codeword == "one" else 0.0
     amp_cut = np.sqrt(n_max) + 5.0
     t_max = int(np.ceil(amp_cut / g2.imag)) + 1
-    out = np.zeros(n_max + 1, dtype=complex)
-    for t in range(-t_max, t_max + 1):  # one lattice row at a time
-        s_box = int(np.ceil(amp_cut / g1 + abs(t) / 2)) + 1
-        s = np.arange(-s_box, s_box + 1)
-        lam = s * g1 + t * g2
-        keep = np.abs(lam + shift) <= amp_cut
-        s, lam = s[keep], lam[keep]
-        # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); composing
-        # with the codeword shift adds e^{i Im(lam conj(shift))}.
-        phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
-        out += np.exp(1j * phase) @ coherent_amplitudes(n_max, lam + shift)
+    s_max = int(np.ceil(amp_cut / g1 + t_max / 2)) + 1
+    t, s = np.mgrid[-t_max:t_max + 1, -s_max:s_max + 1]
+    lam = s * g1 + t * g2
+    keep = np.abs(lam + shift) <= amp_cut
+    s, t, lam = s[keep], t[keep], lam[keep]
+    mu = lam + shift
+    # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); composing
+    # with the codeword shift adds e^{i Im(lam conj(shift))}.
+    phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+    # a point's amplitude at the first level lo of the current chunk is
+    # mantissa * 2^exponent; at lo = 0 it is e^{i phase} e^{-|mu|^2/2}
+    log2_start = (-0.5 / math.log(2.0)) * np.abs(mu) ** 2
+    exponent = np.floor(log2_start)
+    mantissa = np.exp(1j * phase) * np.exp2(log2_start - exponent)
+    exponent = exponent.astype(int)
+    # a_{lo+j} = a_lo mu^j ratios[j], ratios[j] = 1 / sqrt((lo+1)...(lo+j)),
+    # with powers[j] = mu^j for j <= _LATTICE_CHUNK
+    powers = np.empty((_LATTICE_CHUNK + 1, mu.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = mu
+    np.cumprod(powers, axis=0, out=powers)
+    inv_roots = 1.0 / np.sqrt(np.arange(1.0, n_max + _LATTICE_CHUNK + 1))
+    out = np.empty(n_max + 1, dtype=complex)
+    for lo in range(0, n_max + 1, _LATTICE_CHUNK):
+        size = min(_LATTICE_CHUNK, n_max + 1 - lo)
+        ratios = np.cumprod(np.concatenate(([1.0], inv_roots[lo:lo + _LATTICE_CHUNK])))
+        # a point that underflows here grows by at most |mu|^31 / sqrt(31!)
+        # within the chunk (2^118 at N = 480), so it stays negligible
+        amps = np.ldexp(mantissa.view(float).reshape(-1, 2), exponent[:, None])
+        out[lo:lo + size] = ratios[:size] * (powers[:size] @ amps.view(complex).ravel())
+        following = mantissa * powers[-1] * ratios[-1]
+        _, shift_by = np.frexp(np.abs(following))
+        mantissa = np.ldexp(following.view(float).reshape(-1, 2),
+                            -shift_by[:, None]).view(complex).ravel()
+        exponent += shift_by
     return out
 
 

@@ -804,16 +804,16 @@ def test_huge_custom_amplitudes_normalize(tmp_path):
 
 
 @pytest.mark.parametrize("sequence, n_steps", [("cat2", 1), ("gkp-square", 11)])
-def test_sweep_diagonalizes_each_squeeze_once_per_sign(tmp_path, monkeypatch,
-                                                       sequence, n_steps):
+def test_sweep_diagonalizes_each_squeeze_once(tmp_path, monkeypatch, sequence, n_steps):
     # the per-space bases hold one more eigh, made once per process
     gates._propagation_bases(dickesim.DickeSpace(40))
     argv = ["replay", "--sequence", sequence, "--n", "40", "--sweep-conventions",
             "--out", str(tmp_path / "rec.json")]
-    # 2 signs x 2 parity blocks per step, where one eigh per convention would
-    # make 8 x 2; a second sweep repeats the work, nothing carries over
-    assert _count_gates_eigh(monkeypatch, argv) == 4 * n_steps
-    assert _count_gates_eigh(monkeypatch, argv) == 4 * n_steps
+    # 2 parity blocks per step serve both signs, where one eigh per sign
+    # would make 2 x 2 and one per convention 8 x 2; a second sweep repeats
+    # the work, nothing carries over
+    assert _count_gates_eigh(monkeypatch, argv) == 2 * n_steps
+    assert _count_gates_eigh(monkeypatch, argv) == 2 * n_steps
 
 
 @pytest.mark.parametrize("sequence", ["cat2", "gkp-square"])
@@ -890,6 +890,34 @@ def test_boundary_values_exit_2_naming_the_flag(tmp_path, capsys, flag, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
     assert not out.exists()
+
+
+_EXTREME_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "-0.0", "0", "-1",
+                   "1e150", "40"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::dickesim.targets.TruncationWarning")
+@pytest.mark.parametrize("flag", ["--gamma", "--phi", "--squeezing-db"])
+@pytest.mark.parametrize("kind", [kind.value for kind in dickesim.TargetKind])
+@pytest.mark.parametrize("command", [["replay", "--sequence", "cat2", "--n", "6"],
+                                     ["size-sweep", "--sequence", "cat2", "--n-list", "4,6"]],
+                         ids=["replay", "size-sweep"])
+def test_target_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, command, kind, flag):
+    # every target kind under extreme --gamma, --phi and --squeezing-db:
+    # a record (exit 0) or one stderr line (exit 2 or 3), never a traceback
+    # or a RuntimeWarning
+    amps = tmp_path / "amps.json"
+    amps.write_text("[1, 0, 0, 0, 0, 0, [0, 1]]")  # N = 6
+    extra = ["--custom-amplitudes", str(amps)] if kind == "custom" else []
+    for value in _EXTREME_VALUES:
+        argv = [*command, "--target", kind, f"{flag}={value}", *extra,
+                "--out", str(tmp_path / "rec.json")]
+        code = run_cli(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3), argv
+        if code:
+            assert len(err) == 1, (argv, err)
 
 
 def test_optimize_start_steps_zero_is_honoured(tmp_path):

@@ -201,17 +201,21 @@ def test_density_and_column_block_match_dense(n):
             assert np.max(np.abs(kernel * np.sqrt(3) - one_by_one)) <= 1e-13
 
 
-def s_unit_squeeze(space, convention, alpha, beta, psi):
-    """exp(i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the convention's
-    own S units: the reference that the J-unit eigenpairs reproduce bit for bit."""
+def s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=True):
+    """exp(sign i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the
+    convention's own S units.  Folded, as the kernel does it: eigh of
+    -(alpha S_x^2 + beta S_y^2) and the phases exp(i (-sign) w), the reference
+    that the J-unit eigenpairs reproduce bit for bit.  Unfolded: eigh of the
+    signed generator sign (alpha S_x^2 + beta S_y^2) itself, phases exp(i w)."""
     sq = [(s @ s).real for s in _spin_triple(space, convention)[:2]]
-    diag = alpha * np.diag(sq[0]) + beta * np.diag(sq[1])
-    off = alpha * np.diag(sq[0], 2) + beta * np.diag(sq[1], 2)
+    a, b, k = (-alpha, -beta, -sign) if folded else (sign * alpha, sign * beta, 1)
+    diag = a * np.diag(sq[0]) + b * np.diag(sq[1])
+    off = a * np.diag(sq[0], 2) + b * np.diag(sq[1], 2)
     out = np.empty_like(psi)
     for parity in (0, 1):
         d, e = diag[parity::2], off[parity::2]
         w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        out[parity::2] = v @ (np.exp(1j * w) * (v.T @ psi[parity::2]))
+        out[parity::2] = v @ (np.exp(1j * (k * w)) * (v.T @ psi[parity::2]))
     return out
 
 
@@ -235,19 +239,41 @@ def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed
     # unless LAPACK rescales a block; then the two agree to roundoff
     space = DickeSpace(n)
     params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
-    (pairs,) = squeeze_eigenpairs(space, params, sign)
+    (pairs,) = squeeze_eigenpairs(space, params)
     psi = random_state(space, np.random.default_rng(seed))
     sq = [(s @ s).real for s in _spin_triple(space, Convention.SPIN_J)[:2]]
     gen = alpha * sq[0] + beta * sq[1]
     rescaled = any(0 < np.max(np.abs(gen[p::2, p::2])) < _LAPACK_RESCALE_BELOW for p in (0, 1))
     for convention in Convention:
         scale = GateConventions(convention=convention).scale
-        expected = s_unit_squeeze(space, convention, sign * alpha, sign * beta, psi)
-        got = _combined_squeeze(pairs, scale, psi)
+        expected = s_unit_squeeze(space, convention, alpha, beta, sign, psi)
+        got = _combined_squeeze(pairs, -sign * scale ** 2, psi)
         if rescaled:
             assert np.max(np.abs(got - expected)) <= 1e-14
         else:
             assert np.array_equal(got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=_STRENGTH, beta=_STRENGTH, n=st.integers(1, 30),
+       sign=st.sampled_from(EXPONENT_SIGNS), seed=st.integers(0, 2**32 - 1))
+def test_folded_sign_matches_eigh_of_the_signed_generator(alpha, beta, n, sign, seed):
+    # one eigendecomposition of -(alpha J_x^2 + beta J_y^2) serves both
+    # exponent signs.  The reference diagonalizes each sign's own generator,
+    # so at sign +1 it holds eigh(+H) where the kernel holds eigh(-H); their
+    # eigenvalues differ by roundoff, eps times the largest one, which the
+    # phases carry: 1e-14 per radian of the largest phase
+    space = DickeSpace(n)
+    params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
+    (pairs,) = squeeze_eigenpairs(space, params)
+    psi = random_state(space, np.random.default_rng(seed))
+    for convention in Convention:
+        conv = GateConventions(squeeze_composition="combined", exponent_sign=sign,
+                               convention=convention)
+        largest = max(np.abs(conv.scale ** 2 * w).max(initial=0.0) for w, _ in pairs)
+        expected = s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=False)
+        got = propagate(space, params, conv, psi)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, largest)
 
 
 def test_propagate_rejects_bad_inputs():

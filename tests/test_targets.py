@@ -74,6 +74,21 @@ def test_coherent_overlap_identity():
         assert inner == pytest.approx(coherent_overlap(g, d), abs=1e-8)
 
 
+@pytest.mark.parametrize("n, gamma", [(40, -3.0), (40, 3.0), (480, -17.0), (480, 17.0)])
+def test_coherent_amplitudes_on_an_axis_have_exact_phases(n, gamma):
+    # the phases are powers of gamma/|gamma|: +-1 for a real gamma, whose
+    # amplitudes are then real (exp(i n angle(gamma)) left imaginary parts
+    # of 4e-15 at N = 40 and 9e-14 at N = 480), and +-i for an imaginary one
+    target = make_target(TargetSpec(TargetKind.COHERENT, gamma=gamma), DickeSpace(n))
+    assert np.all(target.amplitudes.imag == 0)
+    amps = coherent_amplitudes(n, gamma)
+    assert np.all(amps.imag == 0)
+    assert np.array_equal(amps, coherent_amplitudes(n, complex(gamma, -0.0)))
+    turned = coherent_amplitudes(n, 1j * gamma)
+    assert np.all(turned[::2].imag == 0) and np.all(turned[1::2].real == 0)
+    assert np.array_equal(np.abs(turned), np.abs(amps))
+
+
 def test_coherent_warns_when_space_too_small():
     # gamma = 3 at N = 22 leaves a tail of ~7e-5: inside the warn window
     with pytest.warns(TruncationWarning):
@@ -247,23 +262,27 @@ def test_gkp_hex_half_turn_symmetry():
 @pytest.mark.parametrize("codeword", ["sensor", "zero", "one"])
 def test_hex_lattice_matches_per_point_coherent_sum(codeword):
     # oracle: one coherent vector per lattice point lam + shift inside the
-    # amplitude cut, with the stabilizer phase s t Im(g1 conj(g2)) of
-    # D(s a1) D(t a2) and Im(lam conj(shift)) of the codeword shift
-    n_max = 200
+    # amplitude cut, its magnitudes in log space, with the stabilizer phase
+    # s t Im(g1 conj(g2)) of D(s a1) D(t a2) and Im(lam conj(shift)) of the
+    # codeword shift.  From n_max = 1200 (N = 300) on, the cut holds points
+    # with |lam| > 38.6, whose e^{-|lam|^2/2} underflows; at 1920 (N = 480)
+    # they carry the amplitudes near n_max.
     ell = np.sqrt(2 * (2 if codeword == "sensor" else 4) * np.pi / np.sqrt(3))
     g1, g2 = ell / np.sqrt(2), ell * np.exp(1j * np.pi / 3) / np.sqrt(2)
     shift = ell / (2 * np.sqrt(2)) if codeword == "one" else 0.0
-    amp_cut = np.sqrt(n_max) + 5.0
-    r = int(3 * amp_cut / ell) + 2
-    ref = np.zeros(n_max + 1, dtype=complex)
-    for s in range(-r, r + 1):
-        for t in range(-r, r + 1):
-            lam = s * g1 + t * g2
-            if abs(lam + shift) <= amp_cut:
-                phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
-                ref += np.exp(1j * phase) * coherent_amplitudes(n_max, lam + shift)
-    fast = _hex_lattice_amplitudes(n_max, codeword)
-    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for n_max in (200, 1200, 1920):
+        amp_cut = np.sqrt(n_max) + 5.0
+        r = int(3 * amp_cut / ell) + 2
+        ref = np.zeros(n_max + 1, dtype=complex)
+        for s in range(-r, r + 1):
+            for t in range(-r, r + 1):
+                lam = s * g1 + t * g2
+                if abs(lam + shift) <= amp_cut:
+                    phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+                    ref += np.exp(1j * phase) * coherent_amplitudes(n_max, lam + shift)
+        fast = _hex_lattice_amplitudes(n_max, codeword)
+        assert fast.shape == ref.shape
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref)), n_max
 
 
 def test_target_spec_dict_roundtrip():
@@ -323,8 +342,7 @@ def test_make_target_custom_passthrough():
 @pytest.mark.parametrize("gamma, phi", [(3.0, np.pi / 4), (2 + 1j, 0.3), (0.2, -2.0)])
 def test_coherent_leg_kinds_match_their_definitions(gamma, phi):
     # normalize(sum_k w_k |g_k>), one coherent_amplitudes vector per leg; gamma
-    # is complex, as a spec read from JSON or the CLI holds it, so -gamma of a
-    # real gamma has angle -pi
+    # is complex, as a spec read from JSON or the CLI holds it
     gamma = complex(gamma)
     legs = {TargetKind.COHERENT: [(1, gamma)],
             TargetKind.CAT2: [(1, gamma), (-1j, -gamma)],
