@@ -47,6 +47,7 @@ from .wigner import (
 from .algebra import (
     ClosureReport,
     lie_closure,
+    multipole_closure,
     oscillator_counterexample,
     synthesis_by_powers,
     trotter_commutator,

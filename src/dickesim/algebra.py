@@ -1,6 +1,7 @@
 """Numerical controllability machinery.
 
-Lie-algebra closure under the Hermitian bracket (A, B) -> i[A, B], the
+Lie-algebra closure under the Hermitian bracket (A, B) -> i[A, B], with an
+exact search by multipole rank for the rotation-covariant Dicke sets, the
 truncated-oscillator contrast case where rotations plus squeezing close on
 the six-dimensional Gaussian algebra, product-formula (Trotter) builders
 with error measurement, and the constructive state-synthesis scheme that
@@ -9,8 +10,9 @@ climbs the Dicke ladder with powers of S_+.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,12 @@ class ClosureReport:
     admitted): the verdict's margin over ``rank_tolerance``.  basis holds
     the admitted directions as a (reached, d, d) complex array, each at unit
     Hilbert-Schmidt norm.
+
+    A report of :func:`multipole_closure` is exact: ``ranks`` holds the
+    multipole ranks reached, ``missing_rank`` the smallest rank in 1..2j not
+    reached (None when universal), ``iterations`` the rank rounds, and it
+    has ``rank_tolerance`` 0, an empty basis and ``min_admitted_residual``
+    inf.  A span closure has ``ranks`` and ``missing_rank`` None.
     """
 
     generator_count: int
@@ -56,6 +64,13 @@ class ClosureReport:
     min_admitted_residual: float = np.inf
     basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), complex),
                               repr=False)
+    ranks: Optional[Tuple[int, ...]] = None
+    missing_rank: Optional[int] = None
+
+
+def _check_rank_tol(rank_tol: float) -> None:
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
 
 def _as_matrices(generators: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -142,8 +157,7 @@ def lie_closure(generators: Sequence[np.ndarray],
     the chunk has added, and a candidate still new gets a second look, two
     more projections on the whole span, before it is admitted.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+    _check_rank_tol(rank_tol)
     mats = _as_matrices(generators)
     d = mats[0].shape[0]
     width = max(artifact_mask, 0)
@@ -231,6 +245,87 @@ def lie_closure(generators: Sequence[np.ndarray],
         artifact_count=artifact_count,
         min_admitted_residual=float(min_residual),
         basis=basis if reached == full else basis[:reached].copy(),
+    )
+
+
+def _six_j_nonzero(k1: int, k2: int, k3: int, two_j: int) -> bool:
+    """Whether the 6j symbol {k1 k2 k3; j j j} is nonzero (2j = ``two_j``);
+    False when a triangle rule fails, a rank above 2j included, which is
+    exactly when the sum below is empty.
+
+    Racah's sum runs over t from t_min = max(a_i) to t_max = min(b_i) of
+    (-1)^t (t+1)! / (prod_i (t - a_i)! prod_i (b_i - t)!), with a = (k1+k2+k3,
+    k1+2j, k2+2j, k3+2j) and b = (k1+k2+2j, k2+k3+2j, k3+k1+2j); its triangle
+    prefactors are nonzero and left out.  Each term is scaled by the integer
+    prod_i (t_max - a_i)! prod_i (b_i - t_min)! / (t_min + 1)!, which makes it
+    an integer, so the sum's zero test is exact.  Successive scaled terms
+    follow by an exact integer division, and no factorial is formed:
+    term(t + 1) = -term(t) (t + 2) prod_i (b_i - t) / prod_i (t + 1 - a_i).
+    """
+    a = (k1 + k2 + k3, k1 + two_j, k2 + two_j, k3 + two_j)
+    b = (k1 + k2 + two_j, k2 + k3 + two_j, k3 + k1 + two_j)
+    lo, hi = max(a), min(b)
+    if hi < lo:
+        return False
+    term = total = math.prod(math.prod(range(lo - x + 1, hi - x + 1)) for x in a)
+    for t in range(lo, hi):
+        term = -term * (t + 2) * math.prod(y - t for y in b) // math.prod(t + 1 - x for x in a)
+        total += term
+    return total != 0
+
+
+def _rank_witnessed(k: int, held: set, fresh: set, top: int, two_j: int) -> bool:
+    """Whether some pair of held ranks (the largest is ``top``), one of them
+    in ``fresh``, brackets into rank k: k1 + k2 + k odd, |k1 - k2| <= k and
+    {k1 k2 k; j j j} != 0.  Pairs are tried by increasing k1 + k2, whose 6j
+    sums are the shortest (k1 + k2 - k + 1 terms once 2j >= k1 + k2)."""
+    for total in range(k + 1, 2 * top + 1, 2):
+        for k1 in range(max((total - k + 1) // 2, total - top), total // 2 + 1):
+            k2 = total - k1
+            if (k1 in held and k2 in held and (k1 in fresh or k2 in fresh)
+                    and _six_j_nonzero(k1, k2, k, two_j)):
+                return True
+    return False
+
+
+def multipole_closure(space: DickeSpace, squeezing: bool) -> ClosureReport:
+    """Exact closure of {S_x, S_y}, plus {S_x^2, S_y^2} with ``squeezing``,
+    by multipole rank; no matrix is built and no tolerance enters.
+
+    The algebra holds S_x, S_y and their bracket S_z, so it is invariant
+    under rotations.  The operators on the spin-j ladder split into
+    multipole ranks k = 0..2j, each exactly once (Fano and Racah,
+    *Irreducible Tensorial Sets* (1959)), so the algebra is the sum of the
+    full ranks it holds.  S_x and S_y have rank 1; S_x^2 and S_y^2 have rank
+    0 (a trace) and rank 2 parts.  The bracket of full rank-k1 and rank-k2
+    spaces has a rank-k part iff k1 + k2 + k is odd and {k1 k2 k; j j j} != 0
+    (Racah, Phys. Rev. 62, 438 (1942)).  Each round adds every missing rank
+    with such a witness pair among the ranks held at the round's start; the
+    search ends when a round adds none or every rank 1..2j is held, and
+    ``iterations`` counts the rounds run.  The identity is never a bracket,
+    so it is reached only through the squeezes' trace.
+    """
+    two_j = space.n_emitters
+    held = {1, 2} if squeezing and two_j >= 2 else {1}
+    fresh, rounds = held, 0
+    while fresh and len(held) < two_j:
+        rounds += 1
+        top = max(held)
+        added = {k for k in range(2, min(2 * top, two_j + 1))
+                 if k not in held and _rank_witnessed(k, held, fresh, top, two_j)}
+        held, fresh = held | added, added
+    traceless = sum(2 * k + 1 for k in held)
+    missing = next((k for k in range(1, two_j + 1) if k not in held), None)
+    return ClosureReport(
+        generator_count=4 if squeezing else 2,
+        reached_dimension=traceless + (1 if squeezing else 0),
+        traceless_dimension=traceless,
+        target_dimension=(two_j + 1) ** 2 - 1,
+        iterations=rounds,
+        universal=missing is None,
+        rank_tolerance=0.0,
+        ranks=tuple(sorted(held)),
+        missing_rank=missing,
     )
 
 

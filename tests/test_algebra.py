@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from dickesim import (
     fidelity,
     lie_closure,
     make_target,
+    multipole_closure,
     oscillator_counterexample,
     synthesis_by_powers,
     trotter_commutator,
@@ -31,7 +33,7 @@ from dickesim.algebra import (
 from dickesim.cli import main as cli_main
 from dickesim.core import _hermitian_exp
 from dickesim import algebra
-from oracle import closure_residual, lie_closure_sequential
+from oracle import closure_residual, lie_closure_sequential, spherical_tensor
 
 
 def squeezing_rotation_generators(n):
@@ -238,6 +240,75 @@ def test_closure_rejects_non_hermitian():
     space = DickeSpace(3)
     with pytest.raises(NotHermitianError):
         lie_closure([build_splus(space)])
+
+
+# --- exact closure by multipole rank ----------------------------------------
+
+def test_six_j_predicate_finds_a_nontrivial_zero():
+    # {3 5 5; 3 3 3} = 0 although every triangle holds and 3 + 5 + 5 is odd,
+    # so the parity rule alone would wrongly call (3, 5) a witness for rank 5
+    assert not algebra._six_j_nonzero(3, 5, 5, 6)
+    assert algebra._six_j_nonzero(3, 4, 5, 6) and algebra._six_j_nonzero(2, 5, 5, 6)
+    assert not algebra._six_j_nonzero(1, 1, 3, 6)  # triangle rule
+    assert not algebra._six_j_nonzero(1, 7, 7, 6)  # rank above 2j
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.integers(1, 60).flatmap(
+    lambda two_j: st.tuples(st.just(two_j), st.lists(st.integers(0, two_j),
+                                                     min_size=3, max_size=3))))
+def test_six_j_predicate_is_symmetric_in_its_ranks(case):
+    two_j, ranks = case
+    assert len({algebra._six_j_nonzero(*perm, two_j)
+                for perm in itertools.permutations(ranks)}) == 1
+
+
+@pytest.mark.parametrize("two_j", range(1, 13))
+def test_rank_witness_matches_bracket_projection(two_j):
+    # the rank-k part of the bracket of generic elements of the full ranks k1
+    # and k2, with T_kq built from the oracle's Clebsch-Gordan coefficients,
+    # is nonzero exactly when (k1, k2) is a witness pair for k
+    space = DickeSpace(two_j)
+    blocks = [np.array([spherical_tensor(space, k, q) for q in range(-k, k + 1)])
+              for k in range(two_j + 1)]
+    rng = np.random.default_rng(two_j)
+    left, right = ([np.tensordot(rng.normal(size=len(b)) + 1j * rng.normal(size=len(b)), b, 1)
+                    for b in blocks] for _ in range(2))
+    for k1, k2 in itertools.product(range(1, two_j + 1), repeat=2):
+        a, b = left[k1], right[k2]
+        bracket = a @ b - b @ a
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        for k in range(1, two_j + 1):
+            part = np.linalg.norm(np.tensordot(blocks[k].conj(), bracket, ([1, 2], [0, 1])))
+            witness = ((k1 + k2 + k) % 2 == 1 and abs(k1 - k2) <= k <= k1 + k2
+                       and algebra._six_j_nonzero(k1, k2, k, two_j))
+            assert (part > 1e-9 * scale) == witness, (k1, k2, k, part / scale)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 24])
+@pytest.mark.parametrize("squeezes", [True, False], ids=["squeezing-rotations", "rotations-only"])
+def test_multipole_closure_matches_span_closure(n, squeezes):
+    _, gens = squeezing_rotation_generators(n)
+    exact = multipole_closure(DickeSpace(n), squeezing=squeezes)
+    span = lie_closure(gens if squeezes else gens[:2])
+    fields = ("reached_dimension", "traceless_dimension", "target_dimension", "universal",
+              "generator_count")
+    assert [getattr(exact, f) for f in fields] == [getattr(span, f) for f in fields]
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 0), (2, 0), (4, 2), (8, 3), (10, 4), (32, 5),
+                                       (40, 6), (400, 9)])
+def test_multipole_closure_report(n, rounds):
+    report = multipole_closure(DickeSpace(n), squeezing=True)
+    assert report.universal and report.missing_rank is None
+    assert report.ranks == tuple(range(1, n + 1)) and report.iterations == rounds
+    assert report.traceless_dimension == report.target_dimension == (n + 1) ** 2 - 1
+    assert report.basis.size == 0 and report.min_admitted_residual == np.inf
+    assert report.rank_tolerance == 0.0
+    rotations = multipole_closure(DickeSpace(n), squeezing=False)
+    assert rotations.ranks == (1,) and rotations.traceless_dimension == 3
+    assert rotations.missing_rank == (None if n == 1 else 2)
+    assert rotations.iterations == (0 if n == 1 else 1)
 
 
 # --- oscillator contrast ----------------------------------------------------

@@ -366,15 +366,24 @@ def test_closure_command(tmp_path):
 
 
 def test_closure_prints_its_margin_outside_the_record(tmp_path, capsys):
+    # the span closure (oscillator) prints its margin over rank_tol, the
+    # rank search (the Dicke sets) its exact certificate; neither is recorded
     out = tmp_path / "rec.json"
+    assert run_cli(["closure", "--set", "oscillator", "--cutoff", "12", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "closure: traceless 5/143 (reached 6, artifacts 23) universal=False, "
+        "smallest admitted residual 1.371e+07 x rank_tol")
+    keys = {"generator_count", "reached_dimension", "traceless_dimension", "target_dimension",
+            "iterations", "universal", "artifact_count"}
+    assert set(json.loads(out.read_text())["outputs"]) == keys
     assert run_cli(["closure", "--set", "squeezing-rotations", "--n", "4",
                     "--out", str(out)]) == 0
-    line = capsys.readouterr().out.splitlines()[0]
-    assert line.startswith("closure: traceless 24/24")
-    assert line.endswith("smallest admitted residual 4.067e+07 x rank_tol")
-    assert set(json.loads(out.read_text())["outputs"]) == {
-        "generator_count", "reached_dimension", "traceless_dimension", "target_dimension",
-        "iterations", "universal", "artifact_count"}
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "closure: traceless 24/24 (reached 25, artifacts 0) universal=True, "
+        "rank certificate: 4 of 4 multipole ranks reached, smallest missing none")
+    outputs = json.loads(out.read_text())["outputs"]
+    assert set(outputs) == keys | {"ranks", "missing_rank"}
+    assert outputs["ranks"] == [1, 2, 3, 4] and outputs["missing_rank"] is None
 
 
 @pytest.mark.parametrize("rank_tol", ["-1", "0", "1", "nan"])
@@ -397,7 +406,8 @@ def test_trotter_check_command(tmp_path):
 @pytest.mark.parametrize("command", [["closure", "--set", "squeezing-rotations"],
                                      ["trotter-check"]])
 def test_algebra_commands_take_no_convention(tmp_path, capsys, command):
-    # their generators are spin-j operators: lie_closure normalizes them, and
+    # their generators are spin-j operators: the rank search reads no matrix
+    # and lie_closure normalizes its generators, and
     # the trotter errors are defined for S_x^2 and S_y in J units
     out = tmp_path / "rec.json"
     with pytest.raises(SystemExit) as exc:
@@ -918,6 +928,34 @@ def test_target_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, command, 
         assert code in (0, 2, 3), argv
         if code:
             assert len(err) == 1, (argv, err)
+
+
+_CLOSURE_SETS = ["squeezing-rotations", "rotations-only", "oscillator"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("closure_set", _CLOSURE_SETS)
+def test_closure_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, closure_set):
+    # a record (exit 0) or one stderr line (exit 2 or 3), never a traceback;
+    # a value above a cap is refused before anything is allocated
+    caps = {"--n": cli.CLOSURE_MAX_N, "--cutoff": cli.CLOSURE_MAX_CUTOFF}
+    values = {flag: ["-1", "0", "1", "3", str(cap + 1)] for flag, cap in caps.items()}
+    values["--rank-tol"] = ["nan", "inf", "-inf", "1e308", "1e-300", "-0.0", "0", "-1"]
+    out = tmp_path / "rec.json"
+    for flag, flag_values in values.items():
+        for value in flag_values:
+            argv = ["closure", "--set", closure_set, f"{flag}={value}", "--out", str(out)]
+            code = run_cli(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 2, 3), argv
+            if code:
+                assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    for flag, read_by in (("--n", closure_set != "oscillator"),
+                          ("--cutoff", closure_set == "oscillator")):
+        if read_by:
+            assert run_cli(["closure", "--set", closure_set,
+                            f"{flag}={caps[flag] + 1}", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {flag} must be at most ")
 
 
 def test_optimize_start_steps_zero_is_honoured(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dickesim import (
     build_sy,
     build_sz,
     flatten_params,
+    propagate,
     unflatten_params,
 )
 from dickesim.cli import _sweep_combos
@@ -259,3 +262,23 @@ def test_conventions_dict_roundtrip():
     assert GateConventions(convention="pauli-sum").convention is Convention.PAULI_SUM
     with pytest.raises(ValueError, match="^convention: "):
         GateConventions.from_dict({"convention": "spin-half"})
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_one_axis_twisting_anchor(n):
+    # Kitagawa and Ueda, PRA 47, 5138 (1993): twisting |0> = |j, -j> by
+    # exp(+-i (mu/2) J_x^2) gives <J_z> = -j cos^(2j-1)(mu/2).  One step with
+    # beta = 0 and no rotation is that twist with mu = 2 scale^2 alpha, under
+    # either unit, sign, composition and order.  The closed form does not
+    # read the convention table that the kernel and the dense oracle share.
+    space, j = DickeSpace(n), n / 2
+    ground = QuantumState.ground(space).amplitudes
+    for convention, sign, composition, order in itertools.product(
+            ("spin-j", "pauli-sum"), (1, -1), ("product", "combined"), ("xy", "yx")):
+        conv = GateConventions(convention=convention, exponent_sign=sign,
+                               squeeze_composition=composition, squeeze_order=order)
+        for mu in (0.1, 0.4, 1.0):
+            alpha = mu / (2 * conv.scale ** 2)
+            psi = propagate(space, [0, 0, 0, alpha, 0, 0, 0, 0], conv, ground)
+            jz = np.sum(np.abs(psi) ** 2 * (np.arange(n + 1) - j))
+            assert abs(jz + j * np.cos(mu / 2) ** (2 * j - 1)) <= 1e-12, (conv, mu)

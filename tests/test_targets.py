@@ -259,27 +259,50 @@ def test_gkp_hex_half_turn_symmetry():
     assert fidelity(st, quarter) < 0.9
 
 
+def _coherent_sum_longdouble(n_max, mus, weights, chunk=256):
+    """sum_k weights_k |mus_k> on n = 0..n_max, all in np.longdouble: each
+    magnitude as exp(n log|mu| - log(n!)/2 - |mu|^2/2) and each phase as a
+    power of mu/|mu|.  In double precision that exponent, up to ~1e4 in
+    size, carries an absolute error of ~1e-12, which would dwarf the
+    kernel's own error."""
+    ld = np.longdouble
+    n = np.arange(n_max + 1, dtype=ld)
+    half_log_factorials = np.concatenate([[ld(0)], np.cumsum(np.log(n[1:]))]) / 2
+    out = np.zeros(n_max + 1, dtype=np.clongdouble)
+    for lo in range(0, len(mus), chunk):
+        mu, w = mus[lo:lo + chunk, None], weights[lo:lo + chunk, None]
+        mag = np.abs(mu)
+        powers = np.repeat(np.where(mag > 0, mu / np.where(mag > 0, mag, 1), 1), n_max + 1, 1)
+        powers[:, 0] = 1
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at mu = 0, times n = 0
+            expo = np.where(n == 0, 0, n * np.log(mag)) - half_log_factorials - mag ** 2 / 2
+        out += (w * np.exp(expo) * np.cumprod(powers, axis=1)).sum(axis=0)
+    return out.astype(complex)
+
+
 @pytest.mark.parametrize("codeword", ["sensor", "zero", "one"])
 def test_hex_lattice_matches_per_point_coherent_sum(codeword):
-    # oracle: one coherent vector per lattice point lam + shift inside the
-    # amplitude cut, its magnitudes in log space, with the stabilizer phase
-    # s t Im(g1 conj(g2)) of D(s a1) D(t a2) and Im(lam conj(shift)) of the
-    # codeword shift.  From n_max = 1200 (N = 300) on, the cut holds points
-    # with |lam| > 38.6, whose e^{-|lam|^2/2} underflows; at 1920 (N = 480)
-    # they carry the amplitudes near n_max.
-    ell = np.sqrt(2 * (2 if codeword == "sensor" else 4) * np.pi / np.sqrt(3))
-    g1, g2 = ell / np.sqrt(2), ell * np.exp(1j * np.pi / 3) / np.sqrt(2)
-    shift = ell / (2 * np.sqrt(2)) if codeword == "one" else 0.0
+    # oracle: the lattice points lam + shift inside the amplitude cut, with the
+    # stabilizer phase s t Im(g1 conj(g2)) of D(s g1) D(t g2) and
+    # Im(lam conj(shift)) of the codeword shift, all formed in np.longdouble
+    # and summed as coherent vectors by _coherent_sum_longdouble.  From
+    # n_max = 1200 (N = 300) on, the cut holds points with |lam| > 38.6,
+    # whose e^{-|lam|^2/2} underflows in double; at 1920 (N = 480) they carry
+    # the amplitudes near n_max.
+    ld = np.longdouble
+    ell = np.sqrt(2 * (2 if codeword == "sensor" else 4) * (4 * np.arctan(ld(1))) / np.sqrt(ld(3)))
+    g1 = ell / np.sqrt(ld(2))
+    g2 = g1 * (np.clongdouble(0.5) + np.clongdouble(1j) * (np.sqrt(ld(3)) / 2))
+    shift = ell / (2 * np.sqrt(ld(2))) if codeword == "one" else ld(0)
     for n_max in (200, 1200, 1920):
         amp_cut = np.sqrt(n_max) + 5.0
-        r = int(3 * amp_cut / ell) + 2
-        ref = np.zeros(n_max + 1, dtype=complex)
-        for s in range(-r, r + 1):
-            for t in range(-r, r + 1):
-                lam = s * g1 + t * g2
-                if abs(lam + shift) <= amp_cut:
-                    phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
-                    ref += np.exp(1j * phase) * coherent_amplitudes(n_max, lam + shift)
+        r = int(3 * amp_cut / float(ell)) + 2
+        s, t = (a.ravel() for a in np.mgrid[-r:r + 1, -r:r + 1])
+        lam = s * g1 + t * g2
+        keep = np.abs(lam + shift) <= amp_cut
+        s, t, lam = s[keep], t[keep], lam[keep]
+        phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+        ref = _coherent_sum_longdouble(n_max, lam + shift, np.cos(phase) + 1j * np.sin(phase))
         fast = _hex_lattice_amplitudes(n_max, codeword)
         assert fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref)), n_max
