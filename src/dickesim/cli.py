@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -28,6 +27,7 @@ from .core import (
     build_sy,
 )
 from .gates import (
+    CONVENTION_SWEEP,
     DEFAULT_CONVENTIONS,
     EXPONENT_SIGNS,
     ROTATION_COMPOSITIONS,
@@ -37,7 +37,7 @@ from .gates import (
     GateConventions,
     flatten_params,
     propagate,
-    squeeze_eigenpairs,
+    propagate_sweep,
     unflatten_params,
 )
 from .optimizer import OptimizerConfig, grown_search
@@ -125,26 +125,10 @@ def _load_sequence(args, n_override=None) -> tuple:
 
 
 def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
-                     target: QuantumState, squeeze_eigs=None) -> float:
-    """Fidelity of the flat-parameter sequence applied to |0> with ``target``,
-    which depends only on N and so serves every convention.  ``squeeze_eigs``
-    is :func:`squeeze_eigenpairs` for these parameters."""
-    final = propagate(space, params, conv, QuantumState.ground(space).amplitudes,
-                      _squeeze_eigs=squeeze_eigs)
+                     target: QuantumState) -> float:
+    """Fidelity with ``target`` of the flat-parameter sequence applied to |0>."""
+    final = propagate(space, params, conv, QuantumState.ground(space).amplitudes)
     return _fidelity_with_vector(final, target)
-
-
-def _sweep_combos():
-    """Every resolvable convention combination (squeeze order collapses for
-    the combined composition)."""
-    for convention, sign, rot in itertools.product(Convention, EXPONENT_SIGNS,
-                                                   ROTATION_COMPOSITIONS):
-        for comp, order in itertools.product(SQUEEZE_COMPOSITIONS, SQUEEZE_ORDERS):
-            if comp == "combined" and order != SQUEEZE_ORDERS[0]:
-                continue
-            yield GateConventions(squeeze_order=order, squeeze_composition=comp,
-                                  rotation_composition=rot, exponent_sign=sign,
-                                  convention=convention)
 
 
 def cmd_replay(args) -> tuple[dict, dict]:
@@ -160,14 +144,9 @@ def cmd_replay(args) -> tuple[dict, dict]:
     }
     outputs = {}
     if args.sweep_conventions:
-        # the combined squeeze's eigenpairs, one set for this command, serve
-        # both signs, both operator conventions and both rotation compositions
-        eigs = squeeze_eigenpairs(space, params)
-        rows = []
-        for c in _sweep_combos():
-            fid = _replay_fidelity(params, space, c, target,
-                                   eigs if c.squeeze_composition == "combined" else None)
-            rows.append({**c.to_dict(), "fidelity": fid})
+        finals = propagate_sweep(space, params, QuantumState.ground(space).amplitudes)
+        rows = [{**c.to_dict(), "fidelity": _fidelity_with_vector(final, target)}
+                for c, final in zip(CONVENTION_SWEEP, finals)]
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows
         outputs["fidelity"] = rows[0]["fidelity"]

@@ -116,6 +116,13 @@ class GateConventions:
 
 
 DEFAULT_CONVENTIONS = GateConventions()
+# The 24 distinct readings, in the order of replay --sweep-conventions' unsorted rows
+CONVENTION_SWEEP = tuple(
+    GateConventions(squeeze_order=order, squeeze_composition=comp, rotation_composition=rot,
+                    exponent_sign=sign, convention=convention)
+    for convention in Convention for sign in EXPONENT_SIGNS for rot in ROTATION_COMPOSITIONS
+    for comp in SQUEEZE_COMPOSITIONS for order in SQUEEZE_ORDERS
+    if comp == "product" or order == SQUEEZE_ORDERS[0])
 
 
 def _checked_axis(axis) -> Tuple[float, float, float]:
@@ -306,9 +313,8 @@ def squeeze_eigenpairs(space: DickeSpace, params) -> list:
     bases = _propagation_bases(space)
     given = np.asarray(params, dtype=float)[:-3].reshape(-1, 5)[:, 3:]
     alpha, beta = -given[:, :1], -given[:, 1:]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        diags = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
-        offs = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
+    diags = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
+    offs = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
     bad = ~(np.isfinite(diags).all(axis=1) & np.isfinite(offs).all(axis=1))
     if bad.any():
         k = int(np.argmax(bad))
@@ -439,7 +445,7 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
 
 
 def propagate(space: DickeSpace, params, conventions: GateConventions,
-              psi0, per_step: bool = False, _squeeze_eigs=None) -> np.ndarray:
+              psi0, per_step: bool = False) -> np.ndarray:
     """Apply the sequence with flat parameters ``params`` (the
     :func:`flatten_params` layout, length 5M + 3) to the unit amplitude
     vector ``psi0``, or to each column of a (d, r) block ``psi0`` whose
@@ -447,7 +453,7 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     final amplitudes, shaped as ``psi0``, or, with ``per_step``, an array of
     the M+1 states after each step and after the final rotation.
 
-    The inputs are checked here; the work is done by the cached
+    The inputs are checked first; the work is done by the cached
     :func:`_plan` for this space, these conventions and M, which
     :func:`dickesim.optimizer.make_objective` also binds directly.  Every
     factor is a phase in a basis computed once per space, and no unitary is
@@ -461,9 +467,7 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
       S_x^2 phase in the J_x basis, and the fixed change back to the J_y
       basis: three basis changes.  Order yx swaps the roles of x and y.
     - Combined squeeze: Z-X-Z angles around a phase in the J_x basis, then
-      the squeeze's two half-size parity blocks, diagonalized per step by
-      :func:`squeeze_eigenpairs` (or taken from ``_squeeze_eigs``, its
-      result for this call's parameters, which serves either exponent sign).
+      the squeeze's parity blocks, diagonalized by :func:`squeeze_eigenpairs`.
 
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
     or a non-finite norm, raises NormDriftError.  This is the door for files
@@ -471,6 +475,18 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     are silenced.  A block is checked and rescaled as a whole, by its
     Frobenius norm, so that Tr rho stays 1.
     """
+    return _propagate_each(space, params, (conventions,), psi0, per_step)[0]
+
+
+def propagate_sweep(space: DickeSpace, params, psi0) -> np.ndarray:
+    """The final states of :func:`propagate` under the conventions of
+    :data:`CONVENTION_SWEEP`, stacked in that order; its eight combined
+    squeezes share one set of :func:`squeeze_eigenpairs`."""
+    return np.array(_propagate_each(space, params, CONVENTION_SWEEP, psi0, False))
+
+
+def _propagate_each(space: DickeSpace, params, conventions, psi0, per_step: bool) -> list:
+    """:func:`propagate` under each of ``conventions``, behind one check and door."""
     params = np.asarray(params, dtype=float).reshape(-1)
     if (params.size - 3) % 5:
         raise ValueError(f"parameter vector length {params.size} is not 5M + 3")
@@ -478,9 +494,11 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     if psi.ndim not in (1, 2) or psi.shape[0] != space.dim:
         raise DimensionMismatchError(
             f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
-    run = _plan(space, conventions, (params.size - 3) // 5)
+    n_steps = (params.size - 3) // 5
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check reports overflow
-        return run(params, psi, per_step, _squeeze_eigs)
+        combined = any(c.squeeze_composition == "combined" for c in conventions)
+        eigs = squeeze_eigenpairs(space, params) if combined else None
+        return [_plan(space, c, n_steps)(params, psi, per_step, eigs) for c in conventions]
 
 
 def apply_sequence(seq: PulseSequence, initial: QuantumState,

@@ -100,9 +100,12 @@ def sequence_from_dict(doc: dict, n_override: Optional[int] = None,
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    umask = os.umask(0)  # read by setting it; restored at once
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() gives a new file
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -494,7 +495,6 @@ def test_size_sweep_exits_2_on_target_errors_at_every_n(tmp_path, capsys):
     assert "fidelity" in rows[0] and "error" in rows[1]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", [
     ["replay", "--sequence", "gkp-square", "--target", "gkp-square", "--squeezing-db", "nan"],
     ["replay", "--sequence", "cat2", "--target", "cat4", "--phi", "nan"],
@@ -573,14 +573,13 @@ def test_overflowing_combined_squeeze_exits_3(tmp_path, capsys, command):
     assert err.startswith("numerical failure: squeeze strengths [1e+308, 1e+308] of step 1")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is reported, not warned
 def test_overflowing_product_squeeze_reports_plain_nan(tmp_path, capsys):
+    # overflow is reported, not warned: pytest makes a RuntimeWarning an error
     seq = _overflowing_squeeze_file(tmp_path, "product")
     assert run_cli(["replay", "--sequence", seq, "--out", str(tmp_path / "out")]) == 3
     assert "norm drifted to nan during propagation" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("composition", ["product", "combined"])
 def test_overflowing_combined_rotation_reports_plain_nan(tmp_path, capsys, composition):
     seq = _overflowing_squeeze_file(tmp_path, composition, theta=1e308, strength=0.1)
@@ -588,9 +587,9 @@ def test_overflowing_combined_rotation_reports_plain_nan(tmp_path, capsys, compo
     assert "norm drifted to nan during propagation" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # the incumbent door silences overflow
 @pytest.mark.parametrize("composition", ["product", "combined"])
 def test_resume_from_overflowing_checkpoint_exits_3(tmp_path, capsys, composition):
+    # the incumbent door silences overflow, so no RuntimeWarning escapes
     checkpoint = _overflowing_squeeze_file(tmp_path, composition)
     rec_out = tmp_path / "rec.json"
     assert run_cli(["optimize", "--n", "6", "--steps", "1", "--target", "coherent",
@@ -612,7 +611,6 @@ def test_trotter_check_refuses_exact_cases(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags", [["--n", "3", "--t", "1e308"], ["--n", "3", "--t=-1e308"],
                                    ["--n", "3", "--t", "inf"], ["--n", "3", "--t", "1e-300"],
                                    ["--n", "40", "--t", "1e-300"],
@@ -734,7 +732,6 @@ def test_default_plane_builds_one_coefficient_matrix_and_one_table(tmp_path, mon
     assert shapes == {"_plane_coefficients": [(81, 81)], "_hermite_table": [(201, 81)]}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n, x_max", [("40", "1e6"), ("4", "1e100")])
 def test_plane_far_window_stays_finite(tmp_path, n, x_max):
     # the recurrence used to overflow on radii far past the state's support
@@ -801,7 +798,6 @@ def test_non_finite_record_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_custom_amplitudes_normalize(tmp_path):
     fidelities = []
     for raw in ("[[1e308, 0], [1e308, 0]]", "[[1, 0], [1, 0]]"):
@@ -839,6 +835,23 @@ def test_sweep_rows_equal_single_convention_replays(tmp_path, sequence, n):
         assert run_cli(["replay", "--sequence", sequence, "--n", str(n), *flags,
                         "--out", str(out)]) == 0
         assert json.loads(out.read_text())["outputs"]["fidelity"] == row["fidelity"], row
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_get_the_mode_of_a_new_file(tmp_path, umask):
+    # a record and a checkpoint go through a temporary file, which mkstemp
+    # creates with mode 0600; each gets the mode open() gives a new file
+    plain, seq_out, rec_out = tmp_path / "plain.txt", tmp_path / "best.json", tmp_path / "rec.json"
+    previous = os.umask(umask)
+    try:
+        plain.write_text("")
+        assert run_cli(["optimize", "--n", "3", "--steps", "1", "--target", "coherent",
+                        "--gamma", "0.2", "--restarts", "1", "--seq-out", str(seq_out),
+                        "--out", str(rec_out)]) == 0
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE(path.stat().st_mode) for path in (plain, seq_out, rec_out)]
+    assert modes == [0o666 & ~umask] * 3
 
 
 def test_replay_custom_target_checkpoint(tmp_path):
@@ -880,7 +893,6 @@ def test_optimize_negative_step_count_names_flag(tmp_path, capsys, flag):
     assert not (tmp_path / "rec.json").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flag, argv", [
     ("--gamma", ["replay", "--sequence", "cat2", "--target", "cat2", "--gamma", "1e308"]),
     ("--gamma", ["replay", "--sequence", "cat2", "--target", "cat2", "--gamma", "1e308j"]),
@@ -906,7 +918,6 @@ _EXTREME_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "-0.0", "0
                    "1e150", "40"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::dickesim.targets.TruncationWarning")
 @pytest.mark.parametrize("flag", ["--gamma", "--phi", "--squeezing-db"])
 @pytest.mark.parametrize("kind", [kind.value for kind in dickesim.TargetKind])
@@ -930,10 +941,52 @@ def test_target_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, command, 
             assert len(err) == 1, (argv, err)
 
 
+_WIGNER_AT_4 = ["wigner", "--sequence", "cat2", "--n", "4", "--out", "w.csv"]
+# (command, flag, text after the value): every flag that sizes a grid, sets
+# a time or picks N, alone at each extreme value; "40" is the largest valid N,
+# since a huge valid N would start unbounded work
+_NUMERIC_FLAG_CASES = [
+    *[(_WIGNER_AT_4 + ["--surface", "plane"], flag, "")
+      for flag in ("--x-max", "--p-max", "--resolution")],
+    *[(_WIGNER_AT_4, flag, "") for flag in ("--n-theta", "--n-phi")],
+    (["trotter-check"], "--t", ""),
+    (["trotter-check"], "--k-list", ",16,32,64"),
+    (["replay", "--sequence", "cat2"], "--n", ""),
+    (["optimize", "--target", "coherent", "--gamma", "0.2", "--steps", "1", "--restarts", "1",
+      "--nm-iters", "50"], "--n", ""),
+    (["trotter-check"], "--n", ""),
+    (["wigner", "--sequence", "cat2", "--out", "w.csv"], "--n", ""),
+    (["size-sweep", "--sequence", "cat2"], "--n-list", ""),
+]
+
+
+@pytest.mark.filterwarnings("ignore::dickesim.wigner.WindowWarning")
+@pytest.mark.parametrize("command, flag, suffix", _NUMERIC_FLAG_CASES,
+                         ids=[f"{case[0][0]}:{case[1][2:]}" for case in _NUMERIC_FLAG_CASES])
+def test_numeric_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, monkeypatch,
+                                                       command, flag, suffix):
+    # a record (exit 0) or one error line (exit 2 or 3), never a traceback
+    # or a RuntimeWarning; argparse's own rejections print their usage first
+    monkeypatch.chdir(tmp_path)  # wigner's grids
+    record = "--record" if command[0] == "wigner" else "--out"
+    for value in _EXTREME_VALUES:
+        argv = [*command, f"{flag}={value}{suffix}", record, "rec.json"]
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            err = capsys.readouterr().err.splitlines()
+            assert exc.code == 2 and err[0].startswith("usage: "), (argv, err)
+            assert [line for line in err if "error: " in line] == err[-1:], (argv, err)
+            continue
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3), argv
+        if code:
+            assert len(err) == 1, (argv, err)
+
+
 _CLOSURE_SETS = ["squeezing-rotations", "rotations-only", "oscillator"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("closure_set", _CLOSURE_SETS)
 def test_closure_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, closure_set):
     # a record (exit 0) or one stderr line (exit 2 or 3), never a traceback;

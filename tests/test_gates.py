@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dickesim import (
     propagate,
     unflatten_params,
 )
-from dickesim.cli import _sweep_combos
+from dickesim.gates import CONVENTION_SWEEP
 from oracle import rotation_from_turns, squeeze_pair_unitary, step_unitary
 
 
@@ -250,9 +251,8 @@ def test_pulse_step_normalizes_axis():
 
 
 def test_conventions_dict_roundtrip():
-    combos = list(_sweep_combos())
-    assert len(set(combos)) == 24
-    for conv in combos:
+    assert len(set(CONVENTION_SWEEP)) == len(CONVENTION_SWEEP) == 24
+    for conv in CONVENTION_SWEEP:
         doc = conv.to_dict()
         assert list(doc) == ["convention", "exponent_sign", "squeeze_order",
                              "squeeze_composition", "rotation_composition"]
@@ -262,6 +262,31 @@ def test_conventions_dict_roundtrip():
     assert GateConventions(convention="pauli-sum").convention is Convention.PAULI_SUM
     with pytest.raises(ValueError, match="^convention: "):
         GateConventions.from_dict({"convention": "spin-half"})
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 40])
+def test_spin_coherent_rotation_anchor(n):
+    # Arecchi et al., PRA 6, 2211 (1972): rotating |0> = |j, -j> by
+    # exp(i phi J_axis) gives the spin-coherent state with amplitudes
+    # sqrt(C(N, m)) cos^(N-m)(phi/2) (i sin(phi/2))^m about x, the same
+    # without the i^m about y, and the phase exp(-i phi N/2) about z, where
+    # phi = sign * scale * theta.  Applied as the final rotation and as a
+    # squeeze-free step 1; the closed form reads no convention table.
+    space, m = DickeSpace(n), np.arange(n + 1)
+    ground = QuantumState.ground(space).amplitudes
+    binom = np.sqrt([math.comb(n, k) for k in m])
+    for conv in CONVENTION_SWEEP:
+        for axis, theta in itertools.product(range(3), (0.3, 1.1, -2.0)):
+            phi = conv.exponent_sign * conv.scale * theta
+            c, s = np.cos(phi / 2), np.sin(phi / 2)
+            expected = [binom * c ** (n - m) * (1j * s) ** m,
+                        binom * c ** (n - m) * s ** m,
+                        np.exp(-0.5j * phi * n) * (m == 0)][axis]
+            turns = np.zeros(3)
+            turns[axis] = theta
+            for params in (turns, np.concatenate([turns, np.zeros(5)])):
+                got = propagate(space, params, conv, ground)
+                assert np.max(np.abs(got - expected)) <= 1e-12, (conv, axis, theta, len(params))
 
 
 @pytest.mark.parametrize("n", [10, 40])

@@ -132,7 +132,6 @@ def test_element_errors_name_their_element(tmp_path, where, key, value, named):
         load_sequence_file(_edited_file(tmp_path, where, key, value))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("where, key, value, named", [
     # extreme but finite axes load and give the same angles as the unit axis
     ("steps", "axis", [0.0, 0.0, 1e200], None),

