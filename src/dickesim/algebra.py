@@ -10,6 +10,7 @@ climbs the Dicke ladder with powers of S_+.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,7 +21,6 @@ from .core import (
     DickeSpace,
     NotHermitianError,
     QuantumState,
-    build_splus,
     fidelity,
     HERMITIAN_TOL,
     _hermitian_exp,
@@ -424,6 +424,37 @@ def ladder_norm_constant(n_emitters: int, n: int) -> float:
                                - lgamma(n_emitters - n + 1))))
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder_chain_eigenpairs(space: DickeSpace, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of X_n = (S_+^n + S_-^n) / c_n, one stacked real eigh per rung.
+
+    S_+^n couples |m> only to |m + n>, so X_n splits into the n chains
+    {c, c + n, c + 2n, ...}, c < n.  Slot k of chain c holds |c + k n>; the
+    chains are zero-padded to a common length L = ceil(d / n), and a padded
+    slot stays decoupled.  Chain c's block is real tridiagonal with
+    <c + (k+1) n| X_n |c + k n> = exp(l_(c+(k+1)n) - l_(c+kn) - l_n), where
+    l_m = sum_(k<m) log sqrt((k+1)(N-k)) is the log of the norm of S_+^m |0>
+    (so c_n = e^(l_n)): no power of S_+ is formed, so nothing overflows.  The
+    l_m are summed in long double, which on x86-64 keeps each entry within
+    about an ulp.  Float64 sums put errors of up to 1.4e-13 in the entries
+    at N = 100, and a rung's phases |rho| w, which multiply them, reach 6e4
+    rad there for a target far from |0>.  Returns w, shape (n, L), and v,
+    shape (n, L, L), with X_n's block c = v[c] diag(w[c]) v[c]^T.
+    """
+    n_emitters, d = space.n_emitters, space.dim
+    k = np.arange(n_emitters, dtype=np.longdouble)
+    logs = np.concatenate([[0.0], np.cumsum(0.5 * np.log((k + 1) * (n_emitters - k)))])
+    length = -(-d // n)
+    slots = np.arange(n)[:, None] + n * np.arange(length)  # (n, L) ladder indices
+    lower, upper = slots[:, :-1], slots[:, 1:]
+    coupled = upper < d
+    block = np.zeros((n, length, length))
+    chain, slot = np.nonzero(coupled)
+    block[chain, slot + 1, slot] = block[chain, slot, slot + 1] = np.exp(
+        logs[upper[coupled]] - logs[lower[coupled]] - logs[n])
+    return np.linalg.eigh(block)
+
+
 def synthesis_by_powers(space: DickeSpace, target: QuantumState,
                         alpha_scale: float) -> Tuple[QuantumState, float]:
     """Build the target from |0> with one e^(r_n S_+^n - conj(r_n) S_-^n) per rung.
@@ -434,6 +465,13 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
     checked to lie in (0, 0.1] and does not enter the result.  Requires
     a_0 != 0 (the scheme divides by it) and returns (state, infidelity vs
     target).
+
+    With a_n / a_0 = |rho| e^(i phi), the rung is D exp(i |rho| X_n) D^dag,
+    X_n as in :func:`_ladder_chain_eigenpairs` and D = diag(e^(i theta m)),
+    e^(i theta n) = -i e^(i phi).  On chain c, D is e^(i theta c) times
+    diag(u^k) with u = -i e^(i phi), and the common factor cancels: each rung
+    is one phase, two batched small matvecs and one exp(i |rho| w), never a
+    d x d matrix.
     """
     if not target.is_pure:
         raise ValueError("synthesis needs a pure target")
@@ -443,16 +481,27 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
     a0 = amps[0]
     if abs(a0) < 1e-12:
         raise ValueError("target has a_0 = 0; the ladder construction divides by a_0")
-    n_emitters = space.n_emitters
-    splus = build_splus(space)
-    power = np.eye(space.dim, dtype=complex)
+    d = space.dim
     vec = QuantumState.ground(space).amplitudes.copy()
-    for n in range(1, n_emitters + 1):
-        power = power @ splus  # S_+^n
-        ratio = amps[n] / (a0 * ladder_norm_constant(n_emitters, n))
+    for n in range(1, d):
+        ratio = amps[n] / a0
         if ratio == 0:
             continue
-        gen = ratio * power - np.conj(ratio) * power.conj().T
-        vec = _hermitian_exp(-1j * gen, 1j) @ vec
+        w, v = _ladder_chain_eigenpairs(space, n)
+        length = w.shape[1]
+        size = abs(ratio)
+        # u^k, u = -i ratio / size in real arithmetic: a subnormal ratio
+        # overflows numpy's complex division
+        phase = complex(ratio.imag / size, -ratio.real / size) ** np.arange(length)
+        # entry c + k n of the zero-padded vector at [k, c]; the matvecs act
+        # on its real and imaginary parts as two real columns per chain
+        chains = np.zeros((length, n), complex)
+        chains.reshape(-1)[:d] = vec
+        chains *= phase.conj()[:, None]
+        coeffs = np.matmul(v.transpose(0, 2, 1),
+                           chains.view(float).reshape(length, n, 2).transpose(1, 0, 2))
+        coeffs = coeffs.view(complex)[..., 0] * np.exp(1j * size * w)
+        chains = np.matmul(v, coeffs.view(float).reshape(n, length, 2)).view(complex)[..., 0]
+        vec = (chains * phase).T.reshape(-1)[:d]
     state = QuantumState.from_amplitudes(space, vec, normalize=True)
     return state, 1.0 - fidelity(state, target)

@@ -126,11 +126,15 @@ def _theta_weights(n_theta: int) -> np.ndarray:
 
 
 def spherical_wigner(state: QuantumState, n_theta: int = 0, n_phi: int = 0) -> SphereGrid:
-    """Sample W on the default (or requested) sphere grid."""
+    """Sample W on the default (or requested) sphere grid; a size of 0 picks
+    the default and a negative one raises ValueError."""
+    if n_theta < 0 or n_phi < 0:
+        raise ValueError(f"sphere grid sizes must be non-negative (0 for the default), "
+                         f"got n_theta={n_theta}, n_phi={n_phi}")
     n = state.space.n_emitters
-    if n_theta <= 0:
+    if n_theta == 0:
         n_theta = max(60, n + 2)
-    if n_phi <= 0:
+    if n_phi == 0:
         n_phi = max(120, 2 * n + 2)
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = np.arange(n_phi) * 2 * np.pi / n_phi
@@ -232,7 +236,9 @@ def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
     Conventions: x = (a + a^dag)/sqrt(2), W >= -1/pi, integral over the
     plane equals 1 for a window enclosing the state.  Emits a
     :class:`WindowWarning` (and flags the grid) when |W| at the window
-    boundary exceeds ``BOUNDARY_WARN_LEVEL``.
+    boundary exceeds ``BOUNDARY_WARN_LEVEL``.  An ``x_max`` of 0 picks
+    sqrt(2N) + 3 and a ``p_max`` of 0 picks ``x_max``; a negative one raises
+    ValueError.
     """
     if not state.is_pure:
         raise ValueError("planar_wigner expects a pure state")
@@ -241,10 +247,13 @@ def planar_wigner(state: QuantumState, x_max: float = 0.0, p_max: float = 0.0,
     if not math.hypot(x_max, p_max) <= 1e150:  # keeps x^2, dx dp and the Hermite steps finite
         raise ValueError(f"planar window must be finite, within radius 1e150, "
                          f"got x_max={x_max}, p_max={p_max}")
+    if x_max < 0 or p_max < 0:
+        raise ValueError(f"planar window half-widths must be non-negative (0 for the "
+                         f"default), got x_max={x_max}, p_max={p_max}")
     n = state.space.n_emitters
-    if x_max <= 0:
+    if x_max == 0:
         x_max = np.sqrt(2.0 * n) + 3.0
-    if p_max <= 0:
+    if p_max == 0:
         p_max = x_max
     xs = np.linspace(-x_max, x_max, resolution)
     ps = np.linspace(-p_max, p_max, resolution)

@@ -16,6 +16,9 @@
 - Lie closure: the sequential search that ``algebra.lie_closure`` replaced,
   with a complex span extended one candidate at a time.  Both must reach
   the same dimensions, rounds, verdicts and artifact counts.
+- Ladder synthesis: the dense power loop that ``algebra.synthesis_by_powers``
+  replaced, one S_+^n and one ``scipy.linalg.expm`` of r_n S_+^n - h.c. per
+  rung.  The chain form must match it to 1e-12 in amplitudes.
 - Helpers that only tests need: the commutator [a, b], the residual of a
   matrix against a Lie closure's span, and reading an exported Wigner grid back from CSV.
 """
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from dickesim.algebra import DEFAULT_RANK_TOL, ClosureReport, _as_matrices
+from dickesim.algebra import DEFAULT_RANK_TOL, ClosureReport, _as_matrices, ladder_norm_constant
 from dickesim.core import (
     NORM_DRIFT_TOL,
     DickeSpace,
@@ -35,6 +38,7 @@ from dickesim.core import (
     QuantumState,
     _frozen,
     _hermitian_exp,
+    build_splus,
     build_sx,
     build_sy,
     build_sz,
@@ -458,6 +462,25 @@ def lie_closure_sequential(generators, rank_tol: float = DEFAULT_RANK_TOL,
         min_admitted_residual=float(min_residual),
         basis=np.array(basis).reshape(reached, d, d),
     )
+
+
+# --- ladder synthesis --------------------------------------------------------
+
+def synthesis_by_powers_dense(space: DickeSpace, target: QuantumState) -> np.ndarray:
+    """The state ``algebra.synthesis_by_powers`` builds, as unit amplitudes:
+    |0> acted on by expm(r_n S_+^n - conj(r_n) S_-^n), r_n = a_n / (a_0 c_n),
+    for n = 1..N in turn, each power of S_+ formed densely."""
+    from scipy.linalg import expm
+
+    amps, n_emitters = target.amplitudes, space.n_emitters
+    splus = build_splus(space)
+    power = np.eye(space.dim, dtype=complex)
+    vec = QuantumState.ground(space).amplitudes.copy()
+    for n in range(1, n_emitters + 1):
+        power = power @ splus
+        ratio = amps[n] / (amps[0] * ladder_norm_constant(n_emitters, n))
+        vec = expm(ratio * power - np.conj(ratio) * power.conj().T) @ vec
+    return vec / np.linalg.norm(vec)
 
 
 def closure_residual(report: ClosureReport, mat: np.ndarray) -> float:

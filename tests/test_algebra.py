@@ -33,7 +33,12 @@ from dickesim.algebra import (
 from dickesim.cli import main as cli_main
 from dickesim.core import _hermitian_exp
 from dickesim import algebra
-from oracle import closure_residual, lie_closure_sequential, spherical_tensor
+from oracle import (
+    closure_residual,
+    lie_closure_sequential,
+    spherical_tensor,
+    synthesis_by_powers_dense,
+)
 
 
 def squeezing_rotation_generators(n):
@@ -510,6 +515,71 @@ def test_synthesis_rejects_bad_scale():
     space = DickeSpace(3)
     with pytest.raises(ValueError):
         synthesis_by_powers(space, QuantumState.ground(space), 0.5)
+
+
+def _synthesis_targets(n):
+    """A weak coherent target and a seeded random one with complex a_0."""
+    space = DickeSpace(n)
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    vec[0] = (1.5 + 1.0j) * np.linalg.norm(vec)
+    return space, {
+        "weak coherent": make_target(TargetSpec(TargetKind.COHERENT, gamma=0.2), space),
+        "random": QuantumState.from_amplitudes(space, vec, normalize=True),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_ladder_chains_rebuild_the_dense_rung_operator(n):
+    # v diag(w) v^T on each chain, scattered back to the ladder, is
+    # (S_+^m + S_-^m) / c_m for every rung m
+    space = DickeSpace(n)
+    d = space.dim
+    power = np.eye(d, dtype=complex)
+    for m in range(1, d):
+        power = power @ build_splus(space)
+        dense = (power + power.conj().T).real / ladder_norm_constant(n, m)
+        w, v = algebra._ladder_chain_eigenpairs(space, m)
+        blocks = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+        slots = np.arange(m)[:, None] + m * np.arange(w.shape[1])
+        rebuilt = np.zeros((d, d))
+        for chain, block in zip(slots, blocks):
+            keep = chain < d
+            rebuilt[np.ix_(chain[keep], chain[keep])] = block[np.ix_(keep, keep)]
+        assert np.max(np.abs(rebuilt - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense))), m
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_synthesis_matches_dense_rung_oracle(n):
+    # the chain form against the dense power loop it replaced, one expm of
+    # r_n S_+^n - h.c. per rung
+    space, targets = _synthesis_targets(n)
+    for name, target in targets.items():
+        state, err = synthesis_by_powers(space, target, 0.1)
+        expected = synthesis_by_powers_dense(space, target)
+        assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12, name
+        assert err == pytest.approx(1 - abs(np.vdot(target.amplitudes, expected)) ** 2,
+                                    abs=1e-12), name
+
+
+def test_synthesis_warm_cache_is_bit_identical_to_cold():
+    space, targets = _synthesis_targets(40)
+    for name, target in targets.items():
+        algebra._ladder_chain_eigenpairs.cache_clear()
+        cold_state, cold_err = synthesis_by_powers(space, target, 0.1)
+        warm_state, warm_err = synthesis_by_powers(space, target, 0.1)
+        assert np.array_equal(cold_state.amplitudes, warm_state.amplitudes), name
+        assert cold_err == warm_err, name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synthesis_is_finite_at_n_200():
+    # the dense S_+^n overflowed here; the chain entries are built in log space
+    space = DickeSpace(200)
+    target = make_target(TargetSpec(TargetKind.COHERENT, gamma=0.2), space)
+    state, err = synthesis_by_powers(space, target, 0.1)
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+    assert 0.0 <= err < 1e-2
 
 
 # --- pinned outputs ---------------------------------------------------------

@@ -984,6 +984,20 @@ def test_numeric_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, monkeypa
             assert len(err) == 1, (argv, err)
 
 
+@pytest.mark.parametrize("flags", [["--n-theta", "-1"], ["--n-phi", "-1"],
+                                   ["--surface", "plane", "--x-max", "-1"],
+                                   ["--surface", "plane", "--p-max", "-1"]])
+def test_wigner_negative_grid_flags_exit_2(tmp_path, capsys, monkeypatch, flags):
+    # 0 picks the default grid; a negative size or half-width is refused
+    # with one error line and no file
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*_WIGNER_AT_4, *flags, "--record", "rec.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-negative" in err[0], err
+    assert not list(tmp_path.iterdir())
+    assert run_cli([*_WIGNER_AT_4, *flags[:-1], "0", "--record", "rec.json"]) == 0
+
+
 _CLOSURE_SETS = ["squeezing-rotations", "rotations-only", "oscillator"]
 
 

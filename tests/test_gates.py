@@ -307,3 +307,32 @@ def test_one_axis_twisting_anchor(n):
             psi = propagate(space, [0, 0, 0, alpha, 0, 0, 0, 0], conv, ground)
             jz = np.sum(np.abs(psi) ** 2 * (np.arange(n + 1) - j))
             assert abs(jz + j * np.cos(mu / 2) ** (2 * j - 1)) <= 1e-12, (conv, mu)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_one_axis_squeezing_anchor(n):
+    # Kitagawa and Ueda, PRA 47, 5138 (1993): twisting |j, -j> by
+    # exp(i s (mu/2) J_x^2) leaves <J_x> = <J_y> = 0 and the least variance
+    # in the x-y plane at (j/2) xi^2, xi^2 = 1 + (N-1)/4 (A - sqrt(A^2 + B^2))
+    # with A = 1 - cos^(N-2) mu and B = 4 sin(mu/2) cos^(N-2)(mu/2), along
+    # the direction at delta = atan2(s B, A)/2 from +x toward +y.  Unlike
+    # <J_z>, delta sees the exponent sign s.
+    space, j = DickeSpace(n), n / 2
+    jx, jy = build_sx(space), build_sy(space)
+    ground = QuantumState.ground(space).amplitudes
+    for convention, sign, composition, order in itertools.product(
+            ("spin-j", "pauli-sum"), (1, -1), ("product", "combined"), ("xy", "yx")):
+        conv = GateConventions(convention=convention, exponent_sign=sign,
+                               squeeze_composition=composition, squeeze_order=order)
+        for mu in (0.05, 0.1, 0.4, 1.0):
+            alpha = mu / (2 * conv.scale ** 2)
+            psi = propagate(space, [0, 0, 0, alpha, 0, 0, 0, 0], conv, ground)
+            x, y = jx @ psi, jy @ psi
+            assert max(abs(np.vdot(psi, x)), abs(np.vdot(psi, y))) <= 1e-12, (conv, mu)
+            vxx, vyy, cxy = np.vdot(x, x).real, np.vdot(y, y).real, np.vdot(x, y).real
+            xi2 = (vxx + vyy - math.hypot(vxx - vyy, 2 * cxy)) / j
+            delta = 0.5 * math.atan2(-2 * cxy, vyy - vxx)
+            a = 1 - math.cos(mu) ** (n - 2)
+            b = 4 * math.sin(mu / 2) * math.cos(mu / 2) ** (n - 2)
+            assert abs(xi2 - (1 + (n - 1) / 4 * (a - math.hypot(a, b)))) <= 1e-12, (conv, mu)
+            assert abs(delta - 0.5 * math.atan2(sign * b, a)) <= 1e-12, (conv, mu)

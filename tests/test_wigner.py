@@ -538,6 +538,26 @@ def test_planar_wigner_rejects_non_finite_window(window):
         planar_wigner(QuantumState.ground(DickeSpace(3)), *window, resolution=5)
 
 
+@pytest.mark.parametrize("window", [(-1.0, 0.0), (0.0, -1.0), (-1e-300, 2.0), (3.0, -3.0)])
+def test_planar_wigner_rejects_negative_window(window):
+    with pytest.raises(ValueError, match="non-negative"):
+        planar_wigner(QuantumState.ground(DickeSpace(3)), *window, resolution=5)
+
+
+@pytest.mark.parametrize("sizes", [(-1, 0), (0, -1), (-5, 8), (8, -5)])
+def test_spherical_wigner_rejects_negative_grid_sizes(sizes):
+    with pytest.raises(ValueError, match="non-negative"):
+        spherical_wigner(QuantumState.ground(DickeSpace(3)), *sizes)
+
+
+def test_zero_grid_sizes_pick_the_defaults():
+    state = QuantumState.ground(DickeSpace(3))
+    assert spherical_wigner(state, 0, 0).values.shape == (60, 120)
+    for window in ((0.0, 0.0), (-0.0, -0.0)):
+        plane = planar_wigner(state, *window, resolution=5)
+        assert plane.xs[-1] == plane.ps[-1] == math.sqrt(6.0) + 3.0
+
+
 # --- CSV export -------------------------------------------------------------
 
 def test_sphere_csv_roundtrip(tmp_path):
