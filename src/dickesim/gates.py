@@ -296,17 +296,54 @@ _ZXZ_FROM_ARGS = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]
 _TINY = np.finfo(float).tiny
 
 
-def squeeze_eigenpairs(space: DickeSpace, params) -> list:
-    """Per step of the flat parameters ``params``, the eigenpairs (w, v) of
-    the even-m and the odd-m block of -(alpha J_x^2 + beta J_y^2).
+def _chain_eigh(diag: np.ndarray, off: np.ndarray, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the real symmetric H with the diagonal ``diag``, shape
+    (..., d), and H[m, m + stride] = off[..., m], one eigh stacked over the
+    leading axes.  H splits into the chains {c, c + stride, ...}, c < stride.
+    Slot k of chain c holds |c + k stride>; the chains are zero-padded to a
+    common length L = ceil(d / stride), and a padded slot stays decoupled.
+    Returns w, shape (..., stride, L), and v, shape (..., stride, L, L), with
+    chain c's block v[c] diag(w[c]) v[c]^T."""
+    lead, d = diag.shape[:-1], diag.shape[-1]
+    length = -(-d // stride)
+    bands = np.zeros(lead + (2, length * stride))  # H[m, m] and H[m, m + stride]
+    bands[..., 0, :d] = diag
+    bands[..., 1, :d - stride] = off
+    chains = np.swapaxes(bands.reshape(lead + (2, length, stride)), -1, -2)
+    block = np.zeros(lead + (stride, length, length))
+    k = np.arange(length)
+    block[..., k, k] = chains[..., 0, :, :]
+    block[..., k[:-1], k[1:]] = block[..., k[1:], k[:-1]] = chains[..., 1, :, :-1]
+    return np.linalg.eigh(block)
 
-    The generator is real and couples m only to m +- 2, so it splits into two
-    tridiagonal blocks.  One result serves every convention: the squeeze
+
+def _chain_exp(w: np.ndarray, v: np.ndarray, k: float, psi: np.ndarray) -> np.ndarray:
+    """exp(i k H) psi for the vector or (d, r) block ``psi``, from one set of
+    :func:`_chain_eigh` eigenpairs of H (no leading axes).  Entry c + j stride
+    of the padded input sits at [j, c]; the two batched real matvecs act on
+    its real and imaginary parts as two real columns per input column."""
+    stride, length = w.shape
+    d = psi.shape[0]
+    chains = np.zeros((length * stride, psi.size // d), complex)
+    chains[:d] = psi.reshape(d, -1)
+    real = chains.view(float).reshape(length, stride, -1).transpose(1, 0, 2)
+    coeffs = np.matmul(v.transpose(0, 2, 1), real).view(complex)
+    coeffs *= np.exp(1j * (k * w))[..., None]
+    out = np.matmul(v, coeffs.view(float)).transpose(1, 0, 2).reshape(length * stride, -1)
+    return out[:d].view(complex).reshape(psi.shape)
+
+
+def squeeze_eigenpairs(space: DickeSpace, params) -> Tuple[np.ndarray, np.ndarray]:
+    """The :func:`_chain_eigh` eigenpairs of -(alpha J_x^2 + beta J_y^2),
+    which couples m only to m +- 2, for every step of the flat parameters
+    ``params``: w (M, 2, L) and v (M, 2, L, L) from one eigh call.
+
+    One result serves every convention: the squeeze
     exp(s i (alpha S_x^2 + beta S_y^2)) with S = scale * J is exp(i k w) in
-    this eigenbasis, with k = -s * scale**2, an exact product (see
-    :func:`_combined_squeeze`).  The sign -1 is the one every bundled table
-    uses, so for them these are the eigenpairs of their own generator; under
-    sign +1, eigh(-H) stands in for eigh(H), equal to roundoff.
+    this eigenbasis, with k = -s * scale**2, an exact product.  The sign -1
+    is the one every bundled table uses, so for them these are the
+    eigenpairs of their own generator; under sign +1, eigh(-H) stands in for
+    eigh(H), equal to roundoff.
     A strength that is not finite, or so large that the generator overflows,
     raises NormDriftError, as the product squeeze's norm check does.
     """
@@ -320,22 +357,7 @@ def squeeze_eigenpairs(space: DickeSpace, params) -> list:
         k = int(np.argmax(bad))
         raise NormDriftError(f"squeeze strengths {given[k].tolist()} of step {k + 1} "
                              "make the combined squeeze generator non-finite")
-    return [[np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-             for d, e in ((diag[p::2], off[p::2]) for p in (0, 1))]
-            for diag, off in zip(diags, offs)]
-
-
-def _combined_squeeze(pairs, k: float, psi: np.ndarray) -> np.ndarray:
-    """exp(s i (alpha S_x^2 + beta S_y^2)) psi with S = scale * J, for a
-    vector or a block of columns, from one step of :func:`squeeze_eigenpairs`
-    and k = -s * scale**2: the phases are exp(i k w)."""
-    out = np.empty_like(psi)
-    for parity, (w, v) in enumerate(pairs):
-        phase = np.exp(1j * (k * w))
-        if psi.ndim == 2:
-            phase = phase[:, None]
-        out[parity::2] = v @ (phase * (v.T @ psi[parity::2]))
-    return out
+    return _chain_eigh(diags, offs, 2)
 
 
 def _checked(psi: np.ndarray) -> np.ndarray:
@@ -429,7 +451,7 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
             if k == n_steps:
                 break
             if combined:
-                psi = _combined_squeeze(squeeze_eigs[k], squeeze_k, psi)
+                psi = _chain_exp(squeeze_eigs[0][k], squeeze_eigs[1][k], squeeze_k, psi)
                 if per_step:
                     states.append(_checked(psi))
             else:
@@ -467,7 +489,7 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
       S_x^2 phase in the J_x basis, and the fixed change back to the J_y
       basis: three basis changes.  Order yx swaps the roles of x and y.
     - Combined squeeze: Z-X-Z angles around a phase in the J_x basis, then
-      the squeeze's parity blocks, diagonalized by :func:`squeeze_eigenpairs`.
+      the squeeze's even and odd chains, diagonalized by :func:`squeeze_eigenpairs`.
 
     Each returned state is checked once: norm drift beyond NORM_DRIFT_TOL,
     or a non-finite norm, raises NormDriftError.  This is the door for files

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import DickeSpace, QuantumState
+from .wigner import _hermite_table
 
 WARN_TAIL = 1e-6
 ERROR_TAIL = 1e-4
@@ -205,24 +206,16 @@ def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
     return total if upward else 1.0 - total
 
 
-def _oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """psi_n(x) for n = 0..n_max via the stable three-term recurrence."""
-    psi = np.zeros((n_max + 1, x.size))
-    psi[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
-    if n_max >= 1:
-        psi[1] = np.sqrt(2.0) * x * psi[0]
-    for n in range(2, n_max + 1):
-        psi[n] = np.sqrt(2.0 / n) * x * psi[n - 1] - np.sqrt((n - 1) / n) * psi[n - 2]
-    return psi
-
-
 def _square_comb_amplitudes(n_max: int, spacing: float, offset: float) -> np.ndarray:
-    """Fock amplitudes of the ideal position comb sum_s |x = offset + s*spacing>."""
+    """Fock amplitudes of the ideal position comb sum_s |x = offset + s*spacing>:
+    sum_s phi_n(x_s) over the teeth within sqrt(2 n_max) + 6, each from the
+    exponent-carrying Hermite table, so a tooth past |x| ~ 37.6, whose
+    Gaussian alone underflows, still counts (from n_max ~ 500 on)."""
     x_cut = np.sqrt(2.0 * n_max) + 6.0
     s_max = int(np.ceil((x_cut + abs(offset)) / spacing)) + 1
     xs = offset + spacing * np.arange(-s_max, s_max + 1)
     xs = xs[np.abs(xs) <= x_cut]
-    return _oscillator_eigenfunctions(n_max, xs).sum(axis=1).astype(complex)
+    return _hermite_table(xs, n_max + 1).sum(axis=0).astype(complex)
 
 
 def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:

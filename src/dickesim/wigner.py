@@ -158,16 +158,16 @@ class PlaneGrid:
         return float(self.values.sum() * dx * dp)
 
 
-def _hermite_table(xs: np.ndarray, size: int) -> np.ndarray:
-    """Phi[i, a] = phi_a(sqrt(2) xs[i]), a < size, with the Hermite functions
-    phi_a(u) = e^{-u^2/2} H_a(u) / sqrt(2^a a! sqrt(pi)) of x = (a + a^dag)/sqrt(2).
-    The three-term recurrence in a starts from pi^(-1/4), without the Gaussian,
-    which underflows past |u| ~ 37.6 (inside the support from N ~ 450 on).  A
-    point past 2^512 is scaled down by 2^512 (a step grows it by at most 2^500
-    while |xs| <= 1e150); each entry's exponent and the Gaussian e^{-xs^2} are
-    applied at the end, so far points read 0 and nothing overflows."""
-    u = math.sqrt(2.0) * xs
-    table, log2_scale = np.empty((size, xs.size)), np.zeros((size, xs.size))
+def _hermite_table(u: np.ndarray, size: int) -> np.ndarray:
+    """Phi[i, a] = phi_a(u[i]), a < size, with the Hermite functions
+    phi_a(u) = e^{-u^2/2} H_a(u) / sqrt(2^a a! sqrt(pi)), the position
+    wavefunctions of x = (a + a^dag)/sqrt(2).  The three-term recurrence in a
+    starts from pi^(-1/4), without the Gaussian, which underflows past
+    |u| ~ 37.6.  A point past 2^512 is scaled down by 2^512 (a step grows it
+    by at most 2^500 while |u| <= 1.4e150); each entry's exponent and the
+    Gaussian are applied at the end, so far points read 0 and nothing
+    overflows."""
+    table, log2_scale = np.empty((size, u.size)), np.zeros((size, u.size))
     h_prev, h = np.zeros_like(u), np.full_like(u, math.pi ** -0.25)
     table[0] = h
     for a in range(1, size):
@@ -177,7 +177,7 @@ def _hermite_table(xs: np.ndarray, size: int) -> np.ndarray:
             h_prev, h = np.ldexp(h_prev, -512 * big), np.ldexp(h, -512 * big)
             log2_scale[a:] += 512 * big
         table[a] = h
-    return (table * np.exp(log2_scale * math.log(2.0) - xs * xs)).T
+    return (table * np.exp(log2_scale * math.log(2.0) - 0.5 * u * u)).T
 
 
 def _plane_coefficients(amps: np.ndarray) -> np.ndarray:
@@ -224,8 +224,8 @@ def _planar_kernel_sum(amps: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.n
     O(N^3 + R N^2 + R^2 N) for an R x R grid."""
     xs, ps = np.ravel(xs), np.ravel(ps)
     size = 2 * amps.size - 1
-    phi_x = _hermite_table(xs, size)
-    phi_p = phi_x if np.array_equal(xs, ps) else _hermite_table(ps, size)
+    phi_x = _hermite_table(math.sqrt(2.0) * xs, size)
+    phi_p = phi_x if np.array_equal(xs, ps) else _hermite_table(math.sqrt(2.0) * ps, size)
     return phi_x @ (_plane_coefficients(amps) / math.sqrt(math.pi)) @ phi_p.T + 0.0  # -0.0 -> +0.0
 
 

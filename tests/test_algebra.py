@@ -565,6 +565,7 @@ def test_synthesis_matches_dense_rung_oracle(n):
 def test_synthesis_warm_cache_is_bit_identical_to_cold():
     space, targets = _synthesis_targets(40)
     for name, target in targets.items():
+        algebra._ladder_logs.cache_clear()
         algebra._ladder_chain_eigenpairs.cache_clear()
         cold_state, cold_err = synthesis_by_powers(space, target, 0.1)
         warm_state, warm_err = synthesis_by_powers(space, target, 0.1)

@@ -670,18 +670,19 @@ def test_target_built_once_per_emitter_count(tmp_path, monkeypatch):
 
 
 def _count_gates_eigh(monkeypatch, argv):
-    """np.linalg.eigh calls that dickesim.gates makes while the CLI runs argv."""
+    """Per np.linalg.eigh call that dickesim.gates makes while the CLI runs
+    argv, the number of matrices it diagonalizes."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return np.linalg.eigh(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return np.linalg.eigh(a, *args, **kwargs)
 
     linalg = SimpleNamespace(**{**vars(np.linalg), "eigh": counted})
     monkeypatch.setattr(gates, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
     assert run_cli(argv) == 0
     monkeypatch.undo()
-    return len(calls)
+    return calls
 
 
 def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
@@ -815,11 +816,12 @@ def test_sweep_diagonalizes_each_squeeze_once(tmp_path, monkeypatch, sequence, n
     gates._propagation_bases(dickesim.DickeSpace(40))
     argv = ["replay", "--sequence", sequence, "--n", "40", "--sweep-conventions",
             "--out", str(tmp_path / "rec.json")]
-    # 2 parity blocks per step serve both signs, where one eigh per sign
-    # would make 2 x 2 and one per convention 8 x 2; a second sweep repeats
-    # the work, nothing carries over
-    assert _count_gates_eigh(monkeypatch, argv) == 2 * n_steps
-    assert _count_gates_eigh(monkeypatch, argv) == 2 * n_steps
+    # one eigh call diagonalizes the 2 parity chains of every step, which
+    # serve both signs, where one set per sign would make 2 x 2 blocks per
+    # step and one per convention 8 x 2; a second sweep repeats the work,
+    # nothing carries over
+    assert _count_gates_eigh(monkeypatch, argv) == [2 * n_steps]
+    assert _count_gates_eigh(monkeypatch, argv) == [2 * n_steps]
 
 
 @pytest.mark.parametrize("sequence", ["cat2", "gkp-square"])

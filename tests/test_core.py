@@ -196,18 +196,33 @@ def test_fidelity_trivials():
 
 
 def test_fidelity_mixed_forms_agree():
+    # rank-1 densities enter the Uhlmann form as their one-column factors, so
+    # the mixed forms agree with the pure one to roundoff
     rng = np.random.default_rng(7)
-    space = DickeSpace(5)
-    a = QuantumState.from_amplitudes(
-        space, rng.normal(size=6) + 1j * rng.normal(size=6), normalize=True)
-    b = QuantumState.from_amplitudes(
-        space, rng.normal(size=6) + 1j * rng.normal(size=6), normalize=True)
-    pure = fidelity(a, b)
-    rho_b = QuantumState(space, density=b.to_density())
-    rho_a = QuantumState(space, density=a.to_density())
-    assert fidelity(a, rho_b) == pytest.approx(pure, abs=1e-12)
-    # the PSD square roots of rank-1 densities cost ~sqrt(eps) accuracy
-    assert fidelity(rho_a, rho_b) == pytest.approx(pure, abs=1e-7)
+    for n in (5, 1, 12, 40):
+        space = DickeSpace(n)
+        a, b = (QuantumState.from_amplitudes(
+            space, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1), normalize=True)
+            for _ in range(2))
+        pure = fidelity(a, b)
+        rho_b = QuantumState(space, density=b.to_density())
+        rho_a = QuantumState(space, density=a.to_density())
+        assert fidelity(a, rho_b) == pytest.approx(pure, abs=1e-12)
+        assert fidelity(rho_a, rho_b) == pytest.approx(pure, abs=1e-12)
+
+
+def test_fidelity_of_full_rank_densities_matches_sqrtm():
+    from scipy.linalg import sqrtm
+
+    rng = np.random.default_rng(19)
+    for n in (1, 4, 9):
+        space, d = DickeSpace(n), n + 1
+        rho, sigma = (g @ g.conj().T / np.vdot(g, g).real for g in (
+            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)))
+        root = sqrtm(rho)
+        expected = np.trace(sqrtm(root @ sigma @ root)).real ** 2
+        got = fidelity(QuantumState(space, density=rho), QuantumState(space, density=sigma))
+        assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_fidelity_symmetry_and_phase_invariance():

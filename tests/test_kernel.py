@@ -25,7 +25,8 @@ from dickesim.gates import (
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
-    _combined_squeeze,
+    _chain_eigh,
+    _chain_exp,
     _plan,
     propagate,
     propagate_sweep,
@@ -229,17 +230,69 @@ def s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=True):
     convention's own S units.  Folded, as the kernel does it: eigh of
     -(alpha S_x^2 + beta S_y^2) and the phases exp(i (-sign) w), the reference
     that the J-unit eigenpairs reproduce bit for bit.  Unfolded: eigh of the
-    signed generator sign (alpha S_x^2 + beta S_y^2) itself, phases exp(i w)."""
+    signed generator sign (alpha S_x^2 + beta S_y^2) itself, phases exp(i w).
+    Laid out as the kernel's chains: the even and the odd levels, zero-padded
+    to one length, each matvec on the real and imaginary parts as two real
+    columns."""
     sq = [(s @ s).real for s in _spin_triple(space, convention)[:2]]
     a, b, k = (-alpha, -beta, -sign) if folded else (sign * alpha, sign * beta, 1)
-    diag = a * np.diag(sq[0]) + b * np.diag(sq[1])
-    off = a * np.diag(sq[0], 2) + b * np.diag(sq[1], 2)
-    out = np.empty_like(psi)
+    d = space.dim
+    size = d + d % 2
+    diag, off, padded = np.zeros(size), np.zeros(size - 2), np.zeros(size, complex)
+    diag[:d] = a * np.diag(sq[0]) + b * np.diag(sq[1])
+    off[:d - 2] = a * np.diag(sq[0], 2) + b * np.diag(sq[1], 2)
+    padded[:d] = psi
+    out = np.empty_like(padded)
     for parity in (0, 1):
-        d, e = diag[parity::2], off[parity::2]
-        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        out[parity::2] = v @ (np.exp(1j * (k * w)) * (v.T @ psi[parity::2]))
-    return out
+        e = off[parity::2]
+        w, v = np.linalg.eigh(np.diag(diag[parity::2]) + np.diag(e, 1) + np.diag(e, -1))
+        coeffs = (v.T @ padded[parity::2, None].view(float)).view(complex)
+        coeffs *= np.exp(1j * (k * w))[:, None]
+        out[parity::2] = (v @ coeffs.view(float)).view(complex)[:, 0]
+    return out[:d]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_chain_exp_is_the_dense_exponential_at_every_stride(n):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(41 + n)
+    d = n + 1
+    for stride in range(1, d):
+        diag, off = rng.normal(size=d), rng.normal(size=d - stride)
+        k = rng.uniform(-3.0, 3.0)
+        dense = expm(1j * k * (np.diag(diag) + np.diag(off, stride) + np.diag(off, -stride)))
+        w, v = _chain_eigh(diag, off, stride)
+        # a stack over a leading axis diagonalizes each slice as one call would
+        stacked_w, stacked_v = _chain_eigh(np.stack([2.0 * diag, diag]),
+                                           np.stack([2.0 * off, off]), stride)
+        assert np.array_equal(stacked_w[1], w) and np.array_equal(stacked_v[1], v)
+        for shape in ((d,), (d, 3)):
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = _chain_exp(w, v, k, psi)
+            assert got.shape == shape
+            assert np.max(np.abs(got - dense @ psi)) <= 1e-12 * np.max(np.abs(psi)), stride
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_chain_exp_keeps_a_chain_on_itself(n):
+    # chain c holds |c>, |c + stride>, ...; whatever the padding, an input on
+    # one chain keeps every other level at exactly 0 and loses no norm into a
+    # padded slot, also at the exact eigenvalue 0 that a padded slot shares
+    # with an odd chain of a zero diagonal (a ladder rung)
+    rng = np.random.default_rng(43 + n)
+    d = n + 1
+    for stride in range(1, d):
+        off = rng.normal(size=d - stride)
+        for diag in (np.zeros(d), rng.normal(size=d)):
+            w, v = _chain_eigh(diag, off, stride)
+            for c in range(stride):
+                psi = np.zeros(d, complex)
+                psi[c::stride] = rng.normal(size=psi[c::stride].size)
+                psi /= np.linalg.norm(psi)
+                got = _chain_exp(w, v, rng.uniform(-3.0, 3.0), psi)
+                assert not np.delete(got, np.arange(c, d, stride)).any(), (stride, c)
+                assert abs(np.linalg.norm(got) - 1.0) <= 1e-14, (stride, c)
 
 
 # Strengths whose products with the squared-spin entries underflow (|s| below
@@ -262,7 +315,7 @@ def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed
     # unless LAPACK rescales a block; then the two agree to roundoff
     space = DickeSpace(n)
     params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
-    (pairs,) = squeeze_eigenpairs(space, params)
+    w, v = squeeze_eigenpairs(space, params)
     psi = random_state(space, np.random.default_rng(seed))
     sq = [(s @ s).real for s in _spin_triple(space, Convention.SPIN_J)[:2]]
     gen = alpha * sq[0] + beta * sq[1]
@@ -270,7 +323,7 @@ def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed
     for convention in Convention:
         scale = GateConventions(convention=convention).scale
         expected = s_unit_squeeze(space, convention, alpha, beta, sign, psi)
-        got = _combined_squeeze(pairs, -sign * scale ** 2, psi)
+        got = _chain_exp(w[0], v[0], -sign * scale ** 2, psi)
         if rescaled:
             assert np.max(np.abs(got - expected)) <= 1e-14
         else:
@@ -288,12 +341,12 @@ def test_folded_sign_matches_eigh_of_the_signed_generator(alpha, beta, n, sign, 
     # phases carry: 1e-14 per radian of the largest phase
     space = DickeSpace(n)
     params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
-    (pairs,) = squeeze_eigenpairs(space, params)
+    w, _ = squeeze_eigenpairs(space, params)
     psi = random_state(space, np.random.default_rng(seed))
     for convention in Convention:
         conv = GateConventions(squeeze_composition="combined", exponent_sign=sign,
                                convention=convention)
-        largest = max(np.abs(conv.scale ** 2 * w).max(initial=0.0) for w, _ in pairs)
+        largest = np.abs(conv.scale ** 2 * w).max(initial=0.0)
         expected = s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=False)
         got = propagate(space, params, conv, psi)
         assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, largest)

@@ -15,7 +15,12 @@ from dickesim import (
     fidelity,
     make_target,
 )
-from dickesim.targets import _hex_lattice_amplitudes, coherent_amplitudes, coherent_tail_weight
+from dickesim.targets import (
+    _hex_lattice_amplitudes,
+    _square_comb_amplitudes,
+    coherent_amplitudes,
+    coherent_tail_weight,
+)
 
 
 # the 10 dB grid states, truncated on purpose at the N each test uses
@@ -209,6 +214,40 @@ def test_gkp_square_fourfold_symmetry():
     rotated = QuantumState.from_amplitudes(
         DickeSpace(44), st.amplitudes * np.exp(-1j * (np.pi / 2) * n), normalize=True)
     assert fidelity(st, rotated) > 1 - 1e-10
+
+
+def _comb_mpmath(n_max, spacing, offset):
+    """sum over teeth x of phi_n(x), n = 0..n_max, each tooth by the Hermite
+    recurrence from pi^(-1/4) e^(-x^2/2) at 30 digits, where no Gaussian
+    underflows.  Teeth run out to sqrt(2 n_max) + 8, past the kernel's cut;
+    the two extra units change nothing above 1e-40."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        spacing, offset = mpmath.mpf(spacing), mpmath.mpf(offset)
+        cut = mpmath.sqrt(2 * n_max) + 8
+        s_max = int(mpmath.ceil((cut + abs(offset)) / spacing))
+        teeth = [offset + s * spacing for s in range(-s_max, s_max + 1)]
+        teeth = [x for x in teeth if abs(x) <= cut]
+        roots = [mpmath.sqrt(n) for n in range(n_max + 1)]
+        out = [mpmath.mpf(0)] * (n_max + 1)
+        for x in teeth:
+            prev, cur = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+            out[0] += cur
+            for n in range(1, n_max + 1):
+                prev, cur = cur, (mpmath.sqrt(2) * x * cur - roots[n - 1] * prev) / roots[n]
+                out[n] += cur
+        return np.array([float(v) for v in out])
+
+
+@pytest.mark.parametrize("n_max", [400, 800, 1600])
+def test_square_comb_matches_per_tooth_mpmath_sum(n_max):
+    # from n_max ~ 500 on the comb holds teeth past |x| ~ 37.6, whose
+    # e^{-x^2/2} underflows in double; at 800 they carry the large-n amplitudes
+    for spacing, offset in ((np.sqrt(2 * np.pi), 0.0), (2 * np.sqrt(np.pi), np.sqrt(np.pi))):
+        ref = _comb_mpmath(n_max, spacing, offset)
+        fast = _square_comb_amplitudes(n_max, spacing, offset)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref)), (n_max, offset)
 
 
 def _displacement_expectation(amps, alpha, cutoff=200):
