@@ -484,6 +484,7 @@ def synthesis_by_powers(space: DickeSpace, target: QuantumState,
         # u^(m // n), u = -i ratio / size in real arithmetic: a subnormal
         # ratio overflows numpy's complex division
         phase = complex(ratio.imag / size, -ratio.real / size) ** (levels // n)
-        vec = phase * _chain_exp(*_ladder_chain_eigenpairs(space, n), size, vec / phase)
+        w, v = _ladder_chain_eigenpairs(space, n)
+        vec = phase * _chain_exp(v, np.exp(1j * (size * w)), vec / phase)
     state = QuantumState.from_amplitudes(space, vec, normalize=True)
     return state, 1.0 - fidelity(state, target)

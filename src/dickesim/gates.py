@@ -317,20 +317,26 @@ def _chain_eigh(diag: np.ndarray, off: np.ndarray, stride: int) -> Tuple[np.ndar
     return np.linalg.eigh(block)
 
 
-def _chain_exp(w: np.ndarray, v: np.ndarray, k: float, psi: np.ndarray) -> np.ndarray:
-    """exp(i k H) psi for the vector or (d, r) block ``psi``, from one set of
-    :func:`_chain_eigh` eigenpairs of H (no leading axes).  Entry c + j stride
-    of the padded input sits at [j, c]; the two batched real matvecs act on
-    its real and imaginary parts as two real columns per input column."""
-    stride, length = w.shape
-    d = psi.shape[0]
-    chains = np.zeros((length * stride, psi.size // d), complex)
-    chains[:d] = psi.reshape(d, -1)
-    real = chains.view(float).reshape(length, stride, -1).transpose(1, 0, 2)
+def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """exp(i k H) psi from the eigenvectors ``v`` of one set of
+    :func:`_chain_eigh` eigenpairs (w, v) of H (no leading axes) and
+    ``phases`` = exp(i k w): shape (stride, L) for the vector or (d, r)
+    block ``psi``, or (B, stride, L), one k per slice, for the stack
+    ``psi`` of shape (B, d, r).  Entry c + j stride of the padded input sits
+    at [j, c]; the two batched real matvecs act on its real and imaginary
+    parts as two real columns per input column, once per slice."""
+    lead = phases.shape[:-2]
+    stride, length = phases.shape[-2:]
+    swap = (0, 2, 1, 3) if lead else (1, 0, 2)
+    d = psi.shape[len(lead)]
+    cols = psi.reshape(lead + (d, -1))
+    chains = np.zeros(lead + (length * stride, cols.shape[-1]), complex)
+    chains[..., :d, :] = cols
+    real = chains.view(float).reshape(lead + (length, stride, -1)).transpose(swap)
     coeffs = np.matmul(v.transpose(0, 2, 1), real).view(complex)
-    coeffs *= np.exp(1j * (k * w))[..., None]
-    out = np.matmul(v, coeffs.view(float)).transpose(1, 0, 2).reshape(length * stride, -1)
-    return out[:d].view(complex).reshape(psi.shape)
+    coeffs *= phases[..., None]
+    out = np.matmul(v, coeffs.view(float)).transpose(swap).reshape(lead + (length * stride, -1))
+    return out[..., :d, :].view(complex).reshape(psi.shape)
 
 
 def squeeze_eigenpairs(space: DickeSpace, params) -> Tuple[np.ndarray, np.ndarray]:
@@ -367,12 +373,42 @@ def _checked(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
+def _quaternions(turns: np.ndarray, product_rotation: bool) -> np.ndarray:
+    """Per rotation, over any leading axes of the turns (..., 3): its SU(2)
+    quaternion (..., 4), or for the product rotation the eight half-angle
+    products (..., 8) that ``_PRODUCT_ROTATION`` maps to it."""
+    if product_rotation:
+        halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
+        return (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
+                * halves[:, 2, None, None, :]).reshape(turns.shape[:-1] + (8,))
+    norm = np.sqrt(np.einsum("...j,...j->...", turns, turns))
+    half = np.exp(0.5j * norm)
+    quat = np.empty(turns.shape[:-1] + (4,))
+    quat[..., 0] = half.real
+    # the floor only acts at norm 0, where sin(0) = 0
+    quat[..., 1:] = turns * (half.imag / np.maximum(norm, _TINY))[..., None]
+    return quat
+
+
 @functools.lru_cache(maxsize=None)
-def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Callable:
-    """The kernel of :func:`propagate` for one space, set of conventions and
-    step count M, with every choice that depends only on them made once.
-    Returns ``run(params, psi, per_step, squeeze_eigs)`` for flat float
-    ``params`` of length 5M + 3 and a complex vector or block ``psi``.
+def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: int) -> Callable:
+    """The kernel of :func:`propagate` for one space, step count M and a
+    group of conventions that share the squeeze composition and order, which
+    decide the factors of a step, with every choice that depends only on
+    them made once.  Returns ``run(params, psi, per_step, squeeze_eigs)``
+    for flat float ``params`` of length 5M + 3 and a complex vector or
+    block ``psi``; it returns the unchecked states in a list, the M+1 after
+    each step and the final rotation with ``per_step``, else the final one.
+
+    Within a group the rotation composition changes only how the Euler
+    angles are read, and the operator convention and exponent sign only
+    scale the turns by sign * scale and the strengths by sign * scale**2,
+    exact since scale is 1 or 2.  A group of one carries ``psi`` as given
+    through ``ndarray.dot``.  A group of B carries the stack (B, d, r),
+    r = 1 for a vector, and one leading axis of angles and phases; every
+    product is a stacked ``np.matmul``, which calls BLAS once per slice on
+    that slice's operands, so each slice keeps the bits of its group of one
+    (one gemm over all B r columns would not).
 
     Rotation k has Euler angles (a, b, c).  With the combined squeeze they
     are Z-X-Z angles, Z(a) X(b) Z(c) with Z(a) = exp(i a J_z).  With the
@@ -384,23 +420,32 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
     a + c (or a - c) is determined, and only it matters.
     """
     bases = _propagation_bases(space)
-    sign, scale = conventions.exponent_sign, conventions.scale
+    stacked = len(conventions) > 1
+    lead = (len(conventions),) if stacked else ()
+    mul = np.matmul if stacked else np.ndarray.dot
+
+    def per_slice(values):  # a scalar for a group of one, else shape (B, 1, 1)
+        return np.reshape(values, (-1, 1, 1)) if stacked else values[0]
+
     # S = scale * J: the turns scale by it and the squeeze strengths by its
     # square, exact products since both are powers of two
-    turn_scale, strength_scale = sign * scale, sign * scale ** 2
-    squeeze_k = -sign * scale ** 2  # the combined squeeze's phases, exp(i k w)
-    combined = conventions.squeeze_composition == "combined"
-    product_rotation = conventions.rotation_composition == "product"
-    yx = int(conventions.squeeze_order == "yx")
+    turn_scale = per_slice([c.exponent_sign * c.scale for c in conventions])
+    strength_scale = per_slice([c.exponent_sign * c.scale ** 2 for c in conventions])
+    # the combined squeeze's phases are exp(i k w), w of shape (M, 2, L)
+    squeeze_k = -(strength_scale[..., None] if stacked else strength_scale)
+    combined = conventions[0].squeeze_composition == "combined"
+    squeeze_order = conventions[0].squeeze_order
+    yx = int(squeeze_order == "yx")
     rows = bases.zxz_rows if combined else bases.merged_rows
-    # euler takes the quaternions (or, for the product rotation, the eight
-    # half-angle products per rotation) to the columns the Z-X-Z angles are
-    # read from; offset is added to the angles
-    euler, middle = (_UNIT, 0.0) if combined else _MERGED_EULER[conventions.squeeze_order]
-    if product_rotation:
-        euler = _PRODUCT_ROTATION @ euler
-    euler = euler @ _ARG_COLUMNS
+    # Per rotation composition, the slices that use it and the map from its
+    # quaternions (or, for the product rotation, the eight half-angle
+    # products) to the columns the Z-X-Z angles are read from; offset is
+    # added to the angles
+    euler, middle = (_UNIT, 0.0) if combined else _MERGED_EULER[squeeze_order]
     offset = np.array([-0.5 * np.pi, middle, 0.5 * np.pi])
+    product = np.array([c.rotation_composition == "product" for c in conventions])
+    readings = [(np.flatnonzero(product == p), p, (_PRODUCT_ROTATION @ euler if p else euler)
+                 @ _ARG_COLUMNS) for p in (False, True) if (product == p).any()]
     if combined:
         first, second = bases.vx_h, bases.vx
     else:
@@ -416,52 +461,53 @@ def _plan(space: DickeSpace, conventions: GateConventions, n_steps: int) -> Call
         table = np.zeros(5 * n_steps + 5)
         table[:-2] = params
         table = table.reshape(n_steps + 1, 5)
-        coef = np.zeros((n_steps + 1, 5))
+        coef = np.zeros(lead + (n_steps + 1, 5))
         strengths = strength_scale * table[:, 3:]
         turns = table[:, :3] * turn_scale
-        if product_rotation:
-            halves = np.exp(0.5j * turns).view(float).reshape(-1, 3, 2)  # (cos, sin)
-            quat = (halves[:, 0, :, None, None] * halves[:, 1, None, :, None]
-                    * halves[:, 2, None, None, :]).reshape(-1, 8)
+        if len(readings) == 1:  # one rotation composition: every slice at once
+            _, product_rotation, to_cols = readings[0]
+            cols = mul(_quaternions(turns, product_rotation), to_cols)
         else:
-            norm = np.sqrt(np.einsum("ij,ij->i", turns, turns))
-            half = np.exp(0.5j * norm)
-            quat = np.empty((n_steps + 1, 4))
-            quat[:, 0] = half.real
-            # the floor only acts at norm 0, where sin(0) = 0
-            quat[:, 1:] = turns * (half.imag / np.maximum(norm, _TINY))[:, None]
-        cols = quat.dot(euler)
-        args = np.empty((n_steps + 1, 3))
-        args[:, :2] = np.arctan2(cols[:, :2], cols[:, 2:])
-        hyp = np.hypot(cols[:, :2], cols[:, 2:])
-        args[:, 2] = np.arctan2(hyp[:, 0], hyp[:, 1])
-        coef[:, :3] = args.dot(_ZXZ_FROM_ARGS) + offset
-        coef[:, 3] = strengths[:, yx]
-        coef[1:, 4] = strengths[:-1, 1 - yx]
-        phases = np.exp(1j * coef.dot(rows)).reshape(n_steps + 1, -1, space.dim)
-        if psi.ndim == 2:  # one phase per row, shared by the columns
+            cols = np.empty(lead + (n_steps + 1, 4))
+            for index, product_rotation, to_cols in readings:
+                cols[index] = mul(_quaternions(turns[index], product_rotation), to_cols)
+        args = np.empty(lead + (n_steps + 1, 3))
+        args[..., :2] = np.arctan2(cols[..., :2], cols[..., 2:])
+        hyp = np.hypot(cols[..., :2], cols[..., 2:])
+        args[..., 2] = np.arctan2(hyp[..., 0], hyp[..., 1])
+        coef[..., :3] = mul(args, _ZXZ_FROM_ARGS) + offset
+        coef[..., 3] = strengths[..., yx]
+        coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
+        phases = np.exp(1j * mul(coef, rows)).reshape(lead + (n_steps + 1, -1, space.dim))
+        if stacked:  # phases[k, slot] is (B, d, 1), shared by a slice's columns
+            phases = np.moveaxis(phases, 0, 2)[..., None]
+            psi = psi.reshape(space.dim, -1)
+        elif psi.ndim == 2:  # one phase per row, shared by the columns
             phases = phases[..., None]
-        if combined and squeeze_eigs is None:
-            squeeze_eigs = squeeze_eigenpairs(space, params)
-        if not combined:
-            psi = v2_h.dot(psi)
+        if combined:
+            w, v = squeeze_eigenpairs(space, params) if squeeze_eigs is None else squeeze_eigs
+            squeeze_phases = np.exp(1j * (squeeze_k * w))
+            if stacked:  # squeeze_phases[k] is (B, 2, L)
+                squeeze_phases = np.moveaxis(squeeze_phases, 0, 1)
+        else:
+            psi = mul(v2_h, psi)
         states = []
         for k in range(n_steps + 1):
-            psi = phases[k, 2] * second.dot(phases[k, 1] * first.dot(phases[k, 0] * psi))
+            psi = phases[k, 2] * mul(second, phases[k, 1] * mul(first, phases[k, 0] * psi))
             if k == n_steps:
                 break
             if combined:
-                psi = _chain_exp(squeeze_eigs[0][k], squeeze_eigs[1][k], squeeze_k, psi)
+                psi = _chain_exp(v[k], squeeze_phases[k], psi)
                 if per_step:
-                    states.append(_checked(psi))
+                    states.append(psi)
             else:
-                psi = hop.dot(psi)
+                psi = mul(hop, psi)
                 if per_step:  # the second squeeze's phase is still to come
-                    states.append(_checked(v2.dot(phases[k + 1, 3] * psi)))
+                    states.append(mul(v2, phases[k + 1, 3] * psi))
         if not combined:
-            psi = v1.dot(psi)
-        states.append(_checked(psi))
-        return np.array(states) if per_step else states[-1]
+            psi = mul(v1, psi)
+        states.append(psi)
+        return states
 
     return run
 
@@ -502,13 +548,18 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
 
 def propagate_sweep(space: DickeSpace, params, psi0) -> np.ndarray:
     """The final states of :func:`propagate` under the conventions of
-    :data:`CONVENTION_SWEEP`, stacked in that order; its eight combined
-    squeezes share one set of :func:`squeeze_eigenpairs`."""
+    :data:`CONVENTION_SWEEP`, stacked in that order, bit for bit.  Each
+    pair of squeeze composition and order runs one step loop, on the stack
+    of its eight conventions, and the eight combined squeezes share one set
+    of :func:`squeeze_eigenpairs`."""
     return np.array(_propagate_each(space, params, CONVENTION_SWEEP, psi0, False))
 
 
 def _propagate_each(space: DickeSpace, params, conventions, psi0, per_step: bool) -> list:
-    """:func:`propagate` under each of ``conventions``, behind one check and door."""
+    """:func:`propagate` under each of ``conventions``, behind one check and
+    door: one :func:`_plan` per squeeze composition and order, and the
+    states checked in the order of ``conventions``, so that a NormDriftError
+    is the one that propagating them one at a time would raise first."""
     params = np.asarray(params, dtype=float).reshape(-1)
     if (params.size - 3) % 5:
         raise ValueError(f"parameter vector length {params.size} is not 5M + 3")
@@ -517,10 +568,23 @@ def _propagate_each(space: DickeSpace, params, conventions, psi0, per_step: bool
         raise DimensionMismatchError(
             f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
     n_steps = (params.size - 3) // 5
+    groups: dict = {}
+    for i, c in enumerate(conventions):
+        groups.setdefault((c.squeeze_composition, c.squeeze_order), []).append(i)
+    states = [None] * len(conventions)
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check reports overflow
         combined = any(c.squeeze_composition == "combined" for c in conventions)
         eigs = squeeze_eigenpairs(space, params) if combined else None
-        return [_plan(space, c, n_steps)(params, psi, per_step, eigs) for c in conventions]
+        for index in groups.values():
+            run = _plan(space, tuple(conventions[i] for i in index), n_steps)
+            out = run(params, psi, per_step, eigs)
+            if len(index) == 1:
+                states[index[0]] = out
+            else:
+                for b, i in enumerate(index):
+                    states[i] = [s[b].reshape(psi.shape) for s in out]
+        checked = [[_checked(s) for s in each] for each in states]
+    return [np.array(each) if per_step else each[-1] for each in checked]
 
 
 def apply_sequence(seq: PulseSequence, initial: QuantumState,

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import DickeSpace, QuantumState, _check_same_space, _fidelity_with_vector
-from .gates import DEFAULT_CONVENTIONS, GateConventions, _plan
+from .gates import DEFAULT_CONVENTIONS, GateConventions, _checked, _plan
 
 PARAM_BOUND = np.pi  # every angle and squeeze strength lies in [-pi, pi]
 
@@ -63,12 +63,12 @@ def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
     _check_same_space(space, target.space)
     ground = QuantumState.ground(space).amplitudes
     expected = 5 * n_steps + 3
-    run = _plan(space, conventions, n_steps)
+    run = _plan(space, (conventions,), n_steps)
 
     def f(params: np.ndarray) -> float:
         if len(params) != expected:
             raise ValueError(f"parameter vector length {len(params)}, expected {expected}")
-        return 1.0 - _fidelity_with_vector(run(params, ground, False, None), target)
+        return 1.0 - _fidelity_with_vector(_checked(run(params, ground, False, None)[-1]), target)
 
     return f
 

@@ -225,6 +225,38 @@ def test_fidelity_of_full_rank_densities_matches_sqrtm():
         assert got == pytest.approx(expected, abs=1e-10)
 
 
+def _cut_fidelity_pairs():
+    """(rho, sigma) pairs in which rho has one eigenvalue under the 1e-12
+    relative cut of core._psd_factor: the N = 1 pair diag(1 - 9e-13, 9e-13)
+    against I/2, and seeded full-rank pairs at N = 3 and 8."""
+    yield np.diag([1.0 - 9e-13, 9e-13]).astype(complex), np.eye(2) / 2
+    rng = np.random.default_rng(31)
+    for d in (4, 9):
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            w = rng.uniform(0.2, 1.0, d)
+            w[0] = 5e-13 * w.max()
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            yield (q * (w / w.sum())) @ q.conj().T, g @ g.conj().T / np.vdot(g, g).real
+
+
+def test_fidelity_density_cut_stays_within_its_bound():
+    # each dropped eigenvalue lowers sqrt(F) by at most its square root, the
+    # bound fidelity's docstring states
+    from scipy.linalg import sqrtm
+
+    for rho, sigma in _cut_fidelity_pairs():
+        w = np.linalg.eigvalsh(rho)
+        dropped = w[w <= 1e-12 * w.max()]
+        assert dropped.size == 1
+        root = sqrtm(rho)
+        expected = np.trace(sqrtm(root @ sigma @ root)).real
+        space = DickeSpace(rho.shape[0] - 1)
+        got = np.sqrt(fidelity(QuantumState(space, density=rho),
+                               QuantumState(space, density=sigma)))
+        assert abs(got - expected) <= np.sqrt(np.maximum(dropped, 0.0)).sum() + 1e-12
+
+
 def test_fidelity_symmetry_and_phase_invariance():
     rng = np.random.default_rng(11)
     space = DickeSpace(7)

@@ -28,6 +28,7 @@ from dickesim.gates import (
     _chain_eigh,
     _chain_exp,
     _plan,
+    _propagate_each,
     propagate,
     propagate_sweep,
     squeeze_eigenpairs,
@@ -97,6 +98,19 @@ def test_sweep_equals_propagate_under_each_convention_bitwise(n):
         propagate_sweep(space, np.zeros(8), np.ones(space.dim + 1))
     with pytest.raises(NormDriftError, match="^squeeze strengths "):
         propagate_sweep(space, [0.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0], ground)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_stacked_per_step_states_equal_each_convention_bitwise(n):
+    # the stacked step loops also give each convention's per-step states
+    rng = np.random.default_rng(2100 + n)
+    space = DickeSpace(n)
+    params = rng.uniform(-np.pi, np.pi, 5 * 3 + 3)
+    block = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
+    for psi0 in (random_state(space, rng), block / np.linalg.norm(block)):
+        stacked = _propagate_each(space, params, CONVENTION_SWEEP, psi0, True)
+        for conv, states in zip(CONVENTION_SWEEP, stacked):
+            assert np.array_equal(states, propagate(space, params, conv, psi0, per_step=True))
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -269,9 +283,27 @@ def test_chain_exp_is_the_dense_exponential_at_every_stride(n):
         assert np.array_equal(stacked_w[1], w) and np.array_equal(stacked_v[1], v)
         for shape in ((d,), (d, 3)):
             psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            got = _chain_exp(w, v, k, psi)
+            got = _chain_exp(v, np.exp(1j * (k * w)), psi)
             assert got.shape == shape
             assert np.max(np.abs(got - dense @ psi)) <= 1e-12 * np.max(np.abs(psi)), stride
+
+
+@pytest.mark.parametrize("n", [4, 40, 100])
+def test_chain_exp_stack_keeps_the_bits_of_each_slice(n):
+    # a stack of B inputs, one k per slice, runs one matmul per slice, so
+    # each slice equals its own unstacked call bit for bit
+    rng = np.random.default_rng(47 + n)
+    d = n + 1
+    w, v = _chain_eigh(rng.normal(size=d), rng.normal(size=d - 2), 2)
+    ks = np.array([1.0, -1.0, 4.0, -4.0])
+    for cols in (1, 2, 3):
+        stack = rng.normal(size=(4, d, cols)) + 1j * rng.normal(size=(4, d, cols))
+        got = _chain_exp(v, np.exp(1j * (ks[:, None, None] * w)), stack)
+        assert got.shape == stack.shape
+        for b, k in enumerate(ks):
+            one = stack[b, :, 0] if cols == 1 else stack[b]
+            assert np.array_equal(got[b].reshape(one.shape),
+                                  _chain_exp(v, np.exp(1j * (k * w)), one)), (cols, k)
 
 
 @pytest.mark.parametrize("n", [2, 7, 40])
@@ -290,7 +322,7 @@ def test_chain_exp_keeps_a_chain_on_itself(n):
                 psi = np.zeros(d, complex)
                 psi[c::stride] = rng.normal(size=psi[c::stride].size)
                 psi /= np.linalg.norm(psi)
-                got = _chain_exp(w, v, rng.uniform(-3.0, 3.0), psi)
+                got = _chain_exp(v, np.exp(1j * (rng.uniform(-3.0, 3.0) * w)), psi)
                 assert not np.delete(got, np.arange(c, d, stride)).any(), (stride, c)
                 assert abs(np.linalg.norm(got) - 1.0) <= 1e-14, (stride, c)
 
@@ -323,7 +355,7 @@ def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed
     for convention in Convention:
         scale = GateConventions(convention=convention).scale
         expected = s_unit_squeeze(space, convention, alpha, beta, sign, psi)
-        got = _chain_exp(w[0], v[0], -sign * scale ** 2, psi)
+        got = _chain_exp(v[0], np.exp(1j * (-sign * scale ** 2 * w[0])), psi)
         if rescaled:
             assert np.max(np.abs(got - expected)) <= 1e-14
         else:

@@ -32,6 +32,7 @@ from dickesim.wigner import (
     PlaneGrid,
     SphereGrid,
     WindowWarning,
+    _hermite_table,
     _kernel_diagonal,
     _planar_kernel_sum,
     spherical_wigner_values,
@@ -459,6 +460,19 @@ def test_planar_kernel_far_points_read_zero(n):
     far = np.ones(values.shape, bool)
     far[1:4, 1:4] = False
     assert np.all(values[far] == 0) and not np.signbit(values[far]).any()
+
+
+@pytest.mark.parametrize("size", [1, 81, 201, 401])
+def test_hermite_table_fast_path_equals_the_rescaling_path_bitwise(size):
+    # below |u| = 26.6 no entry can reach 2^512, so the table skips the
+    # rescale test and the exponent pass; one far point forces both, and the
+    # near points' columns keep every bit
+    rng = np.random.default_rng(size)
+    near = np.concatenate([[0.0, -0.0, 26.59, -26.59], rng.uniform(-26.6, 26.6, 40),
+                           math.sqrt(2.0) * np.linspace(-10.0, 10.0, 201)])
+    for far in (26.6, 40.0, -1e6):
+        assert np.array_equal(_hermite_table(near, size),
+                              _hermite_table(np.append(near, far), size)[:-1])
 
 
 def test_planar_grid_keeps_weight_past_gaussian_underflow():
