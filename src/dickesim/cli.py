@@ -178,6 +178,8 @@ def cmd_optimize(args) -> tuple[dict, dict]:
         raise ValueError(f"--stop-fidelity must lie in (0, 1], got {args.stop_fidelity}")
     conv = _override_conventions(args, DEFAULT_CONVENTIONS)
     space = DickeSpace(args.n)
+    if args.target is None:
+        raise ValueError("optimize needs --target")
     spec = _target_spec_from_args(args)
     target = make_target(spec, space)
     config = OptimizerConfig(
@@ -256,6 +258,8 @@ def cmd_wigner(args) -> tuple[dict, dict]:
             vecs = vecs[-1:]
         states = [QuantumState(space, amplitudes=v) for v in vecs]
     else:
+        if args.target is None:
+            raise ValueError("wigner needs --sequence or --target")
         spec = _target_spec_from_args(args)
         space = DickeSpace(40 if args.n is None else args.n)
         inputs.update(target=spec.to_dict(), n_emitters=space.n_emitters)
@@ -319,8 +323,10 @@ def cmd_closure(args) -> tuple[dict, dict]:
             f"(reached {report.reached_dimension}, artifacts {report.artifact_count}) "
             f"universal={report.universal}, ")
     if report.ranks is None:
-        line += (f"smallest admitted residual "
-                 f"{report.min_admitted_residual / report.rank_tolerance:.4g} x rank_tol")
+        margin = report.min_admitted_residual / report.rank_tolerance
+        # inf when nothing was admitted, which JSON cannot carry
+        outputs["rank_tol_margin"] = float(margin) if np.isfinite(margin) else None
+        line += f"smallest admitted residual {margin:.4g} x rank_tol"
     else:
         outputs["ranks"] = list(report.ranks)
         outputs["missing_rank"] = report.missing_rank

@@ -339,10 +339,10 @@ def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
     return out[..., :d, :].view(complex).reshape(psi.shape)
 
 
-def squeeze_eigenpairs(space: DickeSpace, params) -> Tuple[np.ndarray, np.ndarray]:
+def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.ndarray]:
     """The :func:`_chain_eigh` eigenpairs of -(alpha J_x^2 + beta J_y^2),
-    which couples m only to m +- 2, for every step of the flat parameters
-    ``params``: w (M, 2, L) and v (M, 2, L, L) from one eigh call.
+    which couples m only to m +- 2, for every row (alpha, beta) of the (M, 2)
+    table ``strengths``: w (M, 2, L) and v (M, 2, L, L) from one eigh call.
 
     One result serves every convention: the squeeze
     exp(s i (alpha S_x^2 + beta S_y^2)) with S = scale * J is exp(i k w) in
@@ -354,7 +354,7 @@ def squeeze_eigenpairs(space: DickeSpace, params) -> Tuple[np.ndarray, np.ndarra
     raises NormDriftError, as the product squeeze's norm check does.
     """
     bases = _propagation_bases(space)
-    given = np.asarray(params, dtype=float)[:-3].reshape(-1, 5)[:, 3:]
+    given = np.asarray(strengths, dtype=float)
     alpha, beta = -given[:, :1], -given[:, 1:]
     diags = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
     offs = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
@@ -395,20 +395,21 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     """The kernel of :func:`propagate` for one space, step count M and a
     group of conventions that share the squeeze composition and order, which
     decide the factors of a step, with every choice that depends only on
-    them made once.  Returns ``run(params, psi, per_step, squeeze_eigs)``
-    for flat float ``params`` of length 5M + 3 and a complex vector or
-    block ``psi``; it returns the unchecked states in a list, the M+1 after
-    each step and the final rotation with ``per_step``, else the final one.
+    them made once.  Returns ``run(params, cols, per_step)`` for flat float
+    ``params`` of length 5M + 3 and a complex (d, r) block ``cols`` (a
+    vector is one column); it returns the unchecked states in a list, the
+    M+1 after each step and the final rotation with ``per_step``, else the
+    final one.  A combined-squeeze run makes its own :func:`squeeze_eigenpairs`.
 
     Within a group the rotation composition changes only how the Euler
     angles are read, and the operator convention and exponent sign only
     scale the turns by sign * scale and the strengths by sign * scale**2,
-    exact since scale is 1 or 2.  A group of one carries ``psi`` as given
-    through ``ndarray.dot``.  A group of B carries the stack (B, d, r),
-    r = 1 for a vector, and one leading axis of angles and phases; every
-    product is a stacked ``np.matmul``, which calls BLAS once per slice on
-    that slice's operands, so each slice keeps the bits of its group of one
-    (one gemm over all B r columns would not).
+    exact since scale is 1 or 2.  A group of one carries ``cols`` through
+    ``ndarray.dot``, which gives a column the bits of the vector.  A group
+    of B carries the stack (B, d, r) and one leading axis of angles and
+    phases; every product is a stacked ``np.matmul``, which calls BLAS once
+    per slice on that slice's operands, so each slice keeps the bits of its
+    group of one (one gemm over all B r columns would not).
 
     Rotation k has Euler angles (a, b, c).  With the combined squeeze they
     are Z-X-Z angles, Z(a) X(b) Z(c) with Z(a) = exp(i a J_z).  With the
@@ -432,7 +433,7 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     turn_scale = per_slice([c.exponent_sign * c.scale for c in conventions])
     strength_scale = per_slice([c.exponent_sign * c.scale ** 2 for c in conventions])
     # the combined squeeze's phases are exp(i k w), w of shape (M, 2, L)
-    squeeze_k = -(strength_scale[..., None] if stacked else strength_scale)
+    squeeze_k = -strength_scale
     combined = conventions[0].squeeze_composition == "combined"
     squeeze_order = conventions[0].squeeze_order
     yx = int(squeeze_order == "yx")
@@ -455,7 +456,7 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
             else (bases.vx, bases.vx_h, bases.vy, bases.vy_h, bases.x_to_y))
         first, second = v2, v1_h
 
-    def run(params, psi, per_step, squeeze_eigs):
+    def run(params, cols, per_step):
         # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
         # final rotation's strengths 0
         table = np.zeros(5 * n_steps + 5)
@@ -466,31 +467,25 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         turns = table[:, :3] * turn_scale
         if len(readings) == 1:  # one rotation composition: every slice at once
             _, product_rotation, to_cols = readings[0]
-            cols = mul(_quaternions(turns, product_rotation), to_cols)
+            arg_cols = mul(_quaternions(turns, product_rotation), to_cols)
         else:
-            cols = np.empty(lead + (n_steps + 1, 4))
+            arg_cols = np.empty(lead + (n_steps + 1, 4))
             for index, product_rotation, to_cols in readings:
-                cols[index] = mul(_quaternions(turns[index], product_rotation), to_cols)
+                arg_cols[index] = mul(_quaternions(turns[index], product_rotation), to_cols)
         args = np.empty(lead + (n_steps + 1, 3))
-        args[..., :2] = np.arctan2(cols[..., :2], cols[..., 2:])
-        hyp = np.hypot(cols[..., :2], cols[..., 2:])
+        args[..., :2] = np.arctan2(arg_cols[..., :2], arg_cols[..., 2:])
+        hyp = np.hypot(arg_cols[..., :2], arg_cols[..., 2:])
         args[..., 2] = np.arctan2(hyp[..., 0], hyp[..., 1])
         coef[..., :3] = mul(args, _ZXZ_FROM_ARGS) + offset
         coef[..., 3] = strengths[..., yx]
         coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
         phases = np.exp(1j * mul(coef, rows)).reshape(lead + (n_steps + 1, -1, space.dim))
-        if stacked:  # phases[k, slot] is (B, d, 1), shared by a slice's columns
-            phases = np.moveaxis(phases, 0, 2)[..., None]
-            psi = psi.reshape(space.dim, -1)
-        elif psi.ndim == 2:  # one phase per row, shared by the columns
-            phases = phases[..., None]
-        if combined:
-            w, v = squeeze_eigenpairs(space, params) if squeeze_eigs is None else squeeze_eigs
-            squeeze_phases = np.exp(1j * (squeeze_k * w))
-            if stacked:  # squeeze_phases[k] is (B, 2, L)
-                squeeze_phases = np.moveaxis(squeeze_phases, 0, 1)
-        else:
-            psi = mul(v2_h, psi)
+        # phases[k, slot] is (d, 1), or (B, d, 1) for a stack, shared by the columns
+        phases = (np.moveaxis(phases, 0, 2) if stacked else phases)[..., None]
+        if combined:  # squeeze_phases[k] is (2, L), or (B, 2, L) for a stack
+            w, v = squeeze_eigenpairs(space, table[:-1, 3:])
+            squeeze_phases = np.exp(1j * (squeeze_k * (w[:, None] if stacked else w)))
+        psi = cols if combined else mul(v2_h, cols)
         states = []
         for k in range(n_steps + 1):
             psi = phases[k, 2] * mul(second, phases[k, 1] * mul(first, phases[k, 0] * psi))
@@ -550,8 +545,8 @@ def propagate_sweep(space: DickeSpace, params, psi0) -> np.ndarray:
     """The final states of :func:`propagate` under the conventions of
     :data:`CONVENTION_SWEEP`, stacked in that order, bit for bit.  Each
     pair of squeeze composition and order runs one step loop, on the stack
-    of its eight conventions, and the eight combined squeezes share one set
-    of :func:`squeeze_eigenpairs`."""
+    of its eight conventions; the eight combined squeezes (all of order xy)
+    are one such stack, so its run diagonalizes each squeeze once."""
     return np.array(_propagate_each(space, params, CONVENTION_SWEEP, psi0, False))
 
 
@@ -567,22 +562,18 @@ def _propagate_each(space: DickeSpace, params, conventions, psi0, per_step: bool
     if psi.ndim not in (1, 2) or psi.shape[0] != space.dim:
         raise DimensionMismatchError(
             f"state shape {psi.shape} is neither ({space.dim},) nor ({space.dim}, r)")
+    cols = psi if psi.ndim == 2 else psi[:, None]
     n_steps = (params.size - 3) // 5
     groups: dict = {}
     for i, c in enumerate(conventions):
         groups.setdefault((c.squeeze_composition, c.squeeze_order), []).append(i)
     states = [None] * len(conventions)
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check reports overflow
-        combined = any(c.squeeze_composition == "combined" for c in conventions)
-        eigs = squeeze_eigenpairs(space, params) if combined else None
         for index in groups.values():
             run = _plan(space, tuple(conventions[i] for i in index), n_steps)
-            out = run(params, psi, per_step, eigs)
-            if len(index) == 1:
-                states[index[0]] = out
-            else:
-                for b, i in enumerate(index):
-                    states[i] = [s[b].reshape(psi.shape) for s in out]
+            out = [s.reshape((len(index),) + psi.shape) for s in run(params, cols, per_step)]
+            for b, i in enumerate(index):
+                states[i] = [s[b] for s in out]
         checked = [[_checked(s) for s in each] for each in states]
     return [np.array(each) if per_step else each[-1] for each in checked]
 

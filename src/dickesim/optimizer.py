@@ -61,14 +61,14 @@ def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
     It runs bare: no intermediate overflows inside the box +-PARAM_BOUND, and
     :func:`random_restart_search` evaluates its incumbent under ``np.errstate``."""
     _check_same_space(space, target.space)
-    ground = QuantumState.ground(space).amplitudes
+    ground = QuantumState.ground(space).amplitudes[:, None]
     expected = 5 * n_steps + 3
     run = _plan(space, (conventions,), n_steps)
 
     def f(params: np.ndarray) -> float:
         if len(params) != expected:
             raise ValueError(f"parameter vector length {len(params)}, expected {expected}")
-        return 1.0 - _fidelity_with_vector(_checked(run(params, ground, False, None)[-1]), target)
+        return 1.0 - _fidelity_with_vector(_checked(run(params, ground, False)[-1][:, 0]), target)
 
     return f
 

@@ -366,9 +366,9 @@ def test_closure_command(tmp_path):
     assert rec["outputs"]["reached_dimension"] == 6
 
 
-def test_closure_prints_its_margin_outside_the_record(tmp_path, capsys):
-    # the span closure (oscillator) prints its margin over rank_tol, the
-    # rank search (the Dicke sets) its exact certificate; neither is recorded
+def test_closure_records_its_margin_and_certificate(tmp_path, capsys, monkeypatch):
+    # the span closure (oscillator) prints and records its margin over
+    # rank_tol, the rank search (the Dicke sets) its exact certificate
     out = tmp_path / "rec.json"
     assert run_cli(["closure", "--set", "oscillator", "--cutoff", "12", "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
@@ -376,7 +376,9 @@ def test_closure_prints_its_margin_outside_the_record(tmp_path, capsys):
         "smallest admitted residual 1.371e+07 x rank_tol")
     keys = {"generator_count", "reached_dimension", "traceless_dimension", "target_dimension",
             "iterations", "universal", "artifact_count"}
-    assert set(json.loads(out.read_text())["outputs"]) == keys
+    outputs = json.loads(out.read_text())["outputs"]
+    assert set(outputs) == keys | {"rank_tol_margin"}
+    assert f"{outputs['rank_tol_margin']:.4g}" == "1.371e+07"
     assert run_cli(["closure", "--set", "squeezing-rotations", "--n", "4",
                     "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
@@ -385,6 +387,11 @@ def test_closure_prints_its_margin_outside_the_record(tmp_path, capsys):
     outputs = json.loads(out.read_text())["outputs"]
     assert set(outputs) == keys | {"ranks", "missing_rank"}
     assert outputs["ranks"] == [1, 2, 3, 4] and outputs["missing_rank"] is None
+    # a span that admits nothing has an infinite margin, recorded as null
+    monkeypatch.setattr(cli, "oscillator_counterexample",
+                        lambda cutoff, rank_tol: dickesim.lie_closure([np.zeros((2, 2))]))
+    assert run_cli(["closure", "--set", "oscillator", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outputs"]["rank_tol_margin"] is None
 
 
 @pytest.mark.parametrize("rank_tol", ["-1", "0", "1", "nan"])
@@ -884,6 +891,26 @@ def test_malformed_metadata_target_exits_2(tmp_path, capsys, target):
     with pytest.raises(SequenceFileError):
         cli._target_spec_from_args(cli.build_parser().parse_args(
             ["replay", "--sequence", str(seq_path)]), target)
+
+
+def test_missing_target_names_what_the_command_lacks(tmp_path, capsys):
+    # commands that read no sequence file name their own missing flags;
+    # the sequence-file wording stays with the commands that read one
+    assert run_cli(["optimize", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: optimize needs --target\n"
+    assert run_cli(["wigner", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: wigner needs --sequence or --target\n"
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps({
+        "format_version": 1, "n_emitters": 3, "steps": [],
+        "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.0},
+    }))
+    no_metadata = ("error: no --target given and the sequence file carries no "
+                   "target metadata\n")
+    assert run_cli(["replay", "--sequence", str(seq_path)]) == 2
+    assert capsys.readouterr().err == no_metadata
+    assert run_cli(["size-sweep", "--sequence", str(seq_path), "--n-list", "3"]) == 2
+    assert capsys.readouterr().err == no_metadata
 
 
 @pytest.mark.parametrize("flag", ["--steps", "--start-steps"])

@@ -78,19 +78,24 @@ def test_kernel_matches_dense_on_every_convention(n):
                           propagate(space, params, conv, ground))
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 40, 41])
 def test_sweep_equals_propagate_under_each_convention_bitwise(n):
     # the sweep's one set of combined-squeeze eigenpairs gives the bits that
-    # each convention's own propagate call gives, for a vector and a block
+    # each convention's own propagate call gives, for a vector, the vector as
+    # one column and a block; and the column gives the vector's bits
     rng = np.random.default_rng(2000 + n)
     space = DickeSpace(n)
     params = rng.uniform(-np.pi, np.pi, 5 * 3 + 3)
     block = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
-    for psi0 in (random_state(space, rng), block / np.linalg.norm(block)):
+    psi = random_state(space, rng)
+    for psi0 in (psi, psi[:, None], block / np.linalg.norm(block)):
         finals = propagate_sweep(space, params, psi0)
         assert finals.shape == (len(CONVENTION_SWEEP),) + psi0.shape
         for conv, final in zip(CONVENTION_SWEEP, finals):
             assert np.array_equal(final, propagate(space, params, conv, psi0)), conv
+    for conv in CONVENTION_SWEEP:
+        assert np.array_equal(propagate(space, params, conv, psi[:, None])[:, 0],
+                              propagate(space, params, conv, psi)), conv
     ground = QuantumState.ground(space).amplitudes
     with pytest.raises(ValueError, match="5M \\+ 3"):
         propagate_sweep(space, np.zeros(7), ground)
@@ -346,8 +351,7 @@ def test_j_unit_squeeze_is_bitwise_the_s_unit_squeeze(alpha, beta, n, sign, seed
     # of eigenpairs serves both operator conventions without changing a bit,
     # unless LAPACK rescales a block; then the two agree to roundoff
     space = DickeSpace(n)
-    params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
-    w, v = squeeze_eigenpairs(space, params)
+    w, v = squeeze_eigenpairs(space, [[alpha, beta]])
     psi = random_state(space, np.random.default_rng(seed))
     sq = [(s @ s).real for s in _spin_triple(space, Convention.SPIN_J)[:2]]
     gen = alpha * sq[0] + beta * sq[1]
@@ -373,7 +377,7 @@ def test_folded_sign_matches_eigh_of_the_signed_generator(alpha, beta, n, sign, 
     # phases carry: 1e-14 per radian of the largest phase
     space = DickeSpace(n)
     params = [0.0, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0]
-    w, _ = squeeze_eigenpairs(space, params)
+    w, _ = squeeze_eigenpairs(space, [[alpha, beta]])
     psi = random_state(space, np.random.default_rng(seed))
     for convention in Convention:
         conv = GateConventions(squeeze_composition="combined", exponent_sign=sign,
