@@ -28,6 +28,9 @@ from .core import (
 from .gates import _chain_eigh, _chain_exp
 
 DEFAULT_RANK_TOL = 1e-8
+# A residual made only of roundoff reaches ~4.5 eps (1e-15 at oscillator
+# cutoff 24), so a rank_tol below 32 eps would admit roundoff as directions.
+RANK_TOL_FLOOR = 32 * np.finfo(float).eps
 _BRACKET_CHUNK = 128  # brackets formed and projected together; caps their memory
 
 
@@ -69,9 +72,10 @@ class ClosureReport:
     missing_rank: Optional[int] = None
 
 
-def _check_rank_tol(rank_tol: float) -> None:
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+def _check_rank_tol(rank_tol: float, name: str = "rank_tol") -> None:
+    if not RANK_TOL_FLOOR <= rank_tol < 1.0:
+        raise ValueError(f"{name} must lie in [32 eps, 1) = [{RANK_TOL_FLOOR:.4g}, 1), "
+                         f"got {rank_tol!r}")
 
 
 def _as_matrices(generators: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -149,7 +153,8 @@ def lie_closure(generators: Sequence[np.ndarray],
     ``artifact_mask = w > 0`` the novelty test ignores the last w
     rows/columns, so the span is full at (d - w)^2; candidates that are new
     only inside that boundary strip are counted as truncation artifacts
-    instead of directions.  ``rank_tol`` must lie in (0, 1).
+    instead of directions.  ``rank_tol`` must lie in [32 eps, 1)
+    (``RANK_TOL_FLOOR``): below it roundoff passes for a direction.
 
     The span is an orthonormal set of packed real rows (:func:`_packing`).
     Each new direction's brackets with the directions found before it are

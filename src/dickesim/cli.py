@@ -307,7 +307,8 @@ CLOSURE_MAX_CUTOFF = 64
 def cmd_closure(args) -> tuple[dict, dict]:
     inputs = {"set": args.set, "n_emitters": args.n, "cutoff": args.cutoff,
               "rank_tol": args.rank_tol}
-    _check_rank_tol(args.rank_tol)  # for every set, though only the oscillator's reads it
+    # for every set, though only the oscillator's reads it
+    _check_rank_tol(args.rank_tol, "--rank-tol (rank_tol)")
     if args.set == "oscillator":
         if args.cutoff > CLOSURE_MAX_CUTOFF:
             raise ValueError(f"--cutoff must be at most {CLOSURE_MAX_CUTOFF}, got {args.cutoff}")
@@ -485,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"Fock cutoff of the oscillator set, 4..{CLOSURE_MAX_CUTOFF}")
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative novelty tolerance of the oscillator's span closure, "
-                        "in (0, 1); checked for every set, but the two Dicke sets use "
-                        "the exact rank search and ignore it")
+                        "in [32 eps, 1) = [7.105e-15, 1); checked for every set, but the "
+                        "two Dicke sets use the exact rank search and ignore it")
     p.add_argument("--out", dest="record", default=None)
 
     p = sub.add_parser("trotter-check", help="product-formula error scaling")

@@ -339,10 +339,56 @@ def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
     return out[..., :d, :].view(complex).reshape(psi.shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _mirror_tables(space: DickeSpace) -> tuple:
+    """The index tables of :func:`squeeze_eigenpairs` for even N: per
+    block, its lower band (diagonal, subdiagonal) as f (first + s second)
+    of the bands [diag, off, 0, ceiling] and its place in a flat block; per
+    chain slot and column, the flat block eigenvector entry and its factor."""
+    d = space.dim
+    length, size = (d + 1) // 2, (d + 3) // 4
+    k, r = np.arange(size), np.arange(length)
+    src, factor = np.full((2, 4, 2 * size - 1), 2 * d - 2), np.ones((4, 2 * size - 1))
+    take, scale = [], []
+    halves = ((0, 1), (0, -1), (1, -1), (1, 1))  # (chain, s), chain by chain
+    for b, (c, s) in enumerate(halves):
+        n, z = length - c, (length - c + (s > 0)) // 2  # slots of the chain, of the block
+        src[0, b, :size] = np.where(k < z, c + 2 * k, 2 * d - 1)
+        src[0, b, size:size + z - 1] = d + c + 2 * k[:z - 1]
+        if n % 2 == 0:  # the corner H[k, k] + s H[k, k+1], k + 1 = n-1-k
+            src[1, b, z - 1] = d + c + 2 * z - 2
+        elif s > 0 and z > 1:  # the middle slot k: (H[k, k-1] + H[k, k+1]) / sqrt 2
+            src[1, b, size + z - 2], factor[b, size + z - 2] = d + c + 2 * z - 2, np.sqrt(0.5)
+        rows = np.where(r < n, np.minimum(r, n - 1 - r), size - 1)  # padded: slot P - 1
+        cols = k[:length - size] if b % 2 else k
+        take.append(b * size ** 2 + size * rows[:, None] + cols)
+        q = np.where(r == n - 1 - r, (1 + s) / 2, np.sqrt(0.5) * np.where(r < n - 1 - r, 1, s))
+        scale.append(np.outer(np.where(r < n, q, s < 0), np.ones(cols.size)))
+    place = np.concatenate([k * (size + 1), k[:-1] * (size + 1) + size])
+    return (src, np.array(halves)[:, 1:], factor, place,
+            *(np.array([np.hstack(t[:2]), np.hstack(t[2:])]) for t in (take, scale)))
+
+
 def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.ndarray]:
-    """The :func:`_chain_eigh` eigenpairs of -(alpha J_x^2 + beta J_y^2),
-    which couples m only to m +- 2, for every row (alpha, beta) of the (M, 2)
-    table ``strengths``: w (M, 2, L) and v (M, 2, L, L) from one eigh call.
+    """Eigenpairs of -(alpha J_x^2 + beta J_y^2), which couples m only to
+    m +- 2, laid out as the stride-2 chains of :func:`_chain_eigh`, for every
+    row (alpha, beta) of the (M, 2) table ``strengths``: w (M, 2, L) and
+    v (M, 2, L, L) from one eigh call.
+
+    The generator commutes with the mirror m <-> N - m, the pi rotation
+    about x.  For odd N the mirror swaps the chains: eigh takes the even one
+    alone, M blocks of L slots, and the odd one's eigenvectors are its rows
+    reversed.  For even N it maps chain c of n slots onto itself, k to
+    n-1-k, and splits it in the basis q_k = g_k (e_k + s e_{n-1-k}), s = +-1,
+    g = 1/sqrt 2, or 1/2 at a middle slot (Cantoni and Butler, Linear
+    Algebra Appl. 13, 275 (1976)).  Block (c, s) is the chain's upper left
+    quarter but for its corner H[k, k] + s H[k, k+1], k + 1 = n-1-k, or its
+    middle slot's coupling sqrt 2 H[k-1, k]; an eigenvector u of it is
+    sum_k u_k q_k.  eigh takes the 4M blocks padded to P = ceil(L/2) slots,
+    a padded diagonal above every eigenvalue (Gershgorin) so that it sorts
+    last.  A chain takes every column of its first block and the L - P
+    unpadded ones of its second; block (1, -1)'s padded column is chain 1's
+    padded slot, of eigenvalue 0.
 
     One result serves every convention: the squeeze
     exp(s i (alpha S_x^2 + beta S_y^2)) with S = scale * J is exp(i k w) in
@@ -363,7 +409,21 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
         k = int(np.argmax(bad))
         raise NormDriftError(f"squeeze strengths {given[k].tolist()} of step {k + 1} "
                              "make the combined squeeze generator non-finite")
-    return _chain_eigh(diags, offs, 2)
+    if space.n_emitters % 2:
+        w, v = _chain_eigh(diags[:, ::2], offs[:, ::2], 1)
+        return np.concatenate([w, w], 1), np.concatenate([v, v[..., ::-1, :]], 1)
+    src, sign, factor, place, take, scale = _mirror_tables(space)
+    length, size = (space.dim + 1) // 2, (space.dim + 3) // 4
+    bands = np.concatenate([diags, offs, np.zeros((len(diags), 2))], axis=1)
+    bands[:, -1] = 4 * np.abs(bands).max(axis=1) + 1  # the ceiling
+    blocks = np.zeros((len(bands), 4, size * size))  # eigh reads the lower half
+    blocks[..., place] = factor * (bands[:, src[0]] + sign * bands[:, src[1]])
+    w, u = np.linalg.eigh(blocks.reshape(-1, 4, size, size))
+    v = np.take(u.reshape(-1, 4 * size ** 2), take, axis=1)
+    v *= scale
+    w = w.reshape(-1, 2, 2 * size)[..., :length]
+    w[:, 1, size - 1] = 0.0  # chain 1's padded slot
+    return w, v
 
 
 def _checked(psi: np.ndarray) -> np.ndarray:
@@ -479,7 +539,9 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         coef[..., :3] = mul(args, _ZXZ_FROM_ARGS) + offset
         coef[..., 3] = strengths[..., yx]
         coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
-        phases = np.exp(1j * mul(coef, rows)).reshape(lead + (n_steps + 1, -1, space.dim))
+        # the product squeeze's slot 3, its second squeeze alone, only serves per_step
+        slots = rows if per_step else rows[:, :3 * space.dim]
+        phases = np.exp(1j * mul(coef, slots)).reshape(lead + (n_steps + 1, -1, space.dim))
         # phases[k, slot] is (d, 1), or (B, d, 1) for a stack, shared by the columns
         phases = (np.moveaxis(phases, 0, 2) if stacked else phases)[..., None]
         if combined:  # squeeze_phases[k] is (2, L), or (B, 2, L) for a stack

@@ -402,6 +402,23 @@ def test_closure_rejects_rank_tol_outside_unit_interval(tmp_path, capsys, rank_t
     assert not (tmp_path / "rec.json").exists()
 
 
+@pytest.mark.parametrize("rank_tol", ["1e-300", "1e-16", "7e-15"])
+def test_closure_rejects_rank_tol_below_its_floor(tmp_path, capsys, rank_tol):
+    # below 32 eps the span closure admits roundoff as directions: at
+    # rank_tol 1e-16 the oscillator set reads 99/143 with 488 artifacts
+    out = tmp_path / "rec.json"
+    assert run_cli(["closure", "--set", "oscillator", "--rank-tol", rank_tol,
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --rank-tol ") and "32 eps" in err[0], err
+    assert not out.exists()
+    for accepted in ("1e-14", "1e-8"):
+        assert run_cli(["closure", "--set", "oscillator", "--rank-tol", accepted,
+                        "--out", str(out)]) == 0
+        outputs = json.loads(out.read_text())["outputs"]
+        assert (outputs["traceless_dimension"], outputs["artifact_count"]) == (5, 23), accepted
+
+
 def test_trotter_check_command(tmp_path):
     out = tmp_path / "rec.json"
     assert run_cli(["trotter-check", "--n", "4", "--t", "1.0",
@@ -819,16 +836,19 @@ def test_huge_custom_amplitudes_normalize(tmp_path):
 
 @pytest.mark.parametrize("sequence, n_steps", [("cat2", 1), ("gkp-square", 11)])
 def test_sweep_diagonalizes_each_squeeze_once(tmp_path, monkeypatch, sequence, n_steps):
-    # the per-space bases hold one more eigh, made once per process
-    gates._propagation_bases(dickesim.DickeSpace(40))
-    argv = ["replay", "--sequence", sequence, "--n", "40", "--sweep-conventions",
-            "--out", str(tmp_path / "rec.json")]
-    # one eigh call diagonalizes the 2 parity chains of every step, which
-    # serve both signs, where one set per sign would make 2 x 2 blocks per
-    # step and one per convention 8 x 2; a second sweep repeats the work,
+    # one eigh call diagonalizes every step's squeeze, which serves both
+    # signs, where one per sign would make twice the blocks and one per
+    # convention eight times: for even N the symmetric and antisymmetric
+    # mirror blocks of both parity chains, for odd N the even chain alone,
+    # whose mirror image is the odd chain; a second sweep repeats the work,
     # nothing carries over
-    assert _count_gates_eigh(monkeypatch, argv) == [2 * n_steps]
-    assert _count_gates_eigh(monkeypatch, argv) == [2 * n_steps]
+    for n, blocks in ((40, 4), (41, 1)):
+        # the per-space bases hold one more eigh, made once per process
+        gates._propagation_bases(dickesim.DickeSpace(n))
+        argv = ["replay", "--sequence", sequence, "--n", str(n), "--sweep-conventions",
+                "--out", str(tmp_path / "rec.json")]
+        assert _count_gates_eigh(monkeypatch, argv) == [blocks * n_steps], n
+        assert _count_gates_eigh(monkeypatch, argv) == [blocks * n_steps], n
 
 
 @pytest.mark.parametrize("sequence", ["cat2", "gkp-square"])

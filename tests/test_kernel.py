@@ -244,15 +244,85 @@ def test_density_and_column_block_match_dense(n):
             assert np.max(np.abs(kernel * np.sqrt(3) - one_by_one)) <= 1e-13
 
 
+def squeeze_bands(space, alpha, beta):
+    """The diagonal and the m, m + 2 entries of -(alpha J_x^2 + beta J_y^2)."""
+    sq = [(s @ s).real for s in _spin_triple(space, Convention.SPIN_J)[:2]]
+    gen = -alpha * sq[0] - beta * sq[1]
+    return np.diag(gen), np.diag(gen, 2)
+
+
+def chain_blocks(diag, off):
+    """The blocks (2, L, L) of the even and the odd levels of the H with the
+    diagonal ``diag`` and H[m, m + 2] = ``off[m]``, zero-padded to one length."""
+    length = (diag.size + 1) // 2
+    blocks = np.zeros((2, length, length))
+    for c in (0, 1):
+        n = diag[c::2].size
+        blocks[c, :n, :n] = np.diag(diag[c::2]) + np.diag(off[c::2], 1) + np.diag(off[c::2], -1)
+    return blocks
+
+
+def mirror_eigh(diag, off):
+    """The eigenpairs that ``squeeze_eigenpairs`` makes of the chains of the
+    H with the diagonal ``diag`` and H[m, m + 2] = ``off[m]``, replayed
+    chain by chain and in the units of the input: per parity chain, w and
+    v laid out as the kernel lays them.  Odd N: eigh of the even chain,
+    whose rows reversed are the odd chain's eigenvectors.  Even N: a chain
+    of n slots splits into the blocks s = +-1 of its upper left quarter,
+    but for the corner H[k, k] + s H[k, k+1] at k + 1 = n-1-k and the middle
+    slot's coupling (H[k, k-1] + H[k, k+1]) / sqrt 2, padded to ceil(L/2)
+    slots with a diagonal above every eigenvalue; the chain takes every
+    column of its first block, the unpadded ones of its second, and
+    sum_k u_k q_k with q_k = g_k (e_k + s e_{n-1-k}) as the eigenvector."""
+    d = diag.size
+    length = (d + 1) // 2
+    chains = chain_blocks(diag, off)
+    if d % 2 == 0:
+        w, v = np.linalg.eigh(chains[0])
+        return [(w, v), (w, v[::-1])]
+    size = (length + 1) // 2
+    ceiling = 4 * max(np.abs(diag).max(), np.abs(off).max()) + 1
+    out = []
+    for c, signs in ((0, (1, -1)), (1, (-1, 1))):
+        h, n = chains[c], length - c
+        pairs = []
+        for s in signs:
+            block = np.diag(np.full(size, ceiling))
+            for k in range((n + (s > 0)) // 2):
+                block[k, k] = h[k, k] + s * (h[k, k + 1] if 2 * k + 2 == n else 0.0)
+                if k:
+                    block[k, k - 1] = block[k - 1, k] = (
+                        np.sqrt(0.5) * (h[k, k - 1] + h[k, k + 1]) if 2 * k + 1 == n
+                        else h[k, k - 1] + s * 0.0)
+            pairs.append(np.linalg.eigh(block))
+        widths = (size, length - size)
+        w = np.concatenate([pairs[0][0], pairs[1][0][:widths[1]]])
+        if c:  # chain 1's padded slot
+            w[size - 1] = 0.0
+        v = np.zeros((length, length))
+        for r in range(length):
+            for q, s in enumerate(signs):
+                if r >= n:  # the padded slot of the first block
+                    k, e = size - 1, float(s < 0)
+                else:
+                    k = min(r, n - 1 - r)
+                    g = 0.5 if 2 * k == n - 1 else np.sqrt(0.5)
+                    e = g * (1 if r < n - 1 - r else s if r > n - 1 - r else 1 + s)
+                v[r, q * size:q * size + widths[q]] = e * pairs[q][1][k, :widths[q]]
+        out.append((w, v))
+    return out
+
+
 def s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=True):
     """exp(sign i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the
-    convention's own S units.  Folded, as the kernel does it: eigh of
-    -(alpha S_x^2 + beta S_y^2) and the phases exp(i (-sign) w), the reference
-    that the J-unit eigenpairs reproduce bit for bit.  Unfolded: eigh of the
-    signed generator sign (alpha S_x^2 + beta S_y^2) itself, phases exp(i w).
-    Laid out as the kernel's chains: the even and the odd levels, zero-padded
-    to one length, each matvec on the real and imaginary parts as two real
-    columns."""
+    convention's own S units.  Folded, as the kernel does it: the
+    :func:`mirror_eigh` eigenpairs of -(alpha S_x^2 + beta S_y^2) and the
+    phases exp(i (-sign) w), the reference that the J-unit eigenpairs
+    reproduce bit for bit.  Unfolded: eigh of each parity chain of the
+    signed generator sign (alpha S_x^2 + beta S_y^2) itself, phases
+    exp(i w).  Laid out as the kernel's chains: the even and the odd levels,
+    zero-padded to one length, each matvec on the real and imaginary parts
+    as two real columns."""
     sq = [(s @ s).real for s in _spin_triple(space, convention)[:2]]
     a, b, k = (-alpha, -beta, -sign) if folded else (sign * alpha, sign * beta, 1)
     d = space.dim
@@ -261,10 +331,13 @@ def s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=True):
     diag[:d] = a * np.diag(sq[0]) + b * np.diag(sq[1])
     off[:d - 2] = a * np.diag(sq[0], 2) + b * np.diag(sq[1], 2)
     padded[:d] = psi
+    if folded:
+        pairs = mirror_eigh(diag[:d], off[:d - 2])
+    else:
+        pairs = [np.linalg.eigh(np.diag(diag[p::2]) + np.diag(off[p::2], 1)
+                                + np.diag(off[p::2], -1)) for p in (0, 1)]
     out = np.empty_like(padded)
-    for parity in (0, 1):
-        e = off[parity::2]
-        w, v = np.linalg.eigh(np.diag(diag[parity::2]) + np.diag(e, 1) + np.diag(e, -1))
+    for parity, (w, v) in enumerate(pairs):
         coeffs = (v.T @ padded[parity::2, None].view(float)).view(complex)
         coeffs *= np.exp(1j * (k * w))[:, None]
         out[parity::2] = (v @ coeffs.view(float)).view(complex)[:, 0]
@@ -386,6 +459,90 @@ def test_folded_sign_matches_eigh_of_the_signed_generator(alpha, beta, n, sign, 
         expected = s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=False)
         got = propagate(space, params, conv, psi)
         assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, largest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), alpha=st.floats(-np.pi, np.pi),
+       beta=st.one_of(st.floats(-np.pi, np.pi), st.sampled_from(["-alpha", "zero"])),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=40, alpha=0.0, beta="zero", seed=0)
+@example(n=41, alpha=1.0, beta="-alpha", seed=0)
+@example(n=42, alpha=0.5, beta="-alpha", seed=0)
+def test_mirror_eigenpairs_rebuild_each_chain(n, alpha, beta, seed):
+    # the half-size mirror blocks, laid out as chains, are orthogonal
+    # eigenpairs of every chain block, also where alpha = -beta puts exact
+    # zero eigenvalues next to a padded slot; odd N's chains are mirror
+    # images, even N's eigenvectors even or odd under the chain reversal
+    beta = {"-alpha": -alpha, "zero": 0.0}.get(beta, beta)
+    space = DickeSpace(n)
+    chains = chain_blocks(*squeeze_bands(space, alpha, beta))
+    norm = max(np.abs(chains).max(), np.finfo(float).tiny)
+    w, v = squeeze_eigenpairs(space, [[alpha, beta]])
+    w, v = w[0], v[0]
+    length = chains.shape[-1]
+    assert w.shape == (2, length) and v.shape == (2, length, length)
+    assert np.max(np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(length))) <= 1e-14
+    assert np.max(np.abs((v * w[:, None, :]) @ np.swapaxes(v, 1, 2) - chains)) <= 1e-13 * norm
+    if n % 2:
+        assert np.max(np.abs(np.sort(w[0]) - np.sort(w[1]))) <= 1e-13 * norm
+    else:
+        for c, size in enumerate(((n + 2) // 2, n // 2)):
+            for col in v[c, :size].T:
+                assert np.array_equal(col[::-1], col) or np.array_equal(col[::-1], -col)
+    rng = np.random.default_rng(seed)
+    for c in (0, 1):
+        psi = np.zeros(space.dim, complex)
+        psi[c::2] = rng.normal(size=psi[c::2].size) + 1j * rng.normal(size=psi[c::2].size)
+        if not psi.any():
+            continue
+        psi /= np.linalg.norm(psi)
+        got = _chain_exp(v, np.exp(1j * (rng.uniform(-4.0, 4.0) * w)), psi)
+        assert not got[1 - c::2].any()
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
+
+
+def _mp_chain_exp(diag, off, k, psi):
+    """exp(i k H) psi at 40 digits, H the tridiagonal matrix of the chain."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        size = diag.size
+        h = mpmath.matrix(size, size)
+        for i in range(size):
+            h[i, i] = diag[i]
+            if i + 1 < size:
+                h[i, i + 1] = h[i + 1, i] = off[i]
+        w, q = mpmath.eigsy(h)
+        x = [mpmath.mpc(complex(p)) for p in psi]
+        coeffs = [mpmath.expj(k * w[j]) * mpmath.fsum(q[r, j] * x[r] for r in range(size))
+                  for j in range(size)]
+        return np.array([complex(mpmath.fsum(q[r, j] * coeffs[j] for j in range(size)))
+                         for r in range(size)])
+
+
+@pytest.mark.parametrize("n", [40, 41, 100])
+def test_mirror_squeeze_is_as_accurate_as_the_whole_chains(n):
+    # against a 40-digit exponential of each chain, the mirror eigenpairs
+    # err no more than an eigh of the whole chains does, with a margin for
+    # roundoff.  At N = 100 only the odd chain, which holds the padded slot,
+    # is checked: a 40-digit eigh of its 50 slots takes ~2 s
+    space = DickeSpace(n)
+    rng = np.random.default_rng(53 + n)
+    alpha, beta = rng.uniform(-np.pi, np.pi, 2)
+    diag, off = squeeze_bands(space, alpha, beta)
+    k = rng.choice([-4.0, -1.0, 1.0, 4.0])
+    psi = random_state(space, rng)
+    if n == 100:
+        psi[0::2] = 0.0
+    exact = np.zeros(space.dim, complex)
+    for c in (0, 1):
+        if psi[c::2].any():
+            exact[c::2] = _mp_chain_exp(diag[c::2], off[c::2], k, psi[c::2])
+    w, v = squeeze_eigenpairs(space, [[alpha, beta]])
+    mirror = np.max(np.abs(_chain_exp(v[0], np.exp(1j * (k * w[0])), psi) - exact))
+    w, v = _chain_eigh(diag, off, 2)
+    whole = np.max(np.abs(_chain_exp(v, np.exp(1j * (k * w)), psi) - exact))
+    assert mirror <= 1.5 * whole, (mirror, whole)
 
 
 def test_propagate_rejects_bad_inputs():
