@@ -204,6 +204,9 @@ class _Bases(NamedTuple):
     y_to_x: np.ndarray      # ... and back
     merged_rows: np.ndarray  # phase rows of the product-squeeze path, (5, 4 d)
     zxz_rows: np.ndarray    # phase rows of the combined-squeeze path, (5, 3 d)
+    merged_seeds: np.ndarray  # seed rows of the product-squeeze path, (5, 4 * 6)
+    zxz_seeds: np.ndarray   # seed rows of the combined-squeeze path, (5, 3 * 6)
+    level_take: np.ndarray  # the two grown halves, flat, to level order, (d,)
     sq_diag: np.ndarray     # diagonals of J_x^2 and J_y^2, shape (2, d)
     sq_off: np.ndarray      # their m, m+2 entries, shape (2, d - 2)
 
@@ -225,7 +228,8 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     Z(a) X(b) Z(c).
 
     Everything is in J units; :func:`propagate` scales the coefficients to
-    the operator convention, S = scale * J.
+    the operator convention, S = scale * J.  The seed rows and
+    ``level_take`` serve the recurrence of :func:`_slot_phases`.
     """
     jx, jy = build_sx(space), build_sy(space)
     wx, vx = np.linalg.eigh(jx.real)
@@ -240,12 +244,30 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     zxz = np.zeros((5, 3, space.dim))
     zxz[0, 2] = zxz[2, 0] = jz
     zxz[1, 1] = wx
+    # A slot's phases are exp(i (L x + Q x^2)) on the levels x = m - N/2,
+    # the eigenvalues of J_x and J_y as well as of J_z.  (L, Q) per entry of
+    # coef: slots 0-2 take the angles c, b and a as L, the product squeeze's
+    # slots 0, 2 and 3 the strengths s2, s1 and s2 as Q
+    lq = np.zeros((5, 4, 2))
+    lq[[2, 1, 0], [0, 1, 2], 0] = 1.0
+    lq[[4, 3, 4], [0, 2, 3], 1] = 1.0
+    # (L, Q) -> the arguments of f_s, r_s and q per half: the upper half
+    # x = x_s, x_s + 1, ... and the lower half x = -x_s, -x_s - 1, ..., grown
+    # from the middle level x_s (0 for even N, 1/2 for odd N) with L negated
+    mid = 0.5 * (space.n_emitters % 2)
+    args = np.array([[[mid, 1.0, 0.0], [-mid, -1.0, 0.0]],
+                     [[mid * mid, 2 * mid + 1, 2.0]] * 2])
+    merged_seeds, zxz_seeds = (np.einsum("psl,lha->psha", t, args).reshape(5, -1)
+                               for t in (lq, lq[:, :3] * [1.0, 0.0]))
+    half, j = (space.dim + 1) // 2, np.arange(space.dim)
+    level_take = np.where(j >= space.dim // 2, j - space.dim // 2, half + (space.dim - 1) // 2 - j)
     vx = vx.astype(complex)
     vy_h = np.ascontiguousarray(vy.conj().T)
     x_to_y = vy_h @ vx
     return _Bases(jz, wx, vx, vx.T, vy, vy_h,
                   x_to_y, np.ascontiguousarray(x_to_y.conj().T),
                   merged.reshape(5, -1), zxz.reshape(5, -1),
+                  merged_seeds, zxz_seeds, level_take,
                   np.array([np.diag(q) for q in sq]),
                   np.array([np.diag(q, 2) for q in sq]))
 
@@ -294,6 +316,17 @@ _MERGED_EULER = {
 _ARG_COLUMNS = np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]])
 _ZXZ_FROM_ARGS = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 _TINY = np.finfo(float).tiny
+# From this many levels d = N + 1 on, _slot_phases grows its phases by
+# recurrence instead of one exp each; below, it keeps the direct exp, bit
+# for bit.  Measured with one BLAS thread on a 2-vCPU x86 host, as the time
+# ratio recurrence / direct exp: a convention sweep reads 0.93-1.02 at
+# N = 16, 0.90-0.94 at N = 20 and 0.76-0.91 at N = 40 and 100 (M = 1..11);
+# one propagate call, a group of one, reads up to 1.17 at N = 16..30 (median
+# 1.10) and 0.97-1.07 at N = 40.  M moves only the break-even of a group of
+# one, which a rule blind to the group size cannot follow, so the rule reads
+# d alone; it must not read the group size, or a sweep would lose the bits
+# of each convention's own propagate call.
+RECURRENCE_MIN_LEVELS = 17
 
 
 def _chain_eigh(diag: np.ndarray, off: np.ndarray, stride: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -450,6 +483,36 @@ def _quaternions(turns: np.ndarray, product_rotation: bool) -> np.ndarray:
     return quat
 
 
+def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: int,
+                 mul: Callable = np.ndarray.dot) -> np.ndarray:
+    """The first ``n_slots`` phase slots of the coefficient table ``coef``
+    (..., 5) on the combined- or product-squeeze path, shape
+    (..., n_slots, d), C-contiguous; ``mul`` is the plan's product.
+
+    Below RECURRENCE_MIN_LEVELS levels this is the direct exp(i coef @ rows).
+    From there on slot (L, Q) is grown from the middle level x_s, the one at
+    or just above x = 0: with f(x) = exp(i (L x + Q x^2)), the ratios
+    r(x + 1) = f(x + 1) / f(x) step by q = exp(2 i Q).  One exp gives f(x_s),
+    r(x_s + 1) and q for the upper half and, with L negated, for the mirrored
+    lower half; one multiply.accumulate grows the ratios and one the phases,
+    and np.take lays them out in level order.  A phase n levels from the
+    middle then errs by about n^2 eps / 2, where the direct exp errs by eps
+    times its argument, |Q| n^2 with n up to N/2.  Every step is
+    elementwise, so a slice keeps its bits in any group.
+    """
+    bases = _propagation_bases(space)
+    lead, d = coef.shape[:-1], space.dim
+    if d < RECURRENCE_MIN_LEVELS:
+        rows = (bases.zxz_rows if combined else bases.merged_rows)[:, :n_slots * d]
+        return np.exp(1j * mul(coef, rows)).reshape(lead + (n_slots, d))
+    seeds = (bases.zxz_seeds if combined else bases.merged_seeds)[:, :6 * n_slots]
+    seeded = np.exp(1j * mul(coef, seeds)).reshape(lead + (n_slots, 2, 3))
+    grown = np.repeat(seeded, [1, 1, (d + 1) // 2 - 2], axis=-1)  # f_s, r_s, q, q, ...
+    np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
+    np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
+    return np.take(grown.reshape(lead + (n_slots, -1)), bases.level_take, axis=-1)
+
+
 @functools.lru_cache(maxsize=None)
 def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: int) -> Callable:
     """The kernel of :func:`propagate` for one space, step count M and a
@@ -492,12 +555,15 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     # square, exact products since both are powers of two
     turn_scale = per_slice([c.exponent_sign * c.scale for c in conventions])
     strength_scale = per_slice([c.exponent_sign * c.scale ** 2 for c in conventions])
-    # the combined squeeze's phases are exp(i k w), w of shape (M, 2, L)
+    # the combined squeeze's phases are exp(i k w), w of shape (M, 2, L); a
+    # stack evaluates them once per distinct k (4 for the sweep's 8 slices)
+    # and gathers them per slice, the same products
     squeeze_k = -strength_scale
+    distinct_k, which_k = np.unique(np.ravel(squeeze_k), return_inverse=True)
+    distinct_k = distinct_k[:, None, None]
     combined = conventions[0].squeeze_composition == "combined"
     squeeze_order = conventions[0].squeeze_order
     yx = int(squeeze_order == "yx")
-    rows = bases.zxz_rows if combined else bases.merged_rows
     # Per rotation composition, the slices that use it and the map from its
     # quaternions (or, for the product rotation, the eight half-angle
     # products) to the columns the Z-X-Z angles are read from; offset is
@@ -540,13 +606,13 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         coef[..., 3] = strengths[..., yx]
         coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
         # the product squeeze's slot 3, its second squeeze alone, only serves per_step
-        slots = rows if per_step else rows[:, :3 * space.dim]
-        phases = np.exp(1j * mul(coef, slots)).reshape(lead + (n_steps + 1, -1, space.dim))
+        phases = _slot_phases(space, coef, combined, 4 if per_step and not combined else 3, mul)
         # phases[k, slot] is (d, 1), or (B, d, 1) for a stack, shared by the columns
         phases = (np.moveaxis(phases, 0, 2) if stacked else phases)[..., None]
         if combined:  # squeeze_phases[k] is (2, L), or (B, 2, L) for a stack
             w, v = squeeze_eigenpairs(space, table[:-1, 3:])
-            squeeze_phases = np.exp(1j * (squeeze_k * (w[:, None] if stacked else w)))
+            squeeze_phases = (np.take(np.exp(1j * (distinct_k * w[:, None])), which_k, axis=1)
+                              if stacked else np.exp(1j * (squeeze_k * w)))
         psi = cols if combined else mul(v2_h, cols)
         states = []
         for k in range(n_steps + 1):
@@ -583,8 +649,8 @@ def propagate(space: DickeSpace, params, conventions: GateConventions,
     :func:`dickesim.optimizer.make_objective` also binds directly.  Every
     factor is a phase in a basis computed once per space, and no unitary is
     formed.  With the squeeze strengths s1 (first applied) and s2, row k of
-    ``coef`` is (a_k, b_k, c_k, s1_k, s2_{k-1}), and every phase of the
-    call is one ``exp(i coef @ rows)``.
+    ``coef`` is (a_k, b_k, c_k, s1_k, s2_{k-1}), and :func:`_slot_phases`
+    turns it into every rotation and product-squeeze phase of the call.
 
     - Product squeeze, order xy: the state stays in the J_y eigenbasis
       between steps.  One step is Y(c_k) merged with the previous S_y^2

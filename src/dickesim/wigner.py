@@ -288,6 +288,10 @@ def export_grid(grid, path) -> None:
     inner = [f"{float(b)!r}," for b in inner]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
+        # one write of one join per grid row: a % format of a row template
+        # is 4-8% faster still, but it regrows its output buffer per row,
+        # which cost 1.2 MB of peak RSS over the per-step and plane exports
+        # of the benchmark's wigner-export workload
         for a, row in zip(outer, np.asarray(grid.values, dtype=float)):
             head = f"{float(a)!r},"
-            fh.writelines(f"{head}{b}{w!r}\n" for b, w in zip(inner, row.tolist()))
+            fh.write("".join([f"{head}{b}{w!r}\n" for b, w in zip(inner, row.tolist())]))

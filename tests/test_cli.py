@@ -1033,6 +1033,57 @@ def test_numeric_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, monkeypa
             assert len(err) == 1, (argv, err)
 
 
+_SEQUENCE_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-300, -0.0,
+                    0.0, -1.0, 1e15]
+
+
+def _with_value(doc: dict, field: str, value: float) -> dict:
+    """A copy of the sequence document ``doc`` with ``value`` put into the
+    last step's ``field``, its axis' first component, or the final theta."""
+    doc = json.loads(json.dumps(doc))
+    step = doc["steps"][-1]
+    if field == "axis":
+        step["axis"][0] = value
+    elif field == "final_theta":
+        doc["final_rotation"]["theta"] = value
+    else:
+        step[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("composition", gates.SQUEEZE_COMPOSITIONS)
+@pytest.mark.parametrize("n", [4, 40])  # one on each side of gates.RECURRENCE_MIN_LEVELS
+def test_sequence_file_values_at_extremes_exit_cleanly(tmp_path, capsys, n, composition):
+    # each extreme value in a step's theta, alpha, beta and axis, and in the
+    # final theta, replayed plain and swept: a record (exit 0) or one error
+    # line (exit 2 or 3), never a traceback or a RuntimeWarning
+    assert 4 + 1 < gates.RECURRENCE_MIN_LEVELS <= 40 + 1
+    base = {
+        "format_version": 1, "n_emitters": n, "convention": "pauli-sum",
+        "exponent_sign": -1, "squeeze_order": "xy",
+        "squeeze_composition": composition, "rotation_composition": "combined",
+        "steps": [{"axis": [0.0, 1.0, 0.0], "theta": 0.4, "alpha": 0.2, "beta": -0.1},
+                  {"axis": [1.0, 0.0, 0.0], "theta": 0.3, "alpha": 0.1, "beta": 0.2}],
+        "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.5},
+        "metadata": {"target": {"kind": "coherent", "gamma": [0.1, 0.0]}},
+    }
+    seq, out = tmp_path / "seq.json", tmp_path / "rec.json"
+    codes = set()
+    for field in ("theta", "alpha", "beta", "axis", "final_theta"):
+        for value in _SEQUENCE_VALUES:
+            seq.write_text(json.dumps(_with_value(base, field, value)))
+            for sweep in ([], ["--sweep-conventions"]):
+                argv = ["replay", "--sequence", str(seq), *sweep, "--out", str(out)]
+                code = run_cli(argv)
+                err = capsys.readouterr().err.splitlines()
+                assert code in (0, 2, 3), (field, value, argv)
+                if code:
+                    assert len(err) == 1, (field, value, argv, err)
+                    assert err[0].startswith(("error: ", "numerical failure: ")), err
+                codes.add(code)
+    assert codes == {0, 2, 3}
+
+
 @pytest.mark.parametrize("flags", [["--n-theta", "-1"], ["--n-phi", "-1"],
                                    ["--surface", "plane", "--x-max", "-1"],
                                    ["--surface", "plane", "--p-max", "-1"]])

@@ -22,6 +22,7 @@ from dickesim.core import DimensionMismatchError, _fidelity_with_vector
 from dickesim.gates import (
     CONVENTION_SWEEP,
     EXPONENT_SIGNS,
+    RECURRENCE_MIN_LEVELS,
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
@@ -29,6 +30,8 @@ from dickesim.gates import (
     _chain_exp,
     _plan,
     _propagate_each,
+    _propagation_bases,
+    _slot_phases,
     propagate,
     propagate_sweep,
     squeeze_eigenpairs,
@@ -78,7 +81,11 @@ def test_kernel_matches_dense_on_every_convention(n):
                           propagate(space, params, conv, ground))
 
 
-@pytest.mark.parametrize("n", [4, 5, 40, 41])
+# the largest N below the size rule of gates._slot_phases and the smallest at it
+RULE_EDGE = [RECURRENCE_MIN_LEVELS - 2, RECURRENCE_MIN_LEVELS - 1]
+
+
+@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41])
 def test_sweep_equals_propagate_under_each_convention_bitwise(n):
     # the sweep's one set of combined-squeeze eigenpairs gives the bits that
     # each convention's own propagate call gives, for a vector, the vector as
@@ -105,7 +112,7 @@ def test_sweep_equals_propagate_under_each_convention_bitwise(n):
         propagate_sweep(space, [0.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0], ground)
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE])
 def test_stacked_per_step_states_equal_each_convention_bitwise(n):
     # the stacked step loops also give each convention's per-step states
     rng = np.random.default_rng(2100 + n)
@@ -543,6 +550,82 @@ def test_mirror_squeeze_is_as_accurate_as_the_whole_chains(n):
     w, v = _chain_eigh(diag, off, 2)
     whole = np.max(np.abs(_chain_exp(v, np.exp(1j * (k * w)), psi) - exact))
     assert mirror <= 1.5 * whole, (mirror, whole)
+
+
+# (L, Q) of each phase slot as entries of a coef row (a, b, c, s1, s2): the
+# product squeeze's slots are X(a) with s1, Z(b), Y(c) with s2 and s2 alone;
+# the combined squeeze's Z(c), X(b) and Z(a) carry no Q
+_SLOT_LQ = [(2, 4), (1, None), (0, 3), (None, 4)]
+
+
+def _phase_coef(rng, rows):
+    """Coefficient rows at the pauli-sum scale: |L| <= 2 pi, |Q| <= 4 pi."""
+    return np.hstack([rng.uniform(-2 * np.pi, 2 * np.pi, (rows, 3)),
+                      rng.uniform(-4 * np.pi, 4 * np.pi, (rows, 2))])
+
+
+def _slot_lq(coef, combined):
+    """(L, Q) per coef row and slot, shape (rows, slots, 2)."""
+    out = np.zeros((len(coef), 3 if combined else 4, 2))
+    for slot in range(out.shape[1]):
+        for i, index in enumerate(_SLOT_LQ[slot]):
+            if index is not None and not (i and combined):
+                out[:, slot, i] = coef[:, index]
+    return out
+
+
+def _mp_level_phases(lq, n):
+    """exp(i (L x + Q x^2)) on x = -N/2 .. N/2 at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(j) - mpmath.mpf(n) / 2 for j in range(n + 1)]
+        return np.array([[[complex(mpmath.expj(mpmath.mpf(float(l)) * x
+                                              + mpmath.mpf(float(q)) * x * x)) for x in xs]
+                          for l, q in row] for row in lq])
+
+
+@pytest.mark.parametrize("n", [17, 40, 41, 100, 400])
+@pytest.mark.parametrize("combined", [False, True])
+def test_grown_phases_are_more_accurate_than_the_direct_exp(n, combined):
+    # against 40 digits, the phases grown from the middle level err no more
+    # than the direct exp of the plan's rows (whose J_x levels come from
+    # eigh), nor than the direct exp on the exact levels, whose argument
+    # |Q| x^2 loses digits as N grows; a recurrence grown from x = -N/2
+    # starts where that argument is largest, and fails this
+    assert n + 1 >= RECURRENCE_MIN_LEVELS
+    rng = np.random.default_rng(59 + n)
+    space = DickeSpace(n)
+    coef = _phase_coef(rng, 3)
+    slots = 3 if combined else 4
+    lq = _slot_lq(coef, combined)
+    exact = _mp_level_phases(lq, n)
+    grown = _slot_phases(space, coef, combined, slots)
+    assert grown.flags.c_contiguous and grown.shape == exact.shape
+    bases = _propagation_bases(space)
+    rows = (bases.zxz_rows if combined else bases.merged_rows)[:, :slots * space.dim]
+    direct = np.exp(1j * (coef @ rows)).reshape(exact.shape)
+    x = np.arange(space.dim) - n / 2
+    on_levels = np.exp(1j * (lq[..., :1] * x + lq[..., 1:] * x * x))
+    err = [np.max(np.abs(p - exact)) for p in (grown, direct, on_levels)]
+    assert err[0] <= min(err[1:]), err
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, RECURRENCE_MIN_LEVELS - 2])
+@pytest.mark.parametrize("combined", [False, True])
+def test_phases_below_the_size_rule_are_the_direct_exp_bitwise(n, combined):
+    rng = np.random.default_rng(61 + n)
+    space = DickeSpace(n)
+    assert space.dim < RECURRENCE_MIN_LEVELS
+    bases = _propagation_bases(space)
+    rows = bases.zxz_rows if combined else bases.merged_rows
+    for slots in ((3,) if combined else (3, 4)):
+        for coef, mul in ((_phase_coef(rng, 4), np.ndarray.dot),
+                          (_phase_coef(rng, 8).reshape(2, 4, 5), np.matmul)):
+            got = _slot_phases(space, coef, combined, slots, mul)
+            expected = np.exp(1j * (coef @ rows[:, :slots * space.dim]))
+            assert np.array_equal(got, expected.reshape(got.shape))
+            assert got.flags.c_contiguous
 
 
 def test_propagate_rejects_bad_inputs():
