@@ -163,12 +163,15 @@ def cmd_replay(args) -> tuple[dict, dict]:
 
 
 def cmd_optimize(args) -> tuple[dict, dict]:
-    for flag, value, least in (("--steps", args.steps, 0), ("--start-steps", args.start_steps, 0),
-                               ("--restarts", args.restarts, 0), ("--nm-iters", args.nm_iters, 0),
-                               ("--freeze-rounds", args.freeze_rounds, 1)):
-        if value is not None and value < least:
-            raise ValueError(f"{flag} must be {'positive' if least else 'non-negative'}, "
-                             f"got {value}")
+    for flag, value, least, most in (
+            ("--steps", args.steps, 0, OPTIMIZE_MAX_STEPS),
+            ("--start-steps", args.start_steps, 0, OPTIMIZE_MAX_STEPS),
+            ("--restarts", args.restarts, 0, OPTIMIZE_MAX_RESTARTS),
+            ("--nm-iters", args.nm_iters, 0, OPTIMIZE_MAX_NM_ITERS),
+            ("--freeze-rounds", args.freeze_rounds, 1, OPTIMIZE_MAX_FREEZE_ROUNDS)):
+        if value is not None and not least <= value <= most:
+            raise ValueError(f"{flag} must be {'positive' if least else 'non-negative'} "
+                             f"and at most {most}, got {value}")
     if not 0 <= args.nm_tol < np.inf:
         raise ValueError(f"--nm-tol must be finite and non-negative, got {args.nm_tol}")
     if args.start_steps is not None and not args.resume and args.start_steps > args.steps:
@@ -295,6 +298,17 @@ def cmd_wigner(args) -> tuple[dict, dict]:
         print(f"planar Wigner uses the {PLANAR_APPROXIMATION_LABEL} approximation")
     return inputs, outputs
 
+
+# The largest counts optimize accepts, far above what CI and the benchmark
+# pass (--restarts 50, --nm-iters 1500, --steps up to 6), so that a huge count
+# is refused instead of running for days: every restart or round is a full
+# Nelder-Mead run, a million iterations take a minute or more at ~50 us per
+# objective call (N = 4), and a search grown to M steps (the paper's longest
+# has 11) searches at every length on the way, on up to 5M + 3 parameters.
+OPTIMIZE_MAX_STEPS = 100
+OPTIMIZE_MAX_RESTARTS = 10_000
+OPTIMIZE_MAX_FREEZE_ROUNDS = 1_000
+OPTIMIZE_MAX_NM_ITERS = 1_000_000
 
 # The largest --n of the rank search (N = 10,000 takes ~0.04 s on a 2-vCPU
 # host and writes a ~0.1 MB record, which grows like N) and the largest

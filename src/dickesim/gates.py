@@ -194,21 +194,28 @@ class PulseSequence:
 class _Bases(NamedTuple):
     """Per-space data of :func:`propagate`; see :func:`_propagation_bases`."""
 
-    jz: np.ndarray          # J_z diagonal, m - N/2
-    wx: np.ndarray          # J_x eigenvalues
+    jz: np.ndarray          # J_z diagonal, the levels m - N/2
     vx: np.ndarray          # J_x eigenvectors (real, stored complex) ...
     vx_h: np.ndarray        # ... and their adjoint, a transposed view
     vy: np.ndarray          # J_y eigenvectors, exp(-i pi/2 J_z) vx ...
     vy_h: np.ndarray        # ... and their adjoint
     x_to_y: np.ndarray      # vy_h @ vx: J_x-basis to J_y-basis coordinates ...
     y_to_x: np.ndarray      # ... and back
-    merged_rows: np.ndarray  # phase rows of the product-squeeze path, (5, 4 d)
-    zxz_rows: np.ndarray    # phase rows of the combined-squeeze path, (5, 3 d)
-    merged_seeds: np.ndarray  # seed rows of the product-squeeze path, (5, 4 * 6)
-    zxz_seeds: np.ndarray   # seed rows of the combined-squeeze path, (5, 3 * 6)
+    rows: tuple             # per path (product, combined), the rows of _slot_phases
     level_take: np.ndarray  # the two grown halves, flat, to level order, (d,)
     sq_diag: np.ndarray     # diagonals of J_x^2 and J_y^2, shape (2, d)
     sq_off: np.ndarray      # their m, m+2 entries, shape (2, d - 2)
+
+
+# A slot's phases are exp(i (L x + Q x^2)) on the levels x = m - N/2, the
+# eigenvalues of J_x and J_y as well as of J_z; here (L, Q) per entry of a
+# coef row (a, b, c, s1, s2) and slot.  The product squeeze's slots, in order,
+# are c and s2 in the second squeeze's eigenbasis, b in the standard basis, a
+# and s1 in the first's, and s2 alone (for ``per_step``); the combined
+# squeeze's are c, b and a of Z(a) X(b) Z(c), without Q.
+_SLOT_LQ = np.zeros((5, 4, 2))
+_SLOT_LQ[[2, 1, 0], [0, 1, 2], 0] = 1.0
+_SLOT_LQ[[4, 3, 4], [0, 2, 3], 1] = 1.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,56 +226,34 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     orthogonal and also diagonalizes S_x^2.  J_y = P J_x P^dag with the
     diagonal P = exp(-i pi/2 J_z), so P times that basis serves J_y and S_y^2.
 
-    The phase rows turn the coefficients (a, b, c, s1, s2) of one rotation
-    (see :func:`propagate`) into its phase slots: row i holds, in each slot
-    that coefficient i enters, the eigenvalues it multiplies.  The product
-    squeeze's slots are c and s2 in the second squeeze's eigenbasis, b in
-    the standard basis, a and s1 in the first squeeze's eigenbasis, and s2
-    alone (for ``per_step``); the combined squeeze's are c, b and a of
-    Z(a) X(b) Z(c).
-
-    Everything is in J units; :func:`propagate` scales the coefficients to
-    the operator convention, S = scale * J.  The seed rows and
-    ``level_take`` serve the recurrence of :func:`_slot_phases`.
+    Both paths' rows of :func:`_slot_phases` come from the one table
+    ``_SLOT_LQ``: row i holds L x + Q x^2 at each slot's (L, Q) for coef
+    entry i, below RECURRENCE_MIN_LEVELS levels at the exact levels x, in
+    eigh's ascending order (the direct rows), from there on at the six seed
+    arguments of the recurrence, whose halves ``level_take`` lays out in
+    level order.  Everything is in J units; :func:`propagate` scales the
+    coefficients to the operator convention, S = scale * J.
     """
     jx, jy = build_sx(space), build_sy(space)
-    wx, vx = np.linalg.eigh(jx.real)
+    vx = np.linalg.eigh(jx.real)[1]
     jz = np.arange(space.dim) - space.n_emitters / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
     sq = [(j @ j).real for j in (jx, jy)]
-    merged = np.zeros((5, 4, space.dim))
-    merged[0, 2] = merged[2, 0] = wx
-    merged[1, 1] = jz
-    # J_x^2 in the J_x basis and J_y^2 in the J_y basis
-    merged[3, 2] = merged[4, 0] = merged[4, 3] = wx ** 2
-    zxz = np.zeros((5, 3, space.dim))
-    zxz[0, 2] = zxz[2, 0] = jz
-    zxz[1, 1] = wx
-    # A slot's phases are exp(i (L x + Q x^2)) on the levels x = m - N/2,
-    # the eigenvalues of J_x and J_y as well as of J_z.  (L, Q) per entry of
-    # coef: slots 0-2 take the angles c, b and a as L, the product squeeze's
-    # slots 0, 2 and 3 the strengths s2, s1 and s2 as Q
-    lq = np.zeros((5, 4, 2))
-    lq[[2, 1, 0], [0, 1, 2], 0] = 1.0
-    lq[[4, 3, 4], [0, 2, 3], 1] = 1.0
-    # (L, Q) -> the arguments of f_s, r_s and q per half: the upper half
-    # x = x_s, x_s + 1, ... and the lower half x = -x_s, -x_s - 1, ..., grown
-    # from the middle level x_s (0 for even N, 1/2 for odd N) with L negated
+    # (L, Q) -> the direct rows' L x + Q x^2, or the arguments of f_s, r_s
+    # and q per half, the upper x = x_s, x_s + 1, ... and with L negated the
+    # lower x = -x_s, -x_s - 1, ..., from the middle level x_s (0 or 1/2)
     mid = 0.5 * (space.n_emitters % 2)
-    args = np.array([[[mid, 1.0, 0.0], [-mid, -1.0, 0.0]],
-                     [[mid * mid, 2 * mid + 1, 2.0]] * 2])
-    merged_seeds, zxz_seeds = (np.einsum("psl,lha->psha", t, args).reshape(5, -1)
-                               for t in (lq, lq[:, :3] * [1.0, 0.0]))
+    levels = (np.array([jz, jz * jz]) if space.dim < RECURRENCE_MIN_LEVELS else
+              np.array([[mid, 1.0, 0.0, -mid, -1.0, 0.0], [mid * mid, 2 * mid + 1, 2.0] * 2]))
+    rows = tuple(np.einsum("psl,lx->psx", t, levels).reshape(5, -1)
+                 for t in (_SLOT_LQ, _SLOT_LQ[:, :3] * [1.0, 0.0]))
     half, j = (space.dim + 1) // 2, np.arange(space.dim)
     level_take = np.where(j >= space.dim // 2, j - space.dim // 2, half + (space.dim - 1) // 2 - j)
     vx = vx.astype(complex)
     vy_h = np.ascontiguousarray(vy.conj().T)
     x_to_y = vy_h @ vx
-    return _Bases(jz, wx, vx, vx.T, vy, vy_h,
-                  x_to_y, np.ascontiguousarray(x_to_y.conj().T),
-                  merged.reshape(5, -1), zxz.reshape(5, -1),
-                  merged_seeds, zxz_seeds, level_take,
-                  np.array([np.diag(q) for q in sq]),
+    return _Bases(jz, vx, vx.T, vy, vy_h, x_to_y, np.ascontiguousarray(x_to_y.conj().T),
+                  rows, level_take, np.array([np.diag(q) for q in sq]),
                   np.array([np.diag(q, 2) for q in sq]))
 
 
@@ -375,9 +360,9 @@ def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
 @functools.lru_cache(maxsize=None)
 def _mirror_tables(space: DickeSpace) -> tuple:
     """The index tables of :func:`squeeze_eigenpairs` for even N: per
-    block, its lower band (diagonal, subdiagonal) as f (first + s second)
-    of the bands [diag, off, 0, ceiling] and its place in a flat block; per
-    chain slot and column, the flat block eigenvector entry and its factor."""
+    block, its band (diagonal, subdiagonal) as f (first + s second) of the
+    bands [diag, off, 0, ceiling]; per chain slot and column, the flat block
+    eigenvector entry and its factor."""
     d = space.dim
     length, size = (d + 1) // 2, (d + 3) // 4
     k, r = np.arange(size), np.arange(length)
@@ -397,8 +382,7 @@ def _mirror_tables(space: DickeSpace) -> tuple:
         take.append(b * size ** 2 + size * rows[:, None] + cols)
         q = np.where(r == n - 1 - r, (1 + s) / 2, np.sqrt(0.5) * np.where(r < n - 1 - r, 1, s))
         scale.append(np.outer(np.where(r < n, q, s < 0), np.ones(cols.size)))
-    place = np.concatenate([k * (size + 1), k[:-1] * (size + 1) + size])
-    return (src, np.array(halves)[:, 1:], factor, place,
+    return (src, np.array(halves)[:, 1:], factor,
             *(np.array([np.hstack(t[:2]), np.hstack(t[2:])]) for t in (take, scale)))
 
 
@@ -417,11 +401,11 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
     Algebra Appl. 13, 275 (1976)).  Block (c, s) is the chain's upper left
     quarter but for its corner H[k, k] + s H[k, k+1], k + 1 = n-1-k, or its
     middle slot's coupling sqrt 2 H[k-1, k]; an eigenvector u of it is
-    sum_k u_k q_k.  eigh takes the 4M blocks padded to P = ceil(L/2) slots,
-    a padded diagonal above every eigenvalue (Gershgorin) so that it sorts
-    last.  A chain takes every column of its first block and the L - P
-    unpadded ones of its second; block (1, -1)'s padded column is chain 1's
-    padded slot, of eigenvalue 0.
+    sum_k u_k q_k.  :func:`_chain_eigh` takes the 4M blocks as chains of
+    stride 1, padded to P = ceil(L/2) slots, a padded diagonal above every
+    eigenvalue (Gershgorin) so that it sorts last.  A chain takes every
+    column of its first block and the L - P unpadded ones of its second;
+    block (1, -1)'s padded column is chain 1's padded slot, of eigenvalue 0.
 
     One result serves every convention: the squeeze
     exp(s i (alpha S_x^2 + beta S_y^2)) with S = scale * J is exp(i k w) in
@@ -445,13 +429,12 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
     if space.n_emitters % 2:
         w, v = _chain_eigh(diags[:, ::2], offs[:, ::2], 1)
         return np.concatenate([w, w], 1), np.concatenate([v, v[..., ::-1, :]], 1)
-    src, sign, factor, place, take, scale = _mirror_tables(space)
+    src, sign, factor, take, scale = _mirror_tables(space)
     length, size = (space.dim + 1) // 2, (space.dim + 3) // 4
     bands = np.concatenate([diags, offs, np.zeros((len(diags), 2))], axis=1)
     bands[:, -1] = 4 * np.abs(bands).max(axis=1) + 1  # the ceiling
-    blocks = np.zeros((len(bands), 4, size * size))  # eigh reads the lower half
-    blocks[..., place] = factor * (bands[:, src[0]] + sign * bands[:, src[1]])
-    w, u = np.linalg.eigh(blocks.reshape(-1, 4, size, size))
+    band = factor * (bands[:, src[0]] + sign * bands[:, src[1]])
+    w, u = _chain_eigh(band[..., :size], band[..., size:], 1)
     v = np.take(u.reshape(-1, 4 * size ** 2), take, axis=1)
     v *= scale
     w = w.reshape(-1, 2, 2 * size)[..., :length]
@@ -489,7 +472,8 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     (..., 5) on the combined- or product-squeeze path, shape
     (..., n_slots, d), C-contiguous; ``mul`` is the plan's product.
 
-    Below RECURRENCE_MIN_LEVELS levels this is the direct exp(i coef @ rows).
+    Below RECURRENCE_MIN_LEVELS levels this is the direct exp(i coef @ rows)
+    on the exact levels.
     From there on slot (L, Q) is grown from the middle level x_s, the one at
     or just above x = 0: with f(x) = exp(i (L x + Q x^2)), the ratios
     r(x + 1) = f(x + 1) / f(x) step by q = exp(2 i Q).  One exp gives f(x_s),
@@ -502,12 +486,12 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     """
     bases = _propagation_bases(space)
     lead, d = coef.shape[:-1], space.dim
-    if d < RECURRENCE_MIN_LEVELS:
-        rows = (bases.zxz_rows if combined else bases.merged_rows)[:, :n_slots * d]
-        return np.exp(1j * mul(coef, rows)).reshape(lead + (n_slots, d))
-    seeds = (bases.zxz_seeds if combined else bases.merged_seeds)[:, :6 * n_slots]
-    seeded = np.exp(1j * mul(coef, seeds)).reshape(lead + (n_slots, 2, 3))
-    grown = np.repeat(seeded, [1, 1, (d + 1) // 2 - 2], axis=-1)  # f_s, r_s, q, q, ...
+    direct = d < RECURRENCE_MIN_LEVELS
+    phases = np.exp(1j * mul(coef, bases.rows[combined][:, :n_slots * (d if direct else 6)]))
+    if direct:
+        return phases.reshape(lead + (n_slots, d))
+    grown = np.repeat(phases.reshape(lead + (n_slots, 2, 3)), [1, 1, (d + 1) // 2 - 2],
+                      axis=-1)  # f_s, r_s, q, q, ...
     np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
     np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
     return np.take(grown.reshape(lead + (n_slots, -1)), bases.level_take, axis=-1)

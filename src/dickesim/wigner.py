@@ -149,7 +149,6 @@ class PlaneGrid:
     xs: np.ndarray
     ps: np.ndarray
     values: np.ndarray
-    approximation: str = PLANAR_APPROXIMATION_LABEL
     window_clipped: bool = False
 
     def integral(self) -> float:

@@ -291,7 +291,7 @@ def spherical_wigner_per_row(state: QuantumState, thetas, phis) -> np.ndarray:
     d, r = cols.shape
     half = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
     half = (bases.vy_h @ half.reshape(d, -1)).reshape(d, r, -1)
-    turn = np.exp(1j * np.multiply.outer(bases.wx, theta_set))[:, None, :]
+    turn = np.exp(1j * np.multiply.outer(bases.jz, theta_set))[:, None, :]
     out = np.empty(rows)
     for i, (t, p) in enumerate(zip(theta_at.reshape(rows), phi_at.reshape(rows))):
         block = bases.vy @ (half.take(p, axis=2) * turn.take(t, axis=2)).reshape(d, -1)

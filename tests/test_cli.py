@@ -1084,6 +1084,62 @@ def test_sequence_file_values_at_extremes_exit_cleanly(tmp_path, capsys, n, comp
     assert codes == {0, 2, 3}
 
 
+_OPTIMIZE_AT_3 = ["optimize", "--n", "3", "--target", "coherent", "--gamma", "0.2",
+                  "--steps", "1", "--restarts", "1", "--nm-iters", "20", "--freeze-rounds", "1"]
+# per numeric optimize flag, one valid value that is huge; a count past its
+# cap is refused rather than run
+_OPTIMIZE_HUGE = {"--steps": str(10 ** 12), "--start-steps": str(10 ** 12),
+                  "--restarts": str(10 ** 12), "--nm-iters": str(10 ** 12),
+                  "--freeze-rounds": str(10 ** 12), "--nm-tol": "1e300", "--stop-fidelity": "1"}
+
+
+def _optimize_exits_cleanly(capsys, argv) -> int:
+    """Run ``argv``; assert a record (exit 0) or one error line (exit 2 or
+    3), argparse's own rejections after their usage; return the code."""
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        err = capsys.readouterr().err.splitlines()
+        assert exc.code == 2 and err[0].startswith("usage: "), (argv, err)
+        assert [line for line in err if "error: " in line] == err[-1:], (argv, err)
+        return exc.code
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3), argv
+    if code:
+        assert len(err) == 1 and err[0].startswith(("error: ", "numerical failure: ")), (argv, err)
+    return code
+
+
+@pytest.mark.parametrize("flag", list(_OPTIMIZE_HUGE))
+def test_optimize_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, flag):
+    # each extreme value alone in one flag of a small search: no traceback,
+    # no RuntimeWarning, and a huge count (10^12 restarts ran until killed)
+    # is refused at once by its cap
+    caps = {"--steps": cli.OPTIMIZE_MAX_STEPS, "--start-steps": cli.OPTIMIZE_MAX_STEPS,
+            "--restarts": cli.OPTIMIZE_MAX_RESTARTS, "--nm-iters": cli.OPTIMIZE_MAX_NM_ITERS,
+            "--freeze-rounds": cli.OPTIMIZE_MAX_FREEZE_ROUNDS}
+    out = str(tmp_path / "rec.json")
+    for value in [*_EXTREME_VALUES[:-2], _OPTIMIZE_HUGE[flag]]:
+        _optimize_exits_cleanly(capsys, [*_OPTIMIZE_AT_3, f"{flag}={value}", "--out", out])
+    if flag in caps:
+        argv = [*_OPTIMIZE_AT_3, f"{flag}={caps[flag] + 1}", "--out", out]
+        assert _optimize_exits_cleanly(capsys, argv) == 2
+
+
+def test_optimize_custom_amplitudes_at_extreme_values_exit_cleanly(tmp_path, capsys):
+    # each extreme value as an entry of --custom-amplitudes and as an
+    # entry's imaginary part
+    amps = tmp_path / "amps.json"
+    argv = [*_OPTIMIZE_AT_3[:3], "--target", "custom", "--custom-amplitudes", str(amps),
+            *_OPTIMIZE_AT_3[7:], "--out", str(tmp_path / "rec.json")]
+    codes = set()
+    for value in [float(v) for v in _EXTREME_VALUES[:-2]] + [1e300]:
+        for entry in (value, [0.5, value]):
+            amps.write_text(json.dumps([entry, 1.0, [0.0, 1.0], 0.0]))
+            codes.add(_optimize_exits_cleanly(capsys, argv))
+    assert codes == {0, 2}
+
+
 @pytest.mark.parametrize("flags", [["--n-theta", "-1"], ["--n-phi", "-1"],
                                    ["--surface", "plane", "--x-max", "-1"],
                                    ["--surface", "plane", "--p-max", "-1"]])

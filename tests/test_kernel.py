@@ -30,7 +30,6 @@ from dickesim.gates import (
     _chain_exp,
     _plan,
     _propagate_each,
-    _propagation_bases,
     _slot_phases,
     propagate,
     propagate_sweep,
@@ -589,10 +588,9 @@ def _mp_level_phases(lq, n):
 @pytest.mark.parametrize("combined", [False, True])
 def test_grown_phases_are_more_accurate_than_the_direct_exp(n, combined):
     # against 40 digits, the phases grown from the middle level err no more
-    # than the direct exp of the plan's rows (whose J_x levels come from
-    # eigh), nor than the direct exp on the exact levels, whose argument
-    # |Q| x^2 loses digits as N grows; a recurrence grown from x = -N/2
-    # starts where that argument is largest, and fails this
+    # than the direct exp on the exact levels, whose argument |Q| x^2 loses
+    # digits as N grows; a recurrence grown from x = -N/2 starts where that
+    # argument is largest, and fails this
     assert n + 1 >= RECURRENCE_MIN_LEVELS
     rng = np.random.default_rng(59 + n)
     space = DickeSpace(n)
@@ -602,30 +600,31 @@ def test_grown_phases_are_more_accurate_than_the_direct_exp(n, combined):
     exact = _mp_level_phases(lq, n)
     grown = _slot_phases(space, coef, combined, slots)
     assert grown.flags.c_contiguous and grown.shape == exact.shape
-    bases = _propagation_bases(space)
-    rows = (bases.zxz_rows if combined else bases.merged_rows)[:, :slots * space.dim]
-    direct = np.exp(1j * (coef @ rows)).reshape(exact.shape)
     x = np.arange(space.dim) - n / 2
     on_levels = np.exp(1j * (lq[..., :1] * x + lq[..., 1:] * x * x))
-    err = [np.max(np.abs(p - exact)) for p in (grown, direct, on_levels)]
-    assert err[0] <= min(err[1:]), err
+    err = [np.max(np.abs(p - exact)) for p in (grown, on_levels)]
+    assert err[0] <= err[1], err
 
 
-@pytest.mark.parametrize("n", [1, 4, 8, RECURRENCE_MIN_LEVELS - 2])
+@pytest.mark.parametrize("n", [1, 4, 8, 13, RECURRENCE_MIN_LEVELS - 2])
 @pytest.mark.parametrize("combined", [False, True])
 def test_phases_below_the_size_rule_are_the_direct_exp_bitwise(n, combined):
+    # below the size rule each phase is one exp on the exact levels: within
+    # 2e-13 of 40 digits (rows on eigh's J_x levels, ~1e-14 off, err up to
+    # 1.5e-12 at N = 13 and fail this), and a slice of a stack keeps the
+    # bits of its group of one
     rng = np.random.default_rng(61 + n)
     space = DickeSpace(n)
     assert space.dim < RECURRENCE_MIN_LEVELS
-    bases = _propagation_bases(space)
-    rows = bases.zxz_rows if combined else bases.merged_rows
     for slots in ((3,) if combined else (3, 4)):
-        for coef, mul in ((_phase_coef(rng, 4), np.ndarray.dot),
-                          (_phase_coef(rng, 8).reshape(2, 4, 5), np.matmul)):
-            got = _slot_phases(space, coef, combined, slots, mul)
-            expected = np.exp(1j * (coef @ rows[:, :slots * space.dim]))
-            assert np.array_equal(got, expected.reshape(got.shape))
-            assert got.flags.c_contiguous
+        coef = _phase_coef(rng, 8).reshape(2, 4, 5)
+        stack = _slot_phases(space, coef, combined, slots, np.matmul)
+        assert stack.flags.c_contiguous
+        exact = _mp_level_phases(_slot_lq(coef.reshape(8, 5), combined), n)[:, :slots]
+        assert np.max(np.abs(stack.reshape(exact.shape) - exact)) <= 2e-13
+        for c, s in zip(coef, stack):
+            one = _slot_phases(space, c, combined, slots, np.ndarray.dot)
+            assert one.flags.c_contiguous and np.array_equal(one, s)
 
 
 def test_propagate_rejects_bad_inputs():

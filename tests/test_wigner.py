@@ -16,9 +16,12 @@ except ImportError:  # scipy < 1.15
 
 from dickesim import (
     DickeSpace,
+    GateConventions,
+    PulseSequence,
     QuantumState,
     TargetKind,
     TargetSpec,
+    apply_sequence,
     build_sx,
     build_sy,
     build_sz,
@@ -210,6 +213,26 @@ def test_spherical_wigner_rotation_covariance():
     assert np.max(np.abs(w_rotated - w_back)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [4, 40])
+def test_dicke_state_wigner_is_agarwals_legendre_sum(n):
+    # Agarwal (Phys. Rev. A 24, 2889 (1981)): W of |j, m> is
+    # sqrt((2j+1)/4pi) sum_k <j m|T_k0|j m> Y_k0(theta), with
+    # <j m|T_k0|j m> = sqrt((2k+1)/(2j+1)) <j m; k 0|j m> and
+    # Y_k0 = sqrt((2k+1)/4pi) P_k(cos theta); theta -> pi - theta misses
+    # the stretched states by 0.98 of max|W|, so this pins the orientation
+    space, j = DickeSpace(n), n / 2
+    thetas, phis = np.linspace(0.0, np.pi, 37), np.array([0.0, 1.3])
+    for index in range(n + 1):
+        m = index - j
+        weights = [(2 * k + 1) / np.sqrt(4 * np.pi * (2 * j + 1))
+                   * clebsch_gordan(j, m, k, 0, j, m) for k in range(n + 1)]
+        expected = np.sqrt((2 * j + 1) / (4 * np.pi)) * np.polynomial.legendre.legval(
+            np.cos(thetas), weights)
+        got = spherical_wigner_values(QuantumState.basis_state(space, index),
+                                      thetas[:, None], phis)
+        assert np.max(np.abs(got - expected[:, None])) <= 1e-12 * np.max(np.abs(got)), m
+
+
 def _harmonic_oracle(state, thetas, phis):
     """sqrt((2J+1)/(4 pi)) sum_kq rho_kq Y_kq(theta, phi) with the full harmonics."""
     ref = np.sqrt(state.space.dim / (4 * np.pi)) * sum(
@@ -324,6 +347,27 @@ def test_planar_wigner_bounded():
     st = QuantumState.from_amplitudes(space, vec, normalize=True)
     grid = planar_wigner(st, x_max=9, p_max=9, resolution=161)
     assert np.max(np.abs(grid.values)) <= 1 / np.pi + 1e-9
+
+
+@pytest.mark.parametrize("n, axis, sign", [(40, (1, 0, 0), 1), (40, (1, 0, 0), -1),
+                                           (40, (0, 1, 0), 1), (40, (0, 1, 0), -1),
+                                           (400, (0, 1, 0), -1)])
+def test_small_rotation_moves_the_plane_by_sqrt_j_theta(n, axis, sign):
+    # Holstein-Primakoff: rotating |0> by theta about x moves the planar
+    # grid's first moments to (0, +sqrt(j) theta), about y to
+    # (+sqrt(j) theta, 0), and exponent sign -1 flips them; at theta = 0.1
+    # they fall short by 4.2e-4 of it at both N (the grid-limited argmax
+    # reads 0.478 at N = 40, hence the moments)
+    theta = 0.1
+    space = DickeSpace(n)
+    state = apply_sequence(PulseSequence(space, (), axis, theta), QuantumState.ground(space),
+                           GateConventions(exponent_sign=sign))
+    grid = planar_wigner(state, resolution=301)
+    total = grid.values.sum()
+    moments = np.array([(grid.values * grid.xs[:, None]).sum(),
+                        (grid.values * grid.ps[None, :]).sum()]) / total
+    expected = sign * np.sqrt(n / 2) * theta * np.array(axis[1::-1], dtype=float)
+    assert np.max(np.abs(moments - expected)) <= 1e-3 * np.sqrt(n / 2) * theta, moments
 
 
 def _cross_wigner(alpha, gam, delt):
