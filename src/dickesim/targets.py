@@ -208,9 +208,11 @@ def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
 
 def _square_comb_amplitudes(n_max: int, spacing: float, offset: float) -> np.ndarray:
     """Fock amplitudes of the ideal position comb sum_s |x = offset + s*spacing>:
-    sum_s phi_n(x_s) over the teeth within sqrt(2 n_max) + 6, each from the
-    exponent-carrying Hermite table, so a tooth past |x| ~ 37.6, whose
-    Gaussian alone underflows, still counts (from n_max ~ 500 on)."""
+    sum_s phi_n(x_s) over the teeth within sqrt(2 n_max) + 6, from the
+    planar Hermite table.  Up to n_max = 496 (N = 124) every tooth lies
+    within |x| < 37.5, where the table runs unscaled; from n_max = 500 on it
+    carries exponents, so a tooth past |x| ~ 37.6, whose Gaussian alone
+    underflows, still counts."""
     x_cut = np.sqrt(2.0 * n_max) + 6.0
     s_max = int(np.ceil((x_cut + abs(offset)) / spacing)) + 1
     xs = offset + spacing * np.arange(-s_max, s_max + 1)

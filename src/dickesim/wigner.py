@@ -165,12 +165,17 @@ def _hermite_table(u: np.ndarray, size: int) -> np.ndarray:
     |u| ~ 37.6.  A point past 2^512 is scaled down by 2^512 (a step grows it
     by at most 2^500 while |u| <= 1.4e150); each entry's exponent and the
     Gaussian are applied at the end, so far points read 0 and nothing
-    overflows.  By Cramer's inequality |phi_a| <= 1.0865 pi^(-1/4), so the
-    unscaled entries stay below 0.82 e^(u^2/2), and while every |u| < 26.6
-    none reaches 2^512: there the test and the exponent pass are skipped,
-    with the same bits, since every exponent would be 0."""
+    overflows.  While every |u| < 37.5 the test and the exponent table are
+    skipped: by Cramer's inequality |phi_a| <= 1.0865 pi^(-1/4) (Abramowitz
+    and Stegun 22.14.17) the unscaled entries stay below 0.82 e^(u^2/2)
+    < 2^1015 and a step's product sqrt(2/a) u h below 2^1020, so nothing
+    overflows, and e^(-u^2/2) > 2^-1015 is still a normal number.  That
+    covers square combs up to n_max = 496 (teeth within sqrt(992) + 6 =
+    37.496) and default plane windows (u <= 2 sqrt(N) + 3 sqrt(2)) up to
+    N = 276.  Below |u| = 26.6 no entry reaches 2^512, so both paths give
+    the same bits there; above it they agree to roundoff."""
     table = np.empty((size, u.size))
-    rescale = not (np.abs(u) < 26.6).all()
+    rescale = not (np.abs(u) < 37.5).all()
     log2_scale = np.zeros((size, u.size)) if rescale else 0.0
     h_prev, h = np.zeros_like(u), np.full_like(u, math.pi ** -0.25)
     table[0] = h

@@ -240,12 +240,12 @@ def _comb_mpmath(n_max, spacing, offset):
         return np.array([float(v) for v in out])
 
 
-@pytest.mark.parametrize("n_max", [200, 400, 800, 1600])
+@pytest.mark.parametrize("n_max", [200, 400, 496, 800, 1600])
 def test_square_comb_matches_per_tooth_mpmath_sum(n_max):
-    # at n_max = 200 every tooth lies within |x| < 26.6, where the Hermite
-    # table skips its rescaling; from n_max ~ 500 on the comb holds teeth
-    # past |x| ~ 37.6, whose e^{-x^2/2} underflows in double; at 800 they
-    # carry the large-n amplitudes
+    # up to n_max = 496 (N = 124) every tooth lies within sqrt(992) + 6 =
+    # 37.496 < 37.5, where the Hermite table skips its rescaling; from
+    # n_max = 500 on the comb holds teeth past |x| ~ 37.6, whose e^{-x^2/2}
+    # underflows in double; at 800 they carry the large-n amplitudes
     for spacing, offset in ((np.sqrt(2 * np.pi), 0.0), (2 * np.sqrt(np.pi), np.sqrt(np.pi))):
         ref = _comb_mpmath(n_max, spacing, offset)
         fast = _square_comb_amplitudes(n_max, spacing, offset)

@@ -508,15 +508,36 @@ def test_planar_kernel_far_points_read_zero(n):
 
 @pytest.mark.parametrize("size", [1, 81, 201, 401])
 def test_hermite_table_fast_path_equals_the_rescaling_path_bitwise(size):
-    # below |u| = 26.6 no entry can reach 2^512, so the table skips the
-    # rescale test and the exponent pass; one far point forces both, and the
-    # near points' columns keep every bit
+    # below |u| = 26.6 no entry can reach 2^512, so the rescaling path scales
+    # none of these columns; one far point at or past the bound 37.5 forces
+    # the rescale test and the exponent pass, and the near points' columns
+    # keep every bit
     rng = np.random.default_rng(size)
     near = np.concatenate([[0.0, -0.0, 26.59, -26.59], rng.uniform(-26.6, 26.6, 40),
                            math.sqrt(2.0) * np.linspace(-10.0, 10.0, 201)])
-    for far in (26.6, 40.0, -1e6):
+    for far in (37.5, -37.5, 40.0, -1e6):
         assert np.array_equal(_hermite_table(near, size),
                               _hermite_table(np.append(near, far), size)[:-1])
+
+
+@pytest.mark.parametrize("size", [1, 81, 401, 1001, 3000])
+def test_hermite_table_unscaled_up_to_the_bound_matches_the_rescaling_path(size):
+    # by Cramer's inequality the unscaled entries stay below 0.82 e^{u^2/2},
+    # so up to |u| < 37.5 the table needs no rescaling: it is finite, warns
+    # nothing, and each point's row matches the rescaling path (forced by
+    # points at and past the bound, where an unscaled entry would overflow
+    # from |u| ~ 37.67 on) to roundoff of its largest entry
+    rng = np.random.default_rng(size)
+    near = np.concatenate([[0.0, 26.6, -26.6, 30.0, 37.49, -37.49, np.nextafter(37.5, 0.0)],
+                           rng.uniform(-37.49, 37.49, 40)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = _hermite_table(near, size)
+        scaled = _hermite_table(np.append(near, [37.5, -37.7]), size)
+    assert np.isfinite(table).all() and np.isfinite(scaled).all()
+    scaled = scaled[:-2]
+    scale = np.abs(scaled).max(axis=1, keepdims=True)
+    assert np.all(np.abs(table - scaled) <= 1e-13 * scale)
 
 
 def test_planar_grid_keeps_weight_past_gaussian_underflow():
