@@ -116,11 +116,30 @@ def _override_conventions(args, base: GateConventions) -> GateConventions:
     return GateConventions.from_dict(doc)
 
 
+# The largest N of the commands that build dense (N+1)^2 complex operators
+# (the bases of gates.propagate; trotter-check's S_x^2, S_y and eigh).  On a
+# 2-vCPU x86 host replay --sequence cat2 took 0.9 s and 0.20 GB of peak RSS at
+# N = 1000, 3.9 s and 0.67 GB at 2000, 11 s and 1.46 GB at 3000: ~160 B per
+# entry and time ~N^3, so ~2.6 GB and ~30 s at 4000, and near N = 6000 a run
+# would be killed on an 8 GB host instead of exiting 2.  CI and tests use <= 480.
+DENSE_MAX_N = 4_000
+
+
+def _dense_space(n, source: str = "--n") -> DickeSpace:
+    """DickeSpace(n) for a command that builds dense operators on it; past
+    DENSE_MAX_N, a ValueError naming ``source`` before anything is built."""
+    space = DickeSpace(n)
+    if n > DENSE_MAX_N:
+        raise ValueError(f"{source} must be at most {DENSE_MAX_N}, got {n}")
+    return space
+
+
 def _load_sequence(args, n_override=None) -> tuple:
     """The sequence file ``args.sequence`` (a path or bundled name) with the
     convention flags applied: (flat params, space, conventions, metadata)."""
     seq, file_conv, metadata = load_sequence_file(_resolve_sequence_path(args.sequence),
                                                   n_override)
+    _dense_space(seq.space.n_emitters, "n_emitters" if n_override is None else "--n")
     return flatten_params(seq), seq.space, _override_conventions(args, file_conv), metadata
 
 
@@ -180,7 +199,7 @@ def cmd_optimize(args) -> tuple[dict, dict]:
     if args.stop_fidelity is not None and not 0 < args.stop_fidelity <= 1:
         raise ValueError(f"--stop-fidelity must lie in (0, 1], got {args.stop_fidelity}")
     conv = _override_conventions(args, DEFAULT_CONVENTIONS)
-    space = DickeSpace(args.n)
+    space = _dense_space(args.n)
     if args.target is None:
         raise ValueError("optimize needs --target")
     spec = _target_spec_from_args(args)
@@ -250,6 +269,8 @@ def cmd_optimize(args) -> tuple[dict, dict]:
 def cmd_wigner(args) -> tuple[dict, dict]:
     outputs = {"files": []}
     inputs = {"surface": args.surface}
+    if args.per_step and not args.sequence:
+        raise ValueError("--per-step needs --sequence: a target is one state, not a sequence")
     if args.sequence:
         params, space, conv, _ = _load_sequence(args, args.n)
         inputs.update(sequence=args.sequence, n_emitters=space.n_emitters,
@@ -264,7 +285,7 @@ def cmd_wigner(args) -> tuple[dict, dict]:
         if args.target is None:
             raise ValueError("wigner needs --sequence or --target")
         spec = _target_spec_from_args(args)
-        space = DickeSpace(40 if args.n is None else args.n)
+        space = _dense_space(40 if args.n is None else args.n)
         inputs.update(target=spec.to_dict(), n_emitters=space.n_emitters)
         states = [make_target(spec, space)]
 
@@ -353,7 +374,7 @@ def cmd_closure(args) -> tuple[dict, dict]:
 
 
 def cmd_trotter_check(args) -> tuple[dict, dict]:
-    space = DickeSpace(args.n)
+    space = _dense_space(args.n)
     sx, sy = build_sx(space), build_sy(space)
     a, b = sx @ sx, sy
     ks = [int(k) for k in args.k_list.split(",")]
@@ -398,7 +419,7 @@ def cmd_size_sweep(args) -> tuple[dict, dict]:
     rows = []
     for n in ns:
         try:
-            space = DickeSpace(n)
+            space = _dense_space(n, "n_emitters")
             fid = _replay_fidelity(params, space, conv, make_target(spec, space))
             rows.append({"n_emitters": n, "fidelity": fid})
             print(f"N={n}: fidelity {fid:.6f}")

@@ -202,7 +202,6 @@ class _Bases(NamedTuple):
     x_to_y: np.ndarray      # vy_h @ vx: J_x-basis to J_y-basis coordinates ...
     y_to_x: np.ndarray      # ... and back
     rows: tuple             # per path (product, combined), the rows of _slot_phases
-    level_take: np.ndarray  # the two grown halves, flat, to level order, (d,)
     sq_diag: np.ndarray     # diagonals of J_x^2 and J_y^2, shape (2, d)
     sq_off: np.ndarray      # their m, m+2 entries, shape (2, d - 2)
 
@@ -230,8 +229,8 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     ``_SLOT_LQ``: row i holds L x + Q x^2 at each slot's (L, Q) for coef
     entry i, below RECURRENCE_MIN_LEVELS levels at the exact levels x, in
     eigh's ascending order (the direct rows), from there on at the six seed
-    arguments of the recurrence, whose halves ``level_take`` lays out in
-    level order.  Everything is in J units; :func:`propagate` scales the
+    arguments of the recurrence, one half from the middle level up and one
+    down.  Everything is in J units; :func:`propagate` scales the
     coefficients to the operator convention, S = scale * J.
     """
     jx, jy = build_sx(space), build_sy(space)
@@ -247,13 +246,11 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
               np.array([[mid, 1.0, 0.0, -mid, -1.0, 0.0], [mid * mid, 2 * mid + 1, 2.0] * 2]))
     rows = tuple(np.einsum("psl,lx->psx", t, levels).reshape(5, -1)
                  for t in (_SLOT_LQ, _SLOT_LQ[:, :3] * [1.0, 0.0]))
-    half, j = (space.dim + 1) // 2, np.arange(space.dim)
-    level_take = np.where(j >= space.dim // 2, j - space.dim // 2, half + (space.dim - 1) // 2 - j)
     vx = vx.astype(complex)
     vy_h = np.ascontiguousarray(vy.conj().T)
     x_to_y = vy_h @ vx
     return _Bases(jz, vx, vx.T, vy, vy_h, x_to_y, np.ascontiguousarray(x_to_y.conj().T),
-                  rows, level_take, np.array([np.diag(q) for q in sq]),
+                  rows, np.array([np.diag(q) for q in sq]),
                   np.array([np.diag(q, 2) for q in sq]))
 
 
@@ -345,15 +342,14 @@ def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
     parts as two real columns per input column, once per slice."""
     lead = phases.shape[:-2]
     stride, length = phases.shape[-2:]
-    swap = (0, 2, 1, 3) if lead else (1, 0, 2)
     d = psi.shape[len(lead)]
     cols = psi.reshape(lead + (d, -1))
     chains = np.zeros(lead + (length * stride, cols.shape[-1]), complex)
     chains[..., :d, :] = cols
-    real = chains.view(float).reshape(lead + (length, stride, -1)).transpose(swap)
+    real = chains.view(float).reshape(lead + (length, stride, -1)).swapaxes(-3, -2)
     coeffs = np.matmul(v.transpose(0, 2, 1), real).view(complex)
     coeffs *= phases[..., None]
-    out = np.matmul(v, coeffs.view(float)).transpose(swap).reshape(lead + (length * stride, -1))
+    out = np.matmul(v, coeffs.view(float)).swapaxes(-3, -2).reshape(lead + (length * stride, -1))
     return out[..., :d, :].view(complex).reshape(psi.shape)
 
 
@@ -478,11 +474,11 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     or just above x = 0: with f(x) = exp(i (L x + Q x^2)), the ratios
     r(x + 1) = f(x + 1) / f(x) step by q = exp(2 i Q).  One exp gives f(x_s),
     r(x_s + 1) and q for the upper half and, with L negated, for the mirrored
-    lower half; one multiply.accumulate grows the ratios and one the phases,
-    and np.take lays them out in level order.  A phase n levels from the
-    middle then errs by about n^2 eps / 2, where the direct exp errs by eps
-    times its argument, |Q| n^2 with n up to N/2.  Every step is
-    elementwise, so a slice keeps its bits in any group.
+    lower half; one multiply.accumulate grows the ratios and one the phases.
+    The lower half reversed (less x_s = 0 for even N), then the upper, is
+    level order.  A phase n levels from the middle errs by about n^2 eps / 2,
+    where the direct exp errs by eps times its argument, |Q| n^2 with n up to
+    N/2.  Every step is elementwise or a slice, so a slice keeps its bits in any group.
     """
     bases = _propagation_bases(space)
     lead, d = coef.shape[:-1], space.dim
@@ -494,7 +490,7 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
                       axis=-1)  # f_s, r_s, q, q, ...
     np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
     np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
-    return np.take(grown.reshape(lead + (n_slots, -1)), bases.level_take, axis=-1)
+    return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,14 +505,15 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     final one.  A combined-squeeze run makes its own :func:`squeeze_eigenpairs`.
 
     Within a group the rotation composition changes only how the Euler
-    angles are read, and the operator convention and exponent sign only
-    scale the turns by sign * scale and the strengths by sign * scale**2,
-    exact since scale is 1 or 2.  A group of one carries ``cols`` through
-    ``ndarray.dot``, which gives a column the bits of the vector.  A group
-    of B carries the stack (B, d, r) and one leading axis of angles and
-    phases; every product is a stacked ``np.matmul``, which calls BLAS once
-    per slice on that slice's operands, so each slice keeps the bits of its
-    group of one (one gemm over all B r columns would not).
+    angles are read; a stack holding both reads each on every slice and
+    picks each slice's own with a mask.  The operator convention and
+    exponent sign only scale the turns by sign * scale and the strengths by
+    sign * scale**2, exact since scale is 1 or 2.  A group of one carries
+    ``cols`` through ``ndarray.dot``, which gives a column the bits of the
+    vector.  A group of B carries the stack (B, d, r) and one leading axis
+    of angles and phases; every product is a stacked ``np.matmul``, which
+    calls BLAS once per slice on that slice's operands, so each slice keeps
+    the bits of its group of one (one gemm over all B r columns would not).
 
     Rotation k has Euler angles (a, b, c).  With the combined squeeze they
     are Z-X-Z angles, Z(a) X(b) Z(c) with Z(a) = exp(i a J_z).  With the
@@ -548,15 +545,14 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     combined = conventions[0].squeeze_composition == "combined"
     squeeze_order = conventions[0].squeeze_order
     yx = int(squeeze_order == "yx")
-    # Per rotation composition, the slices that use it and the map from its
-    # quaternions (or, for the product rotation, the eight half-angle
-    # products) to the columns the Z-X-Z angles are read from; offset is
-    # added to the angles
+    # Per rotation composition in the group, product first as np.where takes
+    # it, the map from its quaternions (or the product rotation's eight
+    # half-angle products) to the columns the Z-X-Z angles are read from
     euler, middle = (_UNIT, 0.0) if combined else _MERGED_EULER[squeeze_order]
-    offset = np.array([-0.5 * np.pi, middle, 0.5 * np.pi])
+    offset = np.array([-0.5 * np.pi, middle, 0.5 * np.pi])  # added to the angles
     product = np.array([c.rotation_composition == "product" for c in conventions])
-    readings = [(np.flatnonzero(product == p), p, (_PRODUCT_ROTATION @ euler if p else euler)
-                 @ _ARG_COLUMNS) for p in (False, True) if (product == p).any()]
+    readings = [(p, (_PRODUCT_ROTATION @ euler if p else euler) @ _ARG_COLUMNS)
+                for p in (True, False) if (product == p).any()]
     if combined:
         first, second = bases.vx_h, bases.vx
     else:
@@ -575,13 +571,8 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         coef = np.zeros(lead + (n_steps + 1, 5))
         strengths = strength_scale * table[:, 3:]
         turns = table[:, :3] * turn_scale
-        if len(readings) == 1:  # one rotation composition: every slice at once
-            _, product_rotation, to_cols = readings[0]
-            arg_cols = mul(_quaternions(turns, product_rotation), to_cols)
-        else:
-            arg_cols = np.empty(lead + (n_steps + 1, 4))
-            for index, product_rotation, to_cols in readings:
-                arg_cols[index] = mul(_quaternions(turns[index], product_rotation), to_cols)
+        arg_cols = [mul(_quaternions(turns, p), to_cols) for p, to_cols in readings]
+        arg_cols = np.where(product[:, None, None], *arg_cols) if len(readings) > 1 else arg_cols[0]
         args = np.empty(lead + (n_steps + 1, 3))
         args[..., :2] = np.arctan2(arg_cols[..., :2], arg_cols[..., 2:])
         hyp = np.hypot(arg_cols[..., :2], arg_cols[..., 2:])

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1179,6 +1180,59 @@ def test_closure_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, closure_
             assert run_cli(["closure", "--set", closure_set,
                             f"{flag}={caps[flag] + 1}", "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {flag} must be at most ")
+
+
+_PAST_DENSE_CAP = str(cli.DENSE_MAX_N + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "--sequence", "cat2", "--n", _PAST_DENSE_CAP],
+    ["replay", "--sequence", "SEQ_FILE"],
+    ["wigner", "--sequence", "cat2", "--n", _PAST_DENSE_CAP, "--per-step"],
+    ["wigner", "--target", "coherent", "--gamma", "0.2", "--n", _PAST_DENSE_CAP],
+    ["optimize", "--n", _PAST_DENSE_CAP, "--target", "coherent", "--gamma", "0.2"],
+    ["trotter-check", "--n", _PAST_DENSE_CAP],
+], ids=["replay", "replay-file", "wigner-sequence", "wigner-target", "optimize",
+        "trotter-check"])
+def test_dense_commands_refuse_n_past_their_cap(tmp_path, capsys, monkeypatch, argv):
+    # the dense (N+1)^2 operators would take gigabytes: an N past the cap,
+    # from --n or a sequence file, exits 2 at once with one line, writing nothing
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(Path(cli._resolve_sequence_path("cat2")).read_text())
+    doc["n_emitters"] = cli.DENSE_MAX_N + 1
+    Path("seq.json").write_text(json.dumps(doc))
+    argv = ["seq.json" if arg == "SEQ_FILE" else arg for arg in argv]
+    record = "--record" if argv[0] == "wigner" else "--out"
+    started = time.perf_counter()
+    assert run_cli([*argv, record, "rec.json"]) == 2
+    assert time.perf_counter() - started < 1.0
+    flag = "n_emitters" if "seq.json" in argv else "--n"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} must be at most {cli.DENSE_MAX_N}, got {_PAST_DENSE_CAP}"]
+    assert sorted(os.listdir()) == ["seq.json"]
+
+
+def test_size_sweep_reports_n_past_the_dense_cap_as_a_row(tmp_path):
+    out = tmp_path / "rec.json"
+    started = time.perf_counter()
+    assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", f"40,{_PAST_DENSE_CAP}",
+                    "--target", "coherent", "--gamma", "0.2", "--out", str(out)]) == 0
+    assert time.perf_counter() - started < 1.0
+    rows = json.loads(out.read_text())["outputs"]["table"]
+    assert "fidelity" in rows[0]
+    assert rows[1] == {"n_emitters": cli.DENSE_MAX_N + 1,
+                       "error": f"n_emitters must be at most {cli.DENSE_MAX_N}, "
+                                f"got {_PAST_DENSE_CAP}"}
+
+
+def test_wigner_per_step_refuses_a_target_source(tmp_path, capsys, monkeypatch):
+    # a target is one state: --per-step serves sequence sources only
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["wigner", "--target", "coherent", "--gamma", "0.2", "--n", "4",
+                    "--per-step", "--out", "D", "--record", "rec.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --per-step needs --sequence"), err
+    assert not os.listdir()
 
 
 def test_optimize_start_steps_zero_is_honoured(tmp_path):

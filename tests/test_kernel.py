@@ -84,7 +84,9 @@ def test_kernel_matches_dense_on_every_convention(n):
 RULE_EDGE = [RECURRENCE_MIN_LEVELS - 2, RECURRENCE_MIN_LEVELS - 1]
 
 
-@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41])
+# 100 and 101 are replay-sweep's N; each pair takes both layouts of the
+# recurrence's halves, N even and odd
+@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41, 100, 101])
 def test_sweep_equals_propagate_under_each_convention_bitwise(n):
     # the sweep's one set of combined-squeeze eigenpairs gives the bits that
     # each convention's own propagate call gives, for a vector, the vector as
@@ -111,7 +113,7 @@ def test_sweep_equals_propagate_under_each_convention_bitwise(n):
         propagate_sweep(space, [0.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0], ground)
 
 
-@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE])
+@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE, 40, 41])
 def test_stacked_per_step_states_equal_each_convention_bitwise(n):
     # the stacked step loops also give each convention's per-step states
     rng = np.random.default_rng(2100 + n)
