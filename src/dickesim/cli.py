@@ -77,6 +77,7 @@ BUNDLED_SEQUENCES = {
 }
 
 
+@functools.cache  # the package does not move while the process runs
 def _resolve_sequence_path(name_or_path: str) -> str:
     if name_or_path in BUNDLED_SEQUENCES:
         ref = resources.files("dickesim") / "sequences" / BUNDLED_SEQUENCES[name_or_path]
@@ -150,6 +151,9 @@ def _replay_fidelity(params, space: DickeSpace, conv: GateConventions,
     return _fidelity_with_vector(final, target)
 
 
+_SWEEP_DICTS = tuple(c.to_dict() for c in CONVENTION_SWEEP)  # the rows' convention keys
+
+
 def cmd_replay(args) -> tuple[dict, dict]:
     params, space, conv, metadata = _load_sequence(args, args.n)
     spec = _target_spec_from_args(args, metadata.get("target"))
@@ -164,8 +168,8 @@ def cmd_replay(args) -> tuple[dict, dict]:
     outputs = {}
     if args.sweep_conventions:
         finals = propagate_sweep(space, params, QuantumState.ground(space).amplitudes)
-        rows = [{**c.to_dict(), "fidelity": _fidelity_with_vector(final, target)}
-                for c, final in zip(CONVENTION_SWEEP, finals)]
+        rows = [{**c, "fidelity": _fidelity_with_vector(final, target)}
+                for c, final in zip(_SWEEP_DICTS, finals)]
         rows.sort(key=lambda r: -r["fidelity"])
         outputs["sweep"] = rows
         outputs["fidelity"] = rows[0]["fidelity"]

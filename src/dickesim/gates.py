@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple
 
@@ -31,7 +32,6 @@ from .core import (
     build_sx,
     build_sy,
     _check_same_space,
-    _normalized,
     _psd_factor,
 )
 
@@ -126,20 +126,34 @@ CONVENTION_SWEEP = tuple(
 
 
 def _checked_axis(axis) -> Tuple[float, float, float]:
-    """``axis`` as a float triple, values unchanged."""
-    vec = np.asarray(axis, dtype=float).reshape(-1)
-    if vec.shape != (3,):
-        raise ValueError(f"rotation axis must be a 3-vector, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"rotation axis must be finite, got {vec.tolist()}")
-    if not vec.any():
+    """``axis`` as a float triple, values unchanged; a triple of floats, as
+    files and :func:`unflatten_params` give, skips numpy."""
+    if not (type(axis) is tuple and len(axis) == 3 and all(type(a) is float for a in axis)):
+        vec = np.asarray(axis, dtype=float).reshape(-1)
+        if vec.shape != (3,):
+            raise ValueError(f"rotation axis must be a 3-vector, got shape {vec.shape}")
+        axis = tuple(vec.tolist())
+    if not all(map(math.isfinite, axis)):
+        raise ValueError(f"rotation axis must be finite, got {list(axis)}")
+    if not any(axis):
         raise ValueError("rotation axis must be nonzero")
-    return (float(vec[0]), float(vec[1]), float(vec[2]))
+    return axis
+
+
+def _turns(axes, thetas) -> np.ndarray:
+    """theta * axis / |axis| per row of the axes (k, 3) and angles (k,), with
+    the bits of ``theta * core._normalized(axis)`` row by row: the same
+    power-of-two scaling, division and product, and each norm from the same
+    BLAS dot, sqrt(row . row)."""
+    axes = np.asarray(axes, dtype=float)
+    scaled = np.ldexp(axes, 1 - np.frexp(np.abs(axes).max(axis=1, keepdims=True))[1])
+    norms = np.array([math.sqrt(row.dot(row)) for row in scaled])
+    return np.asarray(thetas, dtype=float)[:, None] * (scaled / norms[:, None])
 
 
 def _finite(name: str, value) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -164,7 +178,7 @@ class PulseStep:
     @property
     def turns(self) -> np.ndarray:
         """Per-axis rotation angles (theta_x, theta_y, theta_z) = theta * axis / |axis|."""
-        return self.theta * _normalized(np.asarray(self.axis))
+        return _turns([self.axis], [self.theta])[0]
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,7 @@ class PulseSequence:
     @property
     def final_turns(self) -> np.ndarray:
         """Per-axis angles of the final rotation, as :attr:`PulseStep.turns`."""
-        return self.final_theta * _normalized(np.asarray(self.final_axis))
+        return _turns([self.final_axis], [self.final_theta])[0]
 
     @property
     def n_steps(self) -> int:
@@ -439,7 +453,7 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
 
 
 def _checked(psi: np.ndarray) -> np.ndarray:
-    norm = np.sqrt(np.vdot(psi, psi).real)
+    norm = math.sqrt(np.vdot(psi, psi).real)  # correctly rounded, as np.sqrt
     if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
         raise NormDriftError(f"norm drifted to {float(norm)!r} during propagation")
     return psi / norm
@@ -700,12 +714,11 @@ def apply_sequence(seq: PulseSequence, initial: QuantumState,
 def flatten_params(seq: PulseSequence) -> np.ndarray:
     """Optimizer-facing vector: (theta_x, theta_y, theta_z, alpha, beta) per
     step, then the three final per-axis angles.  Length 5*M + 3."""
-    chunks = []
-    for st in seq.steps:
-        chunks.append(st.turns)
-        chunks.append([st.alpha, st.beta])
-    chunks.append(seq.final_turns)
-    return np.concatenate(chunks) if chunks else np.zeros(3)
+    steps = seq.steps
+    turns = _turns([st.axis for st in steps] + [seq.final_axis],
+                   [st.theta for st in steps] + [seq.final_theta])
+    squeezes = np.array([(st.alpha, st.beta) for st in steps]).reshape(-1, 2)
+    return np.concatenate([np.hstack([turns[:-1], squeezes]).ravel(), turns[-1]])
 
 
 def _axis_angle(turns: np.ndarray) -> Tuple[Tuple[float, float, float], float]:

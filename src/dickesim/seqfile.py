@@ -4,16 +4,19 @@ Sequence files are JSON with a fixed key order and an explicit
 format_version, so save -> load -> save is byte-identical.  Result records
 hold everything reproducible (inputs digest, seed, conventions, outputs);
 wall-clock timing is deliberately kept out of the record bytes and reported
-on stdout instead, so records with equal seeds compare equal.
+on stdout instead, so records with equal seeds compare equal.  Both are
+written by :func:`_json_text`, the bytes of ``json.dumps(indent=2)``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Tuple
 
 from .core import DickeSpace
@@ -97,6 +100,61 @@ def sequence_from_dict(doc: dict, n_override: Optional[int] = None,
     return seq, conv, dict(doc.get("metadata") or {})
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int, sort_keys: bool, allow_nan: bool):
+    """json's C encoder for one container of scalars whose members sit at
+    nesting ``depth``: it puts a comma, a line break and the members' indent
+    between them."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * depth, sort_keys, False, allow_nan)
+
+
+def _indented(obj, sort_keys: bool, allow_nan: bool, depth: int) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it at nesting ``depth``.  A
+    container whose members are all of the exact types in ``_SCALARS`` is one
+    call of the C encoder, which lacks only the line breaks inside its two
+    brackets; Python walks the levels above such containers, and hands any
+    other member (a float subclass, a non-JSON value) back to the C encoder
+    alone, so that it is written, or refused, as json would."""
+    encode = _flat_encoder(depth + 1, sort_keys, allow_nan)
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        return "".join(encode(obj, 0))  # a scalar, or default()'s TypeError
+    brackets = "{}" if is_dict else "[]"
+    if not obj:
+        return brackets
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        parts = ["".join(encode(obj, 0))[1:-1]]
+    elif is_dict:
+        items = sorted(obj.items()) if sort_keys else obj.items()
+        parts = [encode_basestring_ascii(_key(key, encode)) + ": "
+                 + _indented(value, sort_keys, allow_nan, depth + 1) for key, value in items]
+    else:
+        parts = [_indented(value, sort_keys, allow_nan, depth + 1) for value in obj]
+    pad = "\n" + "  " * depth
+    return f"{brackets[0]}{pad}  " + f",{pad}  ".join(parts) + f"{pad}{brackets[1]}"
+
+
+def _key(key, encode) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return "".join(encode(key, 0))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(doc, sort_keys: bool = False, allow_nan: bool = True) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=allow_nan)``
+    plus a newline, byte for byte, with the same errors."""
+    if c_make_encoder is None:  # an interpreter without json's C accelerator
+        return json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=allow_nan) + "\n"
+    return _indented(doc, sort_keys, allow_nan, 0) + "\n"
+
+
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
@@ -116,7 +174,7 @@ def _atomic_write_text(path: str, text: str) -> None:
 def save_sequence_file(path: str, seq: PulseSequence, conventions: GateConventions,
                        metadata: Optional[dict] = None) -> None:
     doc = sequence_to_dict(seq, conventions, metadata)
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write_text(path, _json_text(doc))
 
 
 def load_sequence_file(path: str, n_override: Optional[int] = None,
@@ -157,7 +215,7 @@ class ResultRecord:
 
     def to_json(self) -> str:
         try:
-            return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+            return _json_text(self.to_dict(), sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise NonFiniteRecordError(f"the {self.command} record holds NaN or infinity, "
                                        "which JSON cannot carry") from exc

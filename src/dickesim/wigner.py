@@ -175,17 +175,26 @@ def _hermite_table(u: np.ndarray, size: int) -> np.ndarray:
     N = 276.  Below |u| = 26.6 no entry reaches 2^512, so both paths give
     the same bits there; above it they agree to roundoff."""
     table = np.empty((size, u.size))
-    rescale = not (np.abs(u) < 37.5).all()
-    log2_scale = np.zeros((size, u.size)) if rescale else 0.0
-    h_prev, h = np.zeros_like(u), np.full_like(u, math.pi ** -0.25)
-    table[0] = h
+    table[0] = math.pi ** -0.25
+    if (np.abs(u) < 37.5).all():
+        # the same products as below, in place on the table's rows:
+        # steps[a - 1] = sqrt(2/a) u, and h_{-1} = 0 drops out of h_1
+        steps = np.multiply.outer([math.sqrt(2.0 / a) for a in range(1, size)], u)
+        np.multiply(steps[:1], table[0], out=table[1:2])
+        rows, scratch = list(table), np.empty_like(u)
+        for a, (step, h_prev, h, out) in enumerate(zip(steps[1:], rows, rows[1:], rows[2:]), 2):
+            np.multiply(step, h, out=out)
+            np.subtract(out, np.multiply(math.sqrt((a - 1) / a), h_prev, out=scratch), out=out)
+        table *= np.exp(-0.5 * u * u)
+        return table.T
+    log2_scale = np.zeros((size, u.size))
+    h_prev, h = np.zeros_like(u), table[0].copy()
     for a in range(1, size):
         h_prev, h = h, math.sqrt(2.0 / a) * u * h - math.sqrt((a - 1) / a) * h_prev
-        if rescale:
-            big = np.abs(h) > 2.0 ** 512
-            if big.any():
-                h_prev, h = np.ldexp(h_prev, -512 * big), np.ldexp(h, -512 * big)
-                log2_scale[a:] += 512 * big
+        big = np.abs(h) > 2.0 ** 512
+        if big.any():
+            h_prev, h = np.ldexp(h_prev, -512 * big), np.ldexp(h, -512 * big)
+            log2_scale[a:] += 512 * big
         table[a] = h
     return (table * np.exp(log2_scale * math.log(2.0) - 0.5 * u * u)).T
 

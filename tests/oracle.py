@@ -12,7 +12,8 @@
   ``wigner.spherical_wigner_values`` must match to 1e-12 of max|W|.
 - Planar Wigner: the Cahill-Glauber Laguerre recurrence walked separately at
   every grid point.  ``wigner._planar_kernel_sum``, a Hermite bilinear form,
-  must match it to 1e-13.
+  must match it to 1e-13.  The Hermite-function table behind it, as its
+  per-level formula, which ``wigner._hermite_table`` must match bit for bit.
 - Lie closure: the sequential search that ``algebra.lie_closure`` replaced,
   with a complex span extended one candidate at a time.  Both must reach
   the same dimensions, rounds, verdicts and artifact counts.
@@ -300,6 +301,20 @@ def spherical_wigner_per_row(state: QuantumState, thetas, phis) -> np.ndarray:
 
 
 # --- planar Wigner, one recurrence per grid point ------------------------------
+
+def hermite_table_per_level(u: np.ndarray, size: int) -> np.ndarray:
+    """``wigner._hermite_table``'s unscaled table (every |u| < 37.5), one level
+    at a time by the recurrence as written, h_a = sqrt(2/a) u h_{a-1} -
+    sqrt((a-1)/a) h_{a-2} from h_0 = pi^(-1/4) and h_{-1} = 0, each product
+    in that order, then times e^(-u^2/2): the bits the fast path must keep."""
+    table = np.empty((size, u.size))
+    h_prev, h = np.zeros_like(u), np.full_like(u, math.pi ** -0.25)
+    table[0] = h
+    for a in range(1, size):
+        h_prev, h = h, math.sqrt(2 / a) * u * h - math.sqrt((a - 1) / a) * h_prev
+        table[a] = h
+    return (table * np.exp(-0.5 * u * u)).T
+
 
 # the walk's own rescale: check |l_m| every 32 steps and scale points past
 # 2^512 down by 2^512 (growth over 32 steps stays under 2^420 for x up to 1e5)

@@ -1,13 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from dickesim import DickeSpace, GateConventions, PulseSequence, PulseStep, flatten_params
 from dickesim.cli import BUNDLED_SEQUENCES, _resolve_sequence_path
 from dickesim.seqfile import (
+    NonFiniteRecordError,
     ResultRecord,
     SequenceFileError,
+    _json_text,
     load_sequence_file,
     save_sequence_file,
     sequence_from_dict,
@@ -185,3 +189,61 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     save_sequence_file(str(path), sample_sequence(), GateConventions(), None)
     leftovers = [p for p in tmp_path.iterdir() if p.name != "seq.json"]
     assert leftovers == []
+
+
+# --- the JSON writer: json.dumps(indent=2), byte for byte ---------------------
+
+_TEXT = hs.text(hs.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀 ') | hs.characters(), max_size=8)
+_FLOATS = hs.floats(allow_nan=False, allow_infinity=False) | hs.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1e308])
+_SCALARS = hs.none() | hs.booleans() | hs.integers() | _FLOATS | _TEXT
+_DOCS = hs.recursive(_SCALARS, lambda kids: hs.lists(kids, max_size=5)
+                     | hs.lists(kids, max_size=5).map(tuple)
+                     | hs.dictionaries(_TEXT, kids, max_size=5), max_leaves=20)
+
+
+def _planted(bad):
+    """Documents that hold the value ``bad`` once, at any depth, among others."""
+    return hs.recursive(hs.just(bad), lambda kids: hs.one_of(
+        hs.builds(lambda x, before, after: [*before, x, *after],
+                  kids, hs.lists(_SCALARS, max_size=2), hs.lists(_DOCS, max_size=2)),
+        hs.builds(lambda x, key, others: {**others, key: x},
+                  kids, _TEXT, hs.dictionaries(_TEXT, _SCALARS | _DOCS, max_size=2))),
+        max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    rec = ResultRecord("replay", {"doc": doc}, {"doc": doc, "fidelity": 0.5}, seed=None)
+    assert rec.to_json() == json.dumps(rec.to_dict(), indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n"
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert _json_text(doc, sort_keys=True, allow_nan=False) \
+        == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=_planted(math.nan) | _planted(math.inf) | _planted(-math.inf))
+def test_json_writer_refuses_non_finite_records_at_any_depth(doc):
+    with pytest.raises(NonFiniteRecordError):
+        ResultRecord("replay", {}, {"doc": doc}).to_json()
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"  # sequence files allow NaN
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=_planted(np.bool_(True)) | _planted(np.int64(3)) | _planted({1j: 0}))
+def test_json_writer_raises_json_dumps_type_error(doc):
+    for kwargs in ({}, {"sort_keys": True, "allow_nan": False}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, **kwargs)
+        with pytest.raises(TypeError) as got:
+            _json_text(doc, **kwargs)
+        assert str(got.value) == str(want.value)
+
+
+def test_json_writer_writes_non_string_keys_as_json_does():
+    doc = {3: [1, {}], 2.5: {"a": (1, [])}, None: [[]], False: {"": None}, "k": -0.0}
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    with pytest.raises(ValueError):  # a NaN key, where NaN is not allowed
+        _json_text({math.nan: [1, [2]]}, allow_nan=False)

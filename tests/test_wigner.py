@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ from dickesim.wigner import (
     spherical_wigner_values,
     _theta_weights,
 )
+from dickesim import targets
 from oracle import (
     clebsch_gordan,
+    hermite_table_per_level,
     load_grid_csv,
     multipole_coefficients,
     planar_kernel_sum_per_point,
@@ -506,7 +509,14 @@ def test_planar_kernel_far_points_read_zero(n):
     assert np.all(values[far] == 0) and not np.signbit(values[far]).any()
 
 
-@pytest.mark.parametrize("size", [1, 81, 201, 401])
+def _comb_teeth(n_max: int, codeword: str) -> np.ndarray:
+    """The teeth at which the square comb of ``n_max`` levels reads the table."""
+    with mock.patch.object(targets, "_hermite_table", wraps=_hermite_table) as spy:
+        targets._square_comb_amplitudes(n_max, *targets._SQUARE_COMBS[codeword])
+    return spy.call_args.args[0]
+
+
+@pytest.mark.parametrize("size", [1, 2, 41, 81, 201, 401, 497])
 def test_hermite_table_fast_path_equals_the_rescaling_path_bitwise(size):
     # below |u| = 26.6 no entry can reach 2^512, so the rescaling path scales
     # none of these columns; one far point at or past the bound 37.5 forces
@@ -518,6 +528,12 @@ def test_hermite_table_fast_path_equals_the_rescaling_path_bitwise(size):
     for far in (37.5, -37.5, 40.0, -1e6):
         assert np.array_equal(_hermite_table(near, size),
                               _hermite_table(np.append(near, far), size)[:-1])
+    # and the fast path keeps the bits of the per-level formula, product
+    # order included, on comb teeth and on a default plane window's points
+    x_max = math.sqrt(2.0 * ((size - 1) // 2)) + 3.0
+    for u in (_comb_teeth(size - 1, "sensor"), _comb_teeth(size - 1, "one"),
+              math.sqrt(2.0) * np.linspace(-x_max, x_max, 201), near):
+        assert np.array_equal(_hermite_table(u, size), hermite_table_per_level(u, size))
 
 
 @pytest.mark.parametrize("size", [1, 81, 401, 1001, 3000])
