@@ -35,6 +35,7 @@ from .gates import (
     SQUEEZE_ORDERS,
     Convention,
     GateConventions,
+    _propagation_bases,
     flatten_params,
     propagate,
     propagate_sweep,
@@ -117,12 +118,10 @@ def _override_conventions(args, base: GateConventions) -> GateConventions:
     return GateConventions.from_dict(doc)
 
 
-# The largest N of the commands that build dense (N+1)^2 complex operators
-# (the bases of gates.propagate; trotter-check's S_x^2, S_y and eigh).  On a
-# 2-vCPU x86 host replay --sequence cat2 took 0.9 s and 0.20 GB of peak RSS at
-# N = 1000, 3.9 s and 0.67 GB at 2000, 11 s and 1.46 GB at 3000: ~160 B per
-# entry and time ~N^3, so ~2.6 GB and ~30 s at 4000, and near N = 6000 a run
-# would be killed on an 8 GB host instead of exiting 2.  CI and tests use <= 480.
+# The largest N of the commands that build dense (N+1)^2 complex arrays: propagate's
+# bases, trotter-check's operators.  replay --sequence cat2 took 0.7 s and 0.14 GB of peak
+# RSS at N = 1000, 3.8 s and 0.43 GB at 2000, 12 s and 0.91 GB at 3000 (2-vCPU x86): ~100 B
+# per entry, time ~N^3, so ~1.6 GB and ~30 s at 4000.  CI and tests use N <= 1000.
 DENSE_MAX_N = 4_000
 
 
@@ -422,6 +421,7 @@ def cmd_size_sweep(args) -> tuple[dict, dict]:
     spec.check()  # errors that hold at every N end the command; the rest are rows
     rows = []
     for n in ns:
+        _propagation_bases.cache_clear()  # one N's kernel data at a time, not two
         try:
             space = _dense_space(n, "n_emitters")
             fid = _replay_fidelity(params, space, conv, make_target(spec, space))

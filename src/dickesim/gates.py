@@ -29,8 +29,6 @@ from .core import (
     DimensionMismatchError,
     NormDriftError,
     QuantumState,
-    build_sx,
-    build_sy,
     _check_same_space,
     _psd_factor,
 )
@@ -209,15 +207,15 @@ class _Bases(NamedTuple):
     """Per-space data of :func:`propagate`; see :func:`_propagation_bases`."""
 
     jz: np.ndarray          # J_z diagonal, the levels m - N/2
-    vx: np.ndarray          # J_x eigenvectors (real, stored complex) ...
-    vx_h: np.ndarray        # ... and their adjoint, a transposed view
+    vx: np.ndarray          # J_x eigenvectors, real, stored complex
     vy: np.ndarray          # J_y eigenvectors, exp(-i pi/2 J_z) vx ...
     vy_h: np.ndarray        # ... and their adjoint
     x_to_y: np.ndarray      # vy_h @ vx: J_x-basis to J_y-basis coordinates ...
     y_to_x: np.ndarray      # ... and back
     rows: tuple             # per path (product, combined), the rows of _slot_phases
-    sq_diag: np.ndarray     # diagonals of J_x^2 and J_y^2, shape (2, d)
-    sq_off: np.ndarray      # their m, m+2 entries, shape (2, d - 2)
+    sq_diag: np.ndarray     # the diagonal of J_x^2 and of J_y^2, (j(j+1) - x^2)/2
+    sq_off: np.ndarray      # J_x^2's m, m+2 entries; J_y^2's are their negatives
+    store: dict             # the space's plans and mirror tables, released with it
 
 
 # A slot's phases are exp(i (L x + Q x^2)) on the levels x = m - N/2, the
@@ -231,31 +229,31 @@ _SLOT_LQ[[2, 1, 0], [0, 1, 2], 0] = 1.0
 _SLOT_LQ[[4, 3, 4], [0, 2, 3], 1] = 1.0
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)  # replay-sweep alternates N = 40 and 100; ~90 d^2 B each
 def _propagation_bases(space: DickeSpace) -> _Bases:
     """One eigendecomposition per space, shared by every propagation.
 
-    J_x is real symmetric with a simple spectrum, so its eigenbasis is real
-    orthogonal and also diagonalizes S_x^2.  J_y = P J_x P^dag with the
-    diagonal P = exp(-i pi/2 J_z), so P times that basis serves J_y and S_y^2.
+    J_x is the real tridiagonal with the ladder band sqrt((m+1)(N-m))/2 and a
+    simple spectrum, so its eigenbasis is real orthogonal and diagonalizes
+    S_x^2; P times it, P = exp(-i pi/2 J_z), serves J_y = P J_x P^dag and
+    S_y^2.  Their squares are exact bands, (N + 2 m (N - m))/4 and
+    +-band[m] band[m+1].
 
     Both paths' rows of :func:`_slot_phases` come from the one table
     ``_SLOT_LQ``: row i holds L x + Q x^2 at each slot's (L, Q) for coef
-    entry i, below RECURRENCE_MIN_LEVELS levels at the exact levels x, in
-    eigh's ascending order (the direct rows), from there on at the six seed
-    arguments of the recurrence, one half from the middle level up and one
-    down.  Everything is in J units; :func:`propagate` scales the
-    coefficients to the operator convention, S = scale * J.
+    entry i, below RECURRENCE_MIN_LEVELS levels at the exact levels x in
+    eigh's ascending order (the direct rows), from there on at the arguments
+    of the recurrence's f_s, r_s and q per half: the upper x = x_s, x_s + 1,
+    ... and, with L negated, the lower x = -x_s, -x_s - 1, ..., from the
+    middle level x_s (0 or 1/2).  Everything is in J units; :func:`propagate`
+    scales the coefficients to the operator convention, S = scale * J.
     """
-    jx, jy = build_sx(space), build_sy(space)
-    vx = np.linalg.eigh(jx.real)[1]
-    jz = np.arange(space.dim) - space.n_emitters / 2
+    n, m = space.n_emitters, np.arange(space.dim)
+    band = np.sqrt((m[:-1] + 1.0) * (n - m[:-1])) / 2  # J_x[m, m+1], as core.build_sx
+    vx = _chain_eigh(np.zeros(space.dim), band, 1)[1][0]
+    jz = m - n / 2
     vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
-    sq = [(j @ j).real for j in (jx, jy)]
-    # (L, Q) -> the direct rows' L x + Q x^2, or the arguments of f_s, r_s
-    # and q per half, the upper x = x_s, x_s + 1, ... and with L negated the
-    # lower x = -x_s, -x_s - 1, ..., from the middle level x_s (0 or 1/2)
-    mid = 0.5 * (space.n_emitters % 2)
+    mid = 0.5 * (n % 2)
     levels = (np.array([jz, jz * jz]) if space.dim < RECURRENCE_MIN_LEVELS else
               np.array([[mid, 1.0, 0.0, -mid, -1.0, 0.0], [mid * mid, 2 * mid + 1, 2.0] * 2]))
     rows = tuple(np.einsum("psl,lx->psx", t, levels).reshape(5, -1)
@@ -263,9 +261,8 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     vx = vx.astype(complex)
     vy_h = np.ascontiguousarray(vy.conj().T)
     x_to_y = vy_h @ vx
-    return _Bases(jz, vx, vx.T, vy, vy_h, x_to_y, np.ascontiguousarray(x_to_y.conj().T),
-                  rows, np.array([np.diag(q) for q in sq]),
-                  np.array([np.diag(q, 2) for q in sq]))
+    return _Bases(jz, vx, vy, vy_h, x_to_y, np.ascontiguousarray(x_to_y.conj().T),
+                  rows, (n + 2 * m * (n - m)) / 4, band[:-1] * band[1:], {})
 
 
 # A rotation exp(i t . J) is read from its SU(2) quaternion (w, x, y, z) =
@@ -367,7 +364,6 @@ def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
     return out[..., :d, :].view(complex).reshape(psi.shape)
 
 
-@functools.lru_cache(maxsize=None)
 def _mirror_tables(space: DickeSpace) -> tuple:
     """The index tables of :func:`squeeze_eigenpairs` for even N: per
     block, its band (diagonal, subdiagonal) as f (first + s second) of the
@@ -428,9 +424,8 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
     """
     bases = _propagation_bases(space)
     given = np.asarray(strengths, dtype=float)
-    alpha, beta = -given[:, :1], -given[:, 1:]
-    diags = alpha * bases.sq_diag[0] + beta * bases.sq_diag[1]
-    offs = alpha * bases.sq_off[0] + beta * bases.sq_off[1]
+    alpha, beta = given[:, :1], given[:, 1:]
+    diags, offs = -(alpha + beta) * bases.sq_diag, (beta - alpha) * bases.sq_off
     bad = ~(np.isfinite(diags).all(axis=1) & np.isfinite(offs).all(axis=1))
     if bad.any():
         k = int(np.argmax(bad))
@@ -439,7 +434,9 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
     if space.n_emitters % 2:
         w, v = _chain_eigh(diags[:, ::2], offs[:, ::2], 1)
         return np.concatenate([w, w], 1), np.concatenate([v, v[..., ::-1, :]], 1)
-    src, sign, factor, take, scale = _mirror_tables(space)
+    if "mirror" not in bases.store:
+        bases.store["mirror"] = _mirror_tables(space)
+    src, sign, factor, take, scale = bases.store["mirror"]
     length, size = (space.dim + 1) // 2, (space.dim + 3) // 4
     bands = np.concatenate([diags, offs, np.zeros((len(diags), 2))], axis=1)
     bands[:, -1] = 4 * np.abs(bands).max(axis=1) + 1  # the ceiling
@@ -507,7 +504,6 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
 def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: int) -> Callable:
     """The kernel of :func:`propagate` for one space, step count M and a
     group of conventions that share the squeeze composition and order, which
@@ -539,6 +535,8 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     a + c (or a - c) is determined, and only it matters.
     """
     bases = _propagation_bases(space)
+    if cached := bases.store.get((conventions, n_steps)):  # one hash of the key
+        return cached
     stacked = len(conventions) > 1
     lead = (len(conventions),) if stacked else ()
     mul = np.matmul if stacked else np.ndarray.dot
@@ -568,12 +566,12 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     readings = [(p, (_PRODUCT_ROTATION @ euler if p else euler) @ _ARG_COLUMNS)
                 for p in (True, False) if (product == p).any()]
     if combined:
-        first, second = bases.vx_h, bases.vx
+        first, second = bases.vx.T, bases.vx
     else:
         # v1: the eigenbasis of the squeeze applied first; v2: the second.
         v1, v1_h, v2, v2_h, hop = (
-            (bases.vy, bases.vy_h, bases.vx, bases.vx_h, bases.y_to_x) if yx
-            else (bases.vx, bases.vx_h, bases.vy, bases.vy_h, bases.x_to_y))
+            (bases.vy, bases.vy_h, bases.vx, bases.vx.T, bases.y_to_x) if yx
+            else (bases.vx, bases.vx.T, bases.vy, bases.vy_h, bases.x_to_y))
         first, second = v2, v1_h
 
     def run(params, cols, per_step):
@@ -621,6 +619,7 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         states.append(psi)
         return states
 
+    bases.store[conventions, n_steps] = run
     return run
 
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -470,6 +472,29 @@ def test_size_sweep_single_n_matches_replay(tmp_path):
     for rec in (sweep, replay, wigner):
         assert rec["inputs"]["conventions"]["exponent_sign"] == 1
         assert rec["inputs"]["conventions"]["squeeze_composition"] == "product"
+
+
+def test_size_sweep_keeps_at_most_two_spaces(tmp_path):
+    # a space's bases, mirror tables and plans are cached together and
+    # released together, by reference counting alone (the cycle collector
+    # off): size-sweep holds one size at a time, other callers two spaces
+    space = dickesim.DickeSpace(40)
+    run = gates._plan(space, (dickesim.GateConventions(squeeze_composition="combined"),), 1)
+    run(np.zeros(8), np.eye(41, 1, dtype=complex), False)  # makes the mirror tables
+    bases = gates._propagation_bases(space)
+    held = [weakref.ref(x) for x in (bases.vx, bases.store["mirror"][3], run)]
+    del run, bases
+    gc.disable()
+    try:
+        assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "41,42,43,44,45",
+                        "--out", str(tmp_path / "sweep.json")]) == 0
+    finally:
+        gc.enable()
+    assert gates._propagation_bases.cache_info().currsize == 1
+    assert [ref() is None for ref in held] == [True, True, True]  # vx, tables, plan
+    for n in range(4, 9):
+        gates._propagation_bases(dickesim.DickeSpace(n))
+    assert gates._propagation_bases.cache_info().currsize == 2
 
 
 def test_size_sweep_reports_per_n_errors(tmp_path):

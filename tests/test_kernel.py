@@ -6,6 +6,8 @@ overlaps, because for odd N (half-integer spin) a rotation read only up to
 SO(3) would differ from the oracle by a global sign that no overlap shows.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,7 @@ from dickesim import (
     QuantumState,
     apply_sequence,
 )
+from dickesim import gates, optimizer
 from dickesim.core import DimensionMismatchError, _fidelity_with_vector
 from dickesim.gates import (
     CONVENTION_SWEEP,
@@ -28,8 +31,8 @@ from dickesim.gates import (
     SQUEEZE_ORDERS,
     _chain_eigh,
     _chain_exp,
-    _plan,
     _propagate_each,
+    _propagation_bases,
     _slot_phases,
     propagate,
     propagate_sweep,
@@ -321,6 +324,27 @@ def mirror_eigh(diag, off):
     return out
 
 
+def test_squeeze_bands_are_the_exact_ladder_products():
+    # J_x^2 and J_y^2 share the diagonal (j(j+1) - x^2)/2, x = m - N/2, a
+    # multiple of 1/4 held exactly, and their m, m+2 entries are
+    # +-band[m] band[m+1] with the ladder band band[m] = J_x[m, m+1]; the
+    # dense products J @ J agree to 4 ulp
+    for n in [*range(1, 65), 401]:
+        space = DickeSpace(n)
+        bases = _propagation_bases(space)
+        j = Fraction(n, 2)
+        assert list(map(Fraction, bases.sq_diag)) == [
+            (j * (j + 1) - (m - j) ** 2) / 2 for m in range(space.dim)], n
+        jx, jy, _ = _spin_triple(space, Convention.SPIN_J)
+        band = np.diag(jx, 1).real
+        assert np.array_equal(bases.sq_off, band[:-1] * band[1:]), n
+        for spin, sign in ((jx, 1.0), (jy, -1.0)):
+            square = (spin @ spin).real
+            for dense, exact in ((np.diag(square), bases.sq_diag),
+                                 (np.diag(square, 2), sign * bases.sq_off)):
+                assert np.all(np.abs(dense - exact) <= 4 * np.spacing(np.abs(exact))), n
+
+
 def s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=True):
     """exp(sign i (alpha S_x^2 + beta S_y^2)) psi, diagonalized in the
     convention's own S units.  Folded, as the kernel does it: the
@@ -331,13 +355,15 @@ def s_unit_squeeze(space, convention, alpha, beta, sign, psi, folded=True):
     exp(i w).  Laid out as the kernel's chains: the even and the odd levels,
     zero-padded to one length, each matvec on the real and imaginary parts
     as two real columns."""
-    sq = [(s @ s).real for s in _spin_triple(space, convention)[:2]]
+    bases, scale = _propagation_bases(space), GateConventions(convention=convention).scale
     a, b, k = (-alpha, -beta, -sign) if folded else (sign * alpha, sign * beta, 1)
     d = space.dim
     size = d + d % 2
     diag, off, padded = np.zeros(size), np.zeros(size - 2), np.zeros(size, complex)
-    diag[:d] = a * np.diag(sq[0]) + b * np.diag(sq[1])
-    off[:d - 2] = a * np.diag(sq[0], 2) + b * np.diag(sq[1], 2)
+    # S_x^2 and S_y^2 are scale^2 times the J-unit squares: a shared diagonal
+    # and opposite m, m+2 bands
+    diag[:d] = (a + b) * (scale ** 2 * bases.sq_diag)
+    off[:d - 2] = (a - b) * (scale ** 2 * bases.sq_off)
     padded[:d] = psi
     if folded:
         pairs = mirror_eigh(diag[:d], off[:d - 2])
@@ -645,16 +671,18 @@ def test_propagate_rejects_bad_inputs():
         propagate(space, np.zeros(8), conv, 2 * ground)
 
 
-def test_objective_binds_its_plan_once():
+def test_objective_binds_its_plan_once(monkeypatch):
+    # after make_objective, an evaluation neither looks a plan up nor builds one
     space = DickeSpace(4)
     rng = np.random.default_rng(23)
     target = QuantumState(space, amplitudes=random_state(space, rng))
     f = make_objective(space, target, 3, GateConventions(exponent_sign=-1))
-    before = _plan.cache_info()
+    looked_up = []
+    for module in (gates, optimizer):
+        monkeypatch.setattr(module, "_plan", lambda *key: looked_up.append(key))
     for _ in range(20):
         f(rng.uniform(-np.pi, np.pi, 18))
-    after = _plan.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert looked_up == []
 
 
 @pytest.mark.parametrize("n, n_steps", [(4, 3), (5, 0), (6, 1)])
