@@ -50,6 +50,7 @@ from .seqfile import (
     save_sequence_file,
 )
 from .targets import (
+    GKP_CODEWORDS,
     TargetKind,
     TargetSpec,
     TruncationError,
@@ -455,7 +456,7 @@ def _add_target_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", default="3", help="complex, e.g. '3' or '2+1j'")
     p.add_argument("--phi", type=float, default=float(np.pi / 4))
     p.add_argument("--squeezing-db", type=float, default=10.0)
-    p.add_argument("--gkp-codeword", choices=["sensor", "zero", "one"], default="sensor")
+    p.add_argument("--gkp-codeword", choices=GKP_CODEWORDS, default="sensor")
     p.add_argument("--allow-truncation", action="store_true",
                    help="accept targets whose tail beyond |N> exceeds the error limit")
     p.add_argument("--custom-amplitudes", default=None,

@@ -20,14 +20,13 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import DickeSpace, QuantumState
-from .wigner import _hermite_table
 
 WARN_TAIL = 1e-6
 ERROR_TAIL = 1e-4
 MAX_GAMMA = 1e150  # per part of gamma: |gamma|^2, the mean excitation, stays finite
 MAX_PHI = 1e15  # the largest cat4 leg phase, 3 phi, stays below 2^52 rad
 _TINY = np.finfo(float).tiny
-_LATTICE_CHUNK = 32  # Fock levels per block of the hexagonal lattice recurrence
+_LATTICE_CHUNK = 32  # Fock levels per block of the grid-state lattice recurrence
 
 
 class TruncationWarning(UserWarning):
@@ -206,48 +205,32 @@ def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
     return total if upward else 1.0 - total
 
 
-def _square_comb_amplitudes(n_max: int, spacing: float, offset: float) -> np.ndarray:
-    """Fock amplitudes of the ideal position comb sum_s |x = offset + s*spacing>:
-    sum_s phi_n(x_s) over the teeth within sqrt(2 n_max) + 6, from the
-    planar Hermite table.  Up to n_max = 496 (N = 124) every tooth lies
-    within |x| < 37.5, where the table runs unscaled; from n_max = 500 on it
-    carries exponents, so a tooth past |x| ~ 37.6, whose Gaussian alone
-    underflows, still counts."""
-    x_cut = np.sqrt(2.0 * n_max) + 6.0
-    s_max = int(np.ceil((x_cut + abs(offset)) / spacing)) + 1
-    xs = offset + spacing * np.arange(-s_max, s_max + 1)
-    xs = xs[np.abs(xs) <= x_cut]
-    return _hermite_table(xs, n_max + 1).sum(axis=0).astype(complex)
+def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float,
+                        margin: float) -> np.ndarray:
+    """Fock amplitudes of an ideal grid state, a coherent sum over its lattice.
 
-
-def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:
-    """Fock amplitudes of an ideal hexagonal grid state, a coherent sum.
-
-    The state is the sum over lattice displacements D(lambda) applied to
-    vacuum, with the displacement-composition phases of the stabilizer group:
-    sum_k c_k |mu_k> over the points mu_k inside the amplitude cut.  All
-    points advance together by the recurrence a_n = a_{n-1} mu / sqrt(n),
-    from a_0 = c e^{-|mu|^2/2}, _LATTICE_CHUNK levels at a time.  Each point
-    carries its own power-of-two exponent, renormalized between chunks, since
-    e^{-|mu|^2/2} alone underflows past |mu| ~ 38.6 (inside the cut from
-    N ~ 282 on).  Memory is O(points + n_max).
+    The state is D(shift) sum_lambda D(lambda)|0>, lambda = s g1 + t g2 over
+    the lattice of a positive g1 and a g2 in the upper half plane, with the
+    displacement-composition phases of the stabilizer group: sum_k c_k |mu_k>
+    over the points mu_k = shift + lambda_k within the amplitude cut
+    sqrt(n_max) + margin.  All points advance together by the recurrence
+    a_n = a_{n-1} mu / sqrt(n), from a_0 = c e^{-|mu|^2/2}, _LATTICE_CHUNK
+    levels at a time.  Each point carries its own power-of-two exponent,
+    renormalized between chunks, since e^{-|mu|^2/2} alone underflows past
+    |mu| ~ 38.6 (inside the cut from N ~ 266 on at margin 6, N ~ 283 at
+    margin 5).  Memory is O(points + n_max).
     """
-    cell_area = 2 * np.pi if codeword == "sensor" else 4 * np.pi
-    # lattice generators and codeword shift as displacements (x + ip)/sqrt(2)
-    g1 = np.sqrt(cell_area / np.sqrt(3))
-    g2 = g1 * (0.5 + 0.5j * np.sqrt(3))
-    shift = g1 / 2 if codeword == "one" else 0.0
-    amp_cut = np.sqrt(n_max) + 5.0
+    amp_cut = np.sqrt(n_max) + margin
     t_max = int(np.ceil(amp_cut / g2.imag)) + 1
-    s_max = int(np.ceil(amp_cut / g1 + t_max / 2)) + 1
+    s_max = int(np.ceil(amp_cut / g1 + t_max * abs(g2.real) / g1)) + 1
     t, s = np.mgrid[-t_max:t_max + 1, -s_max:s_max + 1]
     lam = s * g1 + t * g2
     keep = np.abs(lam + shift) <= amp_cut
     s, t, lam = s[keep], t[keep], lam[keep]
     mu = lam + shift
-    # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); composing
-    # with the codeword shift adds e^{i Im(lam conj(shift))}.
-    phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+    # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); the codeword
+    # shift on the left adds e^{i Im(shift conj(lam))}.
+    phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(shift * np.conj(lam))
     # a point's amplitude at the first level lo of the current chunk is
     # mantissa * 2^exponent; at lo = 0 it is e^{i phase} e^{-|mu|^2/2}
     log2_start = (-0.5 / math.log(2.0)) * np.abs(mu) ** 2
@@ -277,10 +260,23 @@ def _hex_lattice_amplitudes(n_max: int, codeword: str) -> np.ndarray:
     return out
 
 
-# (spacing, offset) of each square codeword's position comb; see GKP_CODEWORDS
-_SQUARE_COMBS = {"sensor": (np.sqrt(2 * np.pi), 0.0),
-                 "zero": (2 * np.sqrt(np.pi), 0.0),
-                 "one": (2 * np.sqrt(np.pi), np.sqrt(np.pi))}
+# (g1, g2, shift, margin) of each grid state's lattice, as displacements
+# (x + ip)/sqrt(2); see GKP_CODEWORDS.  The square cells are sqrt(pi) x sqrt(pi)
+# and sqrt(2 pi) x sqrt(pi/2), and "one" is "zero" shifted by half its g1.  A
+# cut margin of 6 leaves out below 1e-14 of the largest ideal amplitude; the
+# hexagonal rows keep 5 (up to 1e-11 near n_max, 3e-16 after a 10 dB envelope),
+# the margin their records were made with.
+_HEX_2PI, _HEX_4PI = (np.sqrt(area / np.sqrt(3)) for area in (2 * np.pi, 4 * np.pi))
+_HEX_TURN = 0.5 + 0.5j * np.sqrt(3)
+_GKP_LATTICES = {
+    (TargetKind.GKP_SQUARE, "sensor"): (np.sqrt(np.pi), 1j * np.sqrt(np.pi), 0.0, 6.0),
+    (TargetKind.GKP_SQUARE, "zero"): (np.sqrt(2 * np.pi), 1j * np.sqrt(np.pi / 2), 0.0, 6.0),
+    (TargetKind.GKP_SQUARE, "one"): (np.sqrt(2 * np.pi), 1j * np.sqrt(np.pi / 2),
+                                     np.sqrt(np.pi / 2), 6.0),
+    (TargetKind.GKP_HEX, "sensor"): (_HEX_2PI, _HEX_2PI * _HEX_TURN, 0.0, 5.0),
+    (TargetKind.GKP_HEX, "zero"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, 0.0, 5.0),
+    (TargetKind.GKP_HEX, "one"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, _HEX_4PI / 2, 5.0),
+}
 
 
 def _grid_amplitudes(n_emitters: int, spec: TargetSpec) -> Tuple[np.ndarray, float, int]:
@@ -293,10 +289,7 @@ def _grid_amplitudes(n_emitters: int, spec: TargetSpec) -> Tuple[np.ndarray, flo
     """
     delta = 10.0 ** (-spec.squeezing_db / 20.0)
     n_ext = max(4 * n_emitters, 200)
-    if spec.kind is TargetKind.GKP_SQUARE:
-        ideal = _square_comb_amplitudes(n_ext, *_SQUARE_COMBS[spec.gkp_codeword])
-    else:
-        ideal = _hex_lattice_amplitudes(n_ext, spec.gkp_codeword)
+    ideal = _lattice_amplitudes(n_ext, *_GKP_LATTICES[spec.kind, spec.gkp_codeword])
     amp = ideal * np.exp(-delta ** 2) ** np.arange(n_ext + 1)
     weights = np.abs(amp) ** 2
     total = weights.sum()

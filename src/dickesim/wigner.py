@@ -170,8 +170,7 @@ def _hermite_table(u: np.ndarray, size: int) -> np.ndarray:
     and Stegun 22.14.17) the unscaled entries stay below 0.82 e^(u^2/2)
     < 2^1015 and a step's product sqrt(2/a) u h below 2^1020, so nothing
     overflows, and e^(-u^2/2) > 2^-1015 is still a normal number.  That
-    covers square combs up to n_max = 496 (teeth within sqrt(992) + 6 =
-    37.496) and default plane windows (u <= 2 sqrt(N) + 3 sqrt(2)) up to
+    covers default plane windows (u <= 2 sqrt(N) + 3 sqrt(2)) up to
     N = 276.  Below |u| = 26.6 no entry reaches 2^512, so both paths give
     the same bits there; above it they agree to roundoff."""
     table = np.empty((size, u.size))

@@ -16,8 +16,8 @@ from dickesim import (
     make_target,
 )
 from dickesim.targets import (
-    _hex_lattice_amplitudes,
-    _square_comb_amplitudes,
+    _GKP_LATTICES,
+    _lattice_amplitudes,
     coherent_amplitudes,
     coherent_tail_weight,
 )
@@ -242,14 +242,17 @@ def _comb_mpmath(n_max, spacing, offset):
 
 @pytest.mark.parametrize("n_max", [200, 400, 496, 800, 1600])
 def test_square_comb_matches_per_tooth_mpmath_sum(n_max):
-    # up to n_max = 496 (N = 124) every tooth lies within sqrt(992) + 6 =
-    # 37.496 < 37.5, where the Hermite table skips its rescaling; from
+    # the square lattice sums are position combs up to a constant positive
+    # factor, so both sides are compared normalized.  Up to n_max = 496
+    # (N = 124) every tooth lies within sqrt(992) + 6 = 37.496; from
     # n_max = 500 on the comb holds teeth past |x| ~ 37.6, whose e^{-x^2/2}
     # underflows in double; at 800 they carry the large-n amplitudes
-    for spacing, offset in ((np.sqrt(2 * np.pi), 0.0), (2 * np.sqrt(np.pi), np.sqrt(np.pi))):
+    for codeword, spacing, offset in (("sensor", np.sqrt(2 * np.pi), 0.0),
+                                      ("one", 2 * np.sqrt(np.pi), np.sqrt(np.pi))):
         ref = _comb_mpmath(n_max, spacing, offset)
-        fast = _square_comb_amplitudes(n_max, spacing, offset)
-        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref)), (n_max, offset)
+        fast = _lattice_amplitudes(n_max, *_GKP_LATTICES[TargetKind.GKP_SQUARE, codeword])
+        ref, fast = ref / np.linalg.norm(ref), fast / np.linalg.norm(fast)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref)), (n_max, codeword)
 
 
 def _displacement_expectation(amps, alpha, cutoff=200):
@@ -321,30 +324,46 @@ def _coherent_sum_longdouble(n_max, mus, weights, chunk=256):
     return out.astype(complex)
 
 
-@pytest.mark.parametrize("codeword", ["sensor", "zero", "one"])
-def test_hex_lattice_matches_per_point_coherent_sum(codeword):
-    # oracle: the lattice points lam + shift inside the amplitude cut, with the
+def _lattice_longdouble(kind, codeword):
+    """(g1, g2, shift) of a grid state's lattice in np.longdouble, in units
+    (x + ip)/sqrt(2), derived from the code's cell area A = 2 pi (sensor) or
+    4 pi in the (x, p) plane: square g1 = sqrt(A/2) and g2 = i pi / g1, so
+    each codeword's own cell has area pi in these units; hexagonal
+    g1 = sqrt(A/sqrt(3)) and g2 = g1 e^{i pi/3}, the code's cell; "one" is
+    "zero" shifted by g1 / 2."""
+    ld, pi = np.longdouble, 4 * np.arctan(np.longdouble(1))
+    area = 2 * pi if codeword == "sensor" else 4 * pi
+    if kind is TargetKind.GKP_SQUARE:
+        g1 = np.sqrt(area / 2)
+        g2 = np.clongdouble(1j) * (pi / g1)
+    else:
+        g1 = np.sqrt(area / np.sqrt(ld(3)))
+        g2 = g1 * (np.clongdouble(0.5) + np.clongdouble(1j) * (np.sqrt(ld(3)) / 2))
+    return g1, g2, g1 / 2 if codeword == "one" else ld(0)
+
+
+@pytest.mark.parametrize("kind, codeword", list(_GKP_LATTICES),
+                         ids=lambda v: getattr(v, "value", v))
+def test_lattice_matches_per_point_coherent_sum(kind, codeword):
+    # oracle: the lattice points shift + lam inside the amplitude cut, with the
     # stabilizer phase s t Im(g1 conj(g2)) of D(s g1) D(t g2) and
-    # Im(lam conj(shift)) of the codeword shift, all formed in np.longdouble
-    # and summed as coherent vectors by _coherent_sum_longdouble.  From
-    # n_max = 1200 (N = 300) on, the cut holds points with |lam| > 38.6,
+    # Im(shift conj(lam)) of the codeword shift on the left, all formed in
+    # np.longdouble and summed as coherent vectors by _coherent_sum_longdouble.
+    # From n_max = 1200 (N = 300) on, the cut holds points with |lam| > 38.6,
     # whose e^{-|lam|^2/2} underflows in double; at 1920 (N = 480) they carry
     # the amplitudes near n_max.
-    ld = np.longdouble
-    ell = np.sqrt(2 * (2 if codeword == "sensor" else 4) * (4 * np.arctan(ld(1))) / np.sqrt(ld(3)))
-    g1 = ell / np.sqrt(ld(2))
-    g2 = g1 * (np.clongdouble(0.5) + np.clongdouble(1j) * (np.sqrt(ld(3)) / 2))
-    shift = ell / (2 * np.sqrt(ld(2))) if codeword == "one" else ld(0)
+    g1, g2, shift = _lattice_longdouble(kind, codeword)
+    margin = _GKP_LATTICES[kind, codeword][3]
     for n_max in (200, 1200, 1920):
-        amp_cut = np.sqrt(n_max) + 5.0
-        r = int(3 * amp_cut / float(ell)) + 2
+        amp_cut = np.sqrt(n_max) + margin
+        r = int(2 * amp_cut / float(min(g1, g2.imag))) + 2
         s, t = (a.ravel() for a in np.mgrid[-r:r + 1, -r:r + 1])
         lam = s * g1 + t * g2
         keep = np.abs(lam + shift) <= amp_cut
         s, t, lam = s[keep], t[keep], lam[keep]
-        phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(lam * np.conj(shift))
+        phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(shift * np.conj(lam))
         ref = _coherent_sum_longdouble(n_max, lam + shift, np.cos(phase) + 1j * np.sin(phase))
-        fast = _hex_lattice_amplitudes(n_max, codeword)
+        fast = _lattice_amplitudes(n_max, *_GKP_LATTICES[kind, codeword])
         assert fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref)), n_max
 

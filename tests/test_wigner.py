@@ -1,6 +1,5 @@
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +41,6 @@ from dickesim.wigner import (
     spherical_wigner_values,
     _theta_weights,
 )
-from dickesim import targets
 from oracle import (
     clebsch_gordan,
     hermite_table_per_level,
@@ -509,11 +507,13 @@ def test_planar_kernel_far_points_read_zero(n):
     assert np.all(values[far] == 0) and not np.signbit(values[far]).any()
 
 
-def _comb_teeth(n_max: int, codeword: str) -> np.ndarray:
-    """The teeth at which the square comb of ``n_max`` levels reads the table."""
-    with mock.patch.object(targets, "_hermite_table", wraps=_hermite_table) as spy:
-        targets._square_comb_amplitudes(n_max, *targets._SQUARE_COMBS[codeword])
-    return spy.call_args.args[0]
+def _comb_teeth(n_max: int, spacing: float, offset: float) -> np.ndarray:
+    """The teeth offset + s spacing of a square-GKP position comb of
+    ``n_max`` levels, out to sqrt(2 n_max) + 6, as a Hermite argument."""
+    x_cut = np.sqrt(2.0 * n_max) + 6.0
+    s_max = int(np.ceil((x_cut + abs(offset)) / spacing)) + 1
+    xs = offset + spacing * np.arange(-s_max, s_max + 1)
+    return xs[np.abs(xs) <= x_cut]
 
 
 @pytest.mark.parametrize("size", [1, 2, 41, 81, 201, 401, 497])
@@ -531,7 +531,8 @@ def test_hermite_table_fast_path_equals_the_rescaling_path_bitwise(size):
     # and the fast path keeps the bits of the per-level formula, product
     # order included, on comb teeth and on a default plane window's points
     x_max = math.sqrt(2.0 * ((size - 1) // 2)) + 3.0
-    for u in (_comb_teeth(size - 1, "sensor"), _comb_teeth(size - 1, "one"),
+    for u in (_comb_teeth(size - 1, math.sqrt(2 * math.pi), 0.0),
+              _comb_teeth(size - 1, 2 * math.sqrt(math.pi), math.sqrt(math.pi)),
               math.sqrt(2.0) * np.linspace(-x_max, x_max, 201), near):
         assert np.array_equal(_hermite_table(u, size), hermite_table_per_level(u, size))
 
