@@ -420,16 +420,6 @@ def trotter_commutator_error(a: np.ndarray, b: np.ndarray, t: float, k: int) -> 
     return float(np.max(np.abs(approx - exact)))
 
 
-def ladder_norm_constant(n_emitters: int, n: int) -> float:
-    """c_n = sqrt(n! N! / (N-n)!), the norm of S_+^n |0>."""
-    from math import lgamma
-
-    if not 0 <= n <= n_emitters:
-        raise ValueError(f"need 0 <= n <= N, got n={n}, N={n_emitters}")
-    return float(np.exp(0.5 * (lgamma(n + 1) + lgamma(n_emitters + 1)
-                               - lgamma(n_emitters - n + 1))))
-
-
 @functools.lru_cache(maxsize=None)
 def _ladder_logs(space: DickeSpace) -> np.ndarray:
     """l_m = sum_(k<m) log sqrt((k+1)(N-k)), m = 0..N, the log of the norm of

@@ -281,10 +281,8 @@ def cmd_wigner(args) -> tuple[dict, dict]:
                       conventions=conv.to_dict(),
                       per_step=bool(args.per_step))
         vecs = propagate(space, params, conv,
-                         QuantumState.ground(space).amplitudes, per_step=True)
-        if not args.per_step:
-            vecs = vecs[-1:]
-        states = [QuantumState(space, amplitudes=v) for v in vecs]
+                         QuantumState.ground(space).amplitudes, per_step=args.per_step)
+        states = [QuantumState(space, amplitudes=v) for v in (vecs if args.per_step else [vecs])]
     else:
         if args.target is None:
             raise ValueError("wigner needs --sequence or --target")

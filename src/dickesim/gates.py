@@ -215,7 +215,7 @@ class _Bases(NamedTuple):
     rows: tuple             # per path (product, combined), the rows of _slot_phases
     sq_diag: np.ndarray     # the diagonal of J_x^2 and of J_y^2, (j(j+1) - x^2)/2
     sq_off: np.ndarray      # J_x^2's m, m+2 entries; J_y^2's are their negatives
-    store: dict             # the space's plans and mirror tables, released with it
+    store: dict             # plans, mirror tables, sphere kernel bands; released with it
 
 
 # A slot's phases are exp(i (L x + Q x^2)) on the levels x = m - N/2, the

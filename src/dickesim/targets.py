@@ -27,6 +27,9 @@ MAX_GAMMA = 1e150  # per part of gamma: |gamma|^2, the mean excitation, stays fi
 MAX_PHI = 1e15  # the largest cat4 leg phase, 3 phi, stays below 2^52 rad
 _TINY = np.finfo(float).tiny
 _LATTICE_CHUNK = 32  # Fock levels per block of the grid-state lattice recurrence
+# The grid-state lattice sums keep |mu| <= sqrt(n_max) + _LATTICE_MARGIN, which
+# leaves out below 1e-14 of the largest ideal amplitude (5 leaves out up to 1e-11).
+_LATTICE_MARGIN = 6.0
 
 
 class TruncationWarning(UserWarning):
@@ -205,22 +208,21 @@ def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
     return total if upward else 1.0 - total
 
 
-def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float,
-                        margin: float) -> np.ndarray:
+def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float) -> np.ndarray:
     """Fock amplitudes of an ideal grid state, a coherent sum over its lattice.
 
     The state is D(shift) sum_lambda D(lambda)|0>, lambda = s g1 + t g2 over
     the lattice of a positive g1 and a g2 in the upper half plane, with the
     displacement-composition phases of the stabilizer group: sum_k c_k |mu_k>
     over the points mu_k = shift + lambda_k within the amplitude cut
-    sqrt(n_max) + margin.  All points advance together by the recurrence
-    a_n = a_{n-1} mu / sqrt(n), from a_0 = c e^{-|mu|^2/2}, _LATTICE_CHUNK
-    levels at a time.  Each point carries its own power-of-two exponent,
-    renormalized between chunks, since e^{-|mu|^2/2} alone underflows past
-    |mu| ~ 38.6 (inside the cut from N ~ 266 on at margin 6, N ~ 283 at
-    margin 5).  Memory is O(points + n_max).
+    sqrt(n_max) + _LATTICE_MARGIN.  All points advance together by the
+    recurrence a_n = a_{n-1} mu / sqrt(n), from a_0 = c e^{-|mu|^2/2},
+    _LATTICE_CHUNK levels at a time.  Each point carries its own power-of-two
+    exponent, renormalized between chunks, since e^{-|mu|^2/2} alone
+    underflows past |mu| ~ 38.6 (inside the cut from N ~ 266 on).  Memory is
+    O(points + n_max).
     """
-    amp_cut = np.sqrt(n_max) + margin
+    amp_cut = np.sqrt(n_max) + _LATTICE_MARGIN
     t_max = int(np.ceil(amp_cut / g2.imag)) + 1
     s_max = int(np.ceil(amp_cut / g1 + t_max * abs(g2.real) / g1)) + 1
     t, s = np.mgrid[-t_max:t_max + 1, -s_max:s_max + 1]
@@ -260,22 +262,19 @@ def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float,
     return out
 
 
-# (g1, g2, shift, margin) of each grid state's lattice, as displacements
-# (x + ip)/sqrt(2); see GKP_CODEWORDS.  The square cells are sqrt(pi) x sqrt(pi)
-# and sqrt(2 pi) x sqrt(pi/2), and "one" is "zero" shifted by half its g1.  A
-# cut margin of 6 leaves out below 1e-14 of the largest ideal amplitude; the
-# hexagonal rows keep 5 (up to 1e-11 near n_max, 3e-16 after a 10 dB envelope),
-# the margin their records were made with.
+# (g1, g2, shift) of each grid state's lattice, as displacements (x + ip)/sqrt(2);
+# see GKP_CODEWORDS.  The square cells are sqrt(pi) x sqrt(pi) and
+# sqrt(2 pi) x sqrt(pi/2), and "one" is "zero" shifted by half its g1.
 _HEX_2PI, _HEX_4PI = (np.sqrt(area / np.sqrt(3)) for area in (2 * np.pi, 4 * np.pi))
 _HEX_TURN = 0.5 + 0.5j * np.sqrt(3)
 _GKP_LATTICES = {
-    (TargetKind.GKP_SQUARE, "sensor"): (np.sqrt(np.pi), 1j * np.sqrt(np.pi), 0.0, 6.0),
-    (TargetKind.GKP_SQUARE, "zero"): (np.sqrt(2 * np.pi), 1j * np.sqrt(np.pi / 2), 0.0, 6.0),
+    (TargetKind.GKP_SQUARE, "sensor"): (np.sqrt(np.pi), 1j * np.sqrt(np.pi), 0.0),
+    (TargetKind.GKP_SQUARE, "zero"): (np.sqrt(2 * np.pi), 1j * np.sqrt(np.pi / 2), 0.0),
     (TargetKind.GKP_SQUARE, "one"): (np.sqrt(2 * np.pi), 1j * np.sqrt(np.pi / 2),
-                                     np.sqrt(np.pi / 2), 6.0),
-    (TargetKind.GKP_HEX, "sensor"): (_HEX_2PI, _HEX_2PI * _HEX_TURN, 0.0, 5.0),
-    (TargetKind.GKP_HEX, "zero"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, 0.0, 5.0),
-    (TargetKind.GKP_HEX, "one"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, _HEX_4PI / 2, 5.0),
+                                     np.sqrt(np.pi / 2)),
+    (TargetKind.GKP_HEX, "sensor"): (_HEX_2PI, _HEX_2PI * _HEX_TURN, 0.0),
+    (TargetKind.GKP_HEX, "zero"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, 0.0),
+    (TargetKind.GKP_HEX, "one"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, _HEX_4PI / 2),
 }
 
 

@@ -20,7 +20,6 @@ is labeled ``dicke-to-fock-identification``.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DickeSpace, QuantumState, _frozen, _psd_factor
-from .gates import _propagation_bases
+from .gates import _chain_eigh, _propagation_bases
 
 PLANAR_APPROXIMATION_LABEL = "dicke-to-fock-identification"
 BOUNDARY_WARN_LEVEL = 1e-3
@@ -38,30 +37,32 @@ class WindowWarning(UserWarning):
     """The planar grid window clips non-negligible Wigner weight."""
 
 
-@functools.lru_cache(maxsize=None)
 def _kernel_diagonal(n: int) -> np.ndarray:
     """Delta = sqrt(2J+1)/(4 pi) sum_k sqrt(2k+1) diag(T_k0), the Wigner kernel
-    at the north pole.  diag(T_k0) is the Gram polynomial of degree k in m on
-    0..N (orthonormal, positive leading coefficient), built by Lanczos on
-    diag(m - N/2) from the uniform vector, reorthogonalized twice per step."""
-    jz = np.arange(n + 1) - n / 2
-    t_k0 = np.full((n + 1, n + 1), 1 / math.sqrt(n + 1))
-    for k in range(n):
-        v = jz * t_k0[k]
-        for _ in range(2):
-            v -= (t_k0[:k + 1] @ v) @ t_k0[:k + 1]
-        t_k0[k + 1] = v / np.linalg.norm(v)
-    return math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ t_k0)
+    at the north pole.  diag(T_k0) is the Gram polynomial t_k of degree k in m
+    on 0..N (orthonormal, positive leading coefficient).  On the nodes
+    m - N/2 they obey x t_k = b_{k+1} t_{k+1} + b_k t_{k-1} with
+    b_k = (k/2) sqrt(((N+1)^2 - k^2) / (4k^2 - 1)), so the eigenvectors of
+    this Jacobi band are the columns (t_0(m), ..., t_N(m)) (Golub and Welsch,
+    Math. Comp. 23, 221 (1969)), each signed by t_0 > 0."""
+    k = np.arange(1.0, n + 1)
+    band = 0.5 * k * np.sqrt(((n + 1.0) ** 2 - k * k) / (4 * k * k - 1))
+    t_k0 = _chain_eigh(np.zeros(n + 1), band, 1)[1][0]
+    return (math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ t_k0)
+            * np.sign(t_k0[0]))
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_bands(n: int) -> tuple:
+def _kernel_bands(space: DickeSpace) -> tuple:
     """The diagonals G_{a,a+k}, k = 0..N, of the north-pole kernel in the J_y
-    eigenbasis, G = V_y^dag diag(Delta) V_y.  V_y = P V_x with P diagonal, so
-    P cancels against diag(Delta) and G = V_x^T diag(Delta) V_x is real."""
-    vx = _propagation_bases(DickeSpace(n)).vx.real
-    g = (vx.T * _kernel_diagonal(n)) @ vx
-    return tuple(_frozen(np.diagonal(g, k)) for k in range(n + 1))
+    eigenbasis, G = V_y^dag diag(Delta) V_y, kept in the space's propagation
+    store.  V_y = P V_x with P diagonal, so P cancels against diag(Delta) and
+    G = V_x^T diag(Delta) V_x is real."""
+    bases = _propagation_bases(space)
+    if "sphere" not in bases.store:
+        vx = bases.vx.real
+        g = (vx.T * _kernel_diagonal(space.n_emitters)) @ vx
+        bases.store["sphere"] = tuple(_frozen(np.diagonal(g, k)) for k in range(space.dim))
+    return bases.store["sphere"]
 
 
 def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
@@ -87,7 +88,7 @@ def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
     d, r = cols.shape
     u = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
     u = (bases.vy_h @ u.reshape(d, -1)).reshape(d, r, -1)
-    u_conj, bands = u.conj(), _kernel_bands(state.space.n_emitters)
+    u_conj, bands = u.conj(), _kernel_bands(state.space)
     h = np.array([g_k @ (u_conj[:d - k] * u[k:]).reshape(d - k, -1)
                   for k, g_k in enumerate(bands)]).reshape(d, r, -1).sum(axis=1)
     k = np.arange(d)
@@ -165,27 +166,11 @@ def _hermite_table(u: np.ndarray, size: int) -> np.ndarray:
     |u| ~ 37.6.  A point past 2^512 is scaled down by 2^512 (a step grows it
     by at most 2^500 while |u| <= 1.4e150); each entry's exponent and the
     Gaussian are applied at the end, so far points read 0 and nothing
-    overflows.  While every |u| < 37.5 the test and the exponent table are
-    skipped: by Cramer's inequality |phi_a| <= 1.0865 pi^(-1/4) (Abramowitz
-    and Stegun 22.14.17) the unscaled entries stay below 0.82 e^(u^2/2)
-    < 2^1015 and a step's product sqrt(2/a) u h below 2^1020, so nothing
-    overflows, and e^(-u^2/2) > 2^-1015 is still a normal number.  That
-    covers default plane windows (u <= 2 sqrt(N) + 3 sqrt(2)) up to
-    N = 276.  Below |u| = 26.6 no entry reaches 2^512, so both paths give
-    the same bits there; above it they agree to roundoff."""
+    overflows.  Below |u| = 26.6 no entry reaches 2^512, so no point of a
+    default plane window (u <= 2 sqrt(N) + 3 sqrt(2)) is scaled up to
+    N = 124."""
     table = np.empty((size, u.size))
     table[0] = math.pi ** -0.25
-    if (np.abs(u) < 37.5).all():
-        # the same products as below, in place on the table's rows:
-        # steps[a - 1] = sqrt(2/a) u, and h_{-1} = 0 drops out of h_1
-        steps = np.multiply.outer([math.sqrt(2.0 / a) for a in range(1, size)], u)
-        np.multiply(steps[:1], table[0], out=table[1:2])
-        rows, scratch = list(table), np.empty_like(u)
-        for a, (step, h_prev, h, out) in enumerate(zip(steps[1:], rows, rows[1:], rows[2:]), 2):
-            np.multiply(step, h, out=out)
-            np.subtract(out, np.multiply(math.sqrt((a - 1) / a), h_prev, out=scratch), out=out)
-        table *= np.exp(-0.5 * u * u)
-        return table.T
     log2_scale = np.zeros((size, u.size))
     h_prev, h = np.zeros_like(u), table[0].copy()
     for a in range(1, size):

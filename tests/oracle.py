@@ -7,19 +7,23 @@
 - Spherical Wigner: the irreducible tensor operators T_kq from exact
   Clebsch-Gordan coefficients, and the multipole coefficients
   rho_kq = Tr(T_kq^dag rho).  ``wigner.spherical_wigner_values`` and its
-  Lanczos kernel diagonal are checked against these.  The kernel rotated to
-  every row of points by one matrix product, which the frequency form of
-  ``wigner.spherical_wigner_values`` must match to 1e-12 of max|W|.
+  kernel diagonal are checked against these.  The kernel diagonal by Lanczos,
+  which ``wigner._kernel_diagonal``, read off the Gram polynomials' Jacobi
+  band, must match where the Clebsch-Gordan table is too slow.  The kernel
+  rotated to every row of points by one matrix product, which the frequency
+  form of ``wigner.spherical_wigner_values`` must match to 1e-12 of max|W|.
 - Planar Wigner: the Cahill-Glauber Laguerre recurrence walked separately at
   every grid point.  ``wigner._planar_kernel_sum``, a Hermite bilinear form,
   must match it to 1e-13.  The Hermite-function table behind it, as its
-  per-level formula, which ``wigner._hermite_table`` must match bit for bit.
+  unscaled per-level formula, which ``wigner._hermite_table`` must match bit
+  for bit where it scales nothing, and to roundoff up to |u| < 37.5.
 - Lie closure: the sequential search that ``algebra.lie_closure`` replaced,
   with a complex span extended one candidate at a time.  Both must reach
   the same dimensions, rounds, verdicts and artifact counts.
-- Ladder synthesis: the dense power loop that ``algebra.synthesis_by_powers``
-  replaced, one S_+^n and one ``scipy.linalg.expm`` of r_n S_+^n - h.c. per
-  rung.  The chain form must match it to 1e-12 in amplitudes.
+- Ladder synthesis: the norms c_n of S_+^n |0>, and the dense power loop
+  that ``algebra.synthesis_by_powers`` replaced, one S_+^n and one
+  ``scipy.linalg.expm`` of r_n S_+^n - h.c. per rung.  The chain form must
+  match it to 1e-12 in amplitudes.
 - Helpers that only tests need: the commutator [a, b], the residual of a
   matrix against a Lie closure's span, and reading an exported Wigner grid back from CSV.
 """
@@ -31,7 +35,7 @@ import math
 
 import numpy as np
 
-from dickesim.algebra import DEFAULT_RANK_TOL, ClosureReport, _as_matrices, ladder_norm_constant
+from dickesim.algebra import DEFAULT_RANK_TOL, ClosureReport, _as_matrices
 from dickesim.core import (
     NORM_DRIFT_TOL,
     DickeSpace,
@@ -300,13 +304,30 @@ def spherical_wigner_per_row(state: QuantumState, thetas, phis) -> np.ndarray:
     return out.reshape(theta_at.shape)
 
 
+def kernel_diagonal_lanczos(n: int) -> np.ndarray:
+    """``wigner._kernel_diagonal`` with diag(T_k0), the Gram polynomial of
+    degree k in m on 0..N, built by Lanczos on diag(m - N/2) from the uniform
+    vector, reorthogonalized twice per step."""
+    jz = np.arange(n + 1) - n / 2
+    t_k0 = np.full((n + 1, n + 1), 1 / math.sqrt(n + 1))
+    for k in range(n):
+        v = jz * t_k0[k]
+        for _ in range(2):
+            v -= (t_k0[:k + 1] @ v) @ t_k0[:k + 1]
+        t_k0[k + 1] = v / np.linalg.norm(v)
+    return math.sqrt(n + 1) / (4 * np.pi) * (np.sqrt(2.0 * np.arange(n + 1) + 1) @ t_k0)
+
+
 # --- planar Wigner, one recurrence per grid point ------------------------------
 
 def hermite_table_per_level(u: np.ndarray, size: int) -> np.ndarray:
-    """``wigner._hermite_table``'s unscaled table (every |u| < 37.5), one level
-    at a time by the recurrence as written, h_a = sqrt(2/a) u h_{a-1} -
-    sqrt((a-1)/a) h_{a-2} from h_0 = pi^(-1/4) and h_{-1} = 0, each product
-    in that order, then times e^(-u^2/2): the bits the fast path must keep."""
+    """``wigner._hermite_table`` without its rescaling, one level at a time by
+    the recurrence as written, h_a = sqrt(2/a) u h_{a-1} - sqrt((a-1)/a)
+    h_{a-2} from h_0 = pi^(-1/4) and h_{-1} = 0, each product in that order,
+    then times e^(-u^2/2).  Valid while every |u| < 37.5: by Cramer's
+    inequality |phi_a| <= 1.0865 pi^(-1/4) (Abramowitz and Stegun 22.14.17)
+    the entries stay below 0.82 e^(u^2/2) < 2^1015 and a step's product below
+    2^1020, and e^(-u^2/2) > 2^-1015 is still a normal number."""
     table = np.empty((size, u.size))
     h_prev, h = np.zeros_like(u), np.full_like(u, math.pi ** -0.25)
     table[0] = h
@@ -480,6 +501,14 @@ def lie_closure_sequential(generators, rank_tol: float = DEFAULT_RANK_TOL,
 
 
 # --- ladder synthesis --------------------------------------------------------
+
+def ladder_norm_constant(n_emitters: int, n: int) -> float:
+    """c_n = sqrt(n! N! / (N-n)!), the norm of S_+^n |0>."""
+    if not 0 <= n <= n_emitters:
+        raise ValueError(f"need 0 <= n <= N, got n={n}, N={n_emitters}")
+    return float(np.exp(0.5 * (math.lgamma(n + 1) + math.lgamma(n_emitters + 1)
+                               - math.lgamma(n_emitters - n + 1))))
+
 
 def synthesis_by_powers_dense(space: DickeSpace, target: QuantumState) -> np.ndarray:
     """The state ``algebra.synthesis_by_powers`` builds, as unit amplitudes:

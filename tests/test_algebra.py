@@ -26,15 +26,13 @@ from dickesim import (
     trotter_sum,
     trotter_sum_error,
 )
-from dickesim.algebra import (
-    ladder_norm_constant,
-    oscillator_generators,
-)
+from dickesim.algebra import oscillator_generators
 from dickesim.cli import main as cli_main
 from dickesim.core import _hermitian_exp
 from dickesim import algebra
 from oracle import (
     closure_residual,
+    ladder_norm_constant,
     lie_closure_sequential,
     spherical_tensor,
     synthesis_by_powers_dense,

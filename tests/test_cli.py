@@ -738,8 +738,8 @@ def _count_gates_eigh(monkeypatch, argv):
 def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
     # one propagation yields every step's state; one sphere grid per state
     # (M = 11 steps plus the final rotation); the kernel's J_y-basis bands are
-    # built once per N and looked up by every later grid
-    calls = {"propagate": 0, "spherical_wigner_values": 0}
+    # built once per space and looked up by every later grid
+    calls = {"propagate": 0, "spherical_wigner_values": 0, "_kernel_diagonal": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -752,14 +752,14 @@ def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
 
     counted(cli, "propagate")
     counted(wigner, "spherical_wigner_values")
-    wigner._kernel_bands.cache_clear()
+    counted(wigner, "_kernel_diagonal")
+    gates._propagation_bases.cache_clear()
     assert run_cli(["wigner", "--sequence", "gkp-square", "--per-step",
                     "--out", str(tmp_path / "gkp")]) == 0
-    assert calls == {"propagate": 1, "spherical_wigner_values": 12}
-    assert wigner._kernel_bands.cache_info()[:2] == (11, 1)  # hits, misses
+    assert calls == {"propagate": 1, "spherical_wigner_values": 12, "_kernel_diagonal": 1}
     assert run_cli(["wigner", "--sequence", "cat2", "--n", "7", "--per-step",
                     "--out", str(tmp_path / "cat")]) == 0
-    assert wigner._kernel_bands.cache_info()[:2] == (12, 2)
+    assert calls["_kernel_diagonal"] == 2
 
 
 def test_default_plane_builds_one_coefficient_matrix_and_one_table(tmp_path, monkeypatch):

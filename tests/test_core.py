@@ -14,9 +14,8 @@ from dickesim import (
     build_sz,
     fidelity,
 )
-from dickesim.algebra import ladder_norm_constant
 from dickesim.core import _hermitian_exp
-from oracle import _spin_triple, apply, commutator
+from oracle import _spin_triple, apply, commutator, ladder_norm_constant
 
 
 def test_splus_matrix_elements_n40():

@@ -127,6 +127,7 @@ def test_stacked_per_step_states_equal_each_convention_bitwise(n):
         stacked = _propagate_each(space, params, CONVENTION_SWEEP, psi0, True)
         for conv, states in zip(CONVENTION_SWEEP, stacked):
             assert np.array_equal(states, propagate(space, params, conv, psi0, per_step=True))
+            assert np.array_equal(states[-1], propagate(space, params, conv, psi0))
 
 
 @pytest.mark.parametrize("n", [3, 6])

@@ -17,6 +17,7 @@ from dickesim import (
 )
 from dickesim.targets import (
     _GKP_LATTICES,
+    _LATTICE_MARGIN,
     _lattice_amplitudes,
     coherent_amplitudes,
     coherent_tail_weight,
@@ -353,9 +354,8 @@ def test_lattice_matches_per_point_coherent_sum(kind, codeword):
     # whose e^{-|lam|^2/2} underflows in double; at 1920 (N = 480) they carry
     # the amplitudes near n_max.
     g1, g2, shift = _lattice_longdouble(kind, codeword)
-    margin = _GKP_LATTICES[kind, codeword][3]
     for n_max in (200, 1200, 1920):
-        amp_cut = np.sqrt(n_max) + margin
+        amp_cut = np.sqrt(n_max) + _LATTICE_MARGIN
         r = int(2 * amp_cut / float(min(g1, g2.imag))) + 2
         s, t = (a.ravel() for a in np.mgrid[-r:r + 1, -r:r + 1])
         lam = s * g1 + t * g2

@@ -44,6 +44,7 @@ from dickesim.wigner import (
 from oracle import (
     clebsch_gordan,
     hermite_table_per_level,
+    kernel_diagonal_lanczos,
     load_grid_csv,
     multipole_coefficients,
     planar_kernel_sum_per_point,
@@ -315,6 +316,22 @@ def test_kernel_diagonal_matches_clebsch_gordan(n):
     assert np.max(np.abs(_kernel_diagonal(n) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [400, 1000])
+def test_kernel_diagonal_matches_lanczos(n):
+    ref = kernel_diagonal_lanczos(n)
+    assert np.max(np.abs(_kernel_diagonal(n) - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_kernel_diagonal_keeps_its_sums_at_n_2000():
+    # sum_m diag(T_k0) = sqrt(N+1) delta_k0 and the T_k0 are orthonormal, so
+    # sum Delta = (N+1)/(4 pi) and sum Delta^2 = (N+1)/(16 pi^2) sum_k (2k+1)
+    n = 2000
+    delta = _kernel_diagonal(n)
+    assert np.isfinite(delta).all()
+    assert abs(delta.sum() / ((n + 1) / (4 * np.pi)) - 1) < 1e-11
+    assert abs((delta @ delta) / ((n + 1) ** 3 / (16 * np.pi ** 2)) - 1) < 1e-12
+
+
 def test_theta_weights_integrate_band_limited_functions():
     w = _theta_weights(20)
     thetas = (np.arange(20) + 0.5) * np.pi / 20
@@ -516,45 +533,50 @@ def _comb_teeth(n_max: int, spacing: float, offset: float) -> np.ndarray:
     return xs[np.abs(xs) <= x_cut]
 
 
+def _comb_and_window_points(size: int) -> tuple:
+    """Hermite arguments of the two square-GKP combs of ``size`` - 1 levels and
+    of a default plane window at N = (size - 1) // 2."""
+    x_max = math.sqrt(2.0 * ((size - 1) // 2)) + 3.0
+    return (_comb_teeth(size - 1, math.sqrt(2 * math.pi), 0.0),
+            _comb_teeth(size - 1, 2 * math.sqrt(math.pi), math.sqrt(math.pi)),
+            math.sqrt(2.0) * np.linspace(-x_max, x_max, 201))
+
+
 @pytest.mark.parametrize("size", [1, 2, 41, 81, 201, 401, 497])
 def test_hermite_table_fast_path_equals_the_rescaling_path_bitwise(size):
-    # below |u| = 26.6 no entry can reach 2^512, so the rescaling path scales
-    # none of these columns; one far point at or past the bound 37.5 forces
-    # the rescale test and the exponent pass, and the near points' columns
-    # keep every bit
+    # below |u| = 26.6 no entry can reach 2^512, so the rescaling scales none
+    # of these columns; one far point at or past 37.5 forces it, and the near
+    # points' columns keep every bit
     rng = np.random.default_rng(size)
     near = np.concatenate([[0.0, -0.0, 26.59, -26.59], rng.uniform(-26.6, 26.6, 40),
                            math.sqrt(2.0) * np.linspace(-10.0, 10.0, 201)])
     for far in (37.5, -37.5, 40.0, -1e6):
         assert np.array_equal(_hermite_table(near, size),
                               _hermite_table(np.append(near, far), size)[:-1])
-    # and the fast path keeps the bits of the per-level formula, product
-    # order included, on comb teeth and on a default plane window's points
-    x_max = math.sqrt(2.0 * ((size - 1) // 2)) + 3.0
-    for u in (_comb_teeth(size - 1, math.sqrt(2 * math.pi), 0.0),
-              _comb_teeth(size - 1, 2 * math.sqrt(math.pi), math.sqrt(math.pi)),
-              math.sqrt(2.0) * np.linspace(-x_max, x_max, 201), near):
+    # and where nothing is scaled, the table keeps the bits of the per-level
+    # formula, product order included: on the near points, and up to 201
+    # levels (every |u| < 26.6) on comb teeth and a default plane window
+    for u in (*(_comb_and_window_points(size) if size <= 201 else ()), near):
         assert np.array_equal(_hermite_table(u, size), hermite_table_per_level(u, size))
 
 
-@pytest.mark.parametrize("size", [1, 81, 401, 1001, 3000])
+@pytest.mark.parametrize("size", [1, 81, 401, 497, 1001, 3000])
 def test_hermite_table_unscaled_up_to_the_bound_matches_the_rescaling_path(size):
-    # by Cramer's inequality the unscaled entries stay below 0.82 e^{u^2/2},
-    # so up to |u| < 37.5 the table needs no rescaling: it is finite, warns
-    # nothing, and each point's row matches the rescaling path (forced by
-    # points at and past the bound, where an unscaled entry would overflow
-    # from |u| ~ 37.67 on) to roundoff of its largest entry
+    # by Cramer's inequality the unscaled per-level formula stays finite up to
+    # |u| < 37.5 (an entry would overflow from |u| ~ 37.67 on); there the
+    # rescaling table warns nothing and matches it, point by point, to
+    # roundoff of the point's largest entry: on random points, and at 401 and
+    # 497 levels on comb teeth and a default plane window (|u| up to 37.2)
     rng = np.random.default_rng(size)
     near = np.concatenate([[0.0, 26.6, -26.6, 30.0, 37.49, -37.49, np.nextafter(37.5, 0.0)],
                            rng.uniform(-37.49, 37.49, 40)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        table = _hermite_table(near, size)
-        scaled = _hermite_table(np.append(near, [37.5, -37.7]), size)
-    assert np.isfinite(table).all() and np.isfinite(scaled).all()
-    scaled = scaled[:-2]
-    scale = np.abs(scaled).max(axis=1, keepdims=True)
-    assert np.all(np.abs(table - scaled) <= 1e-13 * scale)
+    for u in (*(_comb_and_window_points(size) if size <= 497 else ()), near):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table, ref = _hermite_table(u, size), hermite_table_per_level(u, size)
+        assert np.isfinite(table).all() and np.isfinite(ref).all()
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(table - ref) <= 1e-13 * scale)
 
 
 def test_planar_grid_keeps_weight_past_gaussian_underflow():
