@@ -66,7 +66,7 @@ from .algebra import (
 )
 from .wigner import (
     PLANAR_APPROXIMATION_LABEL,
-    export_grid,
+    export_grids,
     planar_wigner,
     spherical_wigner,
 )
@@ -312,8 +312,11 @@ def cmd_wigner(args) -> tuple[dict, dict]:
         made.append((grid, path, extra))
     if len(states) > 1:
         os.makedirs(out, exist_ok=True)
+    started = time.perf_counter()
+    writers = export_grids([(grid, path) for grid, path, _ in made])
+    print(f"csv: {sum(grid.values.size for grid, _, _ in made)} samples, {writers} writer"
+          f"{'s' if writers > 1 else ''}, {time.perf_counter() - started:.3f} s")
     for grid, path, extra in made:
-        export_grid(grid, path)
         outputs["files"].append({"path": path, **extra})
         print(f"wrote {path} (integral {extra['integral']:.6f})")
     if args.surface == "plane":

@@ -738,8 +738,9 @@ def _count_gates_eigh(monkeypatch, argv):
 def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
     # one propagation yields every step's state; one sphere grid per state
     # (M = 11 steps plus the final rotation); the kernel's J_y-basis bands are
-    # built once per space and looked up by every later grid
-    calls = {"propagate": 0, "spherical_wigner_values": 0, "_kernel_diagonal": 0}
+    # built once per space and looked up by every later grid; one fork per
+    # command writes the CSVs with two usable CPUs, never one per grid
+    calls = {"propagate": 0, "spherical_wigner_values": 0, "_kernel_diagonal": 0, "fork": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -753,13 +754,68 @@ def test_per_step_wigner_work_is_pinned(tmp_path, monkeypatch):
     counted(cli, "propagate")
     counted(wigner, "spherical_wigner_values")
     counted(wigner, "_kernel_diagonal")
+    counted(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     gates._propagation_bases.cache_clear()
     assert run_cli(["wigner", "--sequence", "gkp-square", "--per-step",
                     "--out", str(tmp_path / "gkp")]) == 0
-    assert calls == {"propagate": 1, "spherical_wigner_values": 12, "_kernel_diagonal": 1}
+    assert calls == {"propagate": 1, "spherical_wigner_values": 12, "_kernel_diagonal": 1,
+                     "fork": 1}
     assert run_cli(["wigner", "--sequence", "cat2", "--n", "7", "--per-step",
                     "--out", str(tmp_path / "cat")]) == 0
-    assert calls["_kernel_diagonal"] == 2
+    assert calls["_kernel_diagonal"] == 2 and calls["fork"] == 2
+
+
+def _two_step_sequence_file(tmp_path):
+    path = tmp_path / "two-step.json"
+    step = {"axis": [1.0, 0.0, 0.0], "theta": 0.4, "alpha": 0.2, "beta": 0.1}
+    path.write_text(json.dumps({
+        "format_version": 1, "n_emitters": 4, "convention": "spin-j",
+        "exponent_sign": 1, "squeeze_order": "xy",
+        "squeeze_composition": "product", "rotation_composition": "combined",
+        "steps": [step, step], "final_rotation": {"axis": [0.0, 0.0, 1.0], "theta": 0.3},
+        "metadata": {},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("sequence, blocked", [
+    ("cat2", "final.csv"),          # the child's whole file; the cut is the file boundary
+    ("two-step", "final.csv"),      # the child's whole file; the cut is inside step02.csv
+    ("cat2", "step01.csv"),         # the process's file
+    ("two-step", "step01.csv"),     # the process's, while the child waits for an offset
+])
+def test_csv_write_failure_with_two_writers_is_that_of_one(tmp_path, capsys, monkeypatch,
+                                                           forks, sequence, blocked):
+    # a directory where a CSV goes fails the command with exit 2 and the same
+    # error line whichever writer meets it; a failed child's files are
+    # written as one writer writes them, a file written holds its bytes, and
+    # the child is reaped: no child or zombie is left
+    seq = _two_step_sequence_file(tmp_path) if sequence == "two-step" else sequence
+    argv = ["wigner", "--sequence", seq, "--n", "4", "--per-step", "--n-theta", "9",
+            "--n-phi", "8", "--out"]
+
+    def export(out, threshold):
+        monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", threshold)
+        code = run_cli(argv + [str(out)])
+        return code, capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()
+                                           if p.is_file()}
+
+    code, _, clean = export(tmp_path / "clean", 10 ** 9)
+    assert code == 0
+    runs = {}
+    for writers, threshold in (("one", 10 ** 9), ("two", 1)):
+        (tmp_path / writers / blocked).mkdir(parents=True)
+        runs[writers] = export(tmp_path / writers, threshold)
+    (code1, one, one_files), (code2, two, two_files) = runs["one"], runs["two"]
+    assert code1 == code2 == 2 and len(forks) == 1
+    assert one.err == f"error: [Errno 21] Is a directory: '{tmp_path / 'one' / blocked}'\n"
+    assert two.err == one.err.replace(str(tmp_path / "one"), str(tmp_path / "two"))
+    assert all(clean[name] == data for name, data in {**one_files, **two_files}.items())
+    if blocked == "final.csv":
+        assert set(two_files) == set(one_files) == set(clean) - {"final.csv"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_default_plane_builds_one_coefficient_matrix_and_one_table(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from dickesim import (
     planar_wigner,
     spherical_wigner,
 )
+from dickesim import wigner
 from dickesim.core import _hermitian_exp, _psd_factor
 from dickesim.wigner import (
     PlaneGrid,
@@ -38,6 +40,8 @@ from dickesim.wigner import (
     _hermite_table,
     _kernel_diagonal,
     _planar_kernel_sum,
+    _split_rows,
+    export_grids,
     spherical_wigner_values,
     _theta_weights,
 )
@@ -713,20 +717,114 @@ def _row_by_row_csv(header, outer, inner, values):
     return "".join(lines).encode()
 
 
-def test_export_bytes_match_row_by_row_formatting(tmp_path):
-    rng = np.random.default_rng(9)
-    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-    st = QuantumState.from_amplitudes(DickeSpace(5), vec, normalize=True)
-    sphere = spherical_wigner(st, n_theta=7, n_phi=9)
-    plane = planar_wigner(st, resolution=11)
+def _csv_bytes(grid):
+    if isinstance(grid, SphereGrid):
+        return _row_by_row_csv("theta,phi,w", grid.thetas, grid.phis, grid.values)
+    return _row_by_row_csv("x,p,w", grid.xs, grid.ps, grid.values)
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return QuantumState.from_amplitudes(DickeSpace(n), vec, normalize=True)
+
+
+def _export_cases():
+    st = _random_state(5, 9)
     tiny = PlaneGrid(np.array([-1e-300, 0.1, 2.0 / 3]), np.array([-0.0, 5e-324, 1e22]),
                      np.array([[0.1, -2.5e-17, 1.0], [3.0, -0.0, 1e-5], [7e300, 0.5, 2.0]]))
-    cases = [(sphere, "theta,phi,w", sphere.thetas, sphere.phis),
-             (plane, "x,p,w", plane.xs, plane.ps), (tiny, "x,p,w", tiny.xs, tiny.ps)]
-    for i, (grid, header, outer, inner) in enumerate(cases):
+    return [spherical_wigner(st, n_theta=7, n_phi=9), planar_wigner(st, resolution=11), tiny]
+
+
+def test_export_bytes_match_row_by_row_formatting(tmp_path):
+    for i, grid in enumerate(_export_cases()):
         path = tmp_path / f"grid{i}.csv"
         export_grid(grid, path)
-        assert path.read_bytes() == _row_by_row_csv(header, outer, inner, grid.values)
+        assert path.read_bytes() == _csv_bytes(grid)
+
+
+# --- two CSV writers: the bytes of one ---------------------------------------
+
+def test_two_writers_write_the_bytes_of_one(tmp_path, monkeypatch, forks):
+    # forced on small grids, the split falls inside each file, the edge
+    # values' (-0.0, 5e-324, 1e22, 7e300) included
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    for i, grid in enumerate(_export_cases()):
+        assert 0 < _split_rows([grid.values.shape])[1] < len(grid.values)
+        path = tmp_path / f"grid{i}.csv"
+        assert export_grids([(grid, path)]) == 2
+        assert path.read_bytes() == _csv_bytes(grid)
+    assert len(forks) == 3
+
+
+def test_two_writers_split_a_201_plane_inside_its_file(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    grid = planar_wigner(_random_state(6, 3), resolution=201)
+    assert _split_rows([(201, 201)]) == (0, 101)
+    path = tmp_path / "plane.csv"
+    assert export_grids([(grid, path)]) == 2
+    assert path.read_bytes() == _csv_bytes(grid) and len(forks) == 1
+
+
+@pytest.mark.parametrize("sizes, split", [
+    ([(7, 9), (7, 9)], (0, 7)),                 # at the file boundary: an empty share
+    ([(7, 9), (11, 13), (5, 8)], (1, 5)),       # inside the second of unequal grids
+    ([(12, 10), (3, 4), (4, 4)], (0, 8)),       # inside the first
+])
+def test_two_writers_split_sphere_grids(tmp_path, monkeypatch, forks, sizes, split):
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    grids = [spherical_wigner(_random_state(4, seed), *size) for seed, size in enumerate(sizes)]
+    assert _split_rows(sizes) == split
+    pairs = [(grid, tmp_path / f"step{i:02d}.csv") for i, grid in enumerate(grids)]
+    assert export_grids(pairs) == 2
+    assert [path.read_bytes() for _, path in pairs] == [_csv_bytes(grid) for grid, _ in pairs]
+    assert len(forks) == 1
+
+
+def test_a_child_failing_at_once_leaves_its_files_to_the_process(tmp_path, monkeypatch, forks):
+    # the child formats one row of b.csv, then fails on c.csv while the
+    # process still writes its half: the offset goes to a child that is gone
+    # without a pipe error, and the process rewrites b.csv and meets c.csv's
+    # error itself
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    rng = np.random.default_rng(5)
+
+    def grid(rows):
+        return PlaneGrid(rng.normal(size=rows), rng.normal(size=100), rng.normal(size=(rows, 100)))
+
+    pairs = [(grid(60), tmp_path / "a.csv"), (grid(60), tmp_path / "b.csv"),
+             (grid(118), tmp_path / "c.csv")]
+    assert _split_rows([g.values.shape for g, _ in pairs]) == (1, 59)
+    (tmp_path / "c.csv").mkdir()
+    with pytest.raises(IsADirectoryError, match="c.csv"):
+        export_grids(pairs)
+    assert [path.read_bytes() for _, path in pairs[:2]] == [_csv_bytes(g) for g, _ in pairs[:2]]
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_grids_below_the_threshold_never_fork(tmp_path, forks):
+    small = planar_wigner(_random_state(4, 1), resolution=99)    # 9,801 samples
+    assert small.values.size < wigner.SPLIT_MIN_SAMPLES <= 10_000
+    assert export_grids([(small, tmp_path / "small.csv")]) == 1 and forks == []
+    assert (tmp_path / "small.csv").read_bytes() == _csv_bytes(small)
+    at = planar_wigner(_random_state(4, 1), resolution=100)     # 10,000 samples
+    assert export_grids([(at, tmp_path / "at.csv")]) == 2 and len(forks) == 1
+
+
+def test_one_usable_cpu_means_one_writer(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    grid = planar_wigner(_random_state(4, 1), resolution=120)
+    assert export_grids([(grid, tmp_path / "p.csv")]) == 1 and forks == []
+
+
+def test_export_refuses_an_unsupported_grid_before_forking(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    grid = spherical_wigner(_random_state(3, 0), 8, 8)
+    with pytest.raises(TypeError, match="cannot export dict"):
+        export_grids([(grid, tmp_path / "a.csv"), ({}, tmp_path / "b.csv")])
+    assert forks == [] and list(tmp_path.iterdir()) == []
 
 
 def test_export_values_roundtrip_exactly(tmp_path):
