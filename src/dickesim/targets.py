@@ -11,7 +11,6 @@ small for the requested state) unless the spec allows truncation.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ WARN_TAIL = 1e-6
 ERROR_TAIL = 1e-4
 MAX_GAMMA = 1e150  # per part of gamma: |gamma|^2, the mean excitation, stays finite
 MAX_PHI = 1e15  # the largest cat4 leg phase, 3 phi, stays below 2^52 rad
-_TINY = np.finfo(float).tiny
-_LATTICE_CHUNK = 32  # Fock levels per block of the grid-state lattice recurrence
+_LOG_SUBNORMAL = math.log(5e-324)  # of the smallest subnormal double
+_LATTICE_CHUNK = 32  # Fock levels per block of the coherent-sum recurrence
 # The grid-state lattice sums keep |mu| <= sqrt(n_max) + _LATTICE_MARGIN, which
 # leaves out below 1e-14 of the largest ideal amplitude (5 leaves out up to 1e-11).
 _LATTICE_MARGIN = 6.0
@@ -149,37 +148,6 @@ def amplitudes_from_json(raw) -> Tuple[complex, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _fock_logs(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, log(n!)/2) for n = 0..n_max; read-only, since every caller shares them."""
-    n = np.arange(n_max + 1.0)
-    half_log_factorials = 0.5 * np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    for table in (n, half_log_factorials):
-        table.flags.writeable = False
-    return n, half_log_factorials
-
-
-def coherent_amplitudes(n_max: int, gamma) -> np.ndarray:
-    """Exact coherent amplitudes e^(-|g|^2/2) g^n / sqrt(n!) for n = 0..n_max,
-    along a last axis appended to the shape of ``gamma`` (scalar or array).
-
-    The magnitudes are formed in log space and the phases e^(i n arg g) as
-    powers of g/|g| by repeated multiplication, so a g on an axis has exact
-    phases: a real g gives imaginary parts of exactly 0, and -3.0 and -3-0j
-    the same amplitudes."""
-    n, half_log_factorials = _fock_logs(n_max)
-    gamma = np.asarray(gamma, dtype=complex)[..., None]
-    mag = np.abs(gamma)
-    # the floor acts only below the smallest normal |g| (g = 0 included),
-    # where g / floor still makes |g|^n = floor^n |g / floor|^n
-    floor = np.maximum(mag, _TINY)
-    powers = np.empty(gamma.shape[:-1] + (n_max + 1,), dtype=complex)
-    powers[..., 0] = 1.0
-    powers[..., 1:] = gamma / floor
-    np.cumprod(powers, axis=-1, out=powers)
-    return np.exp(n * np.log(floor) - half_log_factorials - 0.5 * mag ** 2) * powers
-
-
 def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
     """Probability weight of the coherent state beyond |N>: the Poisson tail
     sum_{n>N} e^(-lam) lam^n / n! with lam = |gamma|^2, which is the
@@ -208,6 +176,55 @@ def coherent_tail_weight(n_emitters: int, gamma: complex) -> float:
     return total if upward else 1.0 - total
 
 
+def _coherent_sum(n_max: int, mu: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Fock amplitudes of sum_k w_k |mu_k> on n = 0..n_max, for weights of modulus 1.
+
+    All points advance together by the recurrence a_n = a_{n-1} mu / sqrt(n),
+    from a_0 = w e^{-|mu|^2/2}, _LATTICE_CHUNK levels at a time, each with its
+    own power-of-two exponent, renormalized at the start of each chunk after
+    the first: e^{-|mu|^2/2} alone underflows past |mu| ~ 38.6.  A real mu
+    gives imaginary parts of exactly 0, and i mu alternates real and imaginary
+    amplitudes.  Memory is O(points + n_max).
+
+    A point is dropped first if its largest amplitude on 0..n_max lies below
+    the smallest subnormal.  That amplitude sits at n = min(n_max, |mu|^2), and
+    is about (2 pi |mu|^2)^(-1/4) if |mu|^2 <= n_max, so only points with
+    |mu|^2 > n_max are tested.  This keeps |mu| up to MAX_GAMMA free of overflow."""
+    mag2 = np.abs(mu) ** 2
+    far = mag2 > n_max
+    far[far] = n_max * np.log(mag2[far]) - mag2[far] - math.lgamma(n_max + 1) < 2 * _LOG_SUBNORMAL
+    mu, weights, mag2 = mu[~far], weights[~far], mag2[~far]
+    # a point's amplitude at the first level lo of the current chunk is
+    # mantissa * 2^exponent; at lo = 0 it is w e^{-|mu|^2/2}
+    log2_start = (-0.5 / math.log(2.0)) * mag2
+    exponent = np.floor(log2_start)
+    mantissa = weights * np.exp2(log2_start - exponent)
+    exponent = exponent.astype(int)
+    # a_{lo+j} = a_lo mu^j ratios[b, j], ratios[b, j] = 1 / sqrt((lo+1)...(lo+j))
+    # in chunk b (lo = b _LATTICE_CHUNK), with powers[j] = mu^j for j <= _LATTICE_CHUNK
+    powers = np.empty((_LATTICE_CHUNK + 1, mu.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = mu
+    np.cumprod(powers, axis=0, out=powers)
+    chunks = -(-(n_max + 1) // _LATTICE_CHUNK)
+    inv_roots = 1.0 / np.sqrt(np.arange(1.0, chunks * _LATTICE_CHUNK + 1)).reshape(chunks, -1)
+    ratios = np.cumprod(np.hstack([np.ones((chunks, 1)), inv_roots]), axis=1)
+    out = np.empty(n_max + 1, dtype=complex)
+    for b, lo in enumerate(range(0, n_max + 1, _LATTICE_CHUNK)):
+        if b:
+            following = mantissa * powers[-1] * ratios[b - 1, -1]
+            _, shift_by = np.frexp(np.abs(following))
+            mantissa = np.ldexp(following.view(float).reshape(-1, 2),
+                                -shift_by[:, None]).view(complex).ravel()
+            exponent += shift_by
+        size = min(_LATTICE_CHUNK, n_max + 1 - lo)
+        # a point that underflows here grows by at most |mu|^31 / sqrt(31!)
+        # within the chunk (2^118 at N = 480), so it stays negligible
+        amps = np.ldexp(mantissa.view(float).reshape(-1, 2), exponent[:, None])
+        out[lo:lo + size] = ratios[b, :size] * (powers[:size] @ amps.view(complex).ravel())
+    return out
+
+
 def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float) -> np.ndarray:
     """Fock amplitudes of an ideal grid state, a coherent sum over its lattice.
 
@@ -215,13 +232,8 @@ def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float) -> np.
     the lattice of a positive g1 and a g2 in the upper half plane, with the
     displacement-composition phases of the stabilizer group: sum_k c_k |mu_k>
     over the points mu_k = shift + lambda_k within the amplitude cut
-    sqrt(n_max) + _LATTICE_MARGIN.  All points advance together by the
-    recurrence a_n = a_{n-1} mu / sqrt(n), from a_0 = c e^{-|mu|^2/2},
-    _LATTICE_CHUNK levels at a time.  Each point carries its own power-of-two
-    exponent, renormalized between chunks, since e^{-|mu|^2/2} alone
-    underflows past |mu| ~ 38.6 (inside the cut from N ~ 266 on).  Memory is
-    O(points + n_max).
-    """
+    sqrt(n_max) + _LATTICE_MARGIN (from N ~ 266 on, points whose e^{-|mu|^2/2}
+    underflows), summed by :func:`_coherent_sum`."""
     amp_cut = np.sqrt(n_max) + _LATTICE_MARGIN
     t_max = int(np.ceil(amp_cut / g2.imag)) + 1
     s_max = int(np.ceil(amp_cut / g1 + t_max * abs(g2.real) / g1)) + 1
@@ -229,42 +241,15 @@ def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float) -> np.
     lam = s * g1 + t * g2
     keep = np.abs(lam + shift) <= amp_cut
     s, t, lam = s[keep], t[keep], lam[keep]
-    mu = lam + shift
     # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); the codeword
     # shift on the left adds e^{i Im(shift conj(lam))}.
     phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(shift * np.conj(lam))
-    # a point's amplitude at the first level lo of the current chunk is
-    # mantissa * 2^exponent; at lo = 0 it is e^{i phase} e^{-|mu|^2/2}
-    log2_start = (-0.5 / math.log(2.0)) * np.abs(mu) ** 2
-    exponent = np.floor(log2_start)
-    mantissa = np.exp(1j * phase) * np.exp2(log2_start - exponent)
-    exponent = exponent.astype(int)
-    # a_{lo+j} = a_lo mu^j ratios[j], ratios[j] = 1 / sqrt((lo+1)...(lo+j)),
-    # with powers[j] = mu^j for j <= _LATTICE_CHUNK
-    powers = np.empty((_LATTICE_CHUNK + 1, mu.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = mu
-    np.cumprod(powers, axis=0, out=powers)
-    inv_roots = 1.0 / np.sqrt(np.arange(1.0, n_max + _LATTICE_CHUNK + 1))
-    out = np.empty(n_max + 1, dtype=complex)
-    for lo in range(0, n_max + 1, _LATTICE_CHUNK):
-        size = min(_LATTICE_CHUNK, n_max + 1 - lo)
-        ratios = np.cumprod(np.concatenate(([1.0], inv_roots[lo:lo + _LATTICE_CHUNK])))
-        # a point that underflows here grows by at most |mu|^31 / sqrt(31!)
-        # within the chunk (2^118 at N = 480), so it stays negligible
-        amps = np.ldexp(mantissa.view(float).reshape(-1, 2), exponent[:, None])
-        out[lo:lo + size] = ratios[:size] * (powers[:size] @ amps.view(complex).ravel())
-        following = mantissa * powers[-1] * ratios[-1]
-        _, shift_by = np.frexp(np.abs(following))
-        mantissa = np.ldexp(following.view(float).reshape(-1, 2),
-                            -shift_by[:, None]).view(complex).ravel()
-        exponent += shift_by
-    return out
+    return _coherent_sum(n_max, lam + shift, np.exp(1j * phase))
 
 
 # (g1, g2, shift) of each grid state's lattice, as displacements (x + ip)/sqrt(2);
-# see GKP_CODEWORDS.  The square cells are sqrt(pi) x sqrt(pi) and
-# sqrt(2 pi) x sqrt(pi/2), and "one" is "zero" shifted by half its g1.
+# see GKP_CODEWORDS.  Every cell has area pi: a codeword's is its code's cell with
+# g2 halved, D(g2) being the logical Z, and "one" is "zero" moved by D(g1 / 2).
 _HEX_2PI, _HEX_4PI = (np.sqrt(area / np.sqrt(3)) for area in (2 * np.pi, 4 * np.pi))
 _HEX_TURN = 0.5 + 0.5j * np.sqrt(3)
 _GKP_LATTICES = {
@@ -273,8 +258,8 @@ _GKP_LATTICES = {
     (TargetKind.GKP_SQUARE, "one"): (np.sqrt(2 * np.pi), 1j * np.sqrt(np.pi / 2),
                                      np.sqrt(np.pi / 2)),
     (TargetKind.GKP_HEX, "sensor"): (_HEX_2PI, _HEX_2PI * _HEX_TURN, 0.0),
-    (TargetKind.GKP_HEX, "zero"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, 0.0),
-    (TargetKind.GKP_HEX, "one"): (_HEX_4PI, _HEX_4PI * _HEX_TURN, _HEX_4PI / 2),
+    (TargetKind.GKP_HEX, "zero"): (_HEX_4PI, _HEX_4PI * _HEX_TURN / 2, 0.0),
+    (TargetKind.GKP_HEX, "one"): (_HEX_4PI, _HEX_4PI * _HEX_TURN / 2, _HEX_4PI / 2),
 }
 
 
@@ -337,9 +322,8 @@ def make_target(spec: TargetSpec, space: DickeSpace) -> QuantumState:
         warnings.warn(f"{what} leaves weight {tail:.3e} beyond |{n}>; "
                       f"N = {n} may be too small", TruncationWarning, stacklevel=2)
     if amp is None:
-        amp = np.zeros(space.dim, dtype=complex)
-        for weight, leg in legs(complex(spec.gamma), spec.phi):
-            amp += weight * coherent_amplitudes(n, leg)
+        weights, mu = np.array(legs(complex(spec.gamma), spec.phi), dtype=complex).T
+        amp = _coherent_sum(n, mu, weights)
     amp = amp[:space.dim]
     if not amp.any():  # every kept amplitude underflowed
         raise TruncationError(f"{what} leaves no amplitude at or below |{n}> "

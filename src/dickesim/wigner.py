@@ -300,8 +300,8 @@ def _csv_rows(job, start, stop):
         yield "".join([f"{head}{b}{w!r}\n" for b, w in zip(inner, row)]).encode()
 
 
-def _stream_csv(job, stop=None) -> int:
-    with open(job[0], "wb") as fh:
+def _stream_csv(job, stop=None, fh=None) -> int:
+    with open(job[0], "wb") if fh is None else fh as fh:
         fh.write(job[1])
         fh.writelines(_csv_rows(job, 0, len(job[2]) if stop is None else stop))
         return fh.tell()
@@ -320,14 +320,25 @@ def export_grids(pairs) -> int:
     writers.  From ``SPLIT_MIN_SAMPLES`` samples on, with two usable CPUs, a forked child
     that does no numerics writes the second half of the rows, its share of the file the
     cut falls in at the byte offset this process pipes to it.  Every byte is unchanged,
-    and the benchmark's wigner-export operations take 0.73 of their one-writer time."""
-    jobs = [_csv_job(grid, path) for grid, path in pairs]
-    if (sum(len(job[4]) for job in jobs) < SPLIT_MIN_SAMPLES or not hasattr(os, "fork")
-            or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2):
+    and the benchmark's wigner-export operations take 0.73 of their one-writer time.
+    This process opens its files, the cut file included, before it forks: if one open
+    fails, one writer writes every grid and fails as it does, with no fork.  A write
+    error in mid-stream, such as a full disk, can still leave the child's later files."""
+    jobs, handles = [_csv_job(grid, path) for grid, path in pairs], []
+    if (sum(len(job[4]) for job in jobs) >= SPLIT_MIN_SAMPLES and hasattr(os, "fork")
+            and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2):
+        f, cut = _split_rows([(len(job[2]), len(job[3])) for job in jobs])
+        try:  # each truncated only after the fork: 0.1 ms for a 250 KB file
+            for job in jobs[:f + 1]:
+                handles.append(open(os.open(job[0], os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
+        except OSError:  # one writer then meets the error, with no fork
+            for fh in handles:
+                fh.close()
+            handles = []
+    if not handles:
         for job in jobs:
             _stream_csv(job)
         return 1
-    f, cut = _split_rows([(len(job[2]), len(job[3])) for job in jobs])
     read_end, write_end = os.pipe()  # both held here until the child is reaped: no EPIPE
     pid = os.fork()
     if pid == 0:  # the child: never returns, never flushes this process's stdio
@@ -345,10 +356,13 @@ def export_grids(pairs) -> int:
         finally:
             os._exit(status)
     try:
-        for job in jobs[:f]:
-            _stream_csv(job)
-        os.write(write_end, b"%d" % _stream_csv(jobs[f], cut))
+        for i, fh in enumerate(handles):
+            fh.truncate()
+            end = _stream_csv(jobs[i], cut if i == f else None, fh)
+        os.write(write_end, b"%d" % end)
     finally:
+        for fh in handles:
+            fh.close()
         os.close(read_end)
         os.close(write_end)
         status = os.waitpid(pid, 0)[1]

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +16,11 @@ from dickesim import (
     fidelity,
     make_target,
 )
+from dickesim.cli import main
 from dickesim.targets import (
     _GKP_LATTICES,
     _LATTICE_MARGIN,
     _lattice_amplitudes,
-    coherent_amplitudes,
     coherent_tail_weight,
 )
 
@@ -82,15 +83,16 @@ def test_coherent_overlap_identity():
 
 @pytest.mark.parametrize("n, gamma", [(40, -3.0), (40, 3.0), (480, -17.0), (480, 17.0)])
 def test_coherent_amplitudes_on_an_axis_have_exact_phases(n, gamma):
-    # the phases are powers of gamma/|gamma|: +-1 for a real gamma, whose
-    # amplitudes are then real (exp(i n angle(gamma)) left imaginary parts
-    # of 4e-15 at N = 40 and 9e-14 at N = 480), and +-i for an imaginary one
-    target = make_target(TargetSpec(TargetKind.COHERENT, gamma=gamma), DickeSpace(n))
-    assert np.all(target.amplitudes.imag == 0)
-    amps = coherent_amplitudes(n, gamma)
+    # the phases are powers of gamma: real for a real gamma, whose amplitudes
+    # are then real (exp(i n angle(gamma)) left imaginary parts of 4e-15 at
+    # N = 40 and 9e-14 at N = 480), and alternating for an imaginary one
+    def target(g):
+        return make_target(TargetSpec(TargetKind.COHERENT, gamma=g), DickeSpace(n)).amplitudes
+
+    amps = target(gamma)
     assert np.all(amps.imag == 0)
-    assert np.array_equal(amps, coherent_amplitudes(n, complex(gamma, -0.0)))
-    turned = coherent_amplitudes(n, 1j * gamma)
+    assert np.array_equal(amps, target(complex(gamma, -0.0)))
+    turned = target(1j * gamma)
     assert np.all(turned[::2].imag == 0) and np.all(turned[1::2].real == 0)
     assert np.array_equal(np.abs(turned), np.abs(amps))
 
@@ -117,10 +119,8 @@ def test_cat2_overlap_with_opposite_parity_cat():
     # oracle: expand <(|g>-i|-g>) | (|g>+i|-g>)> into closed-form coherent overlaps
     g = 1.2  # modest so the truncation tail is negligible at N=40
     space = DickeSpace(40)
-    from dickesim.targets import coherent_amplitudes
-
-    leg_p = coherent_amplitudes(40, g)
-    leg_m = coherent_amplitudes(40, -g)
+    leg_p, leg_m = (make_target(TargetSpec(TargetKind.COHERENT, gamma=leg), space).amplitudes
+                    for leg in (g, -g))
     minus_vec = leg_p - 1j * leg_m
     plus_vec = leg_p + 1j * leg_m
     # <g|g> + i<g|-g> + i<-g|g> - <-g|-g>
@@ -290,6 +290,30 @@ def test_gkp_stabilizer_expectations():
     assert abs(_displacement_expectation(sq.amplitudes, gen / 2)) < 0.05
 
 
+@pytest.mark.parametrize("kind", [TargetKind.GKP_SQUARE, TargetKind.GKP_HEX],
+                         ids=lambda kind: kind.value)
+def test_gkp_codewords_are_logical_eigenstates(kind):
+    # the two-state code's stabilizers are S1 and S2, its cell of area 2 pi
+    # in units (x + ip)/sqrt(2); "zero" and "one" are the +1 and -1
+    # eigenstates of the logical Z = D(S2 / 2) and hold no D(S1 / 2), the
+    # logical X, which swaps them
+    if kind is TargetKind.GKP_SQUARE:
+        s1, s2 = np.sqrt(2 * np.pi), 1j * np.sqrt(2 * np.pi)
+    else:
+        s1 = np.sqrt(4 * np.pi / np.sqrt(3))
+        s2 = s1 * (0.5 + 1j * np.sqrt(3) / 2)
+    for codeword, sign in (("zero", 1), ("one", -1)):
+        with pytest.warns(TruncationWarning):
+            amps = make_target(replace(SQUARE_10DB, kind=kind, gkp_codeword=codeword),
+                               DickeSpace(48)).amplitudes
+        logical = _displacement_expectation(amps, s2 / 2)
+        assert sign * logical.real > 0.9 and abs(logical.imag) < 1e-6, (codeword, logical)
+        assert abs(_displacement_expectation(amps, s1 / 2)) < 1e-3, codeword
+        for stabilizer in (s1, s2):
+            ev = _displacement_expectation(amps, stabilizer)
+            assert ev.real > 0.65 and abs(ev.imag) < 1e-6, (codeword, ev)
+
+
 def test_gkp_hex_half_turn_symmetry():
     # the hex lattice state is invariant under a 180-degree phase-space
     # rotation but not under 90 degrees (which the square state survives)
@@ -330,8 +354,9 @@ def _lattice_longdouble(kind, codeword):
     (x + ip)/sqrt(2), derived from the code's cell area A = 2 pi (sensor) or
     4 pi in the (x, p) plane: square g1 = sqrt(A/2) and g2 = i pi / g1, so
     each codeword's own cell has area pi in these units; hexagonal
-    g1 = sqrt(A/sqrt(3)) and g2 = g1 e^{i pi/3}, the code's cell; "one" is
-    "zero" shifted by g1 / 2."""
+    g1 = sqrt(A/sqrt(3)) and g2 = g1 e^{i pi/3}, the code's cell, halved for
+    a codeword (g2 / 2 is the logical Z), so that every cell has area pi;
+    "one" is "zero" shifted by g1 / 2."""
     ld, pi = np.longdouble, 4 * np.arctan(np.longdouble(1))
     area = 2 * pi if codeword == "sensor" else 4 * pi
     if kind is TargetKind.GKP_SQUARE:
@@ -340,6 +365,8 @@ def _lattice_longdouble(kind, codeword):
     else:
         g1 = np.sqrt(area / np.sqrt(ld(3)))
         g2 = g1 * (np.clongdouble(0.5) + np.clongdouble(1j) * (np.sqrt(ld(3)) / 2))
+        if codeword != "sensor":
+            g2 = g2 / 2
     return g1, g2, g1 / 2 if codeword == "one" else ld(0)
 
 
@@ -422,18 +449,41 @@ def test_make_target_custom_passthrough():
     assert abs(st.amplitudes[0]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("gamma, phi", [(3.0, np.pi / 4), (2 + 1j, 0.3), (0.2, -2.0)])
+@pytest.mark.parametrize("gamma, phi", [(3.0, np.pi / 4), (2 + 1j, 0.3), (0.2, -2.0),
+                                        (17.0, np.pi / 4)])
 def test_coherent_leg_kinds_match_their_definitions(gamma, phi):
-    # normalize(sum_k w_k |g_k>), one coherent_amplitudes vector per leg; gamma
-    # is complex, as a spec read from JSON or the CLI holds it
+    # normalize(sum_k w_k |g_k>), the legs and weights formed in np.longdouble
+    # and summed by _coherent_sum_longdouble; gamma is complex, as a spec read
+    # from JSON or the CLI holds it.  gamma = 17 does not fit at N = 40 or
+    # 100, where the normalized head of each sum is compared
     gamma = complex(gamma)
-    legs = {TargetKind.COHERENT: [(1, gamma)],
-            TargetKind.CAT2: [(1, gamma), (-1j, -gamma)],
-            TargetKind.CAT4: [(np.exp(1j * k * phi), 1j ** k * gamma) for k in range(4)]}
-    for kind, kind_legs in legs.items():
-        vec = sum(w * coherent_amplitudes(40, g) for w, g in kind_legs)
-        st = make_target(TargetSpec(kind, gamma=gamma, phi=phi), DickeSpace(40))
-        assert np.max(np.abs(st.amplitudes - vec / np.linalg.norm(vec))) <= 1e-15
+    g, phi_ld = np.clongdouble(gamma), np.longdouble(phi)
+    legs = {TargetKind.COHERENT: [(1, g)],
+            TargetKind.CAT2: [(1, g), (-1j, -g)],
+            TargetKind.CAT4: [(np.exp(np.clongdouble(1j) * k * phi_ld), 1j ** k * g)
+                              for k in range(4)]}
+    for n in (40, 100, 480):
+        for kind, kind_legs in legs.items():
+            weights, mus = (np.array(part, dtype=np.clongdouble) for part in zip(*kind_legs))
+            vec = _coherent_sum_longdouble(n, mus, weights)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                st = make_target(TargetSpec(kind, gamma=gamma, phi=phi, allow_truncation=True),
+                                 DickeSpace(n))
+            assert np.max(np.abs(st.amplitudes - vec / np.linalg.norm(vec))) <= 1e-15, (n, kind)
+
+
+def test_largest_gamma_leaves_no_amplitude_and_no_runtime_warning(capsys):
+    # at |gamma| = MAX_GAMMA every leg amplitude on 0..N lies below the
+    # smallest subnormal: the leg is dropped before its recurrence, which
+    # would overflow, and the empty target is a numerical failure
+    with pytest.warns(TruncationWarning), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["replay", "--sequence", "cat2", "--n", "40", "--target", "coherent",
+                     "--gamma", "1e150", "--allow-truncation"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: coherent state gamma=(1e+150+0j) leaves no amplitude at or "
+        "below |40> that float64 can represent"]
 
 
 @pytest.mark.parametrize("kind, name", [(TargetKind.COHERENT, "coherent state"),
@@ -468,8 +518,6 @@ def test_every_target_normalized():
         TargetSpec(TargetKind.GKP_SQUARE, allow_truncation=True),
         TargetSpec(TargetKind.GKP_HEX, allow_truncation=True),
     ]
-    import warnings
-
     for spec in specs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)

@@ -781,6 +781,20 @@ def test_two_writers_split_sphere_grids(tmp_path, monkeypatch, forks, sizes, spl
     assert len(forks) == 1
 
 
+def test_two_writers_replace_longer_files(tmp_path, monkeypatch, forks):
+    # the process opens its files before the fork but truncates them after
+    # it: every file, the cut file included, ends where its new bytes end
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    sizes = [(7, 9), (11, 13), (5, 8)]
+    grids = [spherical_wigner(_random_state(4, seed), *size) for seed, size in enumerate(sizes)]
+    assert _split_rows(sizes) == (1, 5)
+    pairs = [(grid, tmp_path / f"step{i:02d}.csv") for i, grid in enumerate(grids)]
+    for _, path in pairs:
+        path.write_bytes(b"x" * 100_000)
+    assert export_grids(pairs) == 2 and len(forks) == 1
+    assert [path.read_bytes() for _, path in pairs] == [_csv_bytes(grid) for grid, _ in pairs]
+
+
 def test_a_child_failing_at_once_leaves_its_files_to_the_process(tmp_path, monkeypatch, forks):
     # the child formats one row of b.csv, then fails on c.csv while the
     # process still writes its half: the offset goes to a child that is gone
