@@ -215,7 +215,7 @@ class _Bases(NamedTuple):
     rows: tuple             # per path (product, combined), the rows of _slot_phases
     sq_diag: np.ndarray     # the diagonal of J_x^2 and of J_y^2, (j(j+1) - x^2)/2
     sq_off: np.ndarray      # J_x^2's m, m+2 entries; J_y^2's are their negatives
-    store: dict             # plans, mirror tables, sphere kernel bands; released with it
+    store: dict             # plans, mirror tables, sphere kernel bands, buffers; released with it
 
 
 # A slot's phases are exp(i (L x + Q x^2)) on the levels x = m - N/2, the
@@ -229,7 +229,7 @@ _SLOT_LQ[[2, 1, 0], [0, 1, 2], 0] = 1.0
 _SLOT_LQ[[4, 3, 4], [0, 2, 3], 1] = 1.0
 
 
-@functools.lru_cache(maxsize=2)  # replay-sweep alternates N = 40 and 100; ~90 d^2 B each
+@functools.lru_cache(maxsize=2)  # replay-sweep: N = 40 and 100; ~90 d^2 B + buffers (1.4 MB at 100)
 def _propagation_bases(space: DickeSpace) -> _Bases:
     """One eigendecomposition per space, shared by every propagation.
 
@@ -392,11 +392,11 @@ def _mirror_tables(space: DickeSpace) -> tuple:
             *(np.array([np.hstack(t[:2]), np.hstack(t[2:])]) for t in (take, scale)))
 
 
-def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.ndarray]:
+def squeeze_eigenpairs(space: DickeSpace, strengths, buffers=None) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of -(alpha J_x^2 + beta J_y^2), which couples m only to
     m +- 2, laid out as the stride-2 chains of :func:`_chain_eigh`, for every
     row (alpha, beta) of the (M, 2) table ``strengths``: w (M, 2, L) and
-    v (M, 2, L, L) from one eigh call.
+    v (M, 2, L, L) from one eigh call, v in the array :func:`_buffer` keeps in ``buffers``.
 
     The generator commutes with the mirror m <-> N - m, the pi rotation
     about x.  For odd N the mirror swaps the chains: eigh takes the even one
@@ -431,18 +431,19 @@ def squeeze_eigenpairs(space: DickeSpace, strengths) -> Tuple[np.ndarray, np.nda
         k = int(np.argmax(bad))
         raise NormDriftError(f"squeeze strengths {given[k].tolist()} of step {k + 1} "
                              "make the combined squeeze generator non-finite")
+    length, size = (space.dim + 1) // 2, (space.dim + 3) // 4
+    out = _buffer(buffers, (len(given), 2, length, length), float)  # v
     if space.n_emitters % 2:
         w, v = _chain_eigh(diags[:, ::2], offs[:, ::2], 1)
-        return np.concatenate([w, w], 1), np.concatenate([v, v[..., ::-1, :]], 1)
+        return np.concatenate([w, w], 1), np.concatenate([v, v[..., ::-1, :]], 1, out=out)
     if "mirror" not in bases.store:
         bases.store["mirror"] = _mirror_tables(space)
     src, sign, factor, take, scale = bases.store["mirror"]
-    length, size = (space.dim + 1) // 2, (space.dim + 3) // 4
     bands = np.concatenate([diags, offs, np.zeros((len(diags), 2))], axis=1)
     bands[:, -1] = 4 * np.abs(bands).max(axis=1) + 1  # the ceiling
     band = factor * (bands[:, src[0]] + sign * bands[:, src[1]])
     w, u = _chain_eigh(band[..., :size], band[..., size:], 1)
-    v = np.take(u.reshape(-1, 4 * size ** 2), take, axis=1)
+    v = np.take(u.reshape(-1, 4 * size ** 2), take, axis=1, out=out, mode="clip")  # "raise" copies
     v *= scale
     w = w.reshape(-1, 2, 2 * size)[..., :length]
     w[:, 1, size - 1] = 0.0  # chain 1's padded slot
@@ -473,23 +474,29 @@ def _quaternions(turns: np.ndarray, product_rotation: bool) -> np.ndarray:
     return quat
 
 
+def _buffer(buffers, shape: tuple, dtype=complex) -> np.ndarray:  # buffers: a dict or None
+    if buffers is None:
+        return np.empty(shape, dtype)  # a new array
+    if (shape, dtype) not in buffers:  # else the one kept for this shape, made on first use
+        buffers[shape, dtype] = np.empty(shape, dtype)
+    return buffers[shape, dtype]
+
+
 def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: int,
-                 mul: Callable = np.ndarray.dot) -> np.ndarray:
+                 mul: Callable = np.ndarray.dot, buffers: dict = None) -> np.ndarray:
     """The first ``n_slots`` phase slots of the coefficient table ``coef``
     (..., 5) on the combined- or product-squeeze path, shape
     (..., n_slots, d), C-contiguous; ``mul`` is the plan's product.
 
-    Below RECURRENCE_MIN_LEVELS levels this is the direct exp(i coef @ rows)
-    on the exact levels.
-    From there on slot (L, Q) is grown from the middle level x_s, the one at
-    or just above x = 0: with f(x) = exp(i (L x + Q x^2)), the ratios
-    r(x + 1) = f(x + 1) / f(x) step by q = exp(2 i Q).  One exp gives f(x_s),
-    r(x_s + 1) and q for the upper half and, with L negated, for the mirrored
-    lower half; one multiply.accumulate grows the ratios and one the phases.
-    The lower half reversed (less x_s = 0 for even N), then the upper, is
-    level order.  A phase n levels from the middle errs by about n^2 eps / 2,
-    where the direct exp errs by eps times its argument, |Q| n^2 with n up to
-    N/2.  Every step is elementwise or a slice, so a slice keeps its bits in any group.
+    Below RECURRENCE_MIN_LEVELS levels this is the direct exp(i coef @ rows) on the exact
+    levels.  From there on slot (L, Q) is grown from the middle level x_s, 0 or 1/2: with
+    f(x) = exp(i (L x + Q x^2)), the ratios r(x + 1) = f(x + 1) / f(x) step by q = exp(2 i Q).
+    One exp gives f(x_s), r(x_s + 1) and q for the upper half and, with L negated, for the
+    mirrored lower half; one multiply.accumulate grows the ratios (none where Q = 0 makes
+    q = 1: the combined squeeze) and one the phases.  The lower half reversed (less x_s = 0
+    for even N), then the upper, is level order.  Both tables come from :func:`_buffer`.  A
+    phase n levels from the middle errs by about n^2 eps / 2, the direct exp by eps |Q| n^2,
+    n up to N/2.  Every step is elementwise or a slice, so a slice keeps its bits in any group.
     """
     bases = _propagation_bases(space)
     lead, d = coef.shape[:-1], space.dim
@@ -497,11 +504,15 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     phases = np.exp(1j * mul(coef, bases.rows[combined][:, :n_slots * (d if direct else 6)]))
     if direct:
         return phases.reshape(lead + (n_slots, d))
-    grown = np.repeat(phases.reshape(lead + (n_slots, 2, 3)), [1, 1, (d + 1) // 2 - 2],
-                      axis=-1)  # f_s, r_s, q, q, ...
-    np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
+    phases = phases.reshape(lead + (n_slots, 2, 3))  # per half: f_s, r_s, q
+    grown = _buffer(buffers, lead + (n_slots, 2, (d + 1) // 2))
+    grown[..., :2] = phases[..., :2]
+    grown[..., 2:] = phases[..., 2 - combined, None]  # q, q, ... or r_s, r_s, ...
+    if not combined:
+        np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
     np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
-    return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1)
+    return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1,
+                          out=_buffer(buffers, lead + (n_slots, d)))
 
 
 def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: int) -> Callable:
@@ -510,9 +521,9 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     decide the factors of a step, with every choice that depends only on
     them made once.  Returns ``run(params, cols, per_step)`` for flat float
     ``params`` of length 5M + 3 and a complex (d, r) block ``cols`` (a
-    vector is one column); it returns the unchecked states in a list, the
-    M+1 after each step and the final rotation with ``per_step``, else the
-    final one.  A combined-squeeze run makes its own :func:`squeeze_eigenpairs`.
+    vector is one column); it returns the unchecked states in a list, the M+1 after each step
+    and the final rotation with ``per_step``, else the final one.  A combined-squeeze run
+    makes its own :func:`squeeze_eigenpairs`.  Runs on one space share its buffers: not reentrant.
 
     Within a group the rotation composition changes only how the Euler
     angles are read; a stack holding both reads each on every slice and
@@ -574,6 +585,8 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
             else (bases.vx, bases.vx.T, bases.vy, bases.vy_h, bases.x_to_y))
         first, second = v2, v1_h
 
+    buffers = bases.store.setdefault("buffers", {})  # run holds this, not the store that holds run
+
     def run(params, cols, per_step):
         # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
         # final rotation's strengths 0
@@ -592,12 +605,12 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         coef[..., :3] = mul(args, _ZXZ_FROM_ARGS) + offset
         coef[..., 3] = strengths[..., yx]
         coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
-        # the product squeeze's slot 3, its second squeeze alone, only serves per_step
-        phases = _slot_phases(space, coef, combined, 4 if per_step and not combined else 3, mul)
+        slots = 4 if per_step and not combined else 3  # slot 3, squeeze 2 alone, serves per_step
+        phases = _slot_phases(space, coef, combined, slots, mul, buffers)
         # phases[k, slot] is (d, 1), or (B, d, 1) for a stack, shared by the columns
         phases = (np.moveaxis(phases, 0, 2) if stacked else phases)[..., None]
         if combined:  # squeeze_phases[k] is (2, L), or (B, 2, L) for a stack
-            w, v = squeeze_eigenpairs(space, table[:-1, 3:])
+            w, v = squeeze_eigenpairs(space, table[:-1, 3:], buffers)
             squeeze_phases = (np.take(np.exp(1j * (distinct_k * w[:, None])), which_k, axis=1)
                               if stacked else np.exp(1j * (squeeze_k * w)))
         psi = cols if combined else mul(v2_h, cols)

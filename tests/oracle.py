@@ -4,6 +4,10 @@
   the exponential of its Hermitian generator through ``eigh``
   (``core._hermitian_exp``), and ``apply`` to act with one on a pure or mixed
   state.  ``gates.propagate`` is checked against these on every convention.
+- Phase slots: the center-out recurrence of ``gates._slot_phases`` in its
+  first form, which repeats (f_s, r_s, q) per half into a new table, grows it
+  by two accumulates and joins the halves with ``np.concatenate`` into a new
+  array.  The tables written into reused buffers must match it bit for bit.
 - Spherical Wigner: the irreducible tensor operators T_kq from exact
   Clebsch-Gordan coefficients, and the multipole coefficients
   rho_kq = Tr(T_kq^dag rho).  ``wigner.spherical_wigner_values`` and its
@@ -50,6 +54,7 @@ from dickesim.core import (
 )
 from dickesim.gates import (
     DEFAULT_CONVENTIONS,
+    RECURRENCE_MIN_LEVELS,
     Convention,
     GateConventions,
     PulseSequence,
@@ -144,6 +149,23 @@ def sequence_unitaries(seq: PulseSequence,
     out = [step_unitary(st, seq.space, conventions) for st in seq.steps]
     out.append(rotation_from_turns(seq.space, seq.final_turns, conventions))
     return out
+
+
+def slot_phases_concatenated(space: DickeSpace, coef: np.ndarray, combined: bool,
+                             n_slots: int, mul=np.ndarray.dot) -> np.ndarray:
+    """``gates._slot_phases`` from RECURRENCE_MIN_LEVELS levels on, as first
+    written: per slot and half (upper, mirrored lower) the row (f_s, r_s, q,
+    q, ...) by ``np.repeat``, the ratios and then the phases by one
+    multiply.accumulate each, and the lower half reversed, less its x_s for
+    even N, joined to the upper by ``np.concatenate``."""
+    lead, d = coef.shape[:-1], space.dim
+    assert d >= RECURRENCE_MIN_LEVELS
+    phases = np.exp(1j * mul(coef, _propagation_bases(space).rows[combined][:, :n_slots * 6]))
+    grown = np.repeat(phases.reshape(lead + (n_slots, 2, 3)), [1, 1, (d + 1) // 2 - 2],
+                      axis=-1)  # f_s, r_s, q, q, ...
+    np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
+    np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
+    return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1)
 
 
 # --- irreducible tensors T_kq --------------------------------------------------

@@ -475,23 +475,27 @@ def test_size_sweep_single_n_matches_replay(tmp_path):
 
 
 def test_size_sweep_keeps_at_most_two_spaces(tmp_path):
-    # a space's bases, mirror tables and plans are cached together and
-    # released together, by reference counting alone (the cycle collector
-    # off): size-sweep holds one size at a time, other callers two spaces
+    # a space's bases, mirror tables, plans and the buffers the plans reuse
+    # are cached together and released together, by reference counting
+    # alone (the cycle collector off): size-sweep holds one size at a time,
+    # other callers two spaces
     space = dickesim.DickeSpace(40)
     run = gates._plan(space, (dickesim.GateConventions(squeeze_composition="combined"),), 1)
-    run(np.zeros(8), np.eye(41, 1, dtype=complex), False)  # makes the mirror tables
+    run(np.zeros(8), np.eye(41, 1, dtype=complex), False)  # makes the mirror tables, buffers
     bases = gates._propagation_bases(space)
-    held = [weakref.ref(x) for x in (bases.vx, bases.store["mirror"][3], run)]
-    del run, bases
+    buffers = list(bases.store["buffers"].values())  # the phase tables, the eigenvectors
+    assert {b.shape for b in buffers} >= {(2, 3, 2, 21), (2, 3, 41), (1, 2, 21, 21)}
+    held = [weakref.ref(x) for x in (bases.vx, bases.store["mirror"][3], run, *buffers)]
+    del run, bases, buffers
     gc.disable()
-    try:
+    try:  # read before the collector is back: it would free a young cycle at once
         assert run_cli(["size-sweep", "--sequence", "cat2", "--n-list", "41,42,43,44,45",
                         "--out", str(tmp_path / "sweep.json")]) == 0
+        released = [ref() is None for ref in held]
     finally:
         gc.enable()
     assert gates._propagation_bases.cache_info().currsize == 1
-    assert [ref() is None for ref in held] == [True, True, True]  # vx, tables, plan
+    assert released == [True] * len(held)  # vx, tables, plan, buffers
     for n in range(4, 9):
         gates._propagation_bases(dickesim.DickeSpace(n))
     assert gates._propagation_bases.cache_info().currsize == 2

@@ -45,6 +45,7 @@ from oracle import (
     apply,
     rotation_from_turns,
     sequence_unitaries,
+    slot_phases_concatenated,
     squeeze_pair_unitary,
 )
 
@@ -654,6 +655,121 @@ def test_phases_below_the_size_rule_are_the_direct_exp_bitwise(n, combined):
         for c, s in zip(coef, stack):
             one = _slot_phases(space, c, combined, slots, np.ndarray.dot)
             assert one.flags.c_contiguous and np.array_equal(one, s)
+
+
+def assert_same_bits(got, expected):
+    """Equal bit for bit, and NaN exactly where ``expected`` has NaN (the
+    payload a NaN carries is left to the platform)."""
+    got, expected = got.view(float), expected.view(float)
+    nan = np.isnan(expected)
+    assert got.shape == expected.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+# the first N at the size rule, then replay-sweep's, each pair with an even and an odd N
+@pytest.mark.parametrize("n", [RECURRENCE_MIN_LEVELS - 1, RECURRENCE_MIN_LEVELS, 40, 41, 100, 101])
+@pytest.mark.parametrize("combined", [False, True])
+def test_phases_in_reused_buffers_have_the_bits_of_the_first_recurrence(n, combined):
+    # the table grown in reused buffers or in new arrays equals the recurrence
+    # that repeated its rows into a new table and concatenated its halves,
+    # for a stack of 8 and for a group of one, with 3 and 4 slots; a
+    # strength of 1e308 or inf puts NaN where that recurrence put it, and
+    # what the buffers held before (NaN everywhere) does not show
+    rng = np.random.default_rng(67 + n)
+    space = DickeSpace(n)
+    assert space.dim >= RECURRENCE_MIN_LEVELS
+    for slots in ((3,) if combined else (3, 4)):
+        coef = _phase_coef(rng, 8 * 4).reshape(8, 4, 5)
+        coef[1, 2, 3], coef[5, 0, 4] = 1e308, np.inf
+        for c, mul in ((coef, np.matmul), (coef[1], np.ndarray.dot), (coef[5], np.ndarray.dot)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = slot_phases_concatenated(space, c, combined, slots, mul)
+                fresh = _slot_phases(space, c, combined, slots, mul)
+                buffers = {}
+                held = _slot_phases(space, np.full_like(c, np.inf), combined, slots, mul, buffers)
+                assert np.isnan(held).all() and len(buffers) == 2
+                reused = _slot_phases(space, c, combined, slots, mul, buffers)
+                assert reused is held and len(buffers) == 2
+            if c is coef:  # NaN in the inf row's phases, in no slice without 1e308 or inf
+                assert np.isnan(expected[5]).any()
+                assert np.isfinite(expected[[0, 2, 3, 4, 6, 7]]).all()
+            for got in (fresh, reused):
+                assert got.flags.c_contiguous
+                assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("n", [40, 41, 100])
+def test_returned_states_do_not_share_the_reused_buffers(n):
+    # propagate, per-step propagate and propagate_sweep on one space reuse
+    # its phase and eigenvector buffers; calls with other parameters leave
+    # every array an earlier call returned as it was; and _slot_phases
+    # without a buffer returns a new array each call
+    rng = np.random.default_rng(71 + n)
+    space = DickeSpace(n)
+    psi = random_state(space, rng)
+    calls = [lambda p: propagate_sweep(space, p, psi)] + [
+        lambda p, conv=conv, per_step=per_step: propagate(space, p, conv, psi, per_step)
+        for conv in (GateConventions(), GateConventions(squeeze_composition="combined"))
+        for per_step in (False, True)]
+    kept = []
+    for call in calls * 2:
+        out = call(rng.uniform(-np.pi, np.pi, 5 * 3 + 3))
+        kept.append((out, out.copy()))
+    buffers = list(_propagation_bases(space).store["buffers"].values())
+    assert len(buffers) >= 4  # the sweep's phases, a group of one's with 3 and 4 slots, v
+    for out, copy in kept:
+        assert np.array_equal(out, copy)
+        assert not any(np.shares_memory(out, b) for b in buffers)
+    coef = _phase_coef(rng, 4)
+    first = _slot_phases(space, coef, False, 4)
+    again = _slot_phases(space, coef, False, 4)
+    assert np.array_equal(first, again) and not np.shares_memory(first, again)
+    assert not any(np.shares_memory(first, b) for b in buffers)
+
+
+def test_plans_share_one_buffer_per_shape():
+    # the three groups of a sweep share one pair of phase buffers (the
+    # halves, the level-ordered table), and the 24 conventions' own
+    # propagate calls one more pair, for the group of one; the combined
+    # squeeze's eigenvectors take one for M steps.  More plans hold no more
+    # buffers
+    space = DickeSpace(100)
+    n_steps, length = 7, 51
+    rng = np.random.default_rng(73)
+    params = rng.uniform(-np.pi, np.pi, 5 * n_steps + 3)
+    psi = random_state(space, rng)
+    store = _propagation_bases(space).store
+    held = dict(store.get("buffers", {}))
+
+    def added():
+        return sorted(b.shape for key, b in store["buffers"].items() if key not in held)
+
+    sweep = [(n_steps, 2, length, length), (8, n_steps + 1, 3, 2, length),
+             (8, n_steps + 1, 3, space.dim)]
+    propagate_sweep(space, params, psi)
+    assert added() == sorted(sweep)
+    for conv in CONVENTION_SWEEP:
+        propagate(space, params, conv, psi)
+    assert added() == sorted(sweep + [(n_steps + 1, 3, 2, length), (n_steps + 1, 3, space.dim)])
+    assert sum(key[1:] == (n_steps,) for key in store if isinstance(key, tuple)) >= 3 + 24
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_squeeze_eigenvectors_are_written_into_the_kept_buffer(n):
+    # with buffers, each call writes its (M, 2, L, L) eigenvectors into the
+    # one kept array (np.take or, for odd N, np.concatenate with out=), with
+    # the bits of a call that makes a new array
+    rng = np.random.default_rng(79 + n)
+    space = DickeSpace(n)
+    buffers = {}
+    held = squeeze_eigenpairs(space, rng.uniform(-1, 1, (3, 2)), buffers)[1]
+    strengths = rng.uniform(-1, 1, (3, 2))
+    w, v = squeeze_eigenpairs(space, strengths, buffers)
+    fresh_w, fresh_v = squeeze_eigenpairs(space, strengths)
+    assert v is held and [id(b) for b in buffers.values()] == [id(v)]
+    assert v.shape == (3, 2, (n + 2) // 2, (n + 2) // 2)
+    assert np.array_equal(w, fresh_w) and np.array_equal(v, fresh_v)
+    assert not np.shares_memory(v, fresh_v)
 
 
 def test_propagate_rejects_bad_inputs():
