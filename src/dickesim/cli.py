@@ -119,10 +119,10 @@ def _override_conventions(args, base: GateConventions) -> GateConventions:
     return GateConventions.from_dict(doc)
 
 
-# The largest N of the commands that build dense (N+1)^2 complex arrays: propagate's
-# bases, trotter-check's operators.  replay --sequence cat2 took 0.7 s and 0.14 GB of peak
-# RSS at N = 1000, 3.8 s and 0.43 GB at 2000, 12 s and 0.91 GB at 3000 (2-vCPU x86): ~100 B
-# per entry, time ~N^3, so ~1.6 GB and ~30 s at 4000.  CI and tests use N <= 1000.
+# The largest N of the commands that build dense (N+1)^2 arrays: propagate's bases,
+# trotter-check's operators.  replay --sequence cat2 took 0.29 s and 110 MB of peak RSS at
+# N = 1000, 1.8 s and 322 MB at 2000, 6.5 s and 631 MB at 3000 (2-vCPU x86): ~70 B per
+# entry, time ~N^3, so ~1.1 GB and ~15 s at 4000.  CI and tests use N <= 1000.
 DENSE_MAX_N = 4_000
 
 

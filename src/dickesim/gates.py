@@ -207,11 +207,11 @@ class _Bases(NamedTuple):
     """Per-space data of :func:`propagate`; see :func:`_propagation_bases`."""
 
     jz: np.ndarray          # J_z diagonal, the levels m - N/2
-    vx: np.ndarray          # J_x eigenvectors, real, stored complex
+    vx: np.ndarray          # J_x eigenvectors, real, stored complex below REAL_MIN_LEVELS
     vy: np.ndarray          # J_y eigenvectors, exp(-i pi/2 J_z) vx ...
     vy_h: np.ndarray        # ... and their adjoint
-    x_to_y: np.ndarray      # vy_h @ vx: J_x-basis to J_y-basis coordinates ...
-    y_to_x: np.ndarray      # ... and back
+    x_to_y: np.ndarray      # vy_h @ vx, J_x- to J_y-basis coordinates, and its adjoint
+    y_to_x: np.ndarray      # back; from REAL_MIN_LEVELS on the real R of D R D and R^T
     rows: tuple             # per path (product, combined), the rows of _slot_phases
     sq_diag: np.ndarray     # the diagonal of J_x^2 and of J_y^2, (j(j+1) - x^2)/2
     sq_off: np.ndarray      # J_x^2's m, m+2 entries; J_y^2's are their negatives
@@ -229,7 +229,7 @@ _SLOT_LQ[[2, 1, 0], [0, 1, 2], 0] = 1.0
 _SLOT_LQ[[4, 3, 4], [0, 2, 3], 1] = 1.0
 
 
-@functools.lru_cache(maxsize=2)  # replay-sweep: N = 40 and 100; ~90 d^2 B + buffers (1.4 MB at 100)
+@functools.lru_cache(maxsize=2)  # replay-sweep: N = 40 and 100; 80 d^2 B, 48 from REAL_MIN_LEVELS
 def _propagation_bases(space: DickeSpace) -> _Bases:
     """One eigendecomposition per space, shared by every propagation.
 
@@ -238,6 +238,13 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     S_x^2; P times it, P = exp(-i pi/2 J_z), serves J_y = P J_x P^dag and
     S_y^2.  Their squares are exact bands, (N + 2 m (N - m))/4 and
     +-band[m] band[m+1].
+
+    x_to_y = vx^T P^dag vx is real where the J_x eigen-indices a, b have one
+    parity and imaginary where they differ, so x_to_y = D R D with
+    D = diag(i^(a mod 2)) and R real.  From REAL_MIN_LEVELS levels on, R is
+    formed directly, R = S o (vx^T diag(cos(pi x/2) + sin(pi x/2)) vx) with S
+    = -1 where both indices are odd, and kept, with vx, as real arrays in
+    place of x_to_y and y_to_x; below, they are complex, as ever.
 
     Both paths' rows of :func:`_slot_phases` come from the one table
     ``_SLOT_LQ``: row i holds L x + Q x^2 at each slot's (L, Q) for coef
@@ -258,11 +265,17 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
               np.array([[mid, 1.0, 0.0, -mid, -1.0, 0.0], [mid * mid, 2 * mid + 1, 2.0] * 2]))
     rows = tuple(np.einsum("psl,lx->psx", t, levels).reshape(5, -1)
                  for t in (_SLOT_LQ, _SLOT_LQ[:, :3] * [1.0, 0.0]))
-    vx = vx.astype(complex)
     vy_h = np.ascontiguousarray(vy.conj().T)
-    x_to_y = vy_h @ vx
-    return _Bases(jz, vx, vy, vy_h, x_to_y, np.ascontiguousarray(x_to_y.conj().T),
-                  rows, (n + 2 * m * (n - m)) / 4, band[:-1] * band[1:], {})
+    if space.dim >= REAL_MIN_LEVELS:
+        x_to_y = vx.T @ ((np.cos(0.5 * np.pi * jz) + np.sin(0.5 * np.pi * jz))[:, None] * vx)
+        x_to_y[1::2, 1::2] *= -1.0  # R
+        y_to_x = x_to_y.T
+    else:
+        vx = vx.astype(complex)
+        x_to_y = vy_h @ vx
+        y_to_x = np.ascontiguousarray(x_to_y.conj().T)
+    return _Bases(jz, vx, vy, vy_h, x_to_y, y_to_x, rows, (n + 2 * m * (n - m)) / 4,
+                  band[:-1] * band[1:], {})
 
 
 # A rotation exp(i t . J) is read from its SU(2) quaternion (w, x, y, z) =
@@ -320,6 +333,16 @@ _TINY = np.finfo(float).tiny
 # d alone; it must not read the group size, or a sweep would lose the bits
 # of each convention's own propagate call.
 RECURRENCE_MIN_LEVELS = 17
+# From this many levels d on, _plan makes every basis change a real product on
+# the float view of the state, (..., d, 2r), which moves half the bytes of the
+# complex one.  Measured with one BLAS thread on a 2-vCPU x86 host, as the time
+# ratio real / complex of one product-squeeze run at M = 3 and 11: a stack of 8
+# reads 0.88-0.91 at N = 48, 0.84-0.85 at 63 and 0.73-0.78 at 100; a group of
+# one, which pays two views per product, 1.08-1.10 at N = 48, 1.01-1.05 at 63,
+# 0.99-1.04 at 80 and 0.89-0.92 at 100.  Like RECURRENCE_MIN_LEVELS it reads d
+# alone, never the group size, and it must not fall below it: the hop's D is
+# folded into the recurrence's seeds (_hop_folds).
+REAL_MIN_LEVELS = 64
 
 
 def _chain_eigh(diag: np.ndarray, off: np.ndarray, stride: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -483,10 +506,12 @@ def _buffer(buffers, shape: tuple, dtype=complex) -> np.ndarray:  # buffers: a d
 
 
 def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: int,
-                 mul: Callable = np.ndarray.dot, buffers: dict = None) -> np.ndarray:
+                 mul: Callable = np.ndarray.dot, buffers: dict = None,
+                 fold: np.ndarray = None) -> np.ndarray:
     """The first ``n_slots`` phase slots of the coefficient table ``coef``
     (..., 5) on the combined- or product-squeeze path, shape
-    (..., n_slots, d), C-contiguous; ``mul`` is the plan's product.
+    (..., n_slots, d), C-contiguous; ``mul`` is the plan's product.  The first
+    ``n_slots`` slots of a ``fold`` (see :func:`_hop_folds`) multiply the recurrence's seeds.
 
     Below RECURRENCE_MIN_LEVELS levels this is the direct exp(i coef @ rows) on the exact
     levels.  From there on slot (L, Q) is grown from the middle level x_s, 0 or 1/2: with
@@ -505,6 +530,8 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     if direct:
         return phases.reshape(lead + (n_slots, d))
     phases = phases.reshape(lead + (n_slots, 2, 3))  # per half: f_s, r_s, q
+    if fold is not None:
+        phases *= fold[:, :n_slots]
     grown = _buffer(buffers, lead + (n_slots, 2, (d + 1) // 2))
     grown[..., :2] = phases[..., :2]
     grown[..., 2:] = phases[..., 2 - combined, None]  # q, q, ... or r_s, r_s, ...
@@ -513,6 +540,23 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
     return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1,
                           out=_buffer(buffers, lead + (n_slots, d)))
+
+
+def _hop_folds(space: DickeSpace, n_steps: int, adjoint: bool) -> np.ndarray:
+    """The ``fold`` of :func:`_slot_phases` for a real product-squeeze run,
+    shape (M + 1, 4, 2, 3): D = diag(i^(a mod 2)) of the hop D R D (or D^dag
+    of D^dag R^T D^dag with ``adjoint``) in slot 2 of every row but the last,
+    which precedes the hop, and in slots 0 and 3 of every row but the first,
+    which follow it; elsewhere 1.  i^(a mod 2) = i^(a^2) grows from the
+    middle level as a slot does, with f_s = i^(a_s^2), r_s = i^(1 +- 2 a_s)
+    and q = -1 at the index a_s of +-x_s, a = a_s +- k.  Every seed is one of
+    1, i, -1, -i, so the folded phases carry D exactly."""
+    upper, lower = (space.n_emitters + 1) // 2, space.n_emitters // 2  # a_s of x_s, -x_s
+    powers = np.array([[upper ** 2, 1 + 2 * upper, 2], [lower ** 2, 1 - 2 * lower, 2]]) % 4
+    seeds = np.array([1.0, 1.0j, -1.0, -1.0j])[powers]  # i^powers
+    fold = np.ones((n_steps + 1, 4, 2, 3), complex)
+    fold[1:, 0] = fold[:-1, 2] = fold[1:, 3] = seeds.conj() if adjoint else seeds
+    return fold
 
 
 def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: int) -> Callable:
@@ -544,6 +588,14 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     the element of SU(2), not just of SO(3), so they hold in every spin-J
     representation, odd N included.  At a middle angle of 0 (or pi) only
     a + c (or a - c) is determined, and only it matters.
+
+    From REAL_MIN_LEVELS levels on, every basis change is a real product
+    on the float view of the state: vx^T and vx, and the hop R (or R^T) of
+    :func:`_propagation_bases`.  P = exp(-i pi/2 J_z), which makes vy = P vx,
+    turns the product squeeze's Z(b) into Z(b -+ pi/2), so its middle angle
+    offset drops to 0, and is one multiply where a run enters or leaves the
+    J_y basis; the hop's Ds are folded into the seeds of the phases on
+    either side of it (:func:`_hop_folds`).
     """
     bases = _propagation_bases(space)
     if cached := bases.store.get((conventions, n_steps)):  # one hash of the key
@@ -568,14 +620,21 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     combined = conventions[0].squeeze_composition == "combined"
     squeeze_order = conventions[0].squeeze_order
     yx = int(squeeze_order == "yx")
+    real = space.dim >= REAL_MIN_LEVELS
     # Per rotation composition in the group, product first as np.where takes
     # it, the map from its quaternions (or the product rotation's eight
     # half-angle products) to the columns the Z-X-Z angles are read from
     euler, middle = (_UNIT, 0.0) if combined else _MERGED_EULER[squeeze_order]
+    if real:  # Z(b + pi/2) P = Z(b) = P^dag Z(b - pi/2): vy's P meets slot 1
+        middle = 0.0
     offset = np.array([-0.5 * np.pi, middle, 0.5 * np.pi])  # added to the angles
     product = np.array([c.rotation_composition == "product" for c in conventions])
     readings = [(p, (_PRODUCT_ROTATION @ euler if p else euler) @ _ARG_COLUMNS)
                 for p in (True, False) if (product == p).any()]
+    change, fold = mul, None  # change(v, psi): a basis change v @ psi
+    if real:
+        def change(v, psi):  # a real v on the float view of psi, (..., d, 2r)
+            return mul(v, psi.view(float)).view(complex)
     if combined:
         first, second = bases.vx.T, bases.vx
     else:
@@ -584,6 +643,10 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
             (bases.vy, bases.vy_h, bases.vx, bases.vx.T, bases.y_to_x) if yx
             else (bases.vx, bases.vx.T, bases.vy, bases.vy_h, bases.x_to_y))
         first, second = v2, v1_h
+        if real:  # v1 = p1 vx, v2 = p2 vx and v2_h = vx^T p2_h; the hop is R or R^T
+            p = np.exp(-0.5j * np.pi * bases.jz)[:, None]
+            p1, p2, p2_h = (p, 1.0, 1.0) if yx else (1.0, p, p.conj())
+            first, second, fold = bases.vx, bases.vx.T, _hop_folds(space, n_steps, yx)
 
     buffers = bases.store.setdefault("buffers", {})  # run holds this, not the store that holds run
 
@@ -606,17 +669,22 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         coef[..., 3] = strengths[..., yx]
         coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
         slots = 4 if per_step and not combined else 3  # slot 3, squeeze 2 alone, serves per_step
-        phases = _slot_phases(space, coef, combined, slots, mul, buffers)
+        phases = _slot_phases(space, coef, combined, slots, mul, buffers, fold)
         # phases[k, slot] is (d, 1), or (B, d, 1) for a stack, shared by the columns
         phases = (np.moveaxis(phases, 0, 2) if stacked else phases)[..., None]
         if combined:  # squeeze_phases[k] is (2, L), or (B, 2, L) for a stack
             w, v = squeeze_eigenpairs(space, table[:-1, 3:], buffers)
             squeeze_phases = (np.take(np.exp(1j * (distinct_k * w[:, None])), which_k, axis=1)
                               if stacked else np.exp(1j * (squeeze_k * w)))
-        psi = cols if combined else mul(v2_h, cols)
+        if real:  # the float view needs C order
+            cols = np.ascontiguousarray(cols)
+        if combined:
+            psi = cols
+        else:
+            psi = change(second, p2_h * cols) if real else mul(v2_h, cols)
         states = []
         for k in range(n_steps + 1):
-            psi = phases[k, 2] * mul(second, phases[k, 1] * mul(first, phases[k, 0] * psi))
+            psi = phases[k, 2] * change(second, phases[k, 1] * change(first, phases[k, 0] * psi))
             if k == n_steps:
                 break
             if combined:
@@ -624,11 +692,12 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
                 if per_step:
                     states.append(psi)
             else:
-                psi = mul(hop, psi)
+                psi = change(hop, psi)
                 if per_step:  # the second squeeze's phase is still to come
-                    states.append(mul(v2, phases[k + 1, 3] * psi))
+                    psi2 = phases[k + 1, 3] * psi
+                    states.append(p2 * change(first, psi2) if real else mul(v2, psi2))
         if not combined:
-            psi = mul(v1, psi)
+            psi = p1 * change(first, psi) if real else mul(v1, psi)
         states.append(psi)
         return states
 

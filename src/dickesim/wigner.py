@@ -322,25 +322,29 @@ def export_grids(pairs) -> int:
     cut falls in at the byte offset this process pipes to it.  Every byte is unchanged,
     and the benchmark's wigner-export operations take 0.73 of their one-writer time.
     This process opens its files, the cut file included, before it forks: if one open
-    fails, one writer writes every grid and fails as it does, with no fork.  A write
-    error in mid-stream, such as a full disk, can still leave the child's later files."""
-    jobs, handles = [_csv_job(grid, path) for grid, path in pairs], []
+    fails, or the pipe or the fork does (EAGAIN, ENOMEM), it closes what it opened and
+    one writer writes every grid, meeting any open error as it does.  A write error in
+    mid-stream, such as a full disk, can still leave the child's later files."""
+    jobs, handles, pipe = [_csv_job(grid, path) for grid, path in pairs], [], ()
     if (sum(len(job[4]) for job in jobs) >= SPLIT_MIN_SAMPLES and hasattr(os, "fork")
             and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2):
         f, cut = _split_rows([(len(job[2]), len(job[3])) for job in jobs])
         try:  # each truncated only after the fork: 0.1 ms for a 250 KB file
             for job in jobs[:f + 1]:
                 handles.append(open(os.open(job[0], os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
-        except OSError:  # one writer then meets the error, with no fork
+            pipe = os.pipe()  # both ends held here until the child is reaped: no EPIPE
+            pid = os.fork()
+        except OSError:  # one writer then writes, or meets the error, with no fork
             for fh in handles:
                 fh.close()
+            for fd in pipe:
+                os.close(fd)
             handles = []
     if not handles:
         for job in jobs:
             _stream_csv(job)
         return 1
-    read_end, write_end = os.pipe()  # both held here until the child is reaped: no EPIPE
-    pid = os.fork()
+    read_end, write_end = pipe
     if pid == 0:  # the child: never returns, never flushes this process's stdio
         status = 1  # failed: this process rewrites the child's files
         try:

@@ -25,12 +25,14 @@ from dickesim.core import DimensionMismatchError, _fidelity_with_vector
 from dickesim.gates import (
     CONVENTION_SWEEP,
     EXPONENT_SIGNS,
+    REAL_MIN_LEVELS,
     RECURRENCE_MIN_LEVELS,
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
     SQUEEZE_ORDERS,
     _chain_eigh,
     _chain_exp,
+    _hop_folds,
     _propagate_each,
     _propagation_bases,
     _slot_phases,
@@ -86,11 +88,13 @@ def test_kernel_matches_dense_on_every_convention(n):
 
 # the largest N below the size rule of gates._slot_phases and the smallest at it
 RULE_EDGE = [RECURRENCE_MIN_LEVELS - 2, RECURRENCE_MIN_LEVELS - 1]
+# the same for the real basis changes of gates._plan: d odd, then even
+REAL_RULE_EDGE = [REAL_MIN_LEVELS - 2, REAL_MIN_LEVELS - 1]
 
 
 # 100 and 101 are replay-sweep's N; each pair takes both layouts of the
 # recurrence's halves, N even and odd
-@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41, 100, 101])
+@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41, *REAL_RULE_EDGE, 100, 101])
 def test_sweep_equals_propagate_under_each_convention_bitwise(n):
     # the sweep's one set of combined-squeeze eigenpairs gives the bits that
     # each convention's own propagate call gives, for a vector, the vector as
@@ -117,7 +121,7 @@ def test_sweep_equals_propagate_under_each_convention_bitwise(n):
         propagate_sweep(space, [0.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0], ground)
 
 
-@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE, 40, 41])
+@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE, 40, 41, *REAL_RULE_EDGE, 100, 101])
 def test_stacked_per_step_states_equal_each_convention_bitwise(n):
     # the stacked step loops also give each convention's per-step states
     rng = np.random.default_rng(2100 + n)
@@ -131,7 +135,7 @@ def test_stacked_per_step_states_equal_each_convention_bitwise(n):
             assert np.array_equal(states[-1], propagate(space, params, conv, psi0))
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [3, 6, 100])  # 100: every basis change real
 def test_per_step_states_match_dense_loop(n):
     rng = np.random.default_rng(7)
     space = DickeSpace(n)
@@ -324,6 +328,55 @@ def mirror_eigh(diag, off):
                 v[r, q * size:q * size + widths[q]] = e * pairs[q][1][k, :widths[q]]
         out.append((w, v))
     return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(REAL_MIN_LEVELS - 8, REAL_MIN_LEVELS + 7), st.integers(1, 160)))
+@example(n=1)
+@example(n=REAL_MIN_LEVELS - 2)
+@example(n=REAL_MIN_LEVELS - 1)
+@example(n=400)
+def test_hop_is_d_r_d_with_r_one_real_product(n):
+    # vy = P vx exactly; x_to_y = vy_h vx = D R D with D = diag(i^(a mod 2))
+    # and R = S o (vx^T diag(cos(pi x/2) + sin(pi x/2)) vx), S = -1 where both
+    # J_x eigen-indices are odd, to a few ulp times d; from the size rule on
+    # the bases hold that R and the real vx, below it the complex product
+    space = DickeSpace(n)
+    bases, d = _propagation_bases(space), space.dim
+    assert np.array_equal(bases.vy, np.exp(-0.5j * np.pi * bases.jz)[:, None] * bases.vx)
+    assert np.array_equal(bases.vy_h, bases.vy.conj().T)
+    odd = np.arange(d) % 2 == 1
+    vx = np.ascontiguousarray(bases.vx.real)
+    half_turn = 0.5 * np.pi * bases.jz
+    r = np.where(np.outer(odd, odd), -1.0, 1.0) * (
+        vx.T @ ((np.cos(half_turn) + np.sin(half_turn))[:, None] * vx))
+    hop = bases.vy_h @ bases.vx
+    unit = np.where(odd, 1j, 1.0)
+    assert np.max(np.abs(unit[:, None] * r * unit - hop)) <= 4 * d * np.finfo(float).eps
+    if d >= REAL_MIN_LEVELS:
+        assert bases.vx.dtype == float and bases.x_to_y.dtype == float
+        assert np.array_equal(bases.x_to_y, r) and np.array_equal(bases.y_to_x, r.T)
+    else:
+        assert bases.vx.dtype == complex and np.array_equal(bases.vx.real, vx)
+        assert np.array_equal(bases.x_to_y, hop) and np.array_equal(bases.y_to_x, hop.conj().T)
+
+
+@pytest.mark.parametrize("n", [REAL_MIN_LEVELS - 1, 100])
+def test_real_basis_changes_take_a_block_in_any_layout(n):
+    # the float view needs C order: a Fortran-ordered or strided block gives
+    # the bits of the C-ordered one
+    rng = np.random.default_rng(73 + n)
+    space = DickeSpace(n)
+    params = rng.uniform(-np.pi, np.pi, 5 * 2 + 3)
+    block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+    block /= np.linalg.norm(block)
+    strided = np.zeros((space.dim, 6), complex)
+    strided[:, ::2] = block
+    for conv in CONVENTION_SWEEP:
+        for per_step in (False, True):
+            expected = propagate(space, params, conv, block, per_step)
+            for layout in (np.asfortranarray(block), strided[:, ::2]):
+                assert np.array_equal(propagate(space, params, conv, layout, per_step), expected)
 
 
 def test_squeeze_bands_are_the_exact_ladder_products():
@@ -696,6 +749,25 @@ def test_phases_in_reused_buffers_have_the_bits_of_the_first_recurrence(n, combi
             for got in (fresh, reused):
                 assert got.flags.c_contiguous
                 assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("n", [*REAL_RULE_EDGE, 100, 101])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_hop_folds_carry_d_into_the_phases_exactly(n, adjoint):
+    # the folded seeds grow to D (or D^dag) alone at zero coefficients, in
+    # slots 0 and 3 after each hop and slot 2 before it, and multiply each
+    # phase table by it bit for bit
+    space = DickeSpace(n)
+    unit = np.where(np.arange(space.dim) % 2 == 1, 1j, 1.0)
+    unit = unit.conj() if adjoint else unit
+    fold = _hop_folds(space, 3, adjoint)
+    expected = np.ones((4, 4, space.dim), complex)
+    expected[1:, 0] = expected[:-1, 2] = expected[1:, 3] = unit
+    assert np.array_equal(_slot_phases(space, np.zeros((4, 5)), False, 4, fold=fold), expected)
+    coef = _phase_coef(np.random.default_rng(71 + n), 4)
+    for slots in (3, 4):
+        plain = _slot_phases(space, coef, False, slots) * expected[:, :slots]
+        assert_same_bits(_slot_phases(space, coef, False, slots, fold=fold), plain)
 
 
 @pytest.mark.parametrize("n", [40, 41, 100])

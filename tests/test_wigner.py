@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import warnings
@@ -816,6 +817,27 @@ def test_a_child_failing_at_once_leaves_its_files_to_the_process(tmp_path, monke
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_failed_pipe_or_fork_leaves_one_writer(tmp_path, monkeypatch, forks, call):
+    # EAGAIN from os.pipe or os.fork: the opened handles and the pipe are
+    # closed, and one writer writes every grid, the cut file included
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+
+    def fail(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, call, fail)
+    sizes = [(7, 9), (11, 13), (5, 8)]
+    grids = [spherical_wigner(_random_state(4, seed), *size) for seed, size in enumerate(sizes)]
+    assert _split_rows(sizes) == (1, 5)
+    pairs = [(grid, tmp_path / f"step{i:02d}.csv") for i, grid in enumerate(grids)]
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert export_grids(pairs) == 1 and forks == []
+    assert [path.read_bytes() for _, path in pairs] == [_csv_bytes(grid) for grid, _ in pairs]
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_grids_below_the_threshold_never_fork(tmp_path, forks):
