@@ -207,11 +207,8 @@ class _Bases(NamedTuple):
     """Per-space data of :func:`propagate`; see :func:`_propagation_bases`."""
 
     jz: np.ndarray          # J_z diagonal, the levels m - N/2
-    vx: np.ndarray          # J_x eigenvectors, real, stored complex below REAL_MIN_LEVELS
-    vy: np.ndarray          # J_y eigenvectors, exp(-i pi/2 J_z) vx ...
-    vy_h: np.ndarray        # ... and their adjoint
-    x_to_y: np.ndarray      # vy_h @ vx, J_x- to J_y-basis coordinates, and its adjoint
-    y_to_x: np.ndarray      # back; from REAL_MIN_LEVELS on the real R of D R D and R^T
+    vx: np.ndarray          # J_x eigenvectors, real
+    hop: np.ndarray         # from RECURRENCE_MIN_LEVELS on, the real R of x_to_y = D R D; else None
     rows: tuple             # per path (product, combined), the rows of _slot_phases
     sq_diag: np.ndarray     # the diagonal of J_x^2 and of J_y^2, (j(j+1) - x^2)/2
     sq_off: np.ndarray      # J_x^2's m, m+2 entries; J_y^2's are their negatives
@@ -229,7 +226,7 @@ _SLOT_LQ[[2, 1, 0], [0, 1, 2], 0] = 1.0
 _SLOT_LQ[[4, 3, 4], [0, 2, 3], 1] = 1.0
 
 
-@functools.lru_cache(maxsize=2)  # replay-sweep: N = 40 and 100; 80 d^2 B, 48 from REAL_MIN_LEVELS
+@functools.lru_cache(maxsize=2)  # replay-sweep: N = 40 and 100; 16 d^2 B from RECURRENCE_MIN_LEVELS
 def _propagation_bases(space: DickeSpace) -> _Bases:
     """One eigendecomposition per space, shared by every propagation.
 
@@ -239,12 +236,12 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     S_y^2.  Their squares are exact bands, (N + 2 m (N - m))/4 and
     +-band[m] band[m+1].
 
-    x_to_y = vx^T P^dag vx is real where the J_x eigen-indices a, b have one
-    parity and imaginary where they differ, so x_to_y = D R D with
-    D = diag(i^(a mod 2)) and R real.  From REAL_MIN_LEVELS levels on, R is
-    formed directly, R = S o (vx^T diag(cos(pi x/2) + sin(pi x/2)) vx) with S
-    = -1 where both indices are odd, and kept, with vx, as real arrays in
-    place of x_to_y and y_to_x; below, they are complex, as ever.
+    The hop x_to_y = vx^T P^dag vx is real where the J_x eigen-indices a, b
+    have one parity and imaginary where they differ, so x_to_y = D R D with
+    D = diag(i^(a mod 2)) and R real.  From RECURRENCE_MIN_LEVELS levels on,
+    R is formed directly, R = S o (vx^T diag(cos(pi x/2) + sin(pi x/2)) vx)
+    with S = -1 where both indices are odd, and kept: with vx, 16 d^2 bytes.
+    Below, :func:`_plan` forms the complex bases it needs itself.
 
     Both paths' rows of :func:`_slot_phases` come from the one table
     ``_SLOT_LQ``: row i holds L x + Q x^2 at each slot's (L, Q) for coef
@@ -259,23 +256,16 @@ def _propagation_bases(space: DickeSpace) -> _Bases:
     band = np.sqrt((m[:-1] + 1.0) * (n - m[:-1])) / 2  # J_x[m, m+1], as core.build_sx
     vx = _chain_eigh(np.zeros(space.dim), band, 1)[1][0]
     jz = m - n / 2
-    vy = np.exp(-0.5j * np.pi * jz)[:, None] * vx
     mid = 0.5 * (n % 2)
     levels = (np.array([jz, jz * jz]) if space.dim < RECURRENCE_MIN_LEVELS else
               np.array([[mid, 1.0, 0.0, -mid, -1.0, 0.0], [mid * mid, 2 * mid + 1, 2.0] * 2]))
     rows = tuple(np.einsum("psl,lx->psx", t, levels).reshape(5, -1)
                  for t in (_SLOT_LQ, _SLOT_LQ[:, :3] * [1.0, 0.0]))
-    vy_h = np.ascontiguousarray(vy.conj().T)
-    if space.dim >= REAL_MIN_LEVELS:
-        x_to_y = vx.T @ ((np.cos(0.5 * np.pi * jz) + np.sin(0.5 * np.pi * jz))[:, None] * vx)
-        x_to_y[1::2, 1::2] *= -1.0  # R
-        y_to_x = x_to_y.T
-    else:
-        vx = vx.astype(complex)
-        x_to_y = vy_h @ vx
-        y_to_x = np.ascontiguousarray(x_to_y.conj().T)
-    return _Bases(jz, vx, vy, vy_h, x_to_y, y_to_x, rows, (n + 2 * m * (n - m)) / 4,
-                  band[:-1] * band[1:], {})
+    hop = None
+    if space.dim >= RECURRENCE_MIN_LEVELS:
+        hop = vx.T @ ((np.cos(0.5 * np.pi * jz) + np.sin(0.5 * np.pi * jz))[:, None] * vx)
+        hop[1::2, 1::2] *= -1.0  # R
+    return _Bases(jz, vx, hop, rows, (n + 2 * m * (n - m)) / 4, band[:-1] * band[1:], {})
 
 
 # A rotation exp(i t . J) is read from its SU(2) quaternion (w, x, y, z) =
@@ -323,26 +313,15 @@ _ARG_COLUMNS = np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0]
 _ZXZ_FROM_ARGS = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 _TINY = np.finfo(float).tiny
 # From this many levels d = N + 1 on, _slot_phases grows its phases by
-# recurrence instead of one exp each; below, it keeps the direct exp, bit
-# for bit.  Measured with one BLAS thread on a 2-vCPU x86 host, as the time
-# ratio recurrence / direct exp: a convention sweep reads 0.93-1.02 at
-# N = 16, 0.90-0.94 at N = 20 and 0.76-0.91 at N = 40 and 100 (M = 1..11);
-# one propagate call, a group of one, reads up to 1.17 at N = 16..30 (median
-# 1.10) and 0.97-1.07 at N = 40.  M moves only the break-even of a group of
-# one, which a rule blind to the group size cannot follow, so the rule reads
-# d alone; it must not read the group size, or a sweep would lose the bits
-# of each convention's own propagate call.
+# recurrence and _plan makes every basis change a real product on the float
+# view of the state; below, they keep the direct exp and the complex
+# products, bit for bit.  Measured with one BLAS thread on a 2-vCPU x86 host,
+# recurrence / direct exp: a convention sweep 0.93-1.02 at N = 16 and
+# 0.76-0.91 at N = 40 and 100; a group of one up to 1.17 at N = 16..30.  The
+# rule reads d alone, never the group size, or a sweep would lose the bits of
+# each convention's own propagate call; the real hop's D rides on the
+# recurrence's seeds (_hop_folds).
 RECURRENCE_MIN_LEVELS = 17
-# From this many levels d on, _plan makes every basis change a real product on
-# the float view of the state, (..., d, 2r), which moves half the bytes of the
-# complex one.  Measured with one BLAS thread on a 2-vCPU x86 host, as the time
-# ratio real / complex of one product-squeeze run at M = 3 and 11: a stack of 8
-# reads 0.88-0.91 at N = 48, 0.84-0.85 at 63 and 0.73-0.78 at 100; a group of
-# one, which pays two views per product, 1.08-1.10 at N = 48, 1.01-1.05 at 63,
-# 0.99-1.04 at 80 and 0.89-0.92 at 100.  Like RECURRENCE_MIN_LEVELS it reads d
-# alone, never the group size, and it must not fall below it: the hop's D is
-# folded into the recurrence's seeds (_hop_folds).
-REAL_MIN_LEVELS = 64
 
 
 def _chain_eigh(diag: np.ndarray, off: np.ndarray, stride: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -366,25 +345,30 @@ def _chain_eigh(diag: np.ndarray, off: np.ndarray, stride: int) -> Tuple[np.ndar
     return np.linalg.eigh(block)
 
 
-def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _chain_exp(v: np.ndarray, phases: np.ndarray, psi: np.ndarray,
+               buffers: dict = None) -> np.ndarray:
     """exp(i k H) psi from the eigenvectors ``v`` of one set of
     :func:`_chain_eigh` eigenpairs (w, v) of H (no leading axes) and
     ``phases`` = exp(i k w): shape (stride, L) for the vector or (d, r)
     block ``psi``, or (B, stride, L), one k per slice, for the stack
     ``psi`` of shape (B, d, r).  Entry c + j stride of the padded input sits
     at [j, c]; the two batched real matvecs act on its real and imaginary
-    parts as two real columns per input column, once per slice."""
+    parts as two real columns per input column, once per slice, the second
+    back into the padded input.  Both arrays come from :func:`_buffer`; the
+    result is a view of the padded input, shaped as ``psi``."""
     lead = phases.shape[:-2]
     stride, length = phases.shape[-2:]
     d = psi.shape[len(lead)]
     cols = psi.reshape(lead + (d, -1))
-    chains = np.zeros(lead + (length * stride, cols.shape[-1]), complex)
+    chains = _buffer(buffers, "chains", lead + (length * stride, cols.shape[-1]))
     chains[..., :d, :] = cols
+    chains[..., d:, :] = 0.0
     real = chains.view(float).reshape(lead + (length, stride, -1)).swapaxes(-3, -2)
-    coeffs = np.matmul(v.transpose(0, 2, 1), real).view(complex)
+    coeffs = np.matmul(v.transpose(0, 2, 1), real,
+                       out=_buffer(buffers, "coeffs", real.shape, float)).view(complex)
     coeffs *= phases[..., None]
-    out = np.matmul(v, coeffs.view(float)).swapaxes(-3, -2).reshape(lead + (length * stride, -1))
-    return out[..., :d, :].view(complex).reshape(psi.shape)
+    np.matmul(v, coeffs.view(float), out=real)
+    return chains[..., :d, :].reshape(psi.shape)
 
 
 def _mirror_tables(space: DickeSpace) -> tuple:
@@ -455,7 +439,7 @@ def squeeze_eigenpairs(space: DickeSpace, strengths, buffers=None) -> Tuple[np.n
         raise NormDriftError(f"squeeze strengths {given[k].tolist()} of step {k + 1} "
                              "make the combined squeeze generator non-finite")
     length, size = (space.dim + 1) // 2, (space.dim + 3) // 4
-    out = _buffer(buffers, (len(given), 2, length, length), float)  # v
+    out = _buffer(buffers, "v", (len(given), 2, length, length), float)
     if space.n_emitters % 2:
         w, v = _chain_eigh(diags[:, ::2], offs[:, ::2], 1)
         return np.concatenate([w, w], 1), np.concatenate([v, v[..., ::-1, :]], 1, out=out)
@@ -497,12 +481,12 @@ def _quaternions(turns: np.ndarray, product_rotation: bool) -> np.ndarray:
     return quat
 
 
-def _buffer(buffers, shape: tuple, dtype=complex) -> np.ndarray:  # buffers: a dict or None
+def _buffer(buffers, name: str, shape: tuple, dtype=complex) -> np.ndarray:  # buffers: dict or None
     if buffers is None:
         return np.empty(shape, dtype)  # a new array
-    if (shape, dtype) not in buffers:  # else the one kept for this shape, made on first use
-        buffers[shape, dtype] = np.empty(shape, dtype)
-    return buffers[shape, dtype]
+    if (name, shape) not in buffers:  # else the one kept for this name and shape, made on first use
+        buffers[name, shape] = np.empty(shape, dtype)
+    return buffers[name, shape]
 
 
 def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: int,
@@ -532,14 +516,14 @@ def _slot_phases(space: DickeSpace, coef: np.ndarray, combined: bool, n_slots: i
     phases = phases.reshape(lead + (n_slots, 2, 3))  # per half: f_s, r_s, q
     if fold is not None:
         phases *= fold[:, :n_slots]
-    grown = _buffer(buffers, lead + (n_slots, 2, (d + 1) // 2))
+    grown = _buffer(buffers, "grown", lead + (n_slots, 2, (d + 1) // 2))
     grown[..., :2] = phases[..., :2]
     grown[..., 2:] = phases[..., 2 - combined, None]  # q, q, ... or r_s, r_s, ...
     if not combined:
         np.multiply.accumulate(grown[..., 1:], axis=-1, out=grown[..., 1:])  # the ratios
     np.multiply.accumulate(grown, axis=-1, out=grown)  # the phases
     return np.concatenate([grown[..., 1, d % 2:][..., ::-1], grown[..., 0, :]], axis=-1,
-                          out=_buffer(buffers, lead + (n_slots, d)))
+                          out=_buffer(buffers, "phases", lead + (n_slots, d)))
 
 
 def _hop_folds(space: DickeSpace, n_steps: int, adjoint: bool) -> np.ndarray:
@@ -565,9 +549,10 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     decide the factors of a step, with every choice that depends only on
     them made once.  Returns ``run(params, cols, per_step)`` for flat float
     ``params`` of length 5M + 3 and a complex (d, r) block ``cols`` (a
-    vector is one column); it returns the unchecked states in a list, the M+1 after each step
-    and the final rotation with ``per_step``, else the final one.  A combined-squeeze run
-    makes its own :func:`squeeze_eigenpairs`.  Runs on one space share its buffers: not reentrant.
+    vector is one column); it returns the unchecked states in a new array, the M+1 after each
+    step and the final rotation with ``per_step``, else the final one.  A combined-squeeze run
+    makes its own :func:`squeeze_eigenpairs`.  The state passes between two kept buffers, so a
+    run makes no array per factor.  Runs on one space share its buffers: not reentrant.
 
     Within a group the rotation composition changes only how the Euler
     angles are read; a stack holding both reads each on every slice and
@@ -589,13 +574,14 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     representation, odd N included.  At a middle angle of 0 (or pi) only
     a + c (or a - c) is determined, and only it matters.
 
-    From REAL_MIN_LEVELS levels on, every basis change is a real product
-    on the float view of the state: vx^T and vx, and the hop R (or R^T) of
-    :func:`_propagation_bases`.  P = exp(-i pi/2 J_z), which makes vy = P vx,
-    turns the product squeeze's Z(b) into Z(b -+ pi/2), so its middle angle
-    offset drops to 0, and is one multiply where a run enters or leaves the
-    J_y basis; the hop's Ds are folded into the seeds of the phases on
-    either side of it (:func:`_hop_folds`).
+    From RECURRENCE_MIN_LEVELS levels on, every basis change is a real
+    product on the float view of the state: vx^T and vx, and the hop R (or
+    R^T) of :func:`_propagation_bases`.  P = exp(-i pi/2 J_z), which makes
+    vy = P vx, turns the product squeeze's Z(b) into Z(b -+ pi/2), so its
+    middle angle offset drops to 0, and is one multiply where a run enters
+    or leaves the J_y basis; the hop's Ds are folded into the seeds of the
+    phases on either side of it (:func:`_hop_folds`).  Below, the plan forms
+    vy, its adjoint and the complex hop itself, and every change is complex.
     """
     bases = _propagation_bases(space)
     if cached := bases.store.get((conventions, n_steps)):  # one hash of the key
@@ -620,35 +606,38 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
     combined = conventions[0].squeeze_composition == "combined"
     squeeze_order = conventions[0].squeeze_order
     yx = int(squeeze_order == "yx")
-    real = space.dim >= REAL_MIN_LEVELS
+    real = space.dim >= RECURRENCE_MIN_LEVELS
     # Per rotation composition in the group, product first as np.where takes
     # it, the map from its quaternions (or the product rotation's eight
     # half-angle products) to the columns the Z-X-Z angles are read from
     euler, middle = (_UNIT, 0.0) if combined else _MERGED_EULER[squeeze_order]
-    if real:  # Z(b + pi/2) P = Z(b) = P^dag Z(b - pi/2): vy's P meets slot 1
-        middle = 0.0
-    offset = np.array([-0.5 * np.pi, middle, 0.5 * np.pi])  # added to the angles
+    # added to the angles; real: vy's P meets slot 1, Z(b + pi/2) P = Z(b) = P^dag Z(b - pi/2)
+    offset = np.array([-0.5 * np.pi, 0.0 if real else middle, 0.5 * np.pi])
     product = np.array([c.rotation_composition == "product" for c in conventions])
     readings = [(p, (_PRODUCT_ROTATION @ euler if p else euler) @ _ARG_COLUMNS)
                 for p in (True, False) if (product == p).any()]
-    change, fold = mul, None  # change(v, psi): a basis change v @ psi
-    if real:
-        def change(v, psi):  # a real v on the float view of psi, (..., d, 2r)
-            return mul(v, psi.view(float)).view(complex)
+    folds, leave_p, peek_p = {}, None, None  # P where a real final or per-step state leaves by vy
+    vx = bases.vx if real else bases.vx.astype(complex)
     if combined:
-        first, second = bases.vx.T, bases.vx
+        first, second = vx.T, vx
+    elif real:  # v1 = p1 vx, v2 = p2 vx and v2_h = vx^T p2_h; the hop is R or R^T
+        p = np.exp(-0.5j * np.pi * bases.jz)[:, None]
+        enter, leave_p, peek_p = (1.0, p, None) if yx else (p.conj(), None, p)
+        first, second, fold = vx, vx.T, _hop_folds(space, n_steps, yx)
+        folds = {slots: np.ascontiguousarray(fold[:, :slots]) for slots in (3, 4)}
+        hop, leave, peek = bases.hop.T if yx else bases.hop, vx, vx
     else:
+        vy = np.exp(-0.5j * np.pi * bases.jz)[:, None] * bases.vx
+        vy_h = np.ascontiguousarray(vy.conj().T)
+        hop = vy_h @ vx  # x_to_y
         # v1: the eigenbasis of the squeeze applied first; v2: the second.
-        v1, v1_h, v2, v2_h, hop = (
-            (bases.vy, bases.vy_h, bases.vx, bases.vx.T, bases.y_to_x) if yx
-            else (bases.vx, bases.vx.T, bases.vy, bases.vy_h, bases.x_to_y))
-        first, second = v2, v1_h
-        if real:  # v1 = p1 vx, v2 = p2 vx and v2_h = vx^T p2_h; the hop is R or R^T
-            p = np.exp(-0.5j * np.pi * bases.jz)[:, None]
-            p1, p2, p2_h = (p, 1.0, 1.0) if yx else (1.0, p, p.conj())
-            first, second, fold = bases.vx, bases.vx.T, _hop_folds(space, n_steps, yx)
+        v1, v1_h, v2, v2_h = (vy, vy_h, vx, vx.T) if yx else (vx, vx.T, vy, vy_h)
+        hop = np.ascontiguousarray(hop.conj().T) if yx else hop
+        first, second, enter, leave, peek = v2, v1_h, v2_h, v1, v2
 
     buffers = bases.store.setdefault("buffers", {})  # run holds this, not the store that holds run
+    held = {}  # per block shape: two state buffers, then the views the basis changes take
+    multiply = np.multiply  # every product below writes into its third argument
 
     def run(params, cols, per_step):
         # one row per rotation: (theta_x, theta_y, theta_z, alpha, beta), the
@@ -669,37 +658,54 @@ def _plan(space: DickeSpace, conventions: Tuple[GateConventions, ...], n_steps: 
         coef[..., 3] = strengths[..., yx]
         coef[..., 1:, 4] = strengths[..., :-1, 1 - yx]
         slots = 4 if per_step and not combined else 3  # slot 3, squeeze 2 alone, serves per_step
-        phases = _slot_phases(space, coef, combined, slots, mul, buffers, fold)
+        phases = _slot_phases(space, coef, combined, slots, mul, buffers, folds.get(slots))
         # phases[k, slot] is (d, 1), or (B, d, 1) for a stack, shared by the columns
         phases = (np.moveaxis(phases, 0, 2) if stacked else phases)[..., None]
         if combined:  # squeeze_phases[k] is (2, L), or (B, 2, L) for a stack
             w, v = squeeze_eigenpairs(space, table[:-1, 3:], buffers)
             squeeze_phases = (np.take(np.exp(1j * (distinct_k * w[:, None])), which_k, axis=1)
                               if stacked else np.exp(1j * (squeeze_k * w)))
-        if real:  # the float view needs C order
-            cols = np.ascontiguousarray(cols)
-        if combined:
-            psi = cols
-        else:
-            psi = change(second, p2_h * cols) if real else mul(v2_h, cols)
-        states = []
+        if cols.shape not in held:
+            pair = _buffer(buffers, "pair", (2,) + lead + cols.shape)
+            held[cols.shape] = (*pair, *(pair.view(float) if real else pair))
+        a, b, a_v, b_v = held[cols.shape]  # the state passes between a and b
+        out = np.empty((n_steps + 1 if per_step else 1,) + lead + cols.shape, complex)
+        out_v = out.view(float) if real else out
+        src = cols  # the state before the next factor
+        if not combined:  # into the second squeeze's eigenbasis
+            if real:
+                multiply(enter, cols, b)
+                mul(second, b_v, a_v)
+            else:
+                mul(enter, cols, a)
+            src = a
         for k in range(n_steps + 1):
-            psi = phases[k, 2] * change(second, phases[k, 1] * change(first, phases[k, 0] * psi))
+            multiply(phases[k, 0], src, a)
+            mul(first, a_v, b_v)
+            multiply(phases[k, 1], b, b)
+            mul(second, b_v, a_v)
+            multiply(phases[k, 2], a, a)
             if k == n_steps:
                 break
             if combined:
-                psi = _chain_exp(v[k], squeeze_phases[k], psi)
+                src = _chain_exp(v[k], squeeze_phases[k], a, buffers)
                 if per_step:
-                    states.append(psi)
+                    out[k] = src
             else:
-                psi = change(hop, psi)
+                mul(hop, a_v, b_v)
+                src = b
                 if per_step:  # the second squeeze's phase is still to come
-                    psi2 = phases[k + 1, 3] * psi
-                    states.append(p2 * change(first, psi2) if real else mul(v2, psi2))
-        if not combined:
-            psi = p1 * change(first, psi) if real else mul(v1, psi)
-        states.append(psi)
-        return states
+                    multiply(phases[k + 1, 3], b, a)
+                    mul(peek, a_v, out_v[k])
+                    if peek_p is not None:
+                        multiply(peek_p, out[k], out[k])
+        if combined:
+            out[-1] = a
+        else:
+            mul(leave, a_v, out_v[-1])
+            if leave_p is not None:
+                multiply(leave_p, out[-1], out[-1])
+        return out
 
     bases.store[conventions, n_steps] = run
     return run
@@ -769,9 +775,9 @@ def _propagate_each(space: DickeSpace, params, conventions, psi0, per_step: bool
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check reports overflow
         for index in groups.values():
             run = _plan(space, tuple(conventions[i] for i in index), n_steps)
-            out = [s.reshape((len(index),) + psi.shape) for s in run(params, cols, per_step)]
-            for b, i in enumerate(index):
-                states[i] = [s[b] for s in out]
+            out = run(params, cols, per_step).reshape((-1, len(index)) + psi.shape)
+            for b, i in enumerate(index):  # indexed, not iterated: an ndarray iterator costs ~1 us
+                states[i] = [out[k, b] for k in range(len(out))]
         checked = [[_checked(s) for s in each] for each in states]
     return [np.array(each) if per_step else each[-1] for each in checked]
 

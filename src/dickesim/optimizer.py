@@ -68,7 +68,7 @@ def make_objective(space: DickeSpace, target: QuantumState, n_steps: int,
     def f(params: np.ndarray) -> float:
         if len(params) != expected:
             raise ValueError(f"parameter vector length {len(params)}, expected {expected}")
-        return 1.0 - _fidelity_with_vector(_checked(run(params, ground, False)[-1][:, 0]), target)
+        return 1.0 - _fidelity_with_vector(_checked(run(params, ground, False)[-1, :, 0]), target)
 
     return f
 

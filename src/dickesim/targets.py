@@ -11,6 +11,7 @@ small for the requested state) unless the spec allows truncation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import DickeSpace, QuantumState
+from .core import DickeSpace, QuantumState, _frozen
 
 WARN_TAIL = 1e-6
 ERROR_TAIL = 1e-4
@@ -225,6 +226,7 @@ def _coherent_sum(n_max: int, mu: np.ndarray, weights: np.ndarray) -> np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=4)  # read-only arrays; every N <= 50 shares n_max = 200
 def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float) -> np.ndarray:
     """Fock amplitudes of an ideal grid state, a coherent sum over its lattice.
 
@@ -244,7 +246,7 @@ def _lattice_amplitudes(n_max: int, g1: float, g2: complex, shift: float) -> np.
     # D(s g1) D(t g2) = e^{i s t Im(g1 conj(g2))} D(s g1 + t g2); the codeword
     # shift on the left adds e^{i Im(shift conj(lam))}.
     phase = s * t * np.imag(g1 * np.conj(g2)) + np.imag(shift * np.conj(lam))
-    return _coherent_sum(n_max, lam + shift, np.exp(1j * phase))
+    return _frozen(_coherent_sum(n_max, lam + shift, np.exp(1j * phase)))
 
 
 # (g1, g2, shift) of each grid state's lattice, as displacements (x + ip)/sqrt(2);

@@ -20,6 +20,7 @@ is labeled ``dicke-to-fock-identification``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -60,8 +61,7 @@ def _kernel_bands(space: DickeSpace) -> tuple:
     G = V_x^T diag(Delta) V_x is real."""
     bases = _propagation_bases(space)
     if "sphere" not in bases.store:
-        vx = bases.vx.real
-        g = (vx.T * _kernel_diagonal(space.n_emitters)) @ vx
+        g = (bases.vx.T * _kernel_diagonal(space.n_emitters)) @ bases.vx
         bases.store["sphere"] = tuple(_frozen(np.diagonal(g, k)) for k in range(space.dim))
     return bases.store["sphere"]
 
@@ -87,8 +87,10 @@ def spherical_wigner_values(state: QuantumState, thetas, phis) -> np.ndarray:
     bases = _propagation_bases(state.space)
     cols = state.amplitudes[:, None] if state.is_pure else _psd_factor(state.density)
     d, r = cols.shape
-    u = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
-    u = (bases.vy_h @ u.reshape(d, -1)).reshape(d, r, -1)
+    # V_y^dag = V_x^T P^dag: P^dag joins the phase, V_x^T acts on the float view (C order)
+    u = np.multiply(np.exp(1j * np.multiply.outer(bases.jz, phi_set + 0.5 * np.pi))[:, None],
+                    cols[..., None], order="C")
+    u = (bases.vx.T @ u.reshape(d, -1).view(float)).view(complex).reshape(d, r, -1)
     u_conj, bands = u.conj(), _kernel_bands(state.space)
     h = np.array([g_k @ (u_conj[:d - k] * u[k:]).reshape(d - k, -1)
                   for k, g_k in enumerate(bands)]).reshape(d, r, -1).sum(axis=1)
@@ -323,8 +325,9 @@ def export_grids(pairs) -> int:
     and the benchmark's wigner-export operations take 0.73 of their one-writer time.
     This process opens its files, the cut file included, before it forks: if one open
     fails, or the pipe or the fork does (EAGAIN, ENOMEM), it closes what it opened and
-    one writer writes every grid, meeting any open error as it does.  A write error in
-    mid-stream, such as a full disk, can still leave the child's later files."""
+    one writer writes every grid, meeting any open error as it does.  The child renames its
+    later files from temporary names into place only once it reads a valid offset, so a
+    write error in this process's half, such as a full disk, leaves none, as one writer."""
     jobs, handles, pipe = [_csv_job(grid, path) for grid, path in pairs], [], ()
     if (sum(len(job[4]) for job in jobs) >= SPLIT_MIN_SAMPLES and hasattr(os, "fork")
             and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2):
@@ -347,17 +350,23 @@ def export_grids(pairs) -> int:
     read_end, write_end = pipe
     if pid == 0:  # the child: never returns, never flushes this process's stdio
         status = 1  # failed: this process rewrites the child's files
+        temps = [f"{job[0]}.{os.getpid()}.tmp" for job in jobs[f + 1:]]
         try:
             os.close(write_end)
             tail = b"".join(_csv_rows(jobs[f], cut, len(jobs[f][2])))
-            for job in jobs[f + 1:]:
-                _stream_csv(job)
-            offset = int(os.read(read_end, 32))
+            for temp, job in zip(temps, jobs[f + 1:]):
+                _stream_csv((temp,) + job[1:])
+            offset = int(os.read(read_end, 32))  # b"" if this process failed
             with open(jobs[f][0], "r+b") as fh:
                 fh.seek(offset)
                 fh.write(tail)
+            for temp, job in zip(temps, jobs[f + 1:]):
+                os.replace(temp, job[0])
             status = 0
         finally:
+            for temp in temps if status else ():
+                with contextlib.suppress(OSError):
+                    os.unlink(temp)
             os._exit(status)
     try:
         for i, fh in enumerate(handles):

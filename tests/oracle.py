@@ -317,11 +317,12 @@ def spherical_wigner_per_row(state: QuantumState, thetas, phis) -> np.ndarray:
         cols = v[:, keep] * np.sqrt(w[keep])
     d, r = cols.shape
     half = np.exp(1j * np.multiply.outer(bases.jz, phi_set))[:, None, :] * cols[:, :, None]
-    half = (bases.vy_h @ half.reshape(d, -1)).reshape(d, r, -1)
+    vy = np.exp(-0.5j * np.pi * bases.jz)[:, None] * bases.vx
+    half = (vy.conj().T @ half.reshape(d, -1)).reshape(d, r, -1)
     turn = np.exp(1j * np.multiply.outer(bases.jz, theta_set))[:, None, :]
     out = np.empty(rows)
     for i, (t, p) in enumerate(zip(theta_at.reshape(rows), phi_at.reshape(rows))):
-        block = bases.vy @ (half.take(p, axis=2) * turn.take(t, axis=2)).reshape(d, -1)
+        block = vy @ (half.take(p, axis=2) * turn.take(t, axis=2)).reshape(d, -1)
         out[i] = (delta @ (block * block.conj()).real).reshape(r, -1).sum(axis=0)
     return out.reshape(theta_at.shape)
 

@@ -6,6 +6,8 @@ overlaps, because for odd N (half-integer spin) a rotation read only up to
 SO(3) would differ from the oracle by a global sign that no overlap shows.
 """
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +22,12 @@ from dickesim import (
     QuantumState,
     apply_sequence,
 )
-from dickesim import gates, optimizer
+from dickesim import flatten_params, gates, optimizer
+from dickesim.cli import _resolve_sequence_path
 from dickesim.core import DimensionMismatchError, _fidelity_with_vector
 from dickesim.gates import (
     CONVENTION_SWEEP,
     EXPONENT_SIGNS,
-    REAL_MIN_LEVELS,
     RECURRENCE_MIN_LEVELS,
     ROTATION_COMPOSITIONS,
     SQUEEZE_COMPOSITIONS,
@@ -42,6 +44,7 @@ from dickesim.gates import (
     unflatten_params,
 )
 from dickesim.optimizer import PARAM_BOUND, make_objective
+from dickesim.seqfile import load_sequence_file
 from oracle import (
     _spin_triple,
     apply,
@@ -86,15 +89,14 @@ def test_kernel_matches_dense_on_every_convention(n):
                           propagate(space, params, conv, ground))
 
 
-# the largest N below the size rule of gates._slot_phases and the smallest at it
+# the largest N below the size rule of gates._slot_phases and gates._plan's
+# real basis changes, and the smallest at it
 RULE_EDGE = [RECURRENCE_MIN_LEVELS - 2, RECURRENCE_MIN_LEVELS - 1]
-# the same for the real basis changes of gates._plan: d odd, then even
-REAL_RULE_EDGE = [REAL_MIN_LEVELS - 2, REAL_MIN_LEVELS - 1]
 
 
 # 100 and 101 are replay-sweep's N; each pair takes both layouts of the
 # recurrence's halves, N even and odd
-@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41, *REAL_RULE_EDGE, 100, 101])
+@pytest.mark.parametrize("n", [4, 5, *RULE_EDGE, 40, 41, 62, 63, 100, 101])
 def test_sweep_equals_propagate_under_each_convention_bitwise(n):
     # the sweep's one set of combined-squeeze eigenpairs gives the bits that
     # each convention's own propagate call gives, for a vector, the vector as
@@ -121,7 +123,7 @@ def test_sweep_equals_propagate_under_each_convention_bitwise(n):
         propagate_sweep(space, [0.0, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0, 0.0], ground)
 
 
-@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE, 40, 41, *REAL_RULE_EDGE, 100, 101])
+@pytest.mark.parametrize("n", [3, 6, *RULE_EDGE, 40, 41, 62, 63, 100, 101])
 def test_stacked_per_step_states_equal_each_convention_bitwise(n):
     # the stacked step loops also give each convention's per-step states
     rng = np.random.default_rng(2100 + n)
@@ -135,7 +137,8 @@ def test_stacked_per_step_states_equal_each_convention_bitwise(n):
             assert np.array_equal(states[-1], propagate(space, params, conv, psi0))
 
 
-@pytest.mark.parametrize("n", [3, 6, 100])  # 100: every basis change real
+# from the size rule on (N = 16, 17, even and odd) every basis change is real
+@pytest.mark.parametrize("n", [3, 6, RECURRENCE_MIN_LEVELS - 1, RECURRENCE_MIN_LEVELS, 40, 100])
 def test_per_step_states_match_dense_loop(n):
     rng = np.random.default_rng(7)
     space = DickeSpace(n)
@@ -331,37 +334,35 @@ def mirror_eigh(diag, off):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.one_of(st.integers(REAL_MIN_LEVELS - 8, REAL_MIN_LEVELS + 7), st.integers(1, 160)))
+@given(n=st.one_of(st.integers(RECURRENCE_MIN_LEVELS - 8, RECURRENCE_MIN_LEVELS + 7),
+                   st.integers(1, 160)))
 @example(n=1)
-@example(n=REAL_MIN_LEVELS - 2)
-@example(n=REAL_MIN_LEVELS - 1)
+@example(n=RECURRENCE_MIN_LEVELS - 2)
+@example(n=RECURRENCE_MIN_LEVELS - 1)
 @example(n=400)
 def test_hop_is_d_r_d_with_r_one_real_product(n):
-    # vy = P vx exactly; x_to_y = vy_h vx = D R D with D = diag(i^(a mod 2))
+    # with vy = P vx, the hop vy^dag vx = D R D with D = diag(i^(a mod 2))
     # and R = S o (vx^T diag(cos(pi x/2) + sin(pi x/2)) vx), S = -1 where both
     # J_x eigen-indices are odd, to a few ulp times d; from the size rule on
-    # the bases hold that R and the real vx, below it the complex product
+    # the bases hold that R, below it none
     space = DickeSpace(n)
     bases, d = _propagation_bases(space), space.dim
-    assert np.array_equal(bases.vy, np.exp(-0.5j * np.pi * bases.jz)[:, None] * bases.vx)
-    assert np.array_equal(bases.vy_h, bases.vy.conj().T)
+    assert bases.vx.dtype == float
+    vy = np.exp(-0.5j * np.pi * bases.jz)[:, None] * bases.vx
     odd = np.arange(d) % 2 == 1
-    vx = np.ascontiguousarray(bases.vx.real)
     half_turn = 0.5 * np.pi * bases.jz
     r = np.where(np.outer(odd, odd), -1.0, 1.0) * (
-        vx.T @ ((np.cos(half_turn) + np.sin(half_turn))[:, None] * vx))
-    hop = bases.vy_h @ bases.vx
+        bases.vx.T @ ((np.cos(half_turn) + np.sin(half_turn))[:, None] * bases.vx))
+    hop = vy.conj().T @ bases.vx
     unit = np.where(odd, 1j, 1.0)
     assert np.max(np.abs(unit[:, None] * r * unit - hop)) <= 4 * d * np.finfo(float).eps
-    if d >= REAL_MIN_LEVELS:
-        assert bases.vx.dtype == float and bases.x_to_y.dtype == float
-        assert np.array_equal(bases.x_to_y, r) and np.array_equal(bases.y_to_x, r.T)
+    if d >= RECURRENCE_MIN_LEVELS:
+        assert bases.hop.dtype == float and np.array_equal(bases.hop, r)
     else:
-        assert bases.vx.dtype == complex and np.array_equal(bases.vx.real, vx)
-        assert np.array_equal(bases.x_to_y, hop) and np.array_equal(bases.y_to_x, hop.conj().T)
+        assert bases.hop is None
 
 
-@pytest.mark.parametrize("n", [REAL_MIN_LEVELS - 1, 100])
+@pytest.mark.parametrize("n", [RECURRENCE_MIN_LEVELS - 1, 63, 100])
 def test_real_basis_changes_take_a_block_in_any_layout(n):
     # the float view needs C order: a Fortran-ordered or strided block gives
     # the bits of the C-ordered one
@@ -751,7 +752,8 @@ def test_phases_in_reused_buffers_have_the_bits_of_the_first_recurrence(n, combi
                 assert_same_bits(got, expected)
 
 
-@pytest.mark.parametrize("n", [*REAL_RULE_EDGE, 100, 101])
+# the first N at the size rule, even and odd, then plain sizes
+@pytest.mark.parametrize("n", [RECURRENCE_MIN_LEVELS - 1, RECURRENCE_MIN_LEVELS, 62, 63, 100, 101])
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_hop_folds_carry_d_into_the_phases_exactly(n, adjoint):
     # the folded seeds grow to D (or D^dag) alone at zero coefficients, in
@@ -801,29 +803,103 @@ def test_returned_states_do_not_share_the_reused_buffers(n):
 
 def test_plans_share_one_buffer_per_shape():
     # the three groups of a sweep share one pair of phase buffers (the
-    # halves, the level-ordered table), and the 24 conventions' own
-    # propagate calls one more pair, for the group of one; the combined
-    # squeeze's eigenvectors take one for M steps.  More plans hold no more
-    # buffers
+    # halves, the level-ordered table), one pair of state buffers and the
+    # combined squeeze's padded chains and coefficients, and the 24
+    # conventions' own propagate calls one more of each, for the group of
+    # one; the combined squeeze's eigenvectors take one for M steps.  More
+    # plans hold no more buffers.  A block of 5 columns and M = 7 give
+    # shapes no other test makes
     space = DickeSpace(100)
-    n_steps, length = 7, 51
+    n_steps, length, r = 7, 51, 5
     rng = np.random.default_rng(73)
     params = rng.uniform(-np.pi, np.pi, 5 * n_steps + 3)
-    psi = random_state(space, rng)
+    psi = rng.normal(size=(space.dim, r)) + 1j * rng.normal(size=(space.dim, r))
+    psi /= np.linalg.norm(psi)
     store = _propagation_bases(space).store
     held = dict(store.get("buffers", {}))
 
     def added():
         return sorted(b.shape for key, b in store["buffers"].items() if key not in held)
 
-    sweep = [(n_steps, 2, length, length), (8, n_steps + 1, 3, 2, length),
-             (8, n_steps + 1, 3, space.dim)]
+    def per_group(*lead):
+        return [lead + (n_steps + 1, 3, 2, length), lead + (n_steps + 1, 3, space.dim),
+                (2, *lead, space.dim, r), lead + (2 * length, r), lead + (2, length, 2 * r)]
+
+    sweep = [(n_steps, 2, length, length)] + per_group(8)
     propagate_sweep(space, params, psi)
     assert added() == sorted(sweep)
     for conv in CONVENTION_SWEEP:
         propagate(space, params, conv, psi)
-    assert added() == sorted(sweep + [(n_steps + 1, 3, 2, length), (n_steps + 1, 3, space.dim)])
+    assert added() == sorted(sweep + per_group())
     assert sum(key[1:] == (n_steps,) for key in store if isinstance(key, tuple)) >= 3 + 24
+
+
+def allocating_lines(call, size: int) -> int:
+    """How many times a line of gates.py ran while the memory that
+    tracemalloc traces rose ``size`` bytes or more above where it stood
+    when the line began, in one ``call()``: one count per line that makes
+    an array of at least ``size`` bytes, so an array made per factor counts
+    once per factor."""
+    hits, start = [], [None]
+
+    def on_line(frame, event, arg):
+        current, peak = tracemalloc.get_traced_memory()
+        if start[0] is not None and peak - start[0] >= size:
+            hits.append(frame.f_lineno)
+        start[0] = current
+        tracemalloc.reset_peak()
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == gates.__file__ else None
+
+    tracemalloc.start()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return len(hits)
+
+
+@pytest.mark.parametrize("combined", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_warm_run_makes_no_array_per_factor(combined, stacked):
+    # a warm run at N = 40, on a block of 256 columns, makes as many arrays
+    # of a state's size at M = 11 as at M = 3, with and without per_step:
+    # the state passes between kept buffers, and per_step writes into one
+    # array of all the states
+    space, r = DickeSpace(40), 256
+    rng = np.random.default_rng(83)
+    cols = rng.normal(size=(space.dim, r)) + 1j * rng.normal(size=(space.dim, r))
+    composition = "combined" if combined else "product"
+    group = tuple(c for c in CONVENTION_SWEEP if c.squeeze_composition == composition
+                  and c.squeeze_order == "xy")[:8 if stacked else 1]
+    for per_step in (False, True):
+        counts = []
+        for n_steps in (3, 11):
+            run = gates._plan(space, group, n_steps)
+            params = rng.uniform(-np.pi, np.pi, 5 * n_steps + 3)
+            run(params, cols, per_step)  # makes the buffers
+            counts.append(allocating_lines(lambda: run(params, cols, per_step), 16 * cols.size))
+        assert counts[0] == counts[1], (per_step, counts)
+
+
+@pytest.mark.parametrize("n", [RECURRENCE_MIN_LEVELS - 2, RECURRENCE_MIN_LEVELS - 1,
+                               RECURRENCE_MIN_LEVELS, 40])
+def test_sweep_of_the_published_sequence_equals_propagate_bitwise(n):
+    # gkp-square's 11 steps at N on both sides of the size rule: the sweep
+    # gives each convention's own propagate bits, per-step propagate ends on
+    # them, and a repeat in the same process gives the same bits: the reused
+    # buffers and padded rows carry nothing from one call into the next
+    seq = load_sequence_file(_resolve_sequence_path("gkp-square"), n)[0]
+    params, ground = flatten_params(seq), QuantumState.ground(seq.space).amplitudes
+    first = propagate_sweep(seq.space, params, ground)
+    for conv, final in zip(CONVENTION_SWEEP, first):
+        assert np.array_equal(final, propagate(seq.space, params, conv, ground)), conv
+        assert np.array_equal(final, propagate(seq.space, params, conv, ground, True)[-1]), conv
+    assert np.array_equal(propagate_sweep(seq.space, params, ground), first)
 
 
 @pytest.mark.parametrize("n", [40, 41])

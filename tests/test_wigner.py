@@ -819,6 +819,31 @@ def test_a_child_failing_at_once_leaves_its_files_to_the_process(tmp_path, monke
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_write_error_in_the_process_leaves_no_later_file(tmp_path, monkeypatch, forks):
+    # a full disk on this process's first file: the error propagates, the
+    # child's later files never reach their names, and no temporary file is
+    # left, as one writer leaves none
+    monkeypatch.setattr(wigner, "SPLIT_MIN_SAMPLES", 1)
+    parent, stream = os.getpid(), wigner._stream_csv
+
+    def full_disk(job, stop=None, fh=None):
+        if os.getpid() == parent:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return stream(job, stop, fh)
+
+    monkeypatch.setattr(wigner, "_stream_csv", full_disk)
+    sizes = [(7, 9), (11, 13), (5, 8)]
+    grids = [spherical_wigner(_random_state(4, seed), *size) for seed, size in enumerate(sizes)]
+    assert _split_rows(sizes) == (1, 5)
+    pairs = [(grid, tmp_path / f"step{i:02d}.csv") for i, grid in enumerate(grids)]
+    with pytest.raises(OSError, match="No space left"):
+        export_grids(pairs)
+    assert len(forks) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["step00.csv", "step01.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_a_failed_pipe_or_fork_leaves_one_writer(tmp_path, monkeypatch, forks, call):
     # EAGAIN from os.pipe or os.fork: the opened handles and the pipe are
